@@ -2,6 +2,13 @@
 and congruences, the generating-numerator polynomials h_{i,k,m}(x), and the
 annihilating shift operators V_k.
 
+Every value of b_m comes from `f_polys.fpow_prefix(-m, n)`, the one
+production kernel for F(x)^t: F(x)^(-m) = (1-x)^(-m) F(x^2)^(-m), that is m
+running sums of the upsampled prefix.  The independent routes stay here as
+references that the tests compare against it: `b1_euler_prefix` (Euler's
+recurrence), `b1_oracle` (coin change), `bm_alt_prefix` (the half-index
+sums) and `bm_oracle` (the m-fold convolution of Euler's b_1).
+
 The h family is pinned down by
 
     (1-x)^(km) * sum_n b_m(2^k n + i) x^n = h_{i,k,m}(x) * sum_n b_m(n) x^n
@@ -14,8 +21,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 from .core_arith import IntPoly, SqrtPoly, binom, convolve_nonneg_prefix, nu2
+from .f_polys import fpow_prefix
 from .reports import CheckReport
 from .tm_sequences import ptm
 
@@ -24,38 +33,18 @@ from .tm_sequences import ptm
 # the sequences themselves
 
 
-class _B1Cache:
-    # Euler's recurrence b(2n) = b(2n-1) + b(n), b(2n+1) = b(2n)
-    def __init__(self):
-        self._vals = [1, 1]
-
-    def extend(self, n: int) -> None:
-        v = self._vals
-        while len(v) <= n:
-            i = len(v)
-            v.append(v[i - 1] + v[i >> 1] if i % 2 == 0 else v[i - 1])
-
-    def __getitem__(self, n: int) -> int:
-        if n < 0:
-            return 0
-        self.extend(n)
-        return self._vals[n]
-
-    def prefix(self, n: int) -> list[int]:
-        self.extend(n)
-        return self._vals
-
-
-_b1 = _B1Cache()
-
-
 def b1(n: int) -> int:
     """Binary partition number: representations of n as sums of powers of 2."""
-    return _b1[n]
+    return fpow_prefix(-1, n)[n] if n >= 0 else 0
 
 
-def b1_prefix(n: int) -> list[int]:
-    return _b1.prefix(n)
+def b1_euler_prefix(n: int) -> list[int]:
+    """[b(0), ..., b(n)] by Euler's recurrence b(2n) = b(2n-1) + b(n),
+    b(2n+1) = b(2n); a reference for the kernel, with no cache."""
+    v = [1, 1]
+    for i in range(2, n + 1):
+        v.append(v[i - 1] + v[i >> 1] if i % 2 == 0 else v[i - 1])
+    return v[: n + 1]
 
 
 def b1_oracle(n: int) -> int:
@@ -71,75 +60,11 @@ def b1_oracle(n: int) -> int:
     return dp[n]
 
 
-class BmCache:
-    """Growable prefix of b_m via the signed-binomial recurrence
-
-        b_m(2n)   = sum_{j<m} C(m,j+1)(-1)^j b_m(2n-j-1) + b_m(n),
-        b_m(2n+1) = sum_{j<m} C(m,j+1)(-1)^j b_m(2n-j).
-    """
-
-    def __init__(self, m: int):
-        if m < 1:
-            raise ValueError("b_m requires m >= 1")
-        self.m = m
-        self._w = [(-1) ** j * binom(m, j + 1) for j in range(m)]
-        self._vals = [1]
-
-    def _at(self, n: int) -> int:
-        return self._vals[n] if n >= 0 else 0
-
-    def extend(self, n: int) -> None:
-        v = self._vals
-        w = self._w
-        while len(v) <= n:
-            i = len(v)
-            top = i - 1
-            s = sum(c * self._at(top - j) for j, c in enumerate(w) if top - j >= 0)
-            if i % 2 == 0:
-                s += v[i >> 1]
-            v.append(s)
-
-    def __getitem__(self, n: int) -> int:
-        if n < 0:
-            return 0
-        self.extend(n)
-        return self._vals[n]
-
-    def prefix(self, n: int) -> list[int]:
-        self.extend(n)
-        return self._vals
-
-
-_bm_caches: dict[int, BmCache] = {}
-
-
-def bm_cache(m: int) -> BmCache:
-    if m not in _bm_caches:
-        _bm_caches[m] = BmCache(m)
-    return _bm_caches[m]
-
-
 def bm(m: int, n: int) -> int:
-    return bm_cache(m)[n]
-
-
-def install_bm_prefix(m: int, values: list[int]) -> None:
-    """Adopt an externally loaded prefix after spot-checking the recurrence."""
-    cache = bm_cache(m)
-    if len(values) <= len(cache._vals):
-        return
-    probe = BmCache(m)
-    probe._vals = list(values)
-    for i in {1, len(values) // 2, len(values) - 1} | {len(values) // 3}:
-        if i < 1:
-            continue
-        top = i - 1
-        expect = sum(c * probe._at(top - j) for j, c in enumerate(probe._w) if top - j >= 0)
-        if i % 2 == 0:
-            expect += values[i >> 1]
-        if values[i] != expect:
-            raise ValueError(f"prefix for b_{m} fails the recurrence at {i}")
-    cache._vals = list(values)
+    """b_m(n), with b_m(n) = 0 for n < 0."""
+    if m < 1:
+        raise ValueError("b_m requires m >= 1")
+    return fpow_prefix(-m, n)[n] if n >= 0 else 0
 
 
 def bm_alt_prefix(m: int, n_max: int) -> list[int]:
@@ -161,7 +86,7 @@ def bm_alt_prefix(m: int, n_max: int) -> list[int]:
 def bm_oracle(m: int, n: int) -> int:
     """b_m(n) as the m-fold Cauchy convolution of the binary partition
     sequence; the independent oracle."""
-    base = b1_prefix(n)[: n + 1]
+    base = b1_euler_prefix(n)
     acc = base
     for _ in range(m - 1):
         acc = [sum(acc[j] * base[i - j] for j in range(i + 1)) for i in range(n + 1)]
@@ -183,7 +108,7 @@ def check_turan_b(m: int, n_max: int) -> CheckReport:
     """
     if m not in (1, 2):
         raise ValueError("identities available for m in {1, 2}")
-    v = bm_cache(m).prefix(2 * n_max + 2)
+    v = fpow_prefix(-m, 2 * n_max + 2)
     psum = v[0]  # sum of b_m(0..n) maintained incrementally
     negativity_violations = 0
     for n in range(1, n_max + 1):
@@ -217,7 +142,7 @@ def check_parity_b(m: int, n_max: int) -> CheckReport:
     b_m(n) == C(m,n) + 2^(k+1) C(m-2, n-2) (mod 2^(k+2)); for odd m:
     b_m(n) == C(m,n) (mod 2), and the count of n with b_m(n) != 0 (mod 4)
     must keep growing (at least n_max/64 hits)."""
-    v = bm_cache(m).prefix(n_max)
+    v = fpow_prefix(-m, n_max)
     if m % 2 == 0:
         k = nu2(m)
         mod = 1 << (k + 2)
@@ -322,7 +247,7 @@ def check_h_identity(i: int, k: int, m: int, order: int | None = None) -> CheckR
     h = h_poly(i, k, m)
     if order is None:
         order = max(256, 4 * max(h.degree, 1))
-    vals = bm_cache(m).prefix((order << k) + i)
+    vals = fpow_prefix(-m, (order << k) + i)
     sub = [vals[(n << k) + i] for n in range(order + 1)]
     lhs = _truncmul(((IntPoly((1, -1))) ** (k * m)).coeffs, sub, order)
     rhs = _truncmul(h.coeffs, vals, order)
@@ -391,33 +316,32 @@ def check_congrup(p: int, s: int, n_max: int) -> CheckReport:
     m = p^s.  The case split is on m mod 4 (which is what the reductions
     depend on; the parity of s decides it only when p == 3 (mod 4))."""
     m = p**s
-    v = bm_cache(m)
-    v.extend(4 * n_max + 3)
+    v = partial(bm, m)  # reads below index 0 give 0
     checked = 0
     for n in range(n_max + 1):
         for i in (0, 1):
-            lhs = v[2 * n + i] - v[2 * (n - m) + i]
-            rhs = v[n] if i == 0 else v[n - (m - 1) // 2]
+            lhs = v(2 * n + i) - v(2 * (n - m) + i)
+            rhs = v(n) if i == 0 else v(n - (m - 1) // 2)
             if (lhs - rhs) % p:
                 return CheckReport(f"congrup p={p} s={s}", False, checked,
                                    witness={"k": 1, "i": i, "n": n})
             checked += 1
         for i in range(4):
-            lhs = v[4 * n + i] - 2 * v[4 * (n - m) + i] + v[4 * (n - 2 * m) + i]
+            lhs = v(4 * n + i) - 2 * v(4 * (n - m) + i) + v(4 * (n - 2 * m) + i)
             if i == 0:
-                rhs = v[n] + v[n - m]
+                rhs = v(n) + v(n - m)
             elif i == 1:
                 if m % 4 == 1:
-                    rhs = v[n - (m - 1) // 4] + v[n - (5 * m - 1) // 4]
+                    rhs = v(n - (m - 1) // 4) + v(n - (5 * m - 1) // 4)
                 else:
-                    rhs = 2 * v[n - (3 * m - 1) // 4]
+                    rhs = 2 * v(n - (3 * m - 1) // 4)
             elif i == 2:
-                rhs = 2 * v[n - (m - 1) // 2]
+                rhs = 2 * v(n - (m - 1) // 2)
             else:
                 if m % 4 == 1:
-                    rhs = 2 * v[n - 3 * (m - 1) // 4]
+                    rhs = 2 * v(n - 3 * (m - 1) // 4)
                 else:
-                    rhs = v[n - (m - 3) // 4] + v[n - (5 * m - 3) // 4]
+                    rhs = v(n - (m - 3) // 4) + v(n - (5 * m - 3) // 4)
             if (lhs - rhs) % p:
                 return CheckReport(f"congrup p={p} s={s}", False, checked,
                                    witness={"k": 2, "i": i, "n": n})
@@ -434,9 +358,9 @@ def check_derivative_identity(m: int, n_max: int) -> CheckReport:
     gcd(m, n) = 1."""
     if m < 2:
         raise ValueError("m >= 2")
-    bb = b1_prefix(n_max)
-    prev = bm_cache(m - 1).prefix(n_max)
-    cur = bm_cache(m).prefix(n_max)
+    bb = fpow_prefix(-1, n_max)
+    prev = fpow_prefix(1 - m, n_max)
+    cur = fpow_prefix(-m, n_max)
     for n in range(n_max + 1):
         rhs = m * sum((n - i) * bb[n - i] * prev[i] for i in range(n + 1))
         if n * cur[n] != rhs:
@@ -454,8 +378,8 @@ def check_rps(r: int, p: int, s: int, n_max: int) -> CheckReport:
     b_m((2n+1)m) == b_m(2nm) (mod p)."""
     q = p**s
     m = r * q
-    v = bm_cache(m).prefix(n_max)
-    vr = bm_cache(r).prefix(n_max // q) if r != m else v
+    v = fpow_prefix(-m, n_max)
+    vr = fpow_prefix(-r, n_max // q)
     checked = 0
     for n in range(n_max + 1):
         if n % q:
@@ -482,7 +406,7 @@ def check_radical(m: int, n_max: int) -> CheckReport:
     radical = 1
     for p in fac:
         radical *= p
-    v = bm_cache(m).prefix(n_max)
+    v = fpow_prefix(-m, n_max)
     checked = 0
     for n in range(n_max + 1):
         if all(n % p**e for p, e in fac.items()):
@@ -523,8 +447,8 @@ def check_window_sum_congruences(n_max: int) -> CheckReport:
         if got != exact or got.mod(p) != reduced.mod(p):
             return CheckReport("window-sums", False,
                                witness={"anchor": [str(c) for c in got.coeffs]})
-    v4 = bm_cache(4).prefix(4 * n_max + 1)
-    v2 = bm_cache(2).prefix(4 * n_max + 2)
+    v4 = fpow_prefix(-4, 4 * n_max + 1)
+    v2 = fpow_prefix(-2, 4 * n_max + 2)
     for n in range(8, n_max + 1):
         s = sum(v4[4 * (n - i) + 1] for i in range(9))
         if (s - v4[n]) % 3:
@@ -718,7 +642,7 @@ def b2_valuation_table_suite(n_max: int) -> CheckReport:
     """Every tabulated equality nu2(b_2(M n + i)) = a for indices <= n_max,
     together with the polynomial certificate used to derive it:
     h_{i,k,2} == 0 (mod 2^a) and h_{i,k,2}/2^a == (1-x)^(2k-3) (mod 2)."""
-    v = bm_cache(2).prefix(n_max)
+    v = fpow_prefix(-2, n_max)
     checked = 0
     for modulus, residues, a in B2_VALUATION_TABLE:
         k = modulus.bit_length() - 1
@@ -746,7 +670,7 @@ def check_ptm_inverse(n_max: int) -> CheckReport:
     """sum_k t_k b(n-k) == [n == 0]: the generating functions are exact
     inverses.  Computed by carry-free big-integer packing (t_k = 2u_k - 1
     with u_k in {0,1}, so the signed convolution is 2 conv(u, b) - sums)."""
-    bb = b1_prefix(n_max)[: n_max + 1]
+    bb = fpow_prefix(-1, n_max)[: n_max + 1]
     u = [1 - (i.bit_count() & 1) for i in range(n_max + 1)]
     conv = convolve_nonneg_prefix(u, bb, n_max + 1)
     run = 0
@@ -760,8 +684,8 @@ def check_ptm_inverse(n_max: int) -> CheckReport:
 def check_formula_2k(k: int, n_max: int) -> CheckReport:
     """b_{2^k-1}(n) == sum_j t_{n-j} b_{2^k}(j), the convolution that drops
     one color."""
-    lhs = bm_cache((1 << k) - 1).prefix(n_max)[: n_max + 1]
-    big = bm_cache(1 << k).prefix(n_max)[: n_max + 1]
+    lhs = fpow_prefix(1 - (1 << k), n_max)[: n_max + 1]
+    big = fpow_prefix(-(1 << k), n_max)[: n_max + 1]
     u = [1 - (i.bit_count() & 1) for i in range(n_max + 1)]
     conv = convolve_nonneg_prefix(u, big, n_max + 1)
     run = 0
@@ -777,7 +701,7 @@ def check_bm_monotone(m_max: int, n_max: int) -> CheckReport:
     colors can only create representations, so b_m(n) >= b_{m-1}(n) >= 1."""
     prev = None
     for m in range(1, m_max + 1):
-        cur = bm_cache(m).prefix(n_max)
+        cur = fpow_prefix(-m, n_max)
         if any(c < 1 for c in cur[: n_max + 1]):
             return CheckReport("bm-monotone", False, witness={"m": m})
         if prev is not None and any(c < p for c, p in zip(cur, prev)):

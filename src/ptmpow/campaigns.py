@@ -11,13 +11,13 @@ conjecture and question campaigns only ever report `verified-to-bound` or
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core_arith import nu2
-from .bm_sequences import bm_cache, b2_valuation_table_suite
-from .tm_sequences import t2_prefix, tm_cache
+from .bm_sequences import b2_valuation_table_suite
+from .f_polys import fpow_prefix
+from .tm_sequences import t2_symmetry_partner
 
 VERIFIED = "verified-to-bound"
 COUNTEREXAMPLE = "counterexample"
@@ -29,7 +29,6 @@ class CampaignSpec:
     name: str
     bounds: dict[str, int] = field(default_factory=dict)
     output_path: str | None = None
-    jobs: int = 1
 
 
 @dataclass
@@ -55,32 +54,6 @@ class CampaignReport:
         }
 
 
-# ---------------------------------------------------------------------------
-# chunked sweeps
-
-
-def _ranges(lo: int, hi: int, jobs: int):
-    total = hi - lo + 1
-    step = max(1, (total + jobs - 1) // jobs)
-    return [(a, min(a + step - 1, hi)) for a in range(lo, hi + 1, step)]
-
-
-def _sweep(fn, lo: int, hi: int, jobs: int) -> dict | None:
-    """Run fn(lo, hi) -> first-failure-witness-or-None over disjoint chunks;
-    results merge deterministically by range start."""
-    if hi < lo:
-        return None
-    if jobs <= 1:
-        return fn(lo, hi)
-    chunks = _ranges(lo, hi, jobs)
-    with ThreadPoolExecutor(max_workers=jobs) as ex:
-        results = list(ex.map(lambda r: fn(r[0], r[1]), chunks))
-    for res in results:
-        if res is not None:
-            return res
-    return None
-
-
 def _ceil_half(v: int) -> int:
     return (v + 1) // 2
 
@@ -93,50 +66,42 @@ def _nu2_or_none(v: int):
     return None if v == 0 else nu2(v)
 
 
-def _run_t5_valuation(bounds, jobs):
+def _run_t5_valuation(bounds):
     n_max = bounds["n"]
-    vals = tm_cache(5).prefix(4 * n_max + 3)
-
-    def chunk(lo, hi):
-        for n in range(lo, hi + 1):
-            v = nu2(n + 1)
-            expect = 4 * _ceil_half(v) - (v % 2)
-            for j in range(4):
-                got = _nu2_or_none(vals[4 * n + j])
-                if got != expect:
-                    return {"m": 5, "n": n, "j": j, "expected": expect, "actual": got}
-        return None
-
-    w = _sweep(chunk, 0, n_max, jobs)
-    return (VERIFIED, {}) if w is None else (OBSERVATION, {"failing": w})
+    vals = fpow_prefix(5, 4 * n_max + 3)
+    for n in range(n_max + 1):
+        v = nu2(n + 1)
+        expect = 4 * _ceil_half(v) - (v % 2)
+        for j in range(4):
+            got = _nu2_or_none(vals[4 * n + j])
+            if got != expect:
+                return OBSERVATION, {"failing": {"m": 5, "n": n, "j": j, "expected": expect,
+                                                 "actual": got}}
+    return VERIFIED, {}
 
 
-def _run_t9_valuation(bounds, jobs):
+def _run_t9_valuation(bounds):
     n_max = bounds["n"]
-    vals = tm_cache(9).prefix(8 * n_max + 7)
-
-    def chunk(lo, hi):
-        for n in range(lo, hi + 1):
-            v = nu2(n + 1)
-            expect = 5 * _ceil_half(v) - 2 * (v % 2)
-            for j in range(8):
-                got = _nu2_or_none(vals[8 * n + j])
-                if got != expect:
-                    return {"m": 9, "n": n, "j": j, "residue_class": (8 * n + j) % 64,
-                            "expected": expect, "actual": got}
-        return None
-
-    w = _sweep(chunk, 0, n_max, jobs)
-    return (VERIFIED, {}) if w is None else (OBSERVATION, {"failing": w})
+    vals = fpow_prefix(9, 8 * n_max + 7)
+    for n in range(n_max + 1):
+        v = nu2(n + 1)
+        expect = 5 * _ceil_half(v) - 2 * (v % 2)
+        for j in range(8):
+            got = _nu2_or_none(vals[8 * n + j])
+            if got != expect:
+                return OBSERVATION, {"failing": {"m": 9, "n": n, "j": j,
+                                                 "residue_class": (8 * n + j) % 64,
+                                                 "expected": expect, "actual": got}}
+    return VERIFIED, {}
 
 
-def _run_t2k1_table(bounds, jobs):
+def _run_t2k1_table(bounds):
     # fit the strictly increasing table A_{k, nu2(n+1)} for m = 2^k + 1
     n_max = bounds["n"]
     out = {}
     for k in (2, 3):
         m = (1 << k) + 1
-        vals = tm_cache(m).prefix((n_max << k) + (1 << k) - 1)
+        vals = fpow_prefix(m, (n_max << k) + (1 << k) - 1)
         table: dict[int, int] = {}
         for n in range(n_max + 1):
             v = nu2(n + 1)
@@ -153,14 +118,14 @@ def _run_t2k1_table(bounds, jobs):
     return VERIFIED, out
 
 
-def _run_t_regular(bounds, jobs):
+def _run_t_regular(bounds):
     # kernel-of-subsequences statistics: how many distinct valuation patterns
     # the dyadic subsequences nu2(t_m(2^l n + j)) show, per m
     n_max = bounds["n"]
     depth = bounds.get("depth", 5)
     stats = {}
     for m in (2, 3, 5, 6):
-        vals = tm_cache(m).prefix((n_max << depth) + (1 << depth))
+        vals = fpow_prefix(m, (n_max << depth) + (1 << depth))
         patterns = set()
         for l in range(depth + 1):
             for j in range(1 << l):
@@ -174,11 +139,11 @@ def _run_t_regular(bounds, jobs):
                          "note": "-1 encodes an infinite valuation"}
 
 
-def _run_bm_unbounded(bounds, jobs):
+def _run_bm_unbounded(bounds):
     n_max = bounds["n"]
     out = {}
     for m in (2, 4, 5, 6):
-        vals = bm_cache(m).prefix(n_max)
+        vals = fpow_prefix(-m, n_max)
         best, arg = -1, 0
         for n in range(n_max + 1):
             v = nu2(vals[n]) if vals[n] else 0
@@ -188,26 +153,19 @@ def _run_bm_unbounded(bounds, jobs):
     return OBSERVATION, out
 
 
-def _run_b_pow2_congruence(bounds, jobs):
+def _run_b_pow2_congruence(bounds):
     # b_{2^m}(2^(k+1) n) == b_{2^m}(2^(k-1) n)  (mod 2^k) for k >= m+2
     idx_max = bounds["index"]
     for m in (1, 2, 3):
-        seq = bm_cache(1 << m)
-        seq.extend(idx_max)
+        seq = fpow_prefix(-(1 << m), idx_max)
         for k in range(m + 2, m + 5):
-            def chunk(lo, hi, seq=seq, k=k, m=m):
-                for n in range(lo, hi + 1):
-                    if (seq[(n << (k + 1))] - seq[(n << (k - 1))]) % (1 << k):
-                        return {"m": m, "k": k, "n": n}
-                return None
-
-            w = _sweep(chunk, 0, idx_max >> (k + 1), jobs)
-            if w is not None:
-                return OBSERVATION, {"failing": w}
+            for n in range((idx_max >> (k + 1)) + 1):
+                if (seq[n << (k + 1)] - seq[n << (k - 1)]) % (1 << k):
+                    return OBSERVATION, {"failing": {"m": m, "k": k, "n": n}}
     return VERIFIED, {}
 
 
-def _run_b_pow2m1_congruence(bounds, jobs):
+def _run_b_pow2m1_congruence(bounds):
     # b_{2^m-1}(2^(k+1) n) == b_{2^m-1}(2^(k-1) n)  (mod 2^(4*floor((k+1)/2)-2))
     # the conjectured modulus is numerically too strong for some (m, k),
     # so failures are recorded per (m, k) instead of aborting the campaign
@@ -215,34 +173,26 @@ def _run_b_pow2m1_congruence(bounds, jobs):
     failures = []
     verified = []
     for m in (1, 2, 3):
-        seq = bm_cache((1 << m) - 1)
-        seq.extend(idx_max)
+        seq = fpow_prefix(1 - (1 << m), idx_max)
         for k in range(m + 2, m + 5):
             mod = 1 << (4 * ((k + 1) // 2) - 2)
-
-            def chunk(lo, hi, seq=seq, k=k, m=m, mod=mod):
-                for n in range(lo, hi + 1):
-                    if (seq[(n << (k + 1))] - seq[(n << (k - 1))]) % mod:
-                        return {"m": m, "k": k, "n": n, "mod": mod}
-                return None
-
-            w = _sweep(chunk, 1, idx_max >> (k + 1), jobs)
-            if w is None:
+            n = next((n for n in range(1, (idx_max >> (k + 1)) + 1)
+                      if (seq[n << (k + 1)] - seq[n << (k - 1)]) % mod), None)
+            if n is None:
                 verified.append({"m": m, "k": k})
             else:
-                failures.append(w)
+                failures.append({"m": m, "k": k, "n": n, "mod": mod})
     if failures:
         return OBSERVATION, {"failing": failures, "verified_for": verified}
     return VERIFIED, {}
 
 
-def _run_b_congruence_growth(bounds, jobs):
+def _run_b_congruence_growth(bounds):
     # empirically fit f(k) = min_n nu2(b_m(2^(k+1) n) - b_m(2^(k-1) n))
     idx_max = bounds["index"]
     fit = {}
     for m in (3, 5, 6):
-        seq = bm_cache(m)
-        seq.extend(idx_max)
+        seq = fpow_prefix(-m, idx_max)
         per_k = []
         for k in range(2, 8):
             best = None
@@ -257,11 +207,11 @@ def _run_b_congruence_growth(bounds, jobs):
     return OBSERVATION, {"f(k) for k=2..7": fit}
 
 
-def _run_sign_density(bounds, jobs):
+def _run_sign_density(bounds):
     n_max = bounds["n"]
     out = {}
     for m in (2, 3, 4, 5):
-        vals = tm_cache(m).prefix(3 * n_max + 1)
+        vals = fpow_prefix(m, 3 * n_max + 1)
         for j in (0, 1):
             want = 1 if j == 0 else -1
             hits = sum(
@@ -276,46 +226,32 @@ def _run_sign_density(bounds, jobs):
     return OBSERVATION, out
 
 
-def _run_threesigns_turan(bounds, jobs):
+def _run_threesigns_turan(bounds):
     n_max = bounds["n"]
     for m in (3, 4, 5, 6):
-        vals = tm_cache(m).prefix(n_max + 1)
-
-        def chunk(lo, hi, vals=vals, m=m):
-            for n in range(max(lo, 1), hi + 1):
-                a, b, c = vals[n - 1], vals[n], vals[n + 1]
-                if (a > 0 and b > 0 and c > 0) or (a < 0 and b < 0 and c < 0):
-                    return {"m": m, "n": n, "kind": "three-signs"}
-                if b * b <= a * c:
-                    return {"m": m, "n": n, "kind": "turan"}
-            return None
-
-        w = _sweep(chunk, 1, n_max - 1, jobs)
-        if w is not None:
-            return OBSERVATION, {"failing": w}
+        vals = fpow_prefix(m, n_max + 1)
+        for n in range(1, n_max):
+            a, b, c = vals[n - 1], vals[n], vals[n + 1]
+            if (a > 0 and b > 0 and c > 0) or (a < 0 and b < 0 and c < 0):
+                return OBSERVATION, {"failing": {"m": m, "n": n, "kind": "three-signs"}}
+            if b * b <= a * c:
+                return OBSERVATION, {"failing": {"m": m, "n": n, "kind": "turan"}}
     return VERIFIED, {}
 
 
-def _run_b_turan_m4plus(bounds, jobs):
+def _run_b_turan_m4plus(bounds):
     n_max = bounds["n"]
     for m in (4, 5, 6):
-        vals = bm_cache(m).prefix(n_max + 1)
-
-        def chunk(lo, hi, vals=vals, m=m):
-            for n in range(max(lo, 1), hi + 1):
-                if vals[n] ** 2 <= vals[n - 1] * vals[n + 1]:
-                    return {"m": m, "n": n}
-            return None
-
-        w = _sweep(chunk, 1, n_max - 1, jobs)
-        if w is not None:
-            return OBSERVATION, {"failing": w}
+        vals = fpow_prefix(-m, n_max + 1)
+        for n in range(1, n_max):
+            if vals[n] ** 2 <= vals[n - 1] * vals[n + 1]:
+                return OBSERVATION, {"failing": {"m": m, "n": n}}
     return VERIFIED, {}
 
 
-def _run_b3_crossover(bounds, jobs):
+def _run_b3_crossover(bounds):
     n_max = bounds["n"]
-    vals = bm_cache(3).prefix(n_max + 1)
+    vals = fpow_prefix(-3, n_max + 1)
     last_nonpositive = 0
     zeros = []
     for n in range(1, n_max):
@@ -339,59 +275,45 @@ def _run_b3_crossover(bounds, jobs):
     }
 
 
-def _run_t_zero_m4plus(bounds, jobs):
+def _run_t_zero_m4plus(bounds):
     n_max = bounds["n"]
     for m in range(4, 9):
-        vals = tm_cache(m).prefix(n_max)
-
-        def chunk(lo, hi, vals=vals, m=m):
-            for n in range(lo, hi + 1):
-                if vals[n] == 0:
-                    return {"m": m, "n": n}
-            return None
-
-        w = _sweep(chunk, 1, n_max, jobs)
-        if w is not None:
-            return OBSERVATION, {"zero_found": w}
+        vals = fpow_prefix(m, n_max)
+        for n in range(1, n_max + 1):
+            if vals[n] == 0:
+                return OBSERVATION, {"zero_found": {"m": m, "n": n}}
     return VERIFIED, {}
 
 
-def _run_t_missing_values(bounds, jobs):
+def _run_t_missing_values(bounds):
     n_max = bounds["n"]
     span = bounds.get("span", 50)
     out = {}
     for m in (3, 4, 5):
-        vals = tm_cache(m).prefix(n_max)
+        vals = fpow_prefix(m, n_max)
         attained = {v for v in vals[: n_max + 1] if -span <= v <= span}
         missing = [v for v in range(-span, span + 1) if v not in attained]
         out[f"m={m}"] = {"attained_in_window": len(attained), "missing": missing}
     return OBSERVATION, out
 
 
-def _run_b2_valuation_list(bounds, jobs):
+def _run_b2_valuation_list(bounds):
     rep = b2_valuation_table_suite(bounds["n"])
     if rep.ok:
         return VERIFIED, {"checked": rep.checked}
     return COUNTEREXAMPLE, rep.witness
 
 
-def _run_t2_symmetry(bounds, jobs):
-    from .tm_sequences import t2_symmetry_partner
-
+def _run_t2_symmetry(bounds):
     n_max = bounds["n"]
     # |t_2(n)| <= n+1, so the partner shift 2^(nu2+1) stays below 2(n+1)
-    vals = t2_prefix(3 * n_max + 4)
-
-    def chunk(lo, hi):
-        for n in range(lo, hi + 1):
-            try:
-                t2_symmetry_partner(n)
-            except ArithmeticError:
-                return {"n": n, "value": vals[n]}
-        return None
-
-    w = _sweep(chunk, 0, n_max, jobs)
-    return (VERIFIED, {}) if w is None else (COUNTEREXAMPLE, w)
+    vals = fpow_prefix(2, 3 * n_max + 4)
+    for n in range(n_max + 1):
+        try:
+            t2_symmetry_partner(n)
+        except ArithmeticError:
+            return COUNTEREXAMPLE, {"n": n, "value": vals[n]}
+    return VERIFIED, {}
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +413,7 @@ _register(
     {"n": 1 << 14}, _run_t2_symmetry)
 
 
-def run_campaign(name: str, bounds: dict | None = None, jobs: int = 1) -> CampaignReport:
+def run_campaign(name: str, bounds: dict | None = None) -> CampaignReport:
     if name not in CAMPAIGNS:
         raise KeyError(f"unknown campaign {name!r}; known: {', '.join(sorted(CAMPAIGNS))}")
     camp = CAMPAIGNS[name]
@@ -499,7 +421,7 @@ def run_campaign(name: str, bounds: dict | None = None, jobs: int = 1) -> Campai
     if bounds:
         eff.update(bounds)
     t0 = time.monotonic()
-    status, witness = camp.runner(eff, jobs)
+    status, witness = camp.runner(eff)
     wall_ms = int((time.monotonic() - t0) * 1000)
     if camp.kind != "theorem" and status == COUNTEREXAMPLE:
         status = OBSERVATION  # conjecture campaigns never hard-fail
@@ -508,7 +430,7 @@ def run_campaign(name: str, bounds: dict | None = None, jobs: int = 1) -> Campai
 
 def run_spec(spec: CampaignSpec) -> CampaignReport:
     """Run from a CampaignSpec, persisting the report when it names a path."""
-    report = run_campaign(spec.name, bounds=spec.bounds, jobs=spec.jobs)
+    report = run_campaign(spec.name, bounds=spec.bounds)
     if spec.output_path:
         import json
 

@@ -16,31 +16,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import __version__
 from .campaigns import CAMPAIGNS, CampaignSpec, exit_code_for, run_spec
 from .core_arith import INFINITE, nu2
-from .bm_sequences import (
-    b1_prefix,
-    bm_cache,
-    h_export,
-    h_poly,
-    install_bm_prefix,
-    v2_b1_churchhouse,
-    v2_b2k1_closed,
-)
-from .f_polys import shared_fseries, w_poly
+from .bm_sequences import h_export, h_poly, v2_b1_churchhouse, v2_b2k1_closed
+from .f_polys import fpow_prefix, shared_fseries, w_poly
 from .seqcache import CacheError, cache_load, cache_path, cache_store
-from .tm_sequences import (
-    ValuationReport,
-    install_tm_prefix,
-    t2_solve,
-    tm_cache,
-    v2_t2k_closed,
-    v2_t3_closed,
-)
+from .tm_sequences import ValuationReport, t2_solve, v2_t2k_closed, v2_t3_closed
 
 
 def _jdump(obj) -> str:
@@ -57,18 +41,19 @@ def _parse_range(text: str) -> tuple[int, int]:
     return a, b
 
 
+def _family_prefix(family: str, m: int, n: int) -> list[int]:
+    """The kernel prefix behind a family name: t_m is F^m, b_m is F^(-m),
+    and f-eval at m is F^m for any integer m."""
+    if family == "f-eval":
+        return fpow_prefix(m, n)
+    if m < 1:
+        raise ValueError(f"{family} requires m >= 1")
+    return fpow_prefix(m if family == "t" else -m, n)
+
+
 def _cmd_seq(args) -> int:
     lo, hi = _parse_range(args.range)
-    if args.family == "t":
-        if args.m < 1:
-            raise ValueError("t requires m >= 1")
-        vals = tm_cache(args.m).prefix(hi)
-    elif args.family == "b":
-        if args.m < 1:
-            raise ValueError("b requires m >= 1")
-        vals = bm_cache(args.m).prefix(hi)
-    else:
-        vals = shared_fseries().value_prefix(args.m, hi)
+    vals = _family_prefix(args.family, args.m, hi)
     window = vals[lo : hi + 1]
     if args.format == "json":
         print(_jdump({"family": args.family, "m": args.m, "from": lo, "to": hi,
@@ -124,23 +109,23 @@ def _cmd_val(args) -> int:
     n_max = args.bound
     reports: list[ValuationReport] = []
     if args.family == "t-pow2":
-        vals = tm_cache(1 << args.k).prefix(n_max)
+        vals = fpow_prefix(1 << args.k, n_max)
         for n in range(n_max + 1):
             d, c = nu2(vals[n]), v2_t2k_closed(args.k, n)
             reports.append(ValuationReport(n, d, c, d == c))
     elif args.family == "t3":
-        vals = tm_cache(3).prefix(n_max)
+        vals = fpow_prefix(3, n_max)
         for n in range(1, n_max + 1):
             d = INFINITE if vals[n] == 0 else nu2(vals[n])
             c = v2_t3_closed(n)
             reports.append(ValuationReport(n, d, c, d == c))
     elif args.family == "b-pow2m1":
-        vals = bm_cache((1 << args.k) - 1).prefix(n_max)
+        vals = _family_prefix("b", (1 << args.k) - 1, n_max)
         for n in range(n_max + 1):
             d, c = nu2(vals[n]), v2_b2k1_closed(args.k, n)
             reports.append(ValuationReport(n, d, c, d == c))
     else:  # b1
-        vals = b1_prefix(n_max)
+        vals = fpow_prefix(-1, n_max)
         for n in range(2, n_max + 1):
             d, c = nu2(vals[n]), v2_b1_churchhouse(n)
             reports.append(ValuationReport(n, d, c, d == c))
@@ -149,32 +134,16 @@ def _cmd_val(args) -> int:
     return 0 if all(r.ok for r in reports) else 1
 
 
-def _preload_caches(cache_dir: str) -> None:
-    if not os.path.isdir(cache_dir):
-        return
-    for name in sorted(os.listdir(cache_dir)):
-        if not name.endswith(".seq"):
-            continue
-        family, m, values = cache_load(os.path.join(cache_dir, name))
-        if family == "t":
-            install_tm_prefix(m, values)
-        elif family == "b":
-            install_bm_prefix(m, values)
-
-
 def _cmd_verify(args) -> int:
     if args.campaign not in CAMPAIGNS:
         print(f"unknown campaign {args.campaign!r}; known: "
               f"{', '.join(sorted(CAMPAIGNS))}", file=sys.stderr)
         return 2
-    if args.cache_dir:
-        _preload_caches(args.cache_dir)
     bounds = {}
     if args.bound is not None:
         # override every integer limit the campaign declares
         bounds = {key: args.bound for key in CAMPAIGNS[args.campaign].defaults}
-    spec = CampaignSpec(args.campaign, bounds=bounds, output_path=args.out,
-                        jobs=args.jobs)
+    spec = CampaignSpec(args.campaign, bounds=bounds, output_path=args.out)
     report = run_spec(spec)
     print(_jdump(report.payload()))
     print(f"{report.name}: {report.status} in {report.wall_ms} ms", file=sys.stderr)
@@ -193,10 +162,7 @@ def _cmd_search(args) -> int:
 
 def _cmd_cache(args) -> int:
     if args.action == "store":
-        if args.family == "t":
-            values = list(tm_cache(args.m).prefix(args.bound)[: args.bound + 1])
-        else:
-            values = list(bm_cache(args.m).prefix(args.bound)[: args.bound + 1])
+        values = _family_prefix(args.family, args.m, args.bound)[: args.bound + 1]
         path = args.path or cache_path(args.cache_dir or ".", args.family, args.m)
         cache_store(args.family, args.m, values, path)
         print(_jdump({"path": path, "family": args.family, "m": args.m,
@@ -204,6 +170,10 @@ def _cmd_cache(args) -> int:
         return 0
     path = args.path or cache_path(args.cache_dir or ".", args.family, args.m)
     family, m, values = cache_load(path)
+    if (family, m) != (args.family, args.m):
+        print(f"error: {path} holds {family}_{m}, not {args.family}_{args.m}",
+              file=sys.stderr)
+        return 2
     print(_jdump({"path": path, "family": family, "m": m, "count": len(values)}))
     return 0
 
@@ -238,9 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a named verification campaign")
     p.add_argument("campaign")
     p.add_argument("--bound", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default=None, help="append the report as a JSON line")
-    p.add_argument("--cache-dir", default=None)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("search", help="least n with t_2(n) = TARGET")

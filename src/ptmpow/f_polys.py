@@ -8,6 +8,9 @@ Three equivalent recurrences are implemented and cross-validated:
 
 All polynomial arithmetic happens on the integer companion g_n = n! * f_n,
 so no rational polynomial arithmetic is needed anywhere.
+
+The values f_n(t) at one integer t come from `fpow_prefix`, which uses the
+product form F(x)^t = (1-x)^t F(x^2)^t instead of the polynomials.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, chain
+from operator import sub
 
 from .core_arith import IntPoly, nu2, rational
 from .reports import CheckReport
@@ -89,24 +94,57 @@ class FSeries:
     def f_value(self, n: int, t0: int) -> Fraction:
         return self.f(n).evaluate(t0)
 
-    def value_prefix(self, t0: int, n_max: int) -> list[int]:
-        """(f_n(t0))_{n<=n_max} for integer t0, by the same recurrence on
-        values; each partial sum is exactly divisible by n."""
-        vals = [1]
-        for n in range(1, n_max + 1):
-            s = sum(_weight(n - k) * vals[k] for k in range(n))
-            q, r = divmod(t0 * s, n)
-            if r:
-                raise ArithmeticError(f"value recurrence not integral at n={n}")
-            vals.append(q)
-        return vals
-
 
 _shared = FSeries()
 
 
 def shared_fseries() -> FSeries:
     return _shared
+
+
+# values of F(x)^t at integer t: t -> [f_0(t), f_1(t), ...] and t -> the
+# |t| per-pass carries that let the next block continue where the last ended
+_fpow_vals: dict[int, list[int]] = {}
+_fpow_carries: dict[int, list[int]] = {}
+_FPOW_BLOCK = 4096
+
+
+def fpow_prefix(t: int, n: int) -> list[int]:
+    """[f_0(t), ..., f_k(t)] with k >= n: the coefficients of F(x)^t for any
+    integer t, so t_m(n) = f_n(m) and b_m(n) = f_n(-m).
+
+    F(x)^t = (1-x)^t F(x^2)^t, so the coefficients at indices [lo, hi) are the
+    upsampled prefix (f_{i/2}(t) at even i, 0 at odd i) after t first
+    differences (t > 0) or |t| running sums (t < 0).  Blocks need only
+    indices below hi/2 <= lo, and each pass keeps one carry, so growth
+    appends blocks of at most _FPOW_BLOCK indices and never rebuilds.
+
+    The returned list is the memo itself, shared by every caller: treat it
+    as read-only.  Indices are >= 0; a negative index would wrap silently.
+    """
+    vals = _fpow_vals.get(t)
+    if vals is not None and n < len(vals):
+        return vals
+    if vals is None:
+        # f_0(t) = 1, and index 0 holds 1 before and after every pass
+        vals = _fpow_vals[t] = [1]
+        _fpow_carries[t] = [1] * abs(t)
+    carries = _fpow_carries[t]
+    while len(vals) <= n:
+        lo = len(vals)
+        hi = lo + min(lo, _FPOW_BLOCK)
+        block = [0] * (hi - lo)
+        block[lo & 1 :: 2] = vals[(lo + 1) // 2 : (hi + 1) // 2]
+        for p, c in enumerate(carries):
+            if t > 0:
+                carries[p] = block[-1]
+                block = list(map(sub, block, chain((c,), block)))
+            else:
+                block = list(accumulate(block, initial=c))
+                del block[0]
+                carries[p] = block[-1]
+        vals += block
+    return vals
 
 
 def f_poly(n: int, series: FSeries | None = None) -> FactPoly:

@@ -1,14 +1,13 @@
-"""The sequences t_m(n) = f_n(m) for m >= 1: fast recurrences, brute-force
-convolution oracles, closed-form 2-adic valuations, the zero set of t_3,
-the value search for t_2, symmetry, extrema, and inequality sweeps.
+"""The sequences t_m(n) = f_n(m) for m >= 1: closed-form 2-adic valuations,
+the zero set of t_3, the value search for t_2, symmetry, extrema, and
+inequality sweeps.
 
-t_m obeys (with t_m(n) = 0 for n < 0):
+Every value comes from `f_polys.fpow_prefix(m, n)`, the one production
+kernel for F(x)^t, which runs the halving identity
+F(x)^m = (1-x)^m F(x^2)^m.  The independent routes stay here as references
+that the tests compare against it: `tm_oracle` convolves m copies of the
+PTM sequence, and `t2_two_term_prefix` runs the short form
 
-    t_m(0) = 1,
-    t_m(2n)   =  sum_j C(m, 2j)   t_m(n - j),
-    t_m(2n+1) = -sum_j C(m, 2j+1) t_m(n - j),
-
-and t_2 additionally has the short form
     t_2(2n) = t_2(n) + t_2(n-1),   t_2(2n+1) = -2 t_2(n).
 """
 
@@ -21,11 +20,10 @@ from fractions import Fraction
 from .core_arith import (
     INFINITE,
     base4_digits_0136,
-    binom,
     nu2,
     nu2_binom,
 )
-from .f_polys import FSeries, shared_fseries
+from .f_polys import FSeries, fpow_prefix, shared_fseries
 from .reports import CheckReport
 
 
@@ -42,86 +40,11 @@ class ValuationReport:
     ok: bool
 
 
-class TmCache:
-    """Growable prefix of t_m, filled by the halving recurrence.
-
-    After a prefix is built it is read-only; negative indices give 0.
-    """
-
-    def __init__(self, m: int):
-        if m < 1:
-            raise ValueError("t_m requires m >= 1 (the m = 0 sequence is the constant 1)")
-        self.m = m
-        self._even = [binom(m, 2 * j) for j in range(m // 2 + 1)]
-        self._odd = [binom(m, 2 * j + 1) for j in range((m - 1) // 2 + 1)]
-        self._vals = [1]
-
-    def extend(self, n: int) -> None:
-        v = self._vals
-        even, odd = self._even, self._odd
-        while len(v) <= n:
-            i = len(v)
-            h = i >> 1
-            if i & 1:
-                s = 0
-                for j, c in enumerate(odd):
-                    if h - j < 0:
-                        break
-                    s += c * v[h - j]
-                v.append(-s)
-            else:
-                s = 0
-                for j, c in enumerate(even):
-                    if h - j < 0:
-                        break
-                    s += c * v[h - j]
-                v.append(s)
-
-    def __getitem__(self, n: int) -> int:
-        if n < 0:
-            return 0
-        self.extend(n)
-        return self._vals[n]
-
-    def prefix(self, n: int) -> list[int]:
-        self.extend(n)
-        return self._vals  # shared; treat as read-only
-
-
-_tm_caches: dict[int, TmCache] = {}
-
-
-def tm_cache(m: int) -> TmCache:
-    if m not in _tm_caches:
-        _tm_caches[m] = TmCache(m)
-    return _tm_caches[m]
-
-
 def tm(m: int, n: int) -> int:
-    return tm_cache(m)[n]
-
-
-def install_tm_prefix(m: int, values: list[int]) -> None:
-    """Adopt an externally loaded prefix (e.g. from a cache file) after
-    spot-checking it against the recurrence at a few indices."""
-    cache = tm_cache(m)
-    if len(values) <= len(cache._vals):
-        return
-    probe = TmCache(m)
-    probe._vals = list(values)
-    for i in {1, len(values) // 2, len(values) - 1} | {len(values) // 3}:
-        if i < 1:
-            continue
-        h = i >> 1
-        if i & 1:
-            expect = -sum(c * (probe._vals[h - j] if h - j >= 0 else 0)
-                          for j, c in enumerate(probe._odd))
-        else:
-            expect = sum(c * (probe._vals[h - j] if h - j >= 0 else 0)
-                         for j, c in enumerate(probe._even))
-        if values[i] != expect:
-            raise ValueError(f"prefix for t_{m} fails the recurrence at {i}")
-    cache._vals = list(values)
+    """t_m(n), with t_m(n) = 0 for n < 0."""
+    if m < 1:
+        raise ValueError("t_m requires m >= 1 (the m = 0 sequence is the constant 1)")
+    return fpow_prefix(m, n)[n] if n >= 0 else 0
 
 
 def tm_oracle(m: int, n: int) -> int:
@@ -139,40 +62,19 @@ def tm_oracle(m: int, n: int) -> int:
     return acc[n]
 
 
-class _T2Cache:
-    # the two-term appendix form; kept separate from TmCache(2) so the two
-    # recurrences genuinely cross-check each other
-    def __init__(self):
-        self._vals = [1, -2]
-
-    def extend(self, n: int) -> None:
-        v = self._vals
-        while len(v) <= n:
-            i = len(v)
-            h = i >> 1
-            v.append(-2 * v[h] if i & 1 else v[h] + v[h - 1])
-
-    def __getitem__(self, n: int) -> int:
-        if n < 0:
-            return 0
-        self.extend(n)
-        return self._vals[n]
-
-    def prefix(self, n: int) -> list[int]:
-        self.extend(n)
-        return self._vals
-
-
-_t2 = _T2Cache()
-
-
 def t2(n: int) -> int:
-    """t_2(n) via the linear-time two-term recurrence."""
-    return _t2[n]
+    """t_2(n), with t_2(n) = 0 for n < 0."""
+    return fpow_prefix(2, n)[n] if n >= 0 else 0
 
 
-def t2_prefix(n: int) -> list[int]:
-    return _t2.prefix(n)
+def t2_two_term_prefix(n: int) -> list[int]:
+    """[t_2(0), ..., t_2(n)] by the linear-time two-term recurrence; a
+    reference for the kernel, with no cache."""
+    v = [1, -2]
+    for i in range(2, n + 1):
+        h = i >> 1
+        v.append(-2 * v[h] if i & 1 else v[h] + v[h - 1])
+    return v[: n + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -181,12 +83,11 @@ def t2_prefix(n: int) -> list[int]:
 
 def check_parity_t(m: int, n_max: int) -> CheckReport:
     """t_m(n) == C(n+m-1, m-1) (mod 2) for all n <= n_max."""
-    cache = tm_cache(m)
-    cache.extend(n_max)
+    vals = fpow_prefix(m, n_max)
     for n in range(n_max + 1):
-        if (cache[n] - math.comb(n + m - 1, m - 1)) % 2:
+        if (vals[n] - math.comb(n + m - 1, m - 1)) % 2:
             return CheckReport(f"parity-t m={m}", False, checked=n,
-                               witness={"m": m, "n": n, "value": cache[n]})
+                               witness={"m": m, "n": n, "value": vals[n]})
     return CheckReport(f"parity-t m={m}", True, checked=n_max + 1)
 
 
@@ -393,7 +294,6 @@ def check_t2_shift_families(n_max: int, ms=range(3, 9)) -> CheckReport:
     checked = 0
     for m in ms:
         big = 1 << m
-        _t2.extend(big * n_max + big)
         for n in range(1, n_max + 1):
             cases = (
                 (8 * n + 4, big * n + 4),
@@ -423,8 +323,7 @@ class Extrema:
 
 def maxmin_scan(m: int, k: int) -> Extrema:
     """Extrema of t_m over [0, 2^k], with the first attaining indices."""
-    cache = tm_cache(m) if m != 2 else _t2
-    vals = cache.prefix(1 << k)
+    vals = fpow_prefix(m, 1 << k)
     hi = lo = vals[0]
     ahi = alo = 0
     for n in range(1, (1 << k) + 1):
@@ -472,7 +371,7 @@ def maxmin_closed(m: int, k: int) -> Extrema:
 
 def check_growth(m: int, n_max: int) -> CheckReport:
     """|t_m(n)|^2 <= m^2 n^m for 1 <= n <= n_max (squared to stay integral)."""
-    vals = tm_cache(m).prefix(n_max)
+    vals = fpow_prefix(m, n_max)
     m2 = m * m
     for n in range(1, n_max + 1):
         if vals[n] * vals[n] > m2 * n**m:
@@ -483,7 +382,7 @@ def check_growth(m: int, n_max: int) -> CheckReport:
 
 def check_mean(n_max: int) -> CheckReport:
     """2|t_2(n)| >= |t_2(n-1) + t_2(n+1)| for n >= 1, with equality at even n."""
-    vals = t2_prefix(n_max + 1)
+    vals = fpow_prefix(2, n_max + 1)
     odd_equalities = 0
     for n in range(1, n_max + 1):
         lhs = 2 * abs(vals[n])
@@ -500,7 +399,7 @@ def check_mean(n_max: int) -> CheckReport:
 def check_logconcave(n_max: int, equality_ks=range(3, 17)) -> CheckReport:
     """t_2(n)^2 > t_2(n-1) t_2(n+1) for n >= 1; the margin is exactly 1 at
     n = 2^k - 4 for the requested k."""
-    vals = t2_prefix(n_max + 1)
+    vals = fpow_prefix(2, n_max + 1)
     for n in range(1, n_max + 1):
         if vals[n] * vals[n] <= vals[n - 1] * vals[n + 1]:
             return CheckReport("log-concave", False, checked=n, witness={"n": n})
@@ -516,7 +415,7 @@ def check_logconcave(n_max: int, equality_ks=range(3, 17)) -> CheckReport:
 def check_signs(m: int, n_max: int) -> CheckReport:
     """No three consecutive t_m values share a strict sign (zero is its own
     sign class).  A theorem for m in {1, 2}; a monitored statement otherwise."""
-    vals = t2_prefix(n_max + 1) if m == 2 else tm_cache(m).prefix(n_max + 1)
+    vals = fpow_prefix(m, n_max + 1)
     for n in range(1, n_max):
         a, b, c = vals[n - 1], vals[n], vals[n + 1]
         if (a > 0 and b > 0 and c > 0) or (a < 0 and b < 0 and c < 0):
@@ -527,7 +426,7 @@ def check_signs(m: int, n_max: int) -> CheckReport:
 
 def check_turan_t(m: int, n_max: int) -> CheckReport:
     """t_m(n)^2 > t_m(n-1) t_m(n+1); proved for m = 2, monitored for m > 2."""
-    vals = t2_prefix(n_max + 1) if m == 2 else tm_cache(m).prefix(n_max + 1)
+    vals = fpow_prefix(m, n_max + 1)
     for n in range(1, n_max):
         if vals[n] ** 2 <= vals[n - 1] * vals[n + 1]:
             return CheckReport(f"turan-t m={m}", False, checked=n,
@@ -537,7 +436,7 @@ def check_turan_t(m: int, n_max: int) -> CheckReport:
 
 def check_t2_mod4(n_max: int) -> CheckReport:
     """t_2(2n) == 1 + 2n (mod 4) for 0 <= n <= n_max."""
-    vals = t2_prefix(2 * n_max)
+    vals = fpow_prefix(2, 2 * n_max)
     for n in range(n_max + 1):
         if (vals[2 * n] - (1 + 2 * n)) % 4:
             return CheckReport("t2-mod4", False, checked=n,

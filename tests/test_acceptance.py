@@ -18,6 +18,7 @@ from ptmpow.core_arith import INFINITE, IntPoly, nu2
 from ptmpow.f_polys import (
     CoeffTable,
     check_g_factorization,
+    fpow_prefix,
     shared_fseries,
     w_poly,
 )
@@ -38,7 +39,6 @@ from ptmpow.tm_sequences import (
     t3_zero_seq,
     t3_zero_set_upto,
     tm,
-    tm_cache,
     tm_oracle,
     v2_t2k_closed,
     v2_t2k_piecewise,
@@ -46,9 +46,8 @@ from ptmpow.tm_sequences import (
     v2_t3_rec,
 )
 from ptmpow.bm_sequences import (
-    b1_prefix,
+    bm,
     bm_alt_prefix,
-    bm_cache,
     bm_oracle,
     check_8x1,
     check_annihilation,
@@ -132,19 +131,19 @@ def test_criterion_04_oracle_equivalence():
         for m in range(1, 6):
             alt = bm_alt_prefix(m, 60)
             for n in range(61):
-                assert bm_cache(m)[n] == alt[n] == bm_oracle(m, n)
+                assert bm(m, n) == alt[n] == bm_oracle(m, n)
 
 
 def test_criterion_05_valuation_closed_forms():
     with criterion(5, 60, "nu2(t_{2^k}) closed forms k <= 4 and the t_3 base-4 formula, n <= 2^14"):
         n_max = 1 << 14
         for k in range(5):
-            vals = tm_cache(1 << k).prefix(n_max)
+            vals = fpow_prefix(1 << k, n_max)
             for n in range(n_max + 1):
                 direct = nu2(vals[n])
                 assert direct == v2_t2k_closed(k, n) == v2_t2k_piecewise(k, n)
         zeros = t3_zero_set_upto(n_max)
-        t3 = tm_cache(3).prefix(n_max)
+        t3 = fpow_prefix(3, n_max)
         for n in range(1, n_max + 1):
             closed = v2_t3_closed(n)
             assert closed == v2_t3_rec(n)
@@ -207,13 +206,13 @@ def test_criterion_10_b_valuations():
     with criterion(10, 60, "nu2(b_{2^k-1}) piecewise for k <= 3 (n <= 2^14); Churchhouse to 2^16"):
         n_max = 1 << 14
         for k in (1, 2, 3):
-            vals = bm_cache((1 << k) - 1).prefix(n_max)
+            vals = fpow_prefix(1 - (1 << k), n_max)
             for n in range(n_max + 1):
                 got = nu2(vals[n])
                 assert got == v2_b2k1_closed(k, n)
                 assert got in (0, 1, 2)
                 assert (got == 0) == (n <= (1 << k) - 1)
-        b = b1_prefix(1 << 16)
+        b = fpow_prefix(-1, 1 << 16)
         for n in range(2, (1 << 16) + 1):
             assert v2_b1_churchhouse(n) == nu2(b[n])
 
@@ -276,7 +275,7 @@ def test_criterion_15_conjecture_campaigns():
         # replay the recorded counterexample through the module operation
         rep = run_campaign("b-pow2m1-congruence", bounds={"index": bound})
         w = rep.witness["failing"][0]
-        seq = bm_cache((1 << w["m"]) - 1)
-        assert (seq[w["n"] << (w["k"] + 1)] - seq[w["n"] << (w["k"] - 1)]) % w["mod"] != 0
+        m = (1 << w["m"]) - 1
+        assert (bm(m, w["n"] << (w["k"] + 1)) - bm(m, w["n"] << (w["k"] - 1))) % w["mod"] != 0
         print("  note: b-pow2m1-congruence records the witness "
               f"{w} against the conjectured modulus, as documented")

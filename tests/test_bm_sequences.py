@@ -3,14 +3,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptmpow.core_arith import IntPoly, nu2
-from ptmpow.f_polys import shared_fseries
+from ptmpow.f_polys import fpow_prefix, shared_fseries
 from ptmpow.bm_sequences import (
     b1,
+    b1_euler_prefix,
     b1_oracle,
-    b1_prefix,
     bm,
     bm_alt_prefix,
-    bm_cache,
     bm_oracle,
     check_4div,
     check_8x1,
@@ -64,9 +63,8 @@ def test_bm_three_routes_agree():
 
 
 def test_bm_1_matches_b1():
-    vals = bm_cache(1).prefix(10**5)
-    euler = b1_prefix(10**5)
-    assert vals[: 10**5 + 1] == euler[: 10**5 + 1]
+    vals = fpow_prefix(-1, 10**5)
+    assert vals[: 10**5 + 1] == b1_euler_prefix(10**5)
 
 
 def test_f_at_negative_integers_is_bm():
@@ -107,14 +105,14 @@ def test_churchhouse_formula():
     assert v2_b1_churchhouse(2) == 1
     assert v2_b1_churchhouse(4) == 2
     assert v2_b1_churchhouse(5) == 2
-    vals = b1_prefix(1 << 12)
+    vals = fpow_prefix(-1, 1 << 12)
     for n in range(2, (1 << 12) + 1):
         assert v2_b1_churchhouse(n) == nu2(vals[n])
 
 
 def test_v2_b2k1_piecewise():
     for k in (1, 2, 3):
-        vals = bm_cache((1 << k) - 1).prefix(1 << 12)
+        vals = fpow_prefix(1 - (1 << k), 1 << 12)
         for n in range(1 << 12):
             got = nu2(vals[n])
             assert got == v2_b2k1_closed(k, n) == v2_b2k1_reduced(k, n)

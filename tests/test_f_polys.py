@@ -12,6 +12,7 @@ from ptmpow.f_polys import (
     f_poly,
     f_poly_alt1,
     f_poly_alt2,
+    fpow_prefix,
     g_prefix_alt1,
     g_prefix_alt2,
     log_coeff,
@@ -150,7 +151,7 @@ def test_truncated_product_oracle():
     fs = shared_fseries()
     for t0 in range(-3, 4):
         series = product_series_oracle(t0, 64)
-        vals = fs.value_prefix(t0, 64)
+        vals = fpow_prefix(t0, 64)[:65]
         assert series == vals
         for n in range(65):
             assert fs.f_value(n, t0) == series[n]
@@ -158,9 +159,34 @@ def test_truncated_product_oracle():
 
 def test_value_prefix_matches_polynomial_evaluation():
     fs = shared_fseries()
-    vals = fs.value_prefix(5, 30)
+    vals = fpow_prefix(5, 30)[:31]
     for n in range(31):
         assert fs.f_value(n, 5) == vals[n]
+
+
+def test_fpow_prefix_satisfies_the_halving_identity():
+    # F(x)^t = (1-x)^t F(x^2)^t, checked index by index in its finite form,
+    # on values of t no other test warms; the requests step across the
+    # 4096-index block edges, and every request returns the same memo list
+    for t in (0, 10, -10, 11, -11, 13, -13):
+        vals = fpow_prefix(t, 0)
+        done = 0
+        for n in (0, 1, 2, 3, 17, 4095, 4096, 4097, 12300):
+            assert fpow_prefix(t, n) is vals
+            assert n < len(vals) <= n + 4096
+            for i in range(done, len(vals)):
+                if t > 0:
+                    rhs = sum((-1) ** j * math.comb(t, j) * vals[(i - j) // 2]
+                              for j in range(i % 2, min(t, i) + 1, 2))
+                    assert vals[i] == rhs, (t, i)
+                elif t < 0:
+                    lhs = sum((-1) ** j * math.comb(-t, j) * vals[i - j]
+                              for j in range(min(-t, i) + 1))
+                    assert lhs == (0 if i % 2 else vals[i // 2]), (t, i)
+                else:
+                    assert vals[i] == (i == 0), (t, i)
+            done = len(vals)
+        assert vals[:257] == product_series_oracle(t, 256)
 
 
 def test_fact_poly_format():

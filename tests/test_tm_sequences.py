@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptmpow.core_arith import INFINITE, nu2
-from ptmpow.f_polys import shared_fseries
+from ptmpow.f_polys import fpow_prefix, shared_fseries
 from ptmpow.tm_sequences import (
     PairTreeNode,
     check_growth,
@@ -22,14 +22,13 @@ from ptmpow.tm_sequences import (
     pair_tree_rowmajor,
     ptm,
     t2,
-    t2_prefix,
     t2_solve,
     t2_symmetry_partner,
+    t2_two_term_prefix,
     t3_is_zero,
     t3_zero_seq,
     t3_zero_set_upto,
     tm,
-    tm_cache,
     tm_oracle,
     v2_t2k_closed,
     v2_t2k_piecewise,
@@ -66,15 +65,14 @@ def test_recurrence_matches_convolution_oracle():
 
 
 def test_t1_is_ptm():
-    vals = tm_cache(1).prefix(10**5)
+    vals = fpow_prefix(1, 10**5)
     for n in range(10**5 + 1):
         assert vals[n] == ptm(n)
 
 
 def test_t2_fast_path_matches_general_recurrence():
-    fast = t2_prefix(10**6)
-    general = tm_cache(2).prefix(10**6)
-    assert fast[: 10**6 + 1] == general[: 10**6 + 1]
+    general = fpow_prefix(2, 10**6)
+    assert t2_two_term_prefix(10**6) == general[: 10**6 + 1]
 
 
 def test_t2_dyadic_anchors():
@@ -96,7 +94,7 @@ def test_v2_powers_of_two():
     for n in range(200):
         assert v2_t2k_closed(0, n) == 0
     for k in range(5):
-        vals = tm_cache(1 << k).prefix(1 << 12)
+        vals = fpow_prefix(1 << k, 1 << 12)
         for n in range(1 << 12):
             c = v2_t2k_closed(k, n)
             assert c == v2_t2k_piecewise(k, n) == nu2(vals[n])
@@ -106,7 +104,7 @@ def test_v2_t3_closed_and_recursive():
     assert v2_t3_closed(2) is INFINITE
     assert v2_t3_closed(3) == 3
     assert v2_t3_closed(4) == 0
-    vals = tm_cache(3).prefix(1 << 12)
+    vals = fpow_prefix(3, 1 << 12)
     for n in range(1, 1 << 12):
         direct = INFINITE if vals[n] == 0 else nu2(vals[n])
         assert v2_t3_closed(n) == v2_t3_rec(n) == direct
@@ -116,7 +114,7 @@ def test_t3_zero_set():
     assert t3_zero_seq(10) == A3_PREFIX
     assert t3_zero_seq(2)[1] == 4 * 2 + 3 == 11
     zeros = t3_zero_set_upto(10**5)
-    vals = tm_cache(3).prefix(10**5)
+    vals = fpow_prefix(3, 10**5)
     for n in range(1, 10**5 + 1):
         assert (vals[n] == 0) == (n in zeros) == t3_is_zero(n)
 
