@@ -13,8 +13,10 @@ The h family is pinned down by
 
     (1-x)^(km) * sum_n b_m(2^k n + i) x^n = h_{i,k,m}(x) * sum_n b_m(n) x^n
 
-with h_{0,0,m} = 1 and a halving recurrence that substitutes sqrt(x) for the
-variable; all of that sqrt bookkeeping happens in SqrtPoly.
+with h_{0,0,m} = 1 and a halving recurrence that substitutes y = sqrt(x) for
+the variable.  The sqrt bookkeeping is three helpers over IntPoly in y:
+`_one_plus_y` (the binomial row of (1+y)^n), `_flip` (y -> -y) and
+`_half_in_x` (the even or odd half of a polynomial in y, as one in x).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 
-from .core_arith import IntPoly, SqrtPoly, binom, convolve_nonneg_prefix, nu2
+from .core_arith import IntPoly, binom, convolve, nu2
 from .f_polys import fpow_prefix
 from .reports import CheckReport
 from .tm_sequences import ptm
@@ -201,6 +203,25 @@ def v2_b2k1_reduced(k: int, n: int) -> int:
 _h_memo: dict[tuple[int, int, int], IntPoly] = {}
 
 
+def _one_plus_y(n: int) -> IntPoly:
+    """(1+y)^n, as its binomial row."""
+    return IntPoly([math.comb(n, j) for j in range(n + 1)])
+
+
+def _flip(p: IntPoly) -> IntPoly:
+    """p(-y)."""
+    return IntPoly([-c if j & 1 else c for j, c in enumerate(p.coeffs)])
+
+
+def _half_in_x(s: IntPoly, odd: bool, error: str) -> IntPoly:
+    """Write s(y) = e(y^2) + y o(y^2) and return e (or o when `odd`) as a
+    polynomial in x = y^2.  Raises ArithmeticError(error) unless s has only
+    even powers of y (only odd powers when `odd`)."""
+    if any(s.coeffs[1 - odd :: 2]):
+        raise ArithmeticError(error)
+    return IntPoly(s.coeffs[odd::2])
+
+
 def h_poly(i: int, k: int, m: int) -> IntPoly:
     """h_{i,k,m}(x), built by the halving recurrence.  For the lower half of
     residues the symmetrized combination must be even in y = sqrt(x); for the
@@ -216,21 +237,15 @@ def h_poly(i: int, k: int, m: int) -> IntPoly:
         return got
     half = 1 << (k - 1)
     low = i if i < half else i - half
-    prev = SqrtPoly.subst_sqrt(h_poly(low, k - 1, m))
-    plus = SqrtPoly.from_coeffs((1, 1)) ** (m * k)
-    minus = SqrtPoly.from_coeffs((1, -1)) ** (m * k)
+    prev = h_poly(low, k - 1, m)  # read as a polynomial in y
+    plus = _one_plus_y(m * k)
     a = prev * plus
-    b = prev.sign_flip() * minus
-    if i < half:
-        s = (a + b).divexact_scalar(2)
-        if not s.is_even():
-            raise ArithmeticError(f"h recurrence parity violation at {key}")
-        out = s.even_part()
-    else:
-        s = (a - b).divexact_scalar(2)
-        if not s.is_odd():
-            raise ArithmeticError(f"h recurrence parity violation at {key}")
-        out = s.odd_half()
+    # b is _flip(a), but computed as its own product so that the parity
+    # assertion also cross-checks the multiply
+    b = _flip(prev) * _flip(plus)
+    odd = i >= half
+    s = (a - b if odd else a + b).divexact_scalar(2)
+    out = _half_in_x(s, odd, f"h recurrence parity violation at {key}")
     _h_memo[key] = out
     return out
 
@@ -249,22 +264,13 @@ def check_h_identity(i: int, k: int, m: int, order: int | None = None) -> CheckR
         order = max(256, 4 * max(h.degree, 1))
     vals = fpow_prefix(-m, (order << k) + i)
     sub = [vals[(n << k) + i] for n in range(order + 1)]
-    lhs = _truncmul(((IntPoly((1, -1))) ** (k * m)).coeffs, sub, order)
-    rhs = _truncmul(h.coeffs, vals, order)
+    lhs = IntPoly(convolve(_flip(_one_plus_y(k * m)).coeffs, sub)[: order + 1])
+    rhs = IntPoly(convolve(h.coeffs, vals[: order + 1])[: order + 1])
     if lhs == rhs:
         return CheckReport(f"h-identity ({i},{k},{m})", True, checked=order + 1)
     bad = next(n for n in range(order + 1) if lhs[n] != rhs[n])
     return CheckReport(f"h-identity ({i},{k},{m})", False,
                        witness={"i": i, "k": k, "m": m, "order": bad})
-
-
-def _truncmul(a, b, order: int) -> list[int]:
-    out = [0] * (order + 1)
-    for i, ai in enumerate(a):
-        if ai and i <= order:
-            for j in range(min(len(b), order + 1 - i)):
-                out[i + j] += ai * b[j]
-    return out
 
 
 def check_h_mod_p(p: int, s: int, kk: int) -> CheckReport:
@@ -554,8 +560,8 @@ class ShiftOperator:
         return acc
 
 
-def _operator_product_sqrt(a: list[SqrtPoly], b: list[SqrtPoly]) -> list[SqrtPoly]:
-    out = [SqrtPoly.from_coeffs(()) for _ in range(len(a) + len(b) - 1)]
+def _operator_product(a: list[IntPoly], b: list[IntPoly]) -> list[IntPoly]:
+    out = [IntPoly.zero()] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         for j, bj in enumerate(b):
             out[i + j] = out[i + j] + ai * bj
@@ -570,18 +576,12 @@ def v_operator(k: int) -> ShiftOperator:
         raise ValueError("k >= 1")
     if k == 1:
         return ShiftOperator((IntPoly((-1,)), IntPoly((2,)), IntPoly((-1, 1))))
-    prev = v_operator(k - 1)
-    plus = SqrtPoly.from_coeffs((1, 1))
-    minus = SqrtPoly.from_coeffs((1, -1))
-    a = [SqrtPoly.subst_sqrt(c) * plus ** (j * k) for j, c in enumerate(prev.coeffs)]
-    b = [SqrtPoly.subst_sqrt(c).sign_flip() * minus ** (j * k) for j, c in enumerate(prev.coeffs)]
-    prod = _operator_product_sqrt(a, b)
-    out = []
-    for c in prod:
-        if not c.is_even():
-            raise ArithmeticError(f"V_{k} coefficient is not even in sqrt(x)")
-        out.append(c.even_part())
-    return ShiftOperator(tuple(out))
+    prev = v_operator(k - 1).coeffs  # read as polynomials in y
+    rows = [_one_plus_y(j * k) for j in range(len(prev))]
+    a = [c * r for c, r in zip(prev, rows)]
+    b = [_flip(c) * _flip(r) for c, r in zip(prev, rows)]
+    error = f"V_{k} coefficient is not even in sqrt(x)"
+    return ShiftOperator(tuple(_half_in_x(c, False, error) for c in _operator_product(a, b)))
 
 
 def check_annihilation(i: int, k: int, m_max: int) -> CheckReport:
@@ -646,7 +646,7 @@ def b2_valuation_table_suite(n_max: int) -> CheckReport:
     checked = 0
     for modulus, residues, a in B2_VALUATION_TABLE:
         k = modulus.bit_length() - 1
-        cert = (IntPoly((1, 1)) ** (2 * k - 3)).mod(2)
+        cert = _one_plus_y(2 * k - 3).mod(2)
         for i in residues:
             try:
                 hq = h_poly(i, k, 2).divexact_scalar(1 << a)
@@ -668,15 +668,11 @@ def b2_valuation_table_suite(n_max: int) -> CheckReport:
 
 def check_ptm_inverse(n_max: int) -> CheckReport:
     """sum_k t_k b(n-k) == [n == 0]: the generating functions are exact
-    inverses.  Computed by carry-free big-integer packing (t_k = 2u_k - 1
-    with u_k in {0,1}, so the signed convolution is 2 conv(u, b) - sums)."""
+    inverses.  Computed by one packed convolution."""
     bb = fpow_prefix(-1, n_max)[: n_max + 1]
-    u = [1 - (i.bit_count() & 1) for i in range(n_max + 1)]
-    conv = convolve_nonneg_prefix(u, bb, n_max + 1)
-    run = 0
+    conv = convolve([ptm(i) for i in range(n_max + 1)], bb)
     for n in range(n_max + 1):
-        run += bb[n]
-        if 2 * conv[n] - run != (1 if n == 0 else 0):
+        if conv[n] != (1 if n == 0 else 0):
             return CheckReport("ptm-inverse", False, checked=n, witness={"n": n})
     return CheckReport("ptm-inverse", True, checked=n_max + 1)
 
@@ -686,12 +682,9 @@ def check_formula_2k(k: int, n_max: int) -> CheckReport:
     one color."""
     lhs = fpow_prefix(1 - (1 << k), n_max)[: n_max + 1]
     big = fpow_prefix(-(1 << k), n_max)[: n_max + 1]
-    u = [1 - (i.bit_count() & 1) for i in range(n_max + 1)]
-    conv = convolve_nonneg_prefix(u, big, n_max + 1)
-    run = 0
+    conv = convolve([ptm(i) for i in range(n_max + 1)], big)
     for n in range(n_max + 1):
-        run += big[n]
-        if 2 * conv[n] - run != lhs[n]:
+        if conv[n] != lhs[n]:
             return CheckReport(f"formula-2^{k}", False, checked=n, witness={"k": k, "n": n})
     return CheckReport(f"formula-2^{k}", True, checked=n_max + 1)
 

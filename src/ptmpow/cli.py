@@ -41,6 +41,14 @@ def _parse_range(text: str) -> tuple[int, int]:
     return a, b
 
 
+def nonnegative_int(text: str) -> int:
+    """argparse type of every --bound: an integer >= 0."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"bound must be >= 0, got {n}")
+    return n
+
+
 def _family_prefix(family: str, m: int, n: int) -> list[int]:
     """The kernel prefix behind a family name: t_m is F^m, b_m is F^(-m),
     and f-eval at m is F^m for any integer m."""
@@ -202,12 +210,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("val", help="valuation report: direct vs closed form")
     p.add_argument("family", choices=["t-pow2", "t3", "b-pow2m1", "b1"])
     p.add_argument("--k", type=int, default=1, help="k for the t-pow2/b-pow2m1 families")
-    p.add_argument("--bound", type=int, required=True)
+    p.add_argument("--bound", type=nonnegative_int, required=True)
     p.set_defaults(fn=_cmd_val)
 
     p = sub.add_parser("verify", help="run a named verification campaign")
     p.add_argument("campaign")
-    p.add_argument("--bound", type=int, default=None)
+    p.add_argument("--bound", type=nonnegative_int, default=None)
     p.add_argument("--out", default=None, help="append the report as a JSON line")
     p.set_defaults(fn=_cmd_verify)
 
@@ -219,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=["store", "load"])
     p.add_argument("family", choices=["t", "b"])
     p.add_argument("m", type=int)
-    p.add_argument("--bound", type=int, default=None)
+    p.add_argument("--bound", type=nonnegative_int, default=None)
     p.add_argument("--path", default=None)
     p.add_argument("--cache-dir", default=None)
     p.set_defaults(fn=_cmd_cache)

@@ -1,6 +1,6 @@
-"""Exact integer foundations: binary-digit utilities, dense integer
-polynomials, and the sqrt-substitution calculus used by the generating
-function machinery.
+"""Exact integer foundations: binary-digit utilities, the exact signed
+convolution `convolve` and the dense integer polynomials built on it, and
+base-4 digit expansions.
 
 No floating point: every operation is over Python big integers.
 """
@@ -90,8 +90,6 @@ INFINITE = _InfiniteValuation()
 # ---------------------------------------------------------------------------
 # dense integer polynomials
 
-_KARATSUBA_CUTOFF = 64
-
 
 def _mul_schoolbook(a, b):
     out = [0] * (len(a) + len(b) - 1)
@@ -102,31 +100,33 @@ def _mul_schoolbook(a, b):
     return out
 
 
-def _mul_lists(a, b):
-    # Karatsuba above the cutoff; exactness is mandatory, speed secondary.
-    n = min(len(a), len(b))
-    if n <= _KARATSUBA_CUTOFF:
-        return _mul_schoolbook(a, b)
-    h = max(len(a), len(b)) // 2
-    a0, a1 = a[:h], a[h:]
-    b0, b1 = b[:h], b[h:]
-    if not a1 or not b1:
-        return _mul_schoolbook(a, b)
-    z0 = _mul_lists(a0, b0)
-    z2 = _mul_lists(a1, b1)
-    s0 = [x + y for x, y in _zip_pad(a0, a1)]
-    s1 = [x + y for x, y in _zip_pad(b0, b1)]
-    z1 = _mul_lists(s0, s1)
-    out = [0] * (len(a) + len(b) - 1)
-    for i, v in enumerate(z0):
-        out[i] += v
-        out[i + h] -= v
-    for i, v in enumerate(z1):
-        out[i + h] += v
-    for i, v in enumerate(z2):
-        out[i + h] -= v
-        out[i + 2 * h] += v
-    return out
+def convolve(a, b) -> list[int]:
+    """The full Cauchy product of two integer sequences of any sign, by one
+    big-integer multiply (Kronecker substitution).
+
+    Every product coefficient is bounded by max|a| * max|b| * min(len), so
+    nb-byte digits with half-range h = 2^(8 nb - 1) above that bound hold
+    them exactly.  Each digit is packed and unpacked offset by h, which keeps
+    the signed digits free of carries; to_bytes/from_bytes make both steps
+    linear.
+    """
+    if not a or not b:
+        return []
+    n = len(a) + len(b) - 1
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    if not bound:  # one side is all zeros; otherwise every |v| <= bound < h
+        return [0] * n
+    nb = bound.bit_length() // 8 + 1
+    h = 1 << (8 * nb - 1)
+    offsets = (bytes(nb - 1) + b"\x80") * n  # h in every digit, little-endian
+
+    def pack(seq):
+        raw = b"".join((v + h).to_bytes(nb, "little") for v in seq)
+        return int.from_bytes(raw, "little") - int.from_bytes(offsets[: len(raw)], "little")
+
+    prod = pack(a) * pack(b) + int.from_bytes(offsets, "little")
+    raw = prod.to_bytes(n * nb, "little")
+    return [int.from_bytes(raw[i : i + nb], "little") - h for i in range(0, n * nb, nb)]
 
 
 def _zip_pad(a, b):
@@ -211,9 +211,7 @@ class IntPoly:
     def __mul__(self, other):
         if isinstance(other, int):
             return IntPoly(other * c for c in self.coeffs)
-        if self.is_zero() or other.is_zero():
-            return IntPoly.zero()
-        return IntPoly(_mul_lists(list(self.coeffs), list(other.coeffs)))
+        return IntPoly(convolve(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -309,92 +307,6 @@ class IntPoly:
 
 
 # ---------------------------------------------------------------------------
-# sqrt-substitution calculus
-
-
-class SqrtPoly:
-    """Integer polynomial in the auxiliary variable y, with x = y^2.
-
-    Two distinct ways in: `embed` sends P(x) to P(y^2) (so even_part(embed(P))
-    is P again), while `subst_sqrt` renames the variable (P evaluated at
-    sqrt(x), i.e. y-degree equals x-degree).
-    """
-
-    __slots__ = ("poly",)
-
-    def __init__(self, poly: IntPoly):
-        object.__setattr__(self, "poly", poly)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SqrtPoly is immutable")
-
-    @classmethod
-    def embed(cls, p: IntPoly) -> "SqrtPoly":
-        out = [0] * (2 * len(p.coeffs))
-        for i, c in enumerate(p.coeffs):
-            out[2 * i] = c
-        return cls(IntPoly(out))
-
-    @classmethod
-    def subst_sqrt(cls, p: IntPoly) -> "SqrtPoly":
-        return cls(IntPoly(p.coeffs))
-
-    @classmethod
-    def from_coeffs(cls, coeffs) -> "SqrtPoly":
-        return cls(IntPoly(coeffs))
-
-    def sign_flip(self) -> "SqrtPoly":
-        """y -> -y."""
-        return SqrtPoly(IntPoly(-c if i & 1 else c for i, c in enumerate(self.poly.coeffs)))
-
-    def __add__(self, other):
-        return SqrtPoly(self.poly + other.poly)
-
-    def __sub__(self, other):
-        return SqrtPoly(self.poly - other.poly)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return SqrtPoly(self.poly * other)
-        return SqrtPoly(self.poly * other.poly)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        return SqrtPoly(self.poly**e)
-
-    def __eq__(self, other):
-        return isinstance(other, SqrtPoly) and self.poly == other.poly
-
-    def __hash__(self):
-        return hash(("SqrtPoly", self.poly))
-
-    def is_even(self) -> bool:
-        return all(c == 0 for i, c in enumerate(self.poly.coeffs) if i & 1)
-
-    def is_odd(self) -> bool:
-        return all(c == 0 for i, c in enumerate(self.poly.coeffs) if not i & 1)
-
-    def even_part(self) -> IntPoly:
-        """P(y) = even(y^2) + y*odd_half(y^2); this is `even` as a poly in x."""
-        return IntPoly(self.poly.coeffs[0::2])
-
-    def odd_half(self) -> IntPoly:
-        return IntPoly(self.poly.coeffs[1::2])
-
-    def divexact_scalar(self, d: int) -> "SqrtPoly":
-        return SqrtPoly(self.poly.divexact_scalar(d))
-
-    def __repr__(self):
-        return f"SqrtPoly({self.poly.format('y')})"
-
-
-def sqrt_split(p: SqrtPoly) -> tuple[IntPoly, IntPoly]:
-    """Split P(y) into (even, odd_half) with P(y) = even(y^2) + y*odd_half(y^2)."""
-    return p.even_part(), p.odd_half()
-
-
-# ---------------------------------------------------------------------------
 # base-4 digits from {0,1,3,6}
 
 
@@ -423,32 +335,6 @@ def base4_digits_0136(n: int) -> list[int]:
 def base4_value_0136(digits) -> int:
     """Inverse of base4_digits_0136: sum 4^j a_j."""
     return sum(d << (2 * j) for j, d in enumerate(digits))
-
-
-# ---------------------------------------------------------------------------
-# packed exact convolution (nonnegative sequences only)
-
-
-def convolve_nonneg_prefix(a: list[int], b: list[int], count: int) -> list[int]:
-    """First `count` coefficients of the Cauchy product of two nonnegative
-    integer sequences, computed exactly by big-integer packing.
-
-    Each output coefficient is bounded by max(a)*max(b)*min(len(a),len(b)),
-    so a block width above that bound makes the packed product carry-free.
-    """
-    if count <= 0:
-        return []
-    if not a or not b:
-        return [0] * count
-    if min(a) < 0 or min(b) < 0:
-        raise ValueError("packing requires nonnegative sequences")
-    bound = max(a) * max(b) * min(len(a), len(b)) + 1
-    width = bound.bit_length() + 1
-    pa = sum(v << (i * width) for i, v in enumerate(a))
-    pb = sum(v << (i * width) for i, v in enumerate(b))
-    prod = pa * pb
-    mask = (1 << width) - 1
-    return [(prod >> (i * width)) & mask for i in range(count)]
 
 
 def rational(num: int, den: int) -> Fraction:

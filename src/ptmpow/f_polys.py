@@ -85,6 +85,8 @@ class FSeries:
             g.append(IntPoly([0] + acc))
 
     def g(self, n: int) -> IntPoly:
+        if n < 0:
+            raise ValueError(f"need n >= 0, got {n}")
         self.extend(n)
         return self._g[n]
 

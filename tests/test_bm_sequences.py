@@ -236,17 +236,31 @@ def test_shift_operators():
 
 def test_operator_factor_order_commutes():
     # build V_2 with the two factors swapped; the result must agree
-    from ptmpow.core_arith import SqrtPoly
-    from ptmpow.bm_sequences import _operator_product_sqrt
+    from ptmpow.bm_sequences import _flip, _half_in_x, _one_plus_y, _operator_product
 
     prev = v_operator(1)
-    plus = SqrtPoly.from_coeffs((1, 1))
-    minus = SqrtPoly.from_coeffs((1, -1))
-    a = [SqrtPoly.subst_sqrt(c) * plus ** (j * 2) for j, c in enumerate(prev.coeffs)]
-    b = [SqrtPoly.subst_sqrt(c).sign_flip() * minus ** (j * 2)
-         for j, c in enumerate(prev.coeffs)]
-    swapped = [p.even_part() for p in _operator_product_sqrt(b, a)]
+    a = [c * _one_plus_y(j * 2) for j, c in enumerate(prev.coeffs)]
+    b = [_flip(c) * _flip(_one_plus_y(j * 2)) for j, c in enumerate(prev.coeffs)]
+    swapped = [_half_in_x(p, False, "odd power of y") for p in _operator_product(b, a)]
     assert tuple(swapped) == v_operator(2).coeffs
+
+
+def test_half_in_x_splits_and_rejects_the_other_parity():
+    from ptmpow.bm_sequences import _flip, _half_in_x, _one_plus_y
+
+    def split(p):
+        # p(y) = even(y^2) + y odd(y^2), through the symmetrised halves
+        even = _half_in_x((p + _flip(p)).divexact_scalar(2), False, "even")
+        odd = _half_in_x((p - _flip(p)).divexact_scalar(2), True, "odd")
+        return even, odd
+
+    y3 = IntPoly.monomial(3)
+    assert split(_one_plus_y(2)) == (IntPoly((1, 1)), IntPoly((2,)))
+    assert split(_one_plus_y(4)) == (IntPoly((1, 6, 1)), IntPoly((4, 4)))
+    assert split(y3) == (IntPoly.zero(), IntPoly((0, 1)))
+    for p, odd in ((_one_plus_y(2), False), (_one_plus_y(4), True), (y3, False)):
+        with pytest.raises(ArithmeticError, match="wrong parity"):
+            _half_in_x(p, odd, "wrong parity")
 
 
 def test_g1_series_closed_forms():

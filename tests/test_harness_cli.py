@@ -93,6 +93,12 @@ def run_cli(capsys, *argv):
     return rc, out.out, out.err
 
 
+def assert_usage_error(*argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+
+
 def test_cli_seq_csv(capsys):
     rc, out, _ = run_cli(capsys, "seq", "t", "2", "0..8")
     assert rc == 0
@@ -141,6 +147,10 @@ def test_cli_poly(capsys):
                                "coeffs": ["4", "144", "504", "336", "36"]}
     rc, _, _ = run_cli(capsys, "poly", "h", "1", "2")
     assert rc == 2
+    # a negative index must not wrap around the g_n memo
+    for kind, n in (("g", "-1"), ("f", "-2")):
+        rc, out, err = run_cli(capsys, "poly", kind, n)
+        assert rc == 2 and out == "" and "n >= 0" in err
 
 
 def test_cli_val(capsys):
@@ -151,6 +161,7 @@ def test_cli_val(capsys):
     assert rows[1] == {"n": 2, "direct": "INFINITE", "closed": "INFINITE", "ok": True}
     rc, out, _ = run_cli(capsys, "val", "b1", "--bound", "64")
     assert rc == 0
+    assert_usage_error("val", "b1", "--bound", "-5")
 
 
 def test_cli_search(capsys):
@@ -177,6 +188,11 @@ def test_cli_verify_exit_codes(capsys, tmp_path):
     rc, _, err = run_cli(capsys, "verify", "nope")
     assert rc == 2 and "unknown campaign" in err
 
+    # a negative bound checks nothing, so it must not report verified-to-bound
+    assert_usage_error("verify", "t5-valuation", "--bound", "-5")
+    assert_usage_error("verify", "b2-valuation-list", "--bound", "-1")
+    assert capsys.readouterr().out == ""
+
 
 def test_cli_verify_rejects_removed_options(capsys, tmp_path):
     for extra in (["--jobs", "2"], ["--cache-dir", str(tmp_path)]):
@@ -194,6 +210,9 @@ def test_cli_cache_roundtrip(capsys, tmp_path):
     assert rc == 0 and json.loads(out)["m"] == 2
     rc, _, _ = run_cli(capsys, "cache", "store", "t", "2", "--cache-dir", d)
     assert rc == 2  # missing --bound
+    path = tmp_path / "negative.seq"
+    assert_usage_error("cache", "store", "t", "2", "--bound", "-1", "--path", str(path))
+    assert not path.exists()
 
 
 def test_cli_cache_load_rejects_other_sequence(capsys, tmp_path):
