@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .core_arith import nu2
 from .bm_sequences import b2_valuation_table_suite
-from .f_polys import fpow_prefix
+from .f_polys import fpow_prefix, fpow_residues
 from .tm_sequences import t2_symmetry_partner
 
 VERIFIED = "verified-to-bound"
@@ -40,10 +40,15 @@ class CampaignReport:
     status: str
     witness: dict
     wall_ms: int
+    # "residue" when the checks ran on values mod 2^64, else "exact";
+    # fallbacks counts the indices settled exactly because their residue was 0
+    backend: str = "exact"
+    fallbacks: int = 0
 
     def payload(self) -> dict:
-        """Deterministic part (no wall time), for golden output.  The
-        `theorem` tag is the claim text from the traceability matrix."""
+        """Deterministic part (no wall time, backend or fallbacks), for golden
+        output.  The `theorem` tag is the claim text from the traceability
+        matrix."""
         return {
             "name": self.name,
             "kind": self.kind,
@@ -317,6 +322,177 @@ def _run_t2_symmetry(bounds):
 
 
 # ---------------------------------------------------------------------------
+# residue runners: the same checks on values mod 2^64 (`fpow_residues`).
+# Each returns (status, witness, fallbacks), or None when numpy is missing,
+# in which case the exact runner above runs instead.  A residue of 0 leaves
+# nu2 >= 64 or a zero value open, so such an index is settled by
+# `fpow_prefix` and counted as a fallback; the first failure in loop order
+# is the exact runner's witness.
+
+
+def _nu2_residues(r):
+    """nu2 of each uint64 residue (a count of trailing zero bits): 64 at 0."""
+    import numpy as np
+
+    return np.bitwise_count(~r & (r - 1))
+
+
+def _nu2_classes(n_max):
+    """nu2(n + 1) for n = 0..n_max, as int64."""
+    import numpy as np
+
+    return _nu2_residues(np.arange(1, n_max + 2, dtype=np.uint64)).astype(np.int64)
+
+
+def _res_valuation(t, width, n_max, expect_of):
+    """The first (n, j, expected, actual) at which nu2(f_(width*n + j)(t))
+    differs from expect_of(nu2(n + 1)), or None, and the fallback count."""
+    size = width * (n_max + 1)
+    res = fpow_residues(t, size - 1)
+    if res is None:
+        return None
+    res = res[:size]
+    expect = expect_of(_nu2_classes(n_max)).repeat(width)
+    got = _nu2_residues(res)
+    zero = res == 0
+    fallbacks = 0
+    for i in map(int, ((got != expect) | zero).nonzero()[0]):
+        actual = int(got[i])
+        if zero[i]:
+            fallbacks += 1
+            actual = _nu2_or_none(fpow_prefix(t, i)[i])
+            if actual == expect[i]:
+                continue
+        return (i // width, i % width, int(expect[i]), actual), fallbacks
+    return None, fallbacks
+
+
+def _res_t5_valuation(bounds):
+    out = _res_valuation(5, 4, bounds["n"], lambda v: 4 * _ceil_half(v) - v % 2)
+    if out is None:
+        return None
+    fail, fallbacks = out
+    if fail:
+        n, j, expect, got = fail
+        return OBSERVATION, {"failing": {"m": 5, "n": n, "j": j, "expected": expect,
+                                         "actual": got}}, fallbacks
+    return VERIFIED, {}, fallbacks
+
+
+def _res_t9_valuation(bounds):
+    out = _res_valuation(9, 8, bounds["n"], lambda v: 5 * _ceil_half(v) - 2 * (v % 2))
+    if out is None:
+        return None
+    fail, fallbacks = out
+    if fail:
+        n, j, expect, got = fail
+        return OBSERVATION, {"failing": {"m": 9, "n": n, "j": j,
+                                         "residue_class": (8 * n + j) % 64,
+                                         "expected": expect, "actual": got}}, fallbacks
+    return VERIFIED, {}, fallbacks
+
+
+def _res_t2k1_table(bounds):
+    n_max = bounds["n"]
+    out = {}
+    fallbacks = 0
+    for k in (2, 3):
+        m = (1 << k) + 1
+        size = (n_max + 1) << k
+        res = fpow_residues(m, size - 1)
+        if res is None:
+            return None
+        res = res[:size]
+        # got[i] = nu2 at index i, -1 for a zero value; undecided marks the
+        # residues of 0 not yet settled exactly
+        got = _nu2_residues(res).astype("int64")
+        undecided = res == 0
+        cls = _nu2_classes(n_max).repeat(1 << k)
+        # class v first occurs at n = 2^v - 1, j = 0
+        first = [((1 << v) - 1) << k for v in range(int(cls.max()) + 1)]
+        while True:
+            table = got[first]
+            bad = (got != table[cls]) | undecided
+            i = int(bad.argmax())
+            if not bad[i]:
+                break
+            if undecided[i]:
+                fallbacks += 1
+                undecided[i] = False
+                exact = _nu2_or_none(fpow_prefix(m, i)[i])
+                got[i] = -1 if exact is None else exact
+                continue
+            v = int(cls[i])
+            return OBSERVATION, {"k": k, "n": i >> k, "j": i & ((1 << k) - 1),
+                                 "conflict_class": v,
+                                 "values": [None if a < 0 else int(a)
+                                            for a in (table[v], got[i])]}, fallbacks
+        fitted = [None if a < 0 else a for a in table.tolist()]
+        if fitted[0] != 0 or any(a >= b for a, b in zip(fitted, fitted[1:])):
+            return OBSERVATION, {"k": k, "table_not_strictly_increasing": fitted}, fallbacks
+        out[f"A_{k}"] = fitted
+    return VERIFIED, out, fallbacks
+
+
+def _congruence_failures(seq, idx_max, k, mod):
+    """Mask over n = 0..idx_max >> (k+1) of seq[n << (k+1)] != seq[n << (k-1)]
+    (mod `mod`); exact on residues mod 2^64 for `mod` a power of two."""
+    count = (idx_max >> (k + 1)) + 1
+    hi = seq[: count << (k + 1) : 1 << (k + 1)]
+    lo = seq[: count << (k - 1) : 1 << (k - 1)]
+    return ((hi - lo) & (mod - 1)) != 0
+
+
+def _res_b_pow2_congruence(bounds):
+    idx_max = bounds["index"]
+    for m in (1, 2, 3):
+        seq = fpow_residues(-(1 << m), idx_max)
+        if seq is None:
+            return None
+        for k in range(m + 2, m + 5):
+            bad = _congruence_failures(seq, idx_max, k, 1 << k)
+            if bad.any():
+                return OBSERVATION, {"failing": {"m": m, "k": k,
+                                                 "n": int(bad.argmax())}}, 0
+    return VERIFIED, {}, 0
+
+
+def _res_b_pow2m1_congruence(bounds):
+    idx_max = bounds["index"]
+    failures = []
+    verified = []
+    for m in (1, 2, 3):
+        seq = fpow_residues(1 - (1 << m), idx_max)
+        if seq is None:
+            return None
+        for k in range(m + 2, m + 5):
+            mod = 1 << (4 * ((k + 1) // 2) - 2)
+            bad = _congruence_failures(seq, idx_max, k, mod)[1:]
+            if bad.any():
+                failures.append({"m": m, "k": k, "n": int(bad.argmax()) + 1, "mod": mod})
+            else:
+                verified.append({"m": m, "k": k})
+    if failures:
+        return OBSERVATION, {"failing": failures, "verified_for": verified}, 0
+    return VERIFIED, {}, 0
+
+
+def _res_t_zero_m4plus(bounds):
+    n_max = bounds["n"]
+    fallbacks = 0
+    for m in range(4, 9):
+        res = fpow_residues(m, n_max)
+        if res is None:
+            return None
+        # a nonzero residue proves a nonzero value
+        for n in map(int, (res[1 : n_max + 1] == 0).nonzero()[0] + 1):
+            fallbacks += 1
+            if fpow_prefix(m, n)[n] == 0:
+                return OBSERVATION, {"zero_found": {"m": m, "n": n}}, fallbacks
+    return VERIFIED, {}, fallbacks
+
+
+# ---------------------------------------------------------------------------
 # registry (the traceability matrix)
 
 
@@ -327,28 +503,29 @@ class Campaign:
     claim: str
     defaults: dict
     runner: object
+    residue_runner: object = None
 
 
 CAMPAIGNS: dict[str, Campaign] = {}
 
 
-def _register(name, kind, claim, defaults, runner):
-    CAMPAIGNS[name] = Campaign(name, kind, claim, defaults, runner)
+def _register(name, kind, claim, defaults, runner, residue_runner=None):
+    CAMPAIGNS[name] = Campaign(name, kind, claim, defaults, runner, residue_runner)
 
 
 _register(
     "t5-valuation", "conjecture",
     "nu2(t_5(4n+j)) = 4*ceil(nu2(n+1)/2) - (nu2(n+1) mod 2) for j in 0..3",
-    {"n": 1 << 12}, _run_t5_valuation)
+    {"n": 1 << 12}, _run_t5_valuation, _res_t5_valuation)
 _register(
     "t9-valuation", "conjecture",
     "nu2(t_9(8n+j)) = 5*ceil(nu2(n+1)/2) - 2*(nu2(n+1) mod 2) for j in 0..7",
-    {"n": 1 << 12}, _run_t9_valuation)
+    {"n": 1 << 12}, _run_t9_valuation, _res_t9_valuation)
 _register(
     "t2k1-valuation-table", "conjecture",
     "nu2(t_{2^k+1}(2^k n + j)) = A_{k, nu2(n+1)} for a strictly increasing "
     "integer table with A_{k,0} = 0",
-    {"n": 1 << 12}, _run_t2k1_table)
+    {"n": 1 << 12}, _run_t2k1_table, _res_t2k1_table)
 _register(
     "t-regularity", "question",
     "is (nu2(t_m(n)))_n 2-regular?  (statistics only: count distinct dyadic "
@@ -362,12 +539,12 @@ _register(
 _register(
     "b-pow2-congruence", "conjecture",
     "b_{2^m}(2^(k+1) n) = b_{2^m}(2^(k-1) n) (mod 2^k) for k >= m+2",
-    {"index": 1 << 14}, _run_b_pow2_congruence)
+    {"index": 1 << 14}, _run_b_pow2_congruence, _res_b_pow2_congruence)
 _register(
     "b-pow2m1-congruence", "conjecture",
     "b_{2^m-1}(2^(k+1) n) = b_{2^m-1}(2^(k-1) n) "
     "(mod 2^(4*floor((k+1)/2)-2)) for k >= m+2",
-    {"index": 1 << 14}, _run_b_pow2m1_congruence)
+    {"index": 1 << 14}, _run_b_pow2m1_congruence, _res_b_pow2m1_congruence)
 _register(
     "b-congruence-growth", "conjecture",
     "b_m(2^(k+1) n) = b_m(2^(k-1) n) (mod 2^f(k)) with nondecreasing "
@@ -395,7 +572,7 @@ _register(
 _register(
     "t-zero-m4plus", "conjecture",
     "t_m(n) = 0 has no solution for m >= 4",
-    {"n": 1 << 14}, _run_t_zero_m4plus)
+    {"n": 1 << 14}, _run_t_zero_m4plus, _res_t_zero_m4plus)
 _register(
     "t-missing-values", "conjecture",
     "for m >= 3 infinitely many integers are never attained by t_m "
@@ -421,11 +598,18 @@ def run_campaign(name: str, bounds: dict | None = None) -> CampaignReport:
     if bounds:
         eff.update(bounds)
     t0 = time.monotonic()
-    status, witness = camp.runner(eff)
+    backend, fallbacks = "exact", 0
+    fast = camp.residue_runner(eff) if camp.residue_runner else None
+    if fast is None:
+        status, witness = camp.runner(eff)
+    else:
+        status, witness, fallbacks = fast
+        backend = "residue"
     wall_ms = int((time.monotonic() - t0) * 1000)
     if camp.kind != "theorem" and status == COUNTEREXAMPLE:
         status = OBSERVATION  # conjecture campaigns never hard-fail
-    return CampaignReport(name, camp.kind, camp.claim, eff, status, witness, wall_ms)
+    return CampaignReport(name, camp.kind, camp.claim, eff, status, witness, wall_ms,
+                          backend, fallbacks)
 
 
 def run_spec(spec: CampaignSpec) -> CampaignReport:
@@ -435,7 +619,8 @@ def run_spec(spec: CampaignSpec) -> CampaignReport:
         import json
 
         record = dict(report.payload())
-        record["wall_ms"] = report.wall_ms
+        record.update(wall_ms=report.wall_ms, backend=report.backend,
+                      fallbacks=report.fallbacks)
         with open(spec.output_path, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
     return report

@@ -149,12 +149,14 @@ def _cmd_verify(args) -> int:
         return 2
     bounds = {}
     if args.bound is not None:
-        # override every integer limit the campaign declares
-        bounds = {key: args.bound for key in CAMPAIGNS[args.campaign].defaults}
+        # override the size keys only, never depth or span
+        bounds = {key: args.bound for key in CAMPAIGNS[args.campaign].defaults
+                  if key in ("n", "index")}
     spec = CampaignSpec(args.campaign, bounds=bounds, output_path=args.out)
     report = run_spec(spec)
     print(_jdump(report.payload()))
-    print(f"{report.name}: {report.status} in {report.wall_ms} ms", file=sys.stderr)
+    print(f"{report.name}: {report.status} in {report.wall_ms} ms "
+          f"(backend {report.backend}, {report.fallbacks} fallbacks)", file=sys.stderr)
     return exit_code_for(report)
 
 
@@ -235,8 +237,17 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# the least --k each val family accepts: t-pow2 reads t_(2^k), b-pow2m1 reads
+# b_(2^k - 1), and there is no b_0
+_VAL_MIN_K = {"t-pow2": 0, "b-pow2m1": 1}
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    least = _VAL_MIN_K.get(args.family) if args.command == "val" else None
+    if least is not None and args.k < least:
+        parser.error(f"val {args.family} requires --k >= {least}, got {args.k}")
     if args.command == "cache" and args.action == "store" and args.bound is None:
         print("cache store requires --bound", file=sys.stderr)
         return 2

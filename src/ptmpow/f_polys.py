@@ -10,7 +10,8 @@ All polynomial arithmetic happens on the integer companion g_n = n! * f_n,
 so no rational polynomial arithmetic is needed anywhere.
 
 The values f_n(t) at one integer t come from `fpow_prefix`, which uses the
-product form F(x)^t = (1-x)^t F(x^2)^t instead of the polynomials.
+product form F(x)^t = (1-x)^t F(x^2)^t instead of the polynomials;
+`fpow_residues` runs the same form on numpy uint64, giving them mod 2^64.
 """
 
 from __future__ import annotations
@@ -147,6 +148,47 @@ def fpow_prefix(t: int, n: int) -> list[int]:
                 carries[p] = block[-1]
         vals += block
     return vals
+
+
+# t -> [f_0(t), ..., f_k(t)] mod 2^64 as a read-only numpy uint64 array
+_fpow_res: dict = {}
+
+
+def fpow_residues(t: int, n: int):
+    """[f_0(t), ..., f_k(t)] mod 2^64 with k >= n, as a memoised read-only
+    numpy uint64 array, or None when numpy cannot be imported.
+
+    The same identity as `fpow_prefix`, F(x)^t = (1-x)^t F(x^2)^t, in
+    wrapping uint64 arithmetic: each level upsamples the prefix to at most
+    twice its length, then applies t in-place first differences (t > 0) or
+    |t| running sums (t < 0).  The last level stops at exactly n + 1
+    entries.  numpy is imported here, not at module import, so the CLI
+    starts without it.
+    """
+    try:
+        import numpy as np
+    except ImportError:
+        return None
+    res = _fpow_res.get(t)
+    if res is not None and n < len(res):
+        return res
+    if res is None:
+        res = np.ones(1, dtype=np.uint64)
+    while len(res) <= n:
+        size = min(2 * len(res), n + 1)
+        level = np.zeros(size, dtype=np.uint64)
+        level[::2] = res[: (size + 1) // 2]
+        for _ in range(abs(t)):
+            if t > 0:
+                # numpy buffers overlapping operands: each entry minus its
+                # predecessor's value before this pass
+                np.subtract(level[1:], level[:-1], out=level[1:])
+            else:
+                np.cumsum(level, out=level)
+        res = level
+    res.flags.writeable = False
+    _fpow_res[t] = res
+    return res
 
 
 def f_poly(n: int, series: FSeries | None = None) -> FactPoly:

@@ -1,8 +1,10 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 
+from ptmpow import f_polys
 from ptmpow.core_arith import IntPoly, nu2
 from ptmpow.f_polys import (
     CoeffTable,
@@ -13,6 +15,7 @@ from ptmpow.f_polys import (
     f_poly_alt1,
     f_poly_alt2,
     fpow_prefix,
+    fpow_residues,
     g_prefix_alt1,
     g_prefix_alt2,
     log_coeff,
@@ -187,6 +190,31 @@ def test_fpow_prefix_satisfies_the_halving_identity():
                     assert vals[i] == (i == 0), (t, i)
             done = len(vals)
         assert vals[:257] == product_series_oracle(t, 256)
+
+
+def test_fpow_residues_match_the_exact_prefix(monkeypatch):
+    # the uint64 kernel against the exact one at every index below 2^14,
+    # starting from an empty memo: a first request of a length that is not a
+    # power of two, a smaller request served by the memo, then two grows
+    pytest.importorskip("numpy")
+    monkeypatch.setattr(f_polys, "_fpow_res", {})
+    for t in (2, 3, 5, 9, -1, -2, -3, -6, -8):
+        exact = [v % 2**64 for v in fpow_prefix(t, (1 << 14) - 1)[: 1 << 14]]
+        first = fpow_residues(t, 1000)
+        assert len(first) == 1001 and fpow_residues(t, 999) is first
+        assert first.tolist() == exact[:1001]
+        grown = fpow_residues(t, 6000)
+        assert len(grown) == 6001 and grown.tolist() == exact[:6001]
+        full = fpow_residues(t, (1 << 14) - 1)
+        assert len(full) == 1 << 14 and full.tolist() == exact
+        assert not full.flags.writeable
+        with pytest.raises(ValueError):
+            full[0] = 0
+
+
+def test_fpow_residues_need_numpy(monkeypatch):
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    assert fpow_residues(2, 16) is None
 
 
 def test_fact_poly_format():

@@ -1,8 +1,10 @@
 import json
+import sys
 
 import pytest
 
-from ptmpow.campaigns import CAMPAIGNS, exit_code_for, run_campaign
+from ptmpow import campaigns
+from ptmpow.campaigns import CAMPAIGNS, CampaignSpec, exit_code_for, run_campaign, run_spec
 from ptmpow.cli import main
 from ptmpow.seqcache import CacheError, cache_load, cache_store
 from ptmpow.bm_sequences import bm
@@ -53,6 +55,105 @@ def test_t5_witness_would_replay():
     rep = run_campaign("t5-valuation", bounds={"n": 1 << 9})
     assert rep.status == "verified-to-bound"
     assert rep.bounds == {"n": 1 << 9}
+
+
+# ---------------------------------------------------------------------------
+# the residue backend
+
+RESIDUE_CAMPAIGNS = ("t5-valuation", "t9-valuation", "t2k1-valuation-table",
+                     "b-pow2-congruence", "b-pow2m1-congruence", "t-zero-m4plus")
+
+
+def _plant(monkeypatch, t, index, value):
+    """Make both kernels, as the campaigns see them, hold `value` at f_index(t)."""
+    exact, residues = campaigns.fpow_prefix, campaigns.fpow_residues
+
+    def planted_prefix(s, n):
+        vals = exact(s, max(n, index))
+        if s == t:
+            vals = list(vals)
+            vals[index] = value
+        return vals
+
+    def planted_residues(s, n):
+        res = residues(s, max(n, index))
+        if s == t:
+            res = res.copy()
+            res[index] = value % 2**64
+        return res
+
+    monkeypatch.setattr(campaigns, "fpow_prefix", planted_prefix)
+    monkeypatch.setattr(campaigns, "fpow_residues", planted_residues)
+
+
+def test_residue_campaigns_are_exactly_the_residue_set():
+    assert sorted(n for n, c in CAMPAIGNS.items() if c.residue_runner) == sorted(RESIDUE_CAMPAIGNS)
+
+
+@pytest.mark.parametrize("name", RESIDUE_CAMPAIGNS)
+def test_residue_campaigns_print_the_exact_stdout(capsys, monkeypatch, name):
+    # bounds that are not powers of two; b-pow2m1 fails at this bound, so its
+    # witness lists are compared too
+    pytest.importorskip("numpy")
+    bound = "1000" if "index" in CAMPAIGNS[name].defaults else "200"
+    rc, fast, err = run_cli(capsys, "verify", name, "--bound", bound)
+    assert "(backend residue, 0 fallbacks)" in err
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    rc_exact, exact, err = run_cli(capsys, "verify", name, "--bound", bound)
+    assert "(backend exact, 0 fallbacks)" in err
+    assert (rc, fast) == (rc_exact, exact)
+
+
+# (campaign, bounds, t, index): a value of F(x)^t that the campaign reads;
+# index 0 of t_5 sets the t2k1 table entry of class 0
+PLANT_SITES = (
+    ("t5-valuation", {"n": 64}, 5, 13),
+    ("t9-valuation", {"n": 64}, 9, 43),
+    ("t2k1-valuation-table", {"n": 64}, 5, 0),
+    ("b-pow2-congruence", {"index": 1024}, -2, 64),
+    ("b-pow2m1-congruence", {"index": 1024}, -1, 64),
+    ("t-zero-m4plus", {"n": 256}, 4, 100),
+)
+
+
+@pytest.mark.parametrize("value", [0, 2**70, 6], ids=["zero", "2^70", "six"])
+@pytest.mark.parametrize("name,bounds,t,index", PLANT_SITES,
+                         ids=[site[0] for site in PLANT_SITES])
+def test_planted_values_give_the_exact_verdict(monkeypatch, name, bounds, t, index, value):
+    # 0 and 2^70 both leave a residue of 0, the only route to the exact
+    # fallback; 6 has valuation 1 where none of the valuation claims expects it
+    pytest.importorskip("numpy")
+    camp = CAMPAIGNS[name]
+    clean = camp.runner(dict(bounds))
+    _plant(monkeypatch, t, index, value)
+    want = camp.runner(dict(bounds))
+    status, witness, fallbacks = camp.residue_runner(dict(bounds))
+    assert (status, witness) == want
+    congruence = "index" in bounds
+    assert fallbacks == (value % 2**64 == 0 and not congruence)
+    # the plant changes the verdict, except where t-zero meets a nonzero value
+    assert (want == clean) == (name == "t-zero-m4plus" and value != 0)
+
+
+def test_run_spec_records_backend_and_fallbacks(monkeypatch, tmp_path):
+    pytest.importorskip("numpy")
+    path = str(tmp_path / "reports.jsonl")
+    for name in ("t9-valuation", "b-turan-m4plus"):
+        rep = run_spec(CampaignSpec(name, {"n": 32}, output_path=path))
+        assert not {"backend", "fallbacks"} & set(rep.payload())
+    with monkeypatch.context() as patch:
+        _plant(patch, 4, 20, 2**70)
+        rep = run_spec(CampaignSpec("t-zero-m4plus", {"n": 32}, output_path=path))
+        assert rep.status == "verified-to-bound"
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    run_spec(CampaignSpec("t9-valuation", {"n": 32}, output_path=path))
+    records = [json.loads(line) for line in open(path)]
+    assert [(r["name"], r["backend"], r["fallbacks"]) for r in records] == [
+        ("t9-valuation", "residue", 0),
+        ("b-turan-m4plus", "exact", 0),
+        ("t-zero-m4plus", "residue", 1),
+        ("t9-valuation", "exact", 0),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +263,11 @@ def test_cli_val(capsys):
     rc, out, _ = run_cli(capsys, "val", "b1", "--bound", "64")
     assert rc == 0
     assert_usage_error("val", "b1", "--bound", "-5")
+    # 2^k needs k >= 0 and b_(2^k - 1) needs k >= 1; the message names --k
+    assert_usage_error("val", "t-pow2", "--k", "-1", "--bound", "4")
+    assert "--k >= 0" in capsys.readouterr().err
+    assert_usage_error("val", "b-pow2m1", "--k", "0", "--bound", "4")
+    assert "--k >= 1" in capsys.readouterr().err
 
 
 def test_cli_search(capsys):
@@ -192,6 +298,13 @@ def test_cli_verify_exit_codes(capsys, tmp_path):
     assert_usage_error("verify", "t5-valuation", "--bound", "-5")
     assert_usage_error("verify", "b2-valuation-list", "--bound", "-1")
     assert capsys.readouterr().out == ""
+
+
+def test_cli_verify_bound_sets_only_size_keys(capsys):
+    rc, out, _ = run_cli(capsys, "verify", "t-regularity", "--bound", "8")
+    assert rc == 3 and json.loads(out)["bounds"] == {"n": 8, "depth": 5}
+    rc, out, _ = run_cli(capsys, "verify", "t-missing-values", "--bound", "64")
+    assert rc == 3 and json.loads(out)["bounds"] == {"n": 64, "span": 50}
 
 
 def test_cli_verify_rejects_removed_options(capsys, tmp_path):
