@@ -13,6 +13,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 from .core_arith import nu2
 from .bm_sequences import b2_valuation_table_suite
@@ -40,13 +41,11 @@ class CampaignReport:
     status: str
     witness: dict
     wall_ms: int
-    # "residue" when the checks ran on values mod 2^64, else "exact";
-    # fallbacks counts the indices settled exactly because their residue was 0
+    # "residue" when the checks ran on values mod 2^64, else "exact"
     backend: str = "exact"
-    fallbacks: int = 0
 
     def payload(self) -> dict:
-        """Deterministic part (no wall time, backend or fallbacks), for golden
+        """Deterministic part (no wall time or backend), for golden
         output.  The `theorem` tag is the claim text from the traceability
         matrix."""
         return {
@@ -71,33 +70,35 @@ def _nu2_or_none(v: int):
     return None if v == 0 else nu2(v)
 
 
-def _run_t5_valuation(bounds):
+def _valuation_verdict(m, width, extra, fail):
+    """The verdict of a valuation claim on f_i(m), i = width*n + j, from its
+    first failing (i, expected, actual), or None; `extra` adds witness keys
+    from i."""
+    if fail is None:
+        return VERIFIED, {}
+    i, expect, got = fail
+    return OBSERVATION, {"failing": {"m": m, "n": i // width, "j": i % width, **extra(i),
+                                     "expected": expect, "actual": got}}
+
+
+def _run_valuation(m, width, expect_of, extra, bounds):
+    """Check nu2(f_(width*n + j)(m)) = expect_of(nu2(n + 1)) for n <= bounds["n"]."""
     n_max = bounds["n"]
-    vals = fpow_prefix(5, 4 * n_max + 3)
+    vals = fpow_prefix(m, width * n_max + width - 1)
     for n in range(n_max + 1):
-        v = nu2(n + 1)
-        expect = 4 * _ceil_half(v) - (v % 2)
-        for j in range(4):
-            got = _nu2_or_none(vals[4 * n + j])
+        expect = expect_of(nu2(n + 1))
+        for j in range(width):
+            got = _nu2_or_none(vals[width * n + j])
             if got != expect:
-                return OBSERVATION, {"failing": {"m": 5, "n": n, "j": j, "expected": expect,
-                                                 "actual": got}}
+                return _valuation_verdict(m, width, extra, (width * n + j, expect, got))
     return VERIFIED, {}
 
 
-def _run_t9_valuation(bounds):
-    n_max = bounds["n"]
-    vals = fpow_prefix(9, 8 * n_max + 7)
-    for n in range(n_max + 1):
-        v = nu2(n + 1)
-        expect = 5 * _ceil_half(v) - 2 * (v % 2)
-        for j in range(8):
-            got = _nu2_or_none(vals[8 * n + j])
-            if got != expect:
-                return OBSERVATION, {"failing": {"m": 9, "n": n, "j": j,
-                                                 "residue_class": (8 * n + j) % 64,
-                                                 "expected": expect, "actual": got}}
-    return VERIFIED, {}
+# (m, width, expect_of, extra) of t5-valuation and t9-valuation; expect_of
+# takes an int or an int64 array
+_T5_VALUATION = (5, 4, lambda v: 4 * _ceil_half(v) - v % 2, lambda i: {})
+_T9_VALUATION = (9, 8, lambda v: 5 * _ceil_half(v) - 2 * (v % 2),
+                 lambda i: {"residue_class": i % 64})
 
 
 def _run_t2k1_table(bounds):
@@ -323,11 +324,13 @@ def _run_t2_symmetry(bounds):
 
 # ---------------------------------------------------------------------------
 # residue runners: the same checks on values mod 2^64 (`fpow_residues`).
-# Each returns (status, witness, fallbacks), or None when numpy is missing,
-# in which case the exact runner above runs instead.  A residue of 0 leaves
-# nu2 >= 64 or a zero value open, so such an index is settled by
-# `fpow_prefix` and counted as a fallback; the first failure in loop order
-# is the exact runner's witness.
+# Each returns the exact runner's (status, witness) from whole-array
+# operations, or None, in which case run_campaign runs the exact runner for
+# the whole campaign: when numpy is missing, or when a residue whose nu2 is
+# taken or that is tested for zero is 0 (a zero value or nu2 >= 64).  Any
+# exact settling of such an index would build the exact prefix up to it, so
+# declining costs no more.  A masked congruence difference is exact, so the
+# congruence runners never decline.
 
 
 def _nu2_residues(r):
@@ -344,94 +347,44 @@ def _nu2_classes(n_max):
     return _nu2_residues(np.arange(1, n_max + 2, dtype=np.uint64)).astype(np.int64)
 
 
-def _res_valuation(t, width, n_max, expect_of):
-    """The first (n, j, expected, actual) at which nu2(f_(width*n + j)(t))
-    differs from expect_of(nu2(n + 1)), or None, and the fallback count."""
-    size = width * (n_max + 1)
-    res = fpow_residues(t, size - 1)
-    if res is None:
+def _res_valuation(m, width, expect_of, extra, bounds):
+    """`_run_valuation` on residues."""
+    size = width * (bounds["n"] + 1)
+    res = fpow_residues(m, size - 1)
+    if res is None or not res[:size].all():
         return None
-    res = res[:size]
-    expect = expect_of(_nu2_classes(n_max)).repeat(width)
-    got = _nu2_residues(res)
-    zero = res == 0
-    fallbacks = 0
-    for i in map(int, ((got != expect) | zero).nonzero()[0]):
-        actual = int(got[i])
-        if zero[i]:
-            fallbacks += 1
-            actual = _nu2_or_none(fpow_prefix(t, i)[i])
-            if actual == expect[i]:
-                continue
-        return (i // width, i % width, int(expect[i]), actual), fallbacks
-    return None, fallbacks
-
-
-def _res_t5_valuation(bounds):
-    out = _res_valuation(5, 4, bounds["n"], lambda v: 4 * _ceil_half(v) - v % 2)
-    if out is None:
-        return None
-    fail, fallbacks = out
-    if fail:
-        n, j, expect, got = fail
-        return OBSERVATION, {"failing": {"m": 5, "n": n, "j": j, "expected": expect,
-                                         "actual": got}}, fallbacks
-    return VERIFIED, {}, fallbacks
-
-
-def _res_t9_valuation(bounds):
-    out = _res_valuation(9, 8, bounds["n"], lambda v: 5 * _ceil_half(v) - 2 * (v % 2))
-    if out is None:
-        return None
-    fail, fallbacks = out
-    if fail:
-        n, j, expect, got = fail
-        return OBSERVATION, {"failing": {"m": 9, "n": n, "j": j,
-                                         "residue_class": (8 * n + j) % 64,
-                                         "expected": expect, "actual": got}}, fallbacks
-    return VERIFIED, {}, fallbacks
+    expect = expect_of(_nu2_classes(bounds["n"])).repeat(width)
+    got = _nu2_residues(res[:size])
+    bad = got != expect
+    i = int(bad.argmax())
+    fail = (i, int(expect[i]), int(got[i])) if bad[i] else None
+    return _valuation_verdict(m, width, extra, fail)
 
 
 def _res_t2k1_table(bounds):
     n_max = bounds["n"]
     out = {}
-    fallbacks = 0
     for k in (2, 3):
-        m = (1 << k) + 1
         size = (n_max + 1) << k
-        res = fpow_residues(m, size - 1)
-        if res is None:
+        res = fpow_residues((1 << k) + 1, size - 1)
+        if res is None or not res[:size].all():
             return None
-        res = res[:size]
-        # got[i] = nu2 at index i, -1 for a zero value; undecided marks the
-        # residues of 0 not yet settled exactly
-        got = _nu2_residues(res).astype("int64")
-        undecided = res == 0
+        got = _nu2_residues(res[:size])
         cls = _nu2_classes(n_max).repeat(1 << k)
         # class v first occurs at n = 2^v - 1, j = 0
-        first = [((1 << v) - 1) << k for v in range(int(cls.max()) + 1)]
-        while True:
-            table = got[first]
-            bad = (got != table[cls]) | undecided
-            i = int(bad.argmax())
-            if not bad[i]:
-                break
-            if undecided[i]:
-                fallbacks += 1
-                undecided[i] = False
-                exact = _nu2_or_none(fpow_prefix(m, i)[i])
-                got[i] = -1 if exact is None else exact
-                continue
+        table = got[[((1 << v) - 1) << k for v in range(int(cls.max()) + 1)]]
+        bad = got != table[cls]
+        i = int(bad.argmax())
+        if bad[i]:
             v = int(cls[i])
             return OBSERVATION, {"k": k, "n": i >> k, "j": i & ((1 << k) - 1),
                                  "conflict_class": v,
-                                 "values": [None if a < 0 else int(a)
-                                            for a in (table[v], got[i])]}, fallbacks
-        fitted = [None if a < 0 else a for a in table.tolist()]
+                                 "values": [int(table[v]), int(got[i])]}
+        fitted = table.tolist()
         if fitted[0] != 0 or any(a >= b for a, b in zip(fitted, fitted[1:])):
-            return OBSERVATION, {"k": k, "table_not_strictly_increasing": fitted}, fallbacks
+            return OBSERVATION, {"k": k, "table_not_strictly_increasing": fitted}
         out[f"A_{k}"] = fitted
-    return VERIFIED, out, fallbacks
+    return VERIFIED, out
 
 
 def _congruence_failures(seq, idx_max, k, mod):
@@ -452,9 +405,8 @@ def _res_b_pow2_congruence(bounds):
         for k in range(m + 2, m + 5):
             bad = _congruence_failures(seq, idx_max, k, 1 << k)
             if bad.any():
-                return OBSERVATION, {"failing": {"m": m, "k": k,
-                                                 "n": int(bad.argmax())}}, 0
-    return VERIFIED, {}, 0
+                return OBSERVATION, {"failing": {"m": m, "k": k, "n": int(bad.argmax())}}
+    return VERIFIED, {}
 
 
 def _res_b_pow2m1_congruence(bounds):
@@ -473,23 +425,18 @@ def _res_b_pow2m1_congruence(bounds):
             else:
                 verified.append({"m": m, "k": k})
     if failures:
-        return OBSERVATION, {"failing": failures, "verified_for": verified}, 0
-    return VERIFIED, {}, 0
+        return OBSERVATION, {"failing": failures, "verified_for": verified}
+    return VERIFIED, {}
 
 
 def _res_t_zero_m4plus(bounds):
+    # a nonzero residue proves a nonzero value
     n_max = bounds["n"]
-    fallbacks = 0
     for m in range(4, 9):
         res = fpow_residues(m, n_max)
-        if res is None:
+        if res is None or not res[1 : n_max + 1].all():
             return None
-        # a nonzero residue proves a nonzero value
-        for n in map(int, (res[1 : n_max + 1] == 0).nonzero()[0] + 1):
-            fallbacks += 1
-            if fpow_prefix(m, n)[n] == 0:
-                return OBSERVATION, {"zero_found": {"m": m, "n": n}}, fallbacks
-    return VERIFIED, {}, fallbacks
+    return VERIFIED, {}
 
 
 # ---------------------------------------------------------------------------
@@ -516,11 +463,13 @@ def _register(name, kind, claim, defaults, runner, residue_runner=None):
 _register(
     "t5-valuation", "conjecture",
     "nu2(t_5(4n+j)) = 4*ceil(nu2(n+1)/2) - (nu2(n+1) mod 2) for j in 0..3",
-    {"n": 1 << 12}, _run_t5_valuation, _res_t5_valuation)
+    {"n": 1 << 12}, partial(_run_valuation, *_T5_VALUATION),
+    partial(_res_valuation, *_T5_VALUATION))
 _register(
     "t9-valuation", "conjecture",
     "nu2(t_9(8n+j)) = 5*ceil(nu2(n+1)/2) - 2*(nu2(n+1) mod 2) for j in 0..7",
-    {"n": 1 << 12}, _run_t9_valuation, _res_t9_valuation)
+    {"n": 1 << 12}, partial(_run_valuation, *_T9_VALUATION),
+    partial(_res_valuation, *_T9_VALUATION))
 _register(
     "t2k1-valuation-table", "conjecture",
     "nu2(t_{2^k+1}(2^k n + j)) = A_{k, nu2(n+1)} for a strictly increasing "
@@ -598,18 +547,16 @@ def run_campaign(name: str, bounds: dict | None = None) -> CampaignReport:
     if bounds:
         eff.update(bounds)
     t0 = time.monotonic()
-    backend, fallbacks = "exact", 0
-    fast = camp.residue_runner(eff) if camp.residue_runner else None
-    if fast is None:
-        status, witness = camp.runner(eff)
-    else:
-        status, witness, fallbacks = fast
-        backend = "residue"
+    backend = "residue"
+    verdict = camp.residue_runner(eff) if camp.residue_runner else None
+    if verdict is None:
+        backend, verdict = "exact", camp.runner(eff)
+    status, witness = verdict
     wall_ms = int((time.monotonic() - t0) * 1000)
     if camp.kind != "theorem" and status == COUNTEREXAMPLE:
         status = OBSERVATION  # conjecture campaigns never hard-fail
     return CampaignReport(name, camp.kind, camp.claim, eff, status, witness, wall_ms,
-                          backend, fallbacks)
+                          backend)
 
 
 def run_spec(spec: CampaignSpec) -> CampaignReport:
@@ -619,8 +566,7 @@ def run_spec(spec: CampaignSpec) -> CampaignReport:
         import json
 
         record = dict(report.payload())
-        record.update(wall_ms=report.wall_ms, backend=report.backend,
-                      fallbacks=report.fallbacks)
+        record.update(wall_ms=report.wall_ms, backend=report.backend)
         with open(spec.output_path, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
     return report

@@ -23,7 +23,7 @@ from .campaigns import CAMPAIGNS, CampaignSpec, exit_code_for, run_spec
 from .core_arith import INFINITE, nu2
 from .bm_sequences import h_export, h_poly, v2_b1_churchhouse, v2_b2k1_closed
 from .f_polys import fpow_prefix, shared_fseries, w_poly
-from .seqcache import CacheError, cache_load, cache_path, cache_store
+from .seqcache import CacheError, cache_load, cache_store
 from .tm_sequences import ValuationReport, t2_solve, v2_t2k_closed, v2_t3_closed
 
 
@@ -156,7 +156,7 @@ def _cmd_verify(args) -> int:
     report = run_spec(spec)
     print(_jdump(report.payload()))
     print(f"{report.name}: {report.status} in {report.wall_ms} ms "
-          f"(backend {report.backend}, {report.fallbacks} fallbacks)", file=sys.stderr)
+          f"(backend {report.backend})", file=sys.stderr)
     return exit_code_for(report)
 
 
@@ -171,14 +171,13 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_cache(args) -> int:
+    path = args.path or f"./{args.family}_{args.m}.seq"
     if args.action == "store":
         values = _family_prefix(args.family, args.m, args.bound)[: args.bound + 1]
-        path = args.path or cache_path(args.cache_dir or ".", args.family, args.m)
         cache_store(args.family, args.m, values, path)
         print(_jdump({"path": path, "family": args.family, "m": args.m,
                       "count": len(values)}))
         return 0
-    path = args.path or cache_path(args.cache_dir or ".", args.family, args.m)
     family, m, values = cache_load(path)
     if (family, m) != (args.family, args.m):
         print(f"error: {path} holds {family}_{m}, not {args.family}_{args.m}",
@@ -230,24 +229,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("family", choices=["t", "b"])
     p.add_argument("m", type=int)
     p.add_argument("--bound", type=nonnegative_int, default=None)
-    p.add_argument("--path", default=None)
-    p.add_argument("--cache-dir", default=None)
+    p.add_argument("--path", default=None, help="default ./FAMILY_M.seq")
     p.set_defaults(fn=_cmd_cache)
 
     return ap
 
 
-# the least --k each val family accepts: t-pow2 reads t_(2^k), b-pow2m1 reads
-# b_(2^k - 1), and there is no b_0
-_VAL_MIN_K = {"t-pow2": 0, "b-pow2m1": 1}
+# the --k range of each val family: t-pow2 reads t_(2^k), b-pow2m1 reads
+# b_(2^k - 1), and there is no b_0; the kernel for F(x)^(±2^k) keeps a
+# 2^k-entry carry list and runs 2^k passes per block, so k stops at 20
+_VAL_K_RANGE = {"t-pow2": (0, 20), "b-pow2m1": (1, 20)}
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    least = _VAL_MIN_K.get(args.family) if args.command == "val" else None
-    if least is not None and args.k < least:
-        parser.error(f"val {args.family} requires --k >= {least}, got {args.k}")
+    k_range = _VAL_K_RANGE.get(args.family) if args.command == "val" else None
+    if k_range and not k_range[0] <= args.k <= k_range[1]:
+        parser.error(f"val {args.family} requires --k >= {k_range[0]} and "
+                     f"--k <= {k_range[1]}, got {args.k}")
     if args.command == "cache" and args.action == "store" and args.bound is None:
         print("cache store requires --bound", file=sys.stderr)
         return 2

@@ -7,7 +7,6 @@ taken over the body bytes, so corruption anywhere is caught on load.
 
 from __future__ import annotations
 
-import os
 import zlib
 
 _MAGIC = "ptmpow"
@@ -16,10 +15,6 @@ _VERSION = "v1"
 
 class CacheError(ValueError):
     """Raised on version, structure, or checksum mismatch."""
-
-
-def cache_path(cache_dir: str, family: str, m: int) -> str:
-    return os.path.join(cache_dir, f"{family}_{m}.seq")
 
 
 def cache_store(family: str, m: int, values: list[int], path: str) -> None:

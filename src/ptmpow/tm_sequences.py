@@ -252,37 +252,33 @@ def _shift_family_member(n: int) -> int | None:
     return 16 * q + {4: 4, 6: 6, 0: 8, 2: 10}[r]
 
 
-def t2_solve_many(targets, node_budget: int = 1 << 18) -> dict[int, SolveResult]:
-    """Least n with t_2(n) = target for each target, by a single row-major
-    walk of the pair tree; falls back to a plain sweep past the budget.
+def t2_solve_many(targets) -> dict[int, SolveResult]:
+    """Least n with t_2(n) = target for each target, by scanning the kernel
+    prefix fpow_prefix(2, N) with N doubling up to 2^23.
 
-    Empirically every |target| <= 500 is hit by n <= 21698, so the budget is
-    a safety valve, not a working limit; the walk's queue holds about one
-    tree level (node_budget nodes at worst).
+    Empirically every |target| <= 500 is hit by n <= 21698, so the cap is a
+    safety valve, not a working limit.
     """
     want = set(targets)
     if 0 in want:
         raise ValueError("t_2 never vanishes; target 0 is unsolvable")
     found: dict[int, SolveResult] = {}
-    for i, (_, second) in enumerate(pair_tree_rowmajor(node_budget)):
-        if second in want and second not in found:
-            found[second] = SolveResult(second, i, _shift_family_member(i))
-            if len(found) == len(want):
-                return found
-    n = node_budget
-    hard_cap = 1 << 23
-    while len(found) < len(want) and n < hard_cap:
-        v = t2(n)
-        if v in want and v not in found:
-            found[v] = SolveResult(v, n, _shift_family_member(n))
-        n += 1
-    if len(found) < len(want):
-        raise RuntimeError(f"targets {sorted(want - set(found))} not found below {hard_cap}")
-    return found
+    lo, hi, hard_cap = 0, 1 << 12, 1 << 23
+    while True:
+        vals = fpow_prefix(2, hi - 1)
+        for n in range(lo, hi):
+            v = vals[n]
+            if v in want and v not in found:
+                found[v] = SolveResult(v, n, _shift_family_member(n))
+                if len(found) == len(want):
+                    return found
+        if hi == hard_cap:
+            raise RuntimeError(f"targets {sorted(want - set(found))} not found below {hard_cap}")
+        lo, hi = hi, 2 * hi
 
 
-def t2_solve(target: int, node_budget: int = 1 << 18) -> SolveResult:
-    res = t2_solve_many([target], node_budget)[target]
+def t2_solve(target: int) -> SolveResult:
+    res = t2_solve_many([target])[target]
     if res.shifted_instance is not None and t2(res.shifted_instance) != target:
         raise ArithmeticError(f"shifted instance failed for n={res.n}")
     return res

@@ -1,5 +1,8 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -97,10 +100,10 @@ def test_residue_campaigns_print_the_exact_stdout(capsys, monkeypatch, name):
     pytest.importorskip("numpy")
     bound = "1000" if "index" in CAMPAIGNS[name].defaults else "200"
     rc, fast, err = run_cli(capsys, "verify", name, "--bound", bound)
-    assert "(backend residue, 0 fallbacks)" in err
+    assert err.endswith("(backend residue)\n")
     monkeypatch.setitem(sys.modules, "numpy", None)
     rc_exact, exact, err = run_cli(capsys, "verify", name, "--bound", bound)
-    assert "(backend exact, 0 fallbacks)" in err
+    assert err.endswith("(backend exact)\n")
     assert (rc, fast) == (rc_exact, exact)
 
 
@@ -120,27 +123,30 @@ PLANT_SITES = (
 @pytest.mark.parametrize("name,bounds,t,index", PLANT_SITES,
                          ids=[site[0] for site in PLANT_SITES])
 def test_planted_values_give_the_exact_verdict(monkeypatch, name, bounds, t, index, value):
-    # 0 and 2^70 both leave a residue of 0, the only route to the exact
-    # fallback; 6 has valuation 1 where none of the valuation claims expects it
+    # 0 and 2^70 both leave a residue of 0, on which a valuation or zero claim
+    # declines and a congruence (a masked difference) does not; 6 has
+    # valuation 1 where none of the valuation claims expects it
     pytest.importorskip("numpy")
     camp = CAMPAIGNS[name]
     clean = camp.runner(dict(bounds))
     _plant(monkeypatch, t, index, value)
     want = camp.runner(dict(bounds))
-    status, witness, fallbacks = camp.residue_runner(dict(bounds))
-    assert (status, witness) == want
-    congruence = "index" in bounds
-    assert fallbacks == (value % 2**64 == 0 and not congruence)
+    fast = camp.residue_runner(dict(bounds))
+    declines = value % 2**64 == 0 and "index" not in bounds
+    assert fast == (None if declines else want)
+    rep = run_campaign(name, dict(bounds))
+    assert (rep.status, rep.witness, rep.backend) == (
+        *want, "exact" if declines else "residue")
     # the plant changes the verdict, except where t-zero meets a nonzero value
     assert (want == clean) == (name == "t-zero-m4plus" and value != 0)
 
 
-def test_run_spec_records_backend_and_fallbacks(monkeypatch, tmp_path):
+def test_run_spec_records_backend(monkeypatch, tmp_path):
     pytest.importorskip("numpy")
     path = str(tmp_path / "reports.jsonl")
     for name in ("t9-valuation", "b-turan-m4plus"):
         rep = run_spec(CampaignSpec(name, {"n": 32}, output_path=path))
-        assert not {"backend", "fallbacks"} & set(rep.payload())
+        assert "backend" not in rep.payload()
     with monkeypatch.context() as patch:
         _plant(patch, 4, 20, 2**70)
         rep = run_spec(CampaignSpec("t-zero-m4plus", {"n": 32}, output_path=path))
@@ -148,12 +154,13 @@ def test_run_spec_records_backend_and_fallbacks(monkeypatch, tmp_path):
     monkeypatch.setitem(sys.modules, "numpy", None)
     run_spec(CampaignSpec("t9-valuation", {"n": 32}, output_path=path))
     records = [json.loads(line) for line in open(path)]
-    assert [(r["name"], r["backend"], r["fallbacks"]) for r in records] == [
-        ("t9-valuation", "residue", 0),
-        ("b-turan-m4plus", "exact", 0),
-        ("t-zero-m4plus", "residue", 1),
-        ("t9-valuation", "exact", 0),
+    assert [(r["name"], r["backend"]) for r in records] == [
+        ("t9-valuation", "residue"),
+        ("b-turan-m4plus", "exact"),
+        ("t-zero-m4plus", "exact"),
+        ("t9-valuation", "exact"),
     ]
+    assert not any("fallbacks" in r for r in records)
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +275,10 @@ def test_cli_val(capsys):
     assert "--k >= 0" in capsys.readouterr().err
     assert_usage_error("val", "b-pow2m1", "--k", "0", "--bound", "4")
     assert "--k >= 1" in capsys.readouterr().err
+    # F(x)^(2^k) runs 2^k passes per block, so both stop at k = 20
+    for family in ("t-pow2", "b-pow2m1"):
+        assert_usage_error("val", family, "--k", "21", "--bound", "4")
+        assert "--k <= 20" in capsys.readouterr().err
 
 
 def test_cli_search(capsys):
@@ -309,19 +320,19 @@ def test_cli_verify_bound_sets_only_size_keys(capsys):
 
 def test_cli_verify_rejects_removed_options(capsys, tmp_path):
     for extra in (["--jobs", "2"], ["--cache-dir", str(tmp_path)]):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "t5-valuation", *extra])
-        assert exc.value.code == 2
+        assert_usage_error("verify", "t5-valuation", *extra)
+    assert_usage_error("cache", "store", "t", "2", "--bound", "4", "--cache-dir", str(tmp_path))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_cache_roundtrip(capsys, tmp_path):
-    d = str(tmp_path)
+    seq = str(tmp_path / "t_2.seq")
     rc, out, _ = run_cli(capsys, "cache", "store", "t", "2", "--bound", "512",
-                         "--cache-dir", d)
+                         "--path", seq)
     assert rc == 0 and json.loads(out)["count"] == 513
-    rc, out, _ = run_cli(capsys, "cache", "load", "t", "2", "--cache-dir", d)
+    rc, out, _ = run_cli(capsys, "cache", "load", "t", "2", "--path", seq)
     assert rc == 0 and json.loads(out)["m"] == 2
-    rc, _, _ = run_cli(capsys, "cache", "store", "t", "2", "--cache-dir", d)
+    rc, _, _ = run_cli(capsys, "cache", "store", "t", "2", "--path", seq)
     assert rc == 2  # missing --bound
     path = tmp_path / "negative.seq"
     assert_usage_error("cache", "store", "t", "2", "--bound", "-1", "--path", str(path))
@@ -337,6 +348,15 @@ def test_cli_cache_load_rejects_other_sequence(capsys, tmp_path):
         assert rc == 2 and out == "" and "b_6" in err
     rc, out, _ = run_cli(capsys, "cache", "load", "b", "6", "--path", path)
     assert rc == 0 and json.loads(out)["count"] == 65
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # every CLI start pays for what `import ptmpow.cli` loads; numpy is
+    # imported only when a residue campaign runs
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    subprocess.run([sys.executable, "-c",
+                    "import sys, ptmpow.cli; assert 'numpy' not in sys.modules"],
+                   check=True, env={**os.environ, "PYTHONPATH": src})
 
 
 def test_cli_version(capsys):

@@ -163,8 +163,8 @@ def test_t2_solve():
     res = t2_solve(-7)
     assert t2(res.n) == -7
     assert res.shifted_instance is None or t2(res.shifted_instance) == -7
-    # the sweep fallback kicks in when the walk budget is exhausted
-    assert t2_solve(2, node_budget=4).n == 5
+    # past the first scanned block of 4096 indices
+    assert t2_solve(-321).n == 7106
     with pytest.raises(ValueError):
         t2_solve(0)
 
