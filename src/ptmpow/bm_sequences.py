@@ -7,7 +7,8 @@ production kernel for F(x)^t: F(x)^(-m) = (1-x)^(-m) F(x^2)^(-m), that is m
 running sums of the upsampled prefix.  The independent routes stay here as
 references that the tests compare against it: `b1_euler_prefix` (Euler's
 recurrence), `b1_oracle` (coin change), `bm_alt_prefix` (the half-index
-sums) and `bm_oracle` (the m-fold convolution of Euler's b_1).
+sums) and `bm_oracle` (the m-fold schoolbook convolution of Euler's b_1,
+by `core_arith._mul_schoolbook`).
 
 The h family is pinned down by
 
@@ -25,7 +26,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 
-from .core_arith import IntPoly, binom, convolve, nu2
+from .core_arith import IntPoly, _mul_schoolbook, binom, convolve, nu2
 from .f_polys import fpow_prefix
 from .reports import CheckReport
 from .tm_sequences import ptm
@@ -91,7 +92,7 @@ def bm_oracle(m: int, n: int) -> int:
     base = b1_euler_prefix(n)
     acc = base
     for _ in range(m - 1):
-        acc = [sum(acc[j] * base[i - j] for j in range(i + 1)) for i in range(n + 1)]
+        acc = _mul_schoolbook(acc, base)[: n + 1]
     return acc[n]
 
 

@@ -6,30 +6,26 @@ A campaign never asserts beyond its bound.  Theorem-backed campaigns may
 report `counterexample` (which the CLI turns into a hard failure);
 conjecture and question campaigns only ever report `verified-to-bound` or
 `observation`, recording any witness they find.
+
+`run_campaign` runs one campaign and returns its `CampaignReport`; the CLI
+prints it and appends the `--out` record.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
 from .core_arith import nu2
 from .bm_sequences import b2_valuation_table_suite
 from .f_polys import fpow_prefix, fpow_residues
-from .tm_sequences import t2_symmetry_partner
+from .tm_sequences import t2_partner_index
 
 VERIFIED = "verified-to-bound"
 COUNTEREXAMPLE = "counterexample"
 OBSERVATION = "observation"
-
-
-@dataclass
-class CampaignSpec:
-    name: str
-    bounds: dict[str, int] = field(default_factory=dict)
-    output_path: str | None = None
 
 
 @dataclass
@@ -315,9 +311,8 @@ def _run_t2_symmetry(bounds):
     # |t_2(n)| <= n+1, so the partner shift 2^(nu2+1) stays below 2(n+1)
     vals = fpow_prefix(2, 3 * n_max + 4)
     for n in range(n_max + 1):
-        try:
-            t2_symmetry_partner(n)
-        except ArithmeticError:
+        n2 = t2_partner_index(n, vals[n])
+        if n2 < 0 or vals[n2] != -vals[n]:
             return COUNTEREXAMPLE, {"n": n, "value": vals[n]}
     return VERIFIED, {}
 
@@ -557,19 +552,6 @@ def run_campaign(name: str, bounds: dict | None = None) -> CampaignReport:
         status = OBSERVATION  # conjecture campaigns never hard-fail
     return CampaignReport(name, camp.kind, camp.claim, eff, status, witness, wall_ms,
                           backend)
-
-
-def run_spec(spec: CampaignSpec) -> CampaignReport:
-    """Run from a CampaignSpec, persisting the report when it names a path."""
-    report = run_campaign(spec.name, bounds=spec.bounds)
-    if spec.output_path:
-        import json
-
-        record = dict(report.payload())
-        record.update(wall_ms=report.wall_ms, backend=report.backend)
-        with open(spec.output_path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
-    return report
 
 
 def exit_code_for(report: CampaignReport) -> int:

@@ -8,8 +8,10 @@
     ptmpow cache  {store,load} ...           sequence cache files
 
 Exit codes: 0 all-pass, 1 theorem counterexample, 2 usage/data error,
-3 campaign finished in observation-only mode.  Output on stdout is
-byte-deterministic for fixed (version, arguments); timing goes to stderr.
+3 campaign finished in observation-only mode.  seq and cache take
+|M| <= 2^20, and search exits 2 on a target past its scan cap.  Output on
+stdout is byte-deterministic for fixed (version, arguments); timing goes to
+stderr.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import json
 import sys
 
 from . import __version__
-from .campaigns import CAMPAIGNS, CampaignSpec, exit_code_for, run_spec
+from .campaigns import CAMPAIGNS, exit_code_for, run_campaign
 from .core_arith import INFINITE, nu2
 from .bm_sequences import h_export, h_poly, v2_b1_churchhouse, v2_b2k1_closed
 from .f_polys import fpow_prefix, shared_fseries, w_poly
@@ -49,9 +51,16 @@ def nonnegative_int(text: str) -> int:
     return n
 
 
+# the largest |m| of seq and cache: the kernel for F(x)^(±m) keeps an
+# |m|-entry carry list and runs |m| passes per block
+_FAMILY_M_MAX = 1 << 20
+
+
 def _family_prefix(family: str, m: int, n: int) -> list[int]:
     """The kernel prefix behind a family name: t_m is F^m, b_m is F^(-m),
-    and f-eval at m is F^m for any integer m."""
+    and f-eval at m is F^m for any integer m with |m| <= 2^20."""
+    if abs(m) > _FAMILY_M_MAX:
+        raise ValueError(f"{family} requires |m| <= 2^20, got {m}")
     if family == "f-eval":
         return fpow_prefix(m, n)
     if m < 1:
@@ -152,8 +161,11 @@ def _cmd_verify(args) -> int:
         # override the size keys only, never depth or span
         bounds = {key: args.bound for key in CAMPAIGNS[args.campaign].defaults
                   if key in ("n", "index")}
-    spec = CampaignSpec(args.campaign, bounds=bounds, output_path=args.out)
-    report = run_spec(spec)
+    report = run_campaign(args.campaign, bounds)
+    if args.out:
+        record = dict(report.payload(), wall_ms=report.wall_ms, backend=report.backend)
+        with open(args.out, "a", encoding="utf-8") as fh:
+            fh.write(_jdump(record) + "\n")
     print(_jdump(report.payload()))
     print(f"{report.name}: {report.status} in {report.wall_ms} ms "
           f"(backend {report.backend})", file=sys.stderr)
@@ -236,9 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # the --k range of each val family: t-pow2 reads t_(2^k), b-pow2m1 reads
-# b_(2^k - 1), and there is no b_0; the kernel for F(x)^(±2^k) keeps a
-# 2^k-entry carry list and runs 2^k passes per block, so k stops at 20
-_VAL_K_RANGE = {"t-pow2": (0, 20), "b-pow2m1": (1, 20)}
+# b_(2^k - 1), and there is no b_0; 2^k stays within _FAMILY_M_MAX
+_VAL_K_MAX = _FAMILY_M_MAX.bit_length() - 1
+_VAL_K_RANGE = {"t-pow2": (0, _VAL_K_MAX), "b-pow2m1": (1, _VAL_K_MAX)}
 
 
 def main(argv=None) -> int:

@@ -8,7 +8,6 @@ No floating point: every operation is over Python big integers.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +91,7 @@ INFINITE = _InfiniteValuation()
 
 
 def _mul_schoolbook(a, b):
+    # the reference multiply, independent of convolve; skips the zeros of a
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
@@ -227,12 +227,6 @@ class IntPoly:
             e >>= 1
         return out
 
-    def shift(self, k: int) -> "IntPoly":
-        """Multiply by x^k."""
-        if self.is_zero():
-            return self
-        return IntPoly((0,) * k + self.coeffs)
-
     def evaluate(self, v):
         """Horner evaluation; v may be an int or a Fraction."""
         acc = 0
@@ -278,12 +272,6 @@ class IntPoly:
         if any(rem):
             raise ArithmeticError("not divisible (nonzero remainder)")
         return IntPoly(quot)
-
-    def content_nu2(self) -> int:
-        """Largest e with 2^e dividing every coefficient (zero poly rejected)."""
-        if self.is_zero():
-            raise ValueError("content of the zero polynomial")
-        return min(nu2(c) for c in self.coeffs if c != 0)
 
     def format(self, var: str = "x") -> str:
         """Render per the documented grammar: terms in increasing degree joined
@@ -335,8 +323,3 @@ def base4_digits_0136(n: int) -> list[int]:
 def base4_value_0136(digits) -> int:
     """Inverse of base4_digits_0136: sum 4^j a_j."""
     return sum(d << (2 * j) for j, d in enumerate(digits))
-
-
-def rational(num: int, den: int) -> Fraction:
-    """Exact rational in lowest terms."""
-    return Fraction(num, den)

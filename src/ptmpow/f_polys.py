@@ -7,7 +7,10 @@ Three equivalent recurrences are implemented and cross-validated:
   (alt 2)           f_n(t) = sum_{k<=n/2} C(n-2k-1-t, n-2k) f_k(t)
 
 All polynomial arithmetic happens on the integer companion g_n = n! * f_n,
-so no rational polynomial arithmetic is needed anywhere.
+so no rational polynomial arithmetic is needed anywhere.  `FSeries` holds
+the g_n; `w_poly` reads the coefficients a(i, n) = g_n[i] / n! off it.
+`CoeffTable` builds the same a(i, n) by their own recurrence and is kept as
+a reference for the tests.
 
 The values f_n(t) at one integer t come from `fpow_prefix`, which uses the
 product form F(x)^t = (1-x)^t F(x^2)^t instead of the polynomials;
@@ -22,7 +25,7 @@ from fractions import Fraction
 from itertools import accumulate, chain
 from operator import sub
 
-from .core_arith import IntPoly, nu2, rational
+from .core_arith import IntPoly, _mul_schoolbook, nu2
 from .reports import CheckReport
 
 
@@ -43,19 +46,10 @@ class FactPoly:
     fact_index: int
 
     def coefficient(self, i: int) -> Fraction:
-        return rational(self.num[i], math.factorial(self.fact_index))
-
-    def coefficients(self) -> tuple[Fraction, ...]:
-        d = math.factorial(self.fact_index)
-        return tuple(rational(c, d) for c in self.num.coeffs)
+        return Fraction(self.num[i], math.factorial(self.fact_index))
 
     def evaluate(self, v) -> Fraction:
-        return rational(1, math.factorial(self.fact_index)) * self.num.evaluate(v)
-
-    def same_polynomial(self, other: "FactPoly") -> bool:
-        a = self.num * math.factorial(other.fact_index)
-        b = other.num * math.factorial(self.fact_index)
-        return a == b
+        return Fraction(self.num.evaluate(v), math.factorial(self.fact_index))
 
     def format(self, var: str = "t") -> str:
         return f"({self.num.format(var)})/{self.fact_index}!"
@@ -191,10 +185,6 @@ def fpow_residues(t: int, n: int):
     return res
 
 
-def f_poly(n: int, series: FSeries | None = None) -> FactPoly:
-    return (series or _shared).f(n)
-
-
 def _rising_factorials(j_max: int) -> list[IntPoly]:
     # R_j(t) = t(t+1)...(t+j-1), with R_0 = 1; C(t+j-1, j) = R_j / j!
     out = [IntPoly.one()]
@@ -259,7 +249,8 @@ def f_poly_alt2(n: int) -> FactPoly:
 
 class CoeffTable:
     """a(i, n): the t^i coefficient of f_n(t), built by the coefficient
-    recurrence rather than read off g_n (the two routes cross-check):
+    recurrence rather than read off g_n; a reference that the tests compare
+    against FSeries:
 
         a(i+1, n) = (1/n) sum_{j=i}^{n-1} (1 - 2^(nu2(n-j)+1)) a(i, j)
     """
@@ -280,13 +271,6 @@ class CoeffTable:
             v = s / n
         self._a[key] = v
         return v
-
-
-_shared_table = CoeffTable()
-
-
-def coeff_a(i: int, n: int, table: CoeffTable | None = None) -> Fraction:
-    return (table or _shared_table).a(i, n)
 
 
 def _lagrange_int_poly(points: list[tuple[int, Fraction]]) -> IntPoly:
@@ -315,37 +299,41 @@ def _lagrange_int_poly(points: list[tuple[int, Fraction]]) -> IntPoly:
     return IntPoly(coeffs)
 
 
-def w_poly(k: int, table: CoeffTable | None = None, extra_checks: int = 20) -> IntPoly:
+# samples of W_k checked past the k interpolation points
+_W_EXTRA_CHECKS = 20
+
+
+def w_poly(k: int) -> IntPoly:
     """The degree-(k-1) integer polynomial W_k with
 
         a(n-k, n) = (-1)^(n+k) W_k(n) / ((2k)! (n-k-1)!)   for n >= k+1,
 
+    where a(n-k, n) = g_n[n-k] / n! is read from the shared FSeries;
     recovered by exact interpolation at n = k+1 .. 2k and verified at
-    `extra_checks` further sample points.
+    _W_EXTRA_CHECKS further sample points.
     """
     if k < 3:
         raise ValueError("w_poly is defined for k >= 3")
-    table = table or _shared_table
     fac2k = math.factorial(2 * k)
 
     def sample(n: int) -> Fraction:
         sign = -1 if (n + k) % 2 else 1
-        return sign * fac2k * math.factorial(n - k - 1) * table.a(n - k, n)
+        num = sign * fac2k * math.factorial(n - k - 1) * _shared.g(n)[n - k]
+        return Fraction(num, math.factorial(n))
 
     pts = [(n, sample(n)) for n in range(k + 1, 2 * k + 1)]
     w = _lagrange_int_poly(pts)
-    for n in range(2 * k + 1, 2 * k + 1 + extra_checks):
+    for n in range(2 * k + 1, 2 * k + 1 + _W_EXTRA_CHECKS):
         if sample(n) != w.evaluate(n):
             raise ArithmeticError(f"W_{k} mismatch at extra sample n={n}")
     return w
 
 
-def check_g_factorization(n: int, p: int, series: FSeries | None = None) -> CheckReport:
+def check_g_factorization(n: int, p: int) -> CheckReport:
     """g_n(t) == g_{n mod p}(t) * (t - t^p)^(n//p)  (mod p), coefficientwise."""
-    series = series or _shared
-    lhs = series.g(n).mod(p)
+    lhs = _shared.g(n).mod(p)
     base = (IntPoly.x() - IntPoly.monomial(p)).mod(p)
-    rhs = series.g(n % p).mod(p)
+    rhs = _shared.g(n % p).mod(p)
     for _ in range(n // p):
         rhs = (rhs * base).mod(p)
     if lhs == rhs:
@@ -357,11 +345,10 @@ def check_g_factorization(n: int, p: int, series: FSeries | None = None) -> Chec
     )
 
 
-def check_addition_formula(n: int, t1: int, t2: int, series: FSeries | None = None) -> CheckReport:
+def check_addition_formula(n: int, t1: int, t2: int) -> CheckReport:
     """f_n(t1+t2) == sum_k f_k(t1) f_{n-k}(t2), evaluated over exact rationals."""
-    series = series or _shared
-    lhs = series.f_value(n, t1 + t2)
-    rhs = sum(series.f_value(k, t1) * series.f_value(n - k, t2) for k in range(n + 1))
+    lhs = _shared.f_value(n, t1 + t2)
+    rhs = sum(_shared.f_value(k, t1) * _shared.f_value(n - k, t2) for k in range(n + 1))
     ok = lhs == rhs
     w = {} if ok else {"n": n, "t1": t1, "t2": t2, "lhs": str(lhs), "rhs": str(rhs)}
     return CheckReport(f"addition-formula n={n}", ok, checked=1, witness=w)
@@ -375,7 +362,7 @@ def log_coeff(n: int) -> Fraction:
     """x^n coefficient of log F(x): (1 - 2^(nu2(n)+1)) / n."""
     if n < 1:
         raise ValueError("log coefficient defined for n >= 1")
-    return rational(_weight(n), n)
+    return Fraction(_weight(n), n)
 
 
 def phi_base(k: int, n: int) -> int:
@@ -394,7 +381,7 @@ def log_coeff_base(k: int, n: int) -> Fraction:
     vanishes and this reduces to log_coeff."""
     if n < 1 or k < 2:
         raise ValueError("need n >= 1 and base k >= 2")
-    return rational(1 - k ** (phi_base(k, n) + 1), (k - 1) * n)
+    return Fraction(1 - k ** (phi_base(k, n) + 1), (k - 1) * n)
 
 
 def log_series_oracle(n_max: int, base: int = 2) -> list[Fraction]:
@@ -415,26 +402,13 @@ def product_series_oracle(t0: int, n_max: int) -> list[int]:
     series = [1] + [0] * n_max
     step = 1
     while step <= n_max:
-        if t0 >= 0:
-            factor = [0] * (n_max + 1)
-            for i in range(0, n_max // step + 1):
-                if i <= t0:
-                    factor[i * step] = (-1) ** i * math.comb(t0, i)
-        else:
-            s = -t0
-            factor = [0] * (n_max + 1)
-            for i in range(0, n_max // step + 1):
-                factor[i * step] = math.comb(i + s - 1, s - 1)
-        series = _truncated_mul(series, factor, n_max)
+        factor = [0] * (n_max + 1)
+        for i in range(0, n_max // step + 1):
+            if t0 >= 0:
+                factor[i * step] = (-1) ** i * math.comb(t0, i)
+            else:
+                factor[i * step] = math.comb(i - t0 - 1, -t0 - 1)
+        # the sparse factor goes first: the schoolbook skips its zeros
+        series = _mul_schoolbook(factor, series)[: n_max + 1]
         step *= 2
     return series
-
-
-def _truncated_mul(a: list[int], b: list[int], n_max: int) -> list[int]:
-    out = [0] * (n_max + 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j in range(0, n_max + 1 - i):
-                if b[j]:
-                    out[i + j] += ai * b[j]
-    return out

@@ -17,6 +17,3 @@ class CheckReport:
     ok: bool
     checked: int = 0
     witness: dict = field(default_factory=dict)
-
-    def __bool__(self):
-        return self.ok

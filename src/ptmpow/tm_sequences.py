@@ -6,7 +6,8 @@ Every value comes from `f_polys.fpow_prefix(m, n)`, the one production
 kernel for F(x)^t, which runs the halving identity
 F(x)^m = (1-x)^m F(x^2)^m.  The independent routes stay here as references
 that the tests compare against it: `tm_oracle` convolves m copies of the
-PTM sequence, and `t2_two_term_prefix` runs the short form
+PTM sequence with the schoolbook multiply `core_arith._mul_schoolbook`
+(independent of `convolve`), and `t2_two_term_prefix` runs the short form
 
     t_2(2n) = t_2(n) + t_2(n-1),   t_2(2n+1) = -2 t_2(n).
 """
@@ -19,11 +20,12 @@ from fractions import Fraction
 
 from .core_arith import (
     INFINITE,
+    _mul_schoolbook,
     base4_digits_0136,
     nu2,
     nu2_binom,
 )
-from .f_polys import FSeries, fpow_prefix, shared_fseries
+from .f_polys import fpow_prefix, shared_fseries
 from .reports import CheckReport
 
 
@@ -58,7 +60,7 @@ def tm_oracle(m: int, n: int) -> int:
     base = [ptm(i) for i in range(n + 1)]
     acc = base
     for _ in range(m - 1):
-        acc = [sum(acc[j] * base[i - j] for j in range(i + 1)) for i in range(n + 1)]
+        acc = _mul_schoolbook(acc, base)[: n + 1]
     return acc[n]
 
 
@@ -183,16 +185,22 @@ def t3_zero_set_upto(bound: int) -> set[int]:
 # symmetry and the value search for t_2
 
 
-def t2_symmetry_partner(n: int) -> int:
-    """The index n' with t_2(n') = -t_2(n), where for m = t_2(n)
+def t2_partner_index(n: int, m: int) -> int:
+    """The index n' of the symmetry theorem for m = t_2(n):
 
         n' = n + (-1)^(nu2(m) + (m - 2^nu2(m)) / 2^(nu2(m)+1)) * 2^(nu2(m)+1).
 
-    The exponent can be negative; only its parity matters."""
-    m = t2(n)
+    The exponent can be negative; only its parity matters.  Since
+    |t_2(n)| <= n+1, n' <= 3n+2."""
     v = nu2(m)
     e = v + (m - (1 << v)) // (1 << (v + 1))
-    n2 = n + (-1 if e & 1 else 1) * (1 << (v + 1))
+    return n + (-1 if e & 1 else 1) * (1 << (v + 1))
+
+
+def t2_symmetry_partner(n: int) -> int:
+    """The index n' with t_2(n') = -t_2(n), checked; see t2_partner_index."""
+    m = t2(n)
+    n2 = t2_partner_index(n, m)
     if n2 < 0:
         raise ArithmeticError(f"symmetry partner of n={n} fell below 0")
     if t2(n2) != -m:
@@ -223,11 +231,12 @@ class PairTreeNode:
         )
 
 
-def pair_tree_rowmajor(count: int, root: tuple[int, int] = (-2, 1)):
-    """Yield the first `count` pairs of the tree in row-major order."""
+def pair_tree_rowmajor(count: int):
+    """Yield the first `count` pairs of the tree rooted at (-2, 1) in
+    row-major order."""
     from collections import deque
 
-    q = deque([PairTreeNode(*root)])
+    q = deque([PairTreeNode(-2, 1)])
     for _ in range(count):
         node = q.popleft()
         yield (node.x, node.y)
@@ -252,18 +261,28 @@ def _shift_family_member(n: int) -> int | None:
     return 16 * q + {4: 4, 6: 6, 0: 8, 2: 10}[r]
 
 
+# t2_solve_many scans n < _T2_SCAN_CAP
+_T2_SCAN_CAP = 1 << 23
+
+
 def t2_solve_many(targets) -> dict[int, SolveResult]:
     """Least n with t_2(n) = target for each target, by scanning the kernel
-    prefix fpow_prefix(2, N) with N doubling up to 2^23.
+    prefix fpow_prefix(2, N) with N doubling up to _T2_SCAN_CAP.
 
     Empirically every |target| <= 500 is hit by n <= 21698, so the cap is a
-    safety valve, not a working limit.
+    safety valve, not a working limit.  Since |t_2(n)| <= n+1, a target
+    above the cap in absolute value is refused before the scan; one not
+    found below the cap is a ValueError too.
     """
     want = set(targets)
     if 0 in want:
         raise ValueError("t_2 never vanishes; target 0 is unsolvable")
+    beyond = sorted(v for v in want if abs(v) > _T2_SCAN_CAP)
+    if beyond:
+        raise ValueError(f"|t_2(n)| <= n+1, so targets {beyond} lie past the "
+                         f"scan cap n < {_T2_SCAN_CAP}")
     found: dict[int, SolveResult] = {}
-    lo, hi, hard_cap = 0, 1 << 12, 1 << 23
+    lo, hi = 0, 1 << 12
     while True:
         vals = fpow_prefix(2, hi - 1)
         for n in range(lo, hi):
@@ -272,8 +291,8 @@ def t2_solve_many(targets) -> dict[int, SolveResult]:
                 found[v] = SolveResult(v, n, _shift_family_member(n))
                 if len(found) == len(want):
                     return found
-        if hi == hard_cap:
-            raise RuntimeError(f"targets {sorted(want - set(found))} not found below {hard_cap}")
+        if hi >= _T2_SCAN_CAP:
+            raise ValueError(f"targets {sorted(want - set(found))} not found below {hi}")
         lo, hi = hi, 2 * hi
 
 
@@ -473,15 +492,18 @@ def multinomial_s1_enumerate(n: int, m: int) -> int:
     return total
 
 
-def check_nonvanishing(n_max: int, window: int = 16,
-                       series: FSeries | None = None) -> CheckReport:
+# check_nonvanishing tries m = threshold .. threshold + _NONVANISHING_WINDOW
+_NONVANISHING_WINDOW = 16
+
+
+def check_nonvanishing(n_max: int) -> CheckReport:
     """For n <= n_max and m in a window just above n^2/log 2: t_m(n) != 0;
     plus the multinomial identity S_1 = C(n+m-1, m-1) for n, m <= 8."""
-    series = series or shared_fseries()
+    series = shared_fseries()
     checked = 0
     for n in range(1, n_max + 1):
         start = nonvanishing_threshold(n)
-        for m in range(start, start + window + 1):
+        for m in range(start, start + _NONVANISHING_WINDOW + 1):
             if series.f_value(n, m) == 0:
                 return CheckReport("non-vanishing", False, checked,
                                    witness={"n": n, "m": m})
@@ -495,14 +517,13 @@ def check_nonvanishing(n_max: int, window: int = 16,
     return CheckReport("non-vanishing", True, checked)
 
 
-def check_t3_reducibility_witness(count: int, series: FSeries | None = None) -> CheckReport:
+def check_t3_reducibility_witness(count: int) -> CheckReport:
     """f_{a_k}(3) == 0 exactly, for the first `count` zeros a_k of t_3.
 
     Evaluates the polynomial family itself (not the t_3 recurrence), so the
     vanishing is witnessed on the f side."""
-    series = series or shared_fseries()
     for a in t3_zero_seq(count):
-        v = series.f_value(a, 3)
+        v = shared_fseries().f_value(a, 3)
         if v != 0:
             return CheckReport("t3-reducibility", False,
                                witness={"index": a, "value": str(v)})

@@ -117,10 +117,9 @@ def test_criterion_02_coefficient_closed_forms():
 
 def test_criterion_03_g_factorization():
     with criterion(3, 30, "g_n = g_{n mod p} (t - t^p)^(n//p) mod p, n <= 60, p in {2,3,5,7}"):
-        fs = shared_fseries()
         for n in range(61):
             for p in (2, 3, 5, 7):
-                assert check_g_factorization(n, p, fs).ok
+                assert check_g_factorization(n, p).ok
 
 
 def test_criterion_04_oracle_equivalence():

@@ -11,7 +11,6 @@ from ptmpow.f_polys import (
     FSeries,
     check_addition_formula,
     check_g_factorization,
-    f_poly,
     f_poly_alt1,
     f_poly_alt2,
     fpow_prefix,
@@ -114,18 +113,18 @@ def test_g_factorization_examples():
     # hand case: g_2 = t^2 - 3t == (t - t^2) * 1 (mod 2)
     assert fs.g(2).mod(2) == (IntPoly.x() - IntPoly.monomial(2)).mod(2)
     for p in (2, 3, 5, 7, 11, 13):
-        assert check_g_factorization(p, p, fs).ok
+        assert check_g_factorization(p, p).ok
     for n in range(31):
         for p in (2, 3, 5):
-            assert check_g_factorization(n, p, fs).ok
+            assert check_g_factorization(n, p).ok
 
 
 def test_addition_formula():
     fs = shared_fseries()
     for n in range(1, 31):
         assert fs.f_value(n, 0) == 0  # t1 = 1, t2 = -1 collapses to f_n(0)
-        assert check_addition_formula(n, 1, -1, fs).ok
-        assert check_addition_formula(n, 2, 3, fs).ok
+        assert check_addition_formula(n, 1, -1).ok
+        assert check_addition_formula(n, 2, 3).ok
     for n in range(51):
         assert fs.f_value(n, 2) == tm(2, n)
     # evaluation bridge: f_n at positive integers is t_m
@@ -218,4 +217,4 @@ def test_fpow_residues_need_numpy(monkeypatch):
 
 
 def test_fact_poly_format():
-    assert f_poly(2).format("t") == "(-3*t + 1*t^2)/2!"
+    assert shared_fseries().f(2).format("t") == "(-3*t + 1*t^2)/2!"

@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from ptmpow import campaigns
-from ptmpow.campaigns import CAMPAIGNS, CampaignSpec, exit_code_for, run_campaign, run_spec
+from ptmpow import campaigns, tm_sequences
+from ptmpow.campaigns import CAMPAIGNS, exit_code_for, run_campaign
 from ptmpow.cli import main
 from ptmpow.seqcache import CacheError, cache_load, cache_store
 from ptmpow.bm_sequences import bm
@@ -141,28 +141,6 @@ def test_planted_values_give_the_exact_verdict(monkeypatch, name, bounds, t, ind
     assert (want == clean) == (name == "t-zero-m4plus" and value != 0)
 
 
-def test_run_spec_records_backend(monkeypatch, tmp_path):
-    pytest.importorskip("numpy")
-    path = str(tmp_path / "reports.jsonl")
-    for name in ("t9-valuation", "b-turan-m4plus"):
-        rep = run_spec(CampaignSpec(name, {"n": 32}, output_path=path))
-        assert "backend" not in rep.payload()
-    with monkeypatch.context() as patch:
-        _plant(patch, 4, 20, 2**70)
-        rep = run_spec(CampaignSpec("t-zero-m4plus", {"n": 32}, output_path=path))
-        assert rep.status == "verified-to-bound"
-    monkeypatch.setitem(sys.modules, "numpy", None)
-    run_spec(CampaignSpec("t9-valuation", {"n": 32}, output_path=path))
-    records = [json.loads(line) for line in open(path)]
-    assert [(r["name"], r["backend"]) for r in records] == [
-        ("t9-valuation", "residue"),
-        ("b-turan-m4plus", "exact"),
-        ("t-zero-m4plus", "exact"),
-        ("t9-valuation", "exact"),
-    ]
-    assert not any("fallbacks" in r for r in records)
-
-
 # ---------------------------------------------------------------------------
 # cache files
 
@@ -242,6 +220,20 @@ def test_cli_seq_bad_range(capsys):
     assert rc == 2 and "error" in err
 
 
+def test_cli_seq_and_cache_refuse_large_m(capsys, tmp_path):
+    # the kernel keeps an |M|-entry carry list, so |M| > 2^20 is refused
+    # before it starts
+    for family, m in (("t", 2**30), ("f-eval", 2**30), ("f-eval", -2**30),
+                      ("b", 2**20 + 1)):
+        rc, out, err = run_cli(capsys, "seq", family, str(m), "0..3")
+        assert rc == 2 and out == "" and "|m| <= 2^20" in err
+    path = tmp_path / "big.seq"
+    rc, out, err = run_cli(capsys, "cache", "store", "t", str(2**30), "--bound", "4",
+                           "--path", str(path))
+    assert rc == 2 and out == "" and "|m| <= 2^20" in err
+    assert not path.exists()
+
+
 def test_cli_poly(capsys):
     rc, out, _ = run_cli(capsys, "poly", "f", "3")
     assert rc == 0 and out.strip() == "(-2*t + 9*t^2 + -1*t^3)/3!"
@@ -281,11 +273,22 @@ def test_cli_val(capsys):
         assert "--k <= 20" in capsys.readouterr().err
 
 
-def test_cli_search(capsys):
+def test_cli_search(capsys, monkeypatch):
     rc, out, _ = run_cli(capsys, "search", "2")
     assert rc == 0 and json.loads(out)["n"] == 5
     rc, _, _ = run_cli(capsys, "search", "0")
     assert rc == 2
+    # |t_2(n)| <= n+1: a target past the scan cap is refused before any scan
+    with monkeypatch.context() as patch:
+        patch.setattr(tm_sequences, "fpow_prefix", None)
+        for target in ("100000000", "-8388609"):
+            rc, out, err = run_cli(capsys, "search", target)
+            assert rc == 2 and out == "" and "scan cap" in err
+    # a target within the cap but not found below it is a usage error too;
+    # t_2 stays below 4097 on [0, 2^13]
+    monkeypatch.setattr(tm_sequences, "_T2_SCAN_CAP", 1 << 13)
+    rc, out, err = run_cli(capsys, "search", "5000")
+    assert rc == 2 and out == "" and "not found below 8192" in err
 
 
 def test_cli_verify_exit_codes(capsys, tmp_path):
@@ -323,6 +326,33 @@ def test_cli_verify_rejects_removed_options(capsys, tmp_path):
         assert_usage_error("verify", "t5-valuation", *extra)
     assert_usage_error("cache", "store", "t", "2", "--bound", "4", "--cache-dir", str(tmp_path))
     assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_verify_out_records_backend(monkeypatch, capsys, tmp_path):
+    pytest.importorskip("numpy")
+    path = str(tmp_path / "reports.jsonl")
+
+    def verify(name):
+        rc, out, _ = run_cli(capsys, "verify", name, "--bound", "32", "--out", path)
+        payload = json.loads(out)
+        assert rc == 3 and "backend" not in payload
+        return payload
+
+    for name in ("t9-valuation", "b-turan-m4plus"):
+        verify(name)
+    with monkeypatch.context() as patch:
+        _plant(patch, 4, 20, 2**70)
+        assert verify("t-zero-m4plus")["status"] == "verified-to-bound"
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    verify("t9-valuation")
+    records = [json.loads(line) for line in open(path)]
+    assert [(r["name"], r["backend"]) for r in records] == [
+        ("t9-valuation", "residue"),
+        ("b-turan-m4plus", "exact"),
+        ("t-zero-m4plus", "exact"),
+        ("t9-valuation", "exact"),
+    ]
+    assert not any("fallbacks" in r for r in records)
 
 
 def test_cli_cache_roundtrip(capsys, tmp_path):
