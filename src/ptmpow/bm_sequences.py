@@ -2,7 +2,7 @@
 and congruences, the generating-numerator polynomials h_{i,k,m}(x), and the
 annihilating shift operators V_k.
 
-Every value of b_m comes from `f_polys.fpow_prefix(-m, n)`, the one
+Every value of b_m comes from `fpow.fpow_prefix(-m, n)`, the one
 production kernel for F(x)^t: F(x)^(-m) = (1-x)^(-m) F(x^2)^(-m), that is m
 running sums of the upsampled prefix.  The independent routes stay here as
 references that the tests compare against it: `b1_euler_prefix` (Euler's
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .core_arith import IntPoly, _mul_schoolbook, binom, convolve, nu2
-from .f_polys import fpow_prefix
+from .fpow import fpow_prefix
 from .reports import CheckReport
 from .tm_sequences import ptm
 

@@ -8,20 +8,21 @@ conjecture and question campaigns only ever report `verified-to-bound` or
 `observation`, recording any witness they find.
 
 `run_campaign` runs one campaign and returns its `CampaignReport`; the CLI
-prints it and appends the `--out` record.
+prints it and appends the `--out` record.  A size bound below the
+campaign's `minimum` is refused before any work, since it would check
+nothing.  The runners read values from `fpow`; the two that need
+`tm_sequences` or `bm_sequences` import them themselves, so a process that
+runs another campaign does not load them.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 
 from .core_arith import nu2
-from .bm_sequences import b2_valuation_table_suite
-from .f_polys import fpow_prefix, fpow_residues
-from .tm_sequences import t2_partner_index
+from .fpow import fpow_prefix, fpow_residues
 
 VERIFIED = "verified-to-bound"
 COUNTEREXAMPLE = "counterexample"
@@ -210,6 +211,8 @@ def _run_b_congruence_growth(bounds):
 
 
 def _run_sign_density(bounds):
+    from fractions import Fraction
+
     n_max = bounds["n"]
     out = {}
     for m in (2, 3, 4, 5):
@@ -300,6 +303,8 @@ def _run_t_missing_values(bounds):
 
 
 def _run_b2_valuation_list(bounds):
+    from .bm_sequences import b2_valuation_table_suite
+
     rep = b2_valuation_table_suite(bounds["n"])
     if rep.ok:
         return VERIFIED, {"checked": rep.checked}
@@ -307,6 +312,8 @@ def _run_b2_valuation_list(bounds):
 
 
 def _run_t2_symmetry(bounds):
+    from .tm_sequences import t2_partner_index
+
     n_max = bounds["n"]
     # |t_2(n)| <= n+1, so the partner shift 2^(nu2+1) stays below 2(n+1)
     vals = fpow_prefix(2, 3 * n_max + 4)
@@ -446,13 +453,20 @@ class Campaign:
     defaults: dict
     runner: object
     residue_runner: object = None
+    # the least value of the size key at which the runner checks anything
+    minimum: int = 0
+
+    @property
+    def size_key(self) -> str:
+        """The bound that sets how far the campaign runs: n or index."""
+        return "index" if "index" in self.defaults else "n"
 
 
 CAMPAIGNS: dict[str, Campaign] = {}
 
 
-def _register(name, kind, claim, defaults, runner, residue_runner=None):
-    CAMPAIGNS[name] = Campaign(name, kind, claim, defaults, runner, residue_runner)
+def _register(name, kind, claim, defaults, runner, residue_runner=None, minimum=0):
+    CAMPAIGNS[name] = Campaign(name, kind, claim, defaults, runner, residue_runner, minimum)
 
 
 _register(
@@ -488,7 +502,9 @@ _register(
     "b-pow2m1-congruence", "conjecture",
     "b_{2^m-1}(2^(k+1) n) = b_{2^m-1}(2^(k-1) n) "
     "(mod 2^(4*floor((k+1)/2)-2)) for k >= m+2",
-    {"index": 1 << 14}, _run_b_pow2m1_congruence, _res_b_pow2m1_congruence)
+    {"index": 1 << 14}, _run_b_pow2m1_congruence, _res_b_pow2m1_congruence,
+    # every (m, k) checks n >= 1 at index 2^(k+1), and k+1 reaches 8
+    minimum=1 << 8)
 _register(
     "b-congruence-growth", "conjecture",
     "b_m(2^(k+1) n) = b_m(2^(k-1) n) (mod 2^f(k)) with nondecreasing "
@@ -503,11 +519,11 @@ _register(
     "t-threesigns-turan", "conjecture",
     "for m >= 2: no three consecutive t_m values share a sign and "
     "t_m(n)^2 > t_m(n-1) t_m(n+1)",
-    {"n": 1 << 12}, _run_threesigns_turan)
+    {"n": 1 << 12}, _run_threesigns_turan, minimum=2)
 _register(
     "b-turan-m4plus", "conjecture",
     "for m >= 4: b_m(n)^2 - b_m(n-1) b_m(n+1) > 0",
-    {"n": 1 << 12}, _run_b_turan_m4plus)
+    {"n": 1 << 12}, _run_b_turan_m4plus, minimum=2)
 _register(
     "b3-turan-crossover", "conjecture",
     "for m = 3 the sign of b_3(n)^2 - b_3(n-1) b_3(n+1) alternates up to "
@@ -516,7 +532,7 @@ _register(
 _register(
     "t-zero-m4plus", "conjecture",
     "t_m(n) = 0 has no solution for m >= 4",
-    {"n": 1 << 14}, _run_t_zero_m4plus, _res_t_zero_m4plus)
+    {"n": 1 << 14}, _run_t_zero_m4plus, _res_t_zero_m4plus, minimum=1)
 _register(
     "t-missing-values", "conjecture",
     "for m >= 3 infinitely many integers are never attained by t_m "
@@ -541,6 +557,10 @@ def run_campaign(name: str, bounds: dict | None = None) -> CampaignReport:
     eff = dict(camp.defaults)
     if bounds:
         eff.update(bounds)
+    size = eff[camp.size_key]
+    if size < camp.minimum:
+        # below it the range is empty, and nothing checked verifies nothing
+        raise ValueError(f"{name} requires {camp.size_key} >= {camp.minimum}, got {size}")
     t0 = time.monotonic()
     backend = "residue"
     verdict = camp.residue_runner(eff) if camp.residue_runner else None

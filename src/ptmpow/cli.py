@@ -9,9 +9,15 @@
 
 Exit codes: 0 all-pass, 1 theorem counterexample, 2 usage/data error,
 3 campaign finished in observation-only mode.  seq and cache take
-|M| <= 2^20, and search exits 2 on a target past its scan cap.  Output on
+|M| <= 2^20, seq, cache store and val refuse a kernel cost (|M|+1)(B+1)
+above 2^24, and search exits 2 on a target past its scan cap.  Output on
 stdout is byte-deterministic for fixed (version, arguments); timing goes to
 stderr.
+
+A handler imports what it runs.  The module level imports only the stdlib
+modules the parser needs, so every process, --version included, starts
+without the rest of the package; each _cmd_* function imports its own
+modules (seq only ptmpow.fpow), at function level and never inside a loop.
 """
 
 from __future__ import annotations
@@ -21,12 +27,6 @@ import json
 import sys
 
 from . import __version__
-from .campaigns import CAMPAIGNS, exit_code_for, run_campaign
-from .core_arith import INFINITE, nu2
-from .bm_sequences import h_export, h_poly, v2_b1_churchhouse, v2_b2k1_closed
-from .f_polys import fpow_prefix, shared_fseries, w_poly
-from .seqcache import CacheError, cache_load, cache_store
-from .tm_sequences import ValuationReport, t2_solve, v2_t2k_closed, v2_t3_closed
 
 
 def _jdump(obj) -> str:
@@ -51,21 +51,36 @@ def nonnegative_int(text: str) -> int:
     return n
 
 
-# the largest |m| of seq and cache: the kernel for F(x)^(±m) keeps an
+# the largest |m| of seq, cache and val: the kernel for F(x)^(±m) keeps an
 # |m|-entry carry list and runs |m| passes per block
 _FAMILY_M_MAX = 1 << 20
 
 
+# the largest kernel cost of one request.  Building F(x)^(±m) to index n
+# runs |m| passes over about n + 1 entries after one upsampling copy, so
+# its cost is (|m| + 1)(n + 1) entry steps, and its memory is linear in n.
+# Measured (Python 3.11, 2 cores, one run each), requests at this limit
+# took 0.8 s and 0.27 GiB (t_2 to n = 5592404), 1.0 s and 0.62 GiB (b_1 to
+# 2^23 - 1), 3.7-4.8 s (|m| = 2^20 - 1 to n = 15) and 5-10 s (|m| from 299
+# to 4095); seq b 1000 262144..262144, 16x over it, ran past 120 s
+_FAMILY_COST_MAX = 1 << 24
+
+
 def _family_prefix(family: str, m: int, n: int) -> list[int]:
     """The kernel prefix behind a family name: t_m is F^m, b_m is F^(-m),
-    and f-eval at m is F^m for any integer m with |m| <= 2^20."""
+    and f-eval at m is F^m for any integer m with |m| <= 2^20.  Requests
+    past _FAMILY_COST_MAX are refused before any work."""
     if abs(m) > _FAMILY_M_MAX:
         raise ValueError(f"{family} requires |m| <= 2^20, got {m}")
-    if family == "f-eval":
-        return fpow_prefix(m, n)
-    if m < 1:
+    if family != "f-eval" and m < 1:
         raise ValueError(f"{family} requires m >= 1")
-    return fpow_prefix(m if family == "t" else -m, n)
+    cost = (abs(m) + 1) * (n + 1)
+    if cost > _FAMILY_COST_MAX:
+        raise ValueError(f"{family} {m} up to index {n} needs (|m|+1)(n+1) = {cost} "
+                         f"kernel steps; the limit is 2^24")
+    from .fpow import fpow_prefix
+
+    return fpow_prefix(-m if family == "b" else m, n)
 
 
 def _cmd_seq(args) -> int:
@@ -88,6 +103,17 @@ def _cmd_poly(args) -> int:
         raise ValueError(f"poly {kind} takes one parameter")
     if kind == "h" and len(p) != 3:
         raise ValueError("poly h takes i k m")
+    if kind == "h":
+        from .bm_sequences import h_export, h_poly
+
+        i, k, m = p
+        if args.format == "json":
+            print(_jdump(h_export(i, k, m)))
+        else:
+            print(h_poly(i, k, m).format("x"))
+        return 0
+    from .f_polys import shared_fseries, w_poly
+
     if kind == "f":
         fp = shared_fseries().f(p[0])
         if args.format == "json":
@@ -101,37 +127,29 @@ def _cmd_poly(args) -> int:
             print(_jdump({"kind": "g", "n": p[0], "coeffs": [str(c) for c in g.coeffs]}))
         else:
             print(g.format("t"))
-    elif kind == "W":
+    else:
         w = w_poly(p[0])
         if args.format == "json":
             print(_jdump({"kind": "W", "k": p[0], "coeffs": [str(c) for c in w.coeffs]}))
         else:
             print(w.format("n"))
-    else:
-        i, k, m = p
-        if args.format == "json":
-            print(_jdump(h_export(i, k, m)))
-        else:
-            print(h_poly(i, k, m).format("x"))
     return 0
 
 
-def _print_val(report: ValuationReport) -> None:
-    enc = lambda v: "INFINITE" if v is INFINITE else v
-    print(_jdump({"n": report.n, "direct": enc(report.direct),
-                  "closed": enc(report.closed), "ok": report.ok}))
-
-
 def _cmd_val(args) -> int:
+    from .bm_sequences import v2_b1_churchhouse, v2_b2k1_closed
+    from .core_arith import INFINITE, nu2
+    from .tm_sequences import ValuationReport, v2_t2k_closed, v2_t3_closed
+
     n_max = args.bound
     reports: list[ValuationReport] = []
     if args.family == "t-pow2":
-        vals = fpow_prefix(1 << args.k, n_max)
+        vals = _family_prefix("t", 1 << args.k, n_max)
         for n in range(n_max + 1):
             d, c = nu2(vals[n]), v2_t2k_closed(args.k, n)
             reports.append(ValuationReport(n, d, c, d == c))
     elif args.family == "t3":
-        vals = fpow_prefix(3, n_max)
+        vals = _family_prefix("t", 3, n_max)
         for n in range(1, n_max + 1):
             d = INFINITE if vals[n] == 0 else nu2(vals[n])
             c = v2_t3_closed(n)
@@ -142,25 +160,28 @@ def _cmd_val(args) -> int:
             d, c = nu2(vals[n]), v2_b2k1_closed(args.k, n)
             reports.append(ValuationReport(n, d, c, d == c))
     else:  # b1
-        vals = fpow_prefix(-1, n_max)
+        vals = _family_prefix("b", 1, n_max)
         for n in range(2, n_max + 1):
             d, c = nu2(vals[n]), v2_b1_churchhouse(n)
             reports.append(ValuationReport(n, d, c, d == c))
+    enc = lambda v: "INFINITE" if v is INFINITE else v
     for rep in reports:
-        _print_val(rep)
+        print(_jdump({"n": rep.n, "direct": enc(rep.direct),
+                      "closed": enc(rep.closed), "ok": rep.ok}))
     return 0 if all(r.ok for r in reports) else 1
 
 
 def _cmd_verify(args) -> int:
+    from .campaigns import CAMPAIGNS, exit_code_for, run_campaign
+
     if args.campaign not in CAMPAIGNS:
         print(f"unknown campaign {args.campaign!r}; known: "
               f"{', '.join(sorted(CAMPAIGNS))}", file=sys.stderr)
         return 2
     bounds = {}
     if args.bound is not None:
-        # override the size keys only, never depth or span
-        bounds = {key: args.bound for key in CAMPAIGNS[args.campaign].defaults
-                  if key in ("n", "index")}
+        # override the size key only, never depth or span
+        bounds = {CAMPAIGNS[args.campaign].size_key: args.bound}
     report = run_campaign(args.campaign, bounds)
     if args.out:
         record = dict(report.payload(), wall_ms=report.wall_ms, backend=report.backend)
@@ -173,6 +194,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    from .tm_sequences import t2_solve
+
     if args.target == 0:
         print("t_2 never vanishes; 0 is not a value", file=sys.stderr)
         return 2
@@ -183,6 +206,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_cache(args) -> int:
+    from .seqcache import cache_load, cache_store
+
     path = args.path or f"./{args.family}_{args.m}.seq"
     if args.action == "store":
         values = _family_prefix(args.family, args.m, args.bound)[: args.bound + 1]
@@ -265,7 +290,8 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.fn(args)
-    except (ValueError, KeyError, CacheError, OSError) as exc:
+    # seqcache.CacheError is a ValueError
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,9 +12,8 @@ the g_n; `w_poly` reads the coefficients a(i, n) = g_n[i] / n! off it.
 `CoeffTable` builds the same a(i, n) by their own recurrence and is kept as
 a reference for the tests.
 
-The values f_n(t) at one integer t come from `fpow_prefix`, which uses the
-product form F(x)^t = (1-x)^t F(x^2)^t instead of the polynomials;
-`fpow_residues` runs the same form on numpy uint64, giving them mod 2^64.
+The values f_n(t) at one integer t do not come from here: `fpow.fpow_prefix`
+runs the product form F(x)^t = (1-x)^t F(x^2)^t instead of the polynomials.
 """
 
 from __future__ import annotations
@@ -22,8 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain
-from operator import sub
 
 from .core_arith import IntPoly, _mul_schoolbook, nu2
 from .reports import CheckReport
@@ -97,92 +94,6 @@ _shared = FSeries()
 
 def shared_fseries() -> FSeries:
     return _shared
-
-
-# values of F(x)^t at integer t: t -> [f_0(t), f_1(t), ...] and t -> the
-# |t| per-pass carries that let the next block continue where the last ended
-_fpow_vals: dict[int, list[int]] = {}
-_fpow_carries: dict[int, list[int]] = {}
-_FPOW_BLOCK = 4096
-
-
-def fpow_prefix(t: int, n: int) -> list[int]:
-    """[f_0(t), ..., f_k(t)] with k >= n: the coefficients of F(x)^t for any
-    integer t, so t_m(n) = f_n(m) and b_m(n) = f_n(-m).
-
-    F(x)^t = (1-x)^t F(x^2)^t, so the coefficients at indices [lo, hi) are the
-    upsampled prefix (f_{i/2}(t) at even i, 0 at odd i) after t first
-    differences (t > 0) or |t| running sums (t < 0).  Blocks need only
-    indices below hi/2 <= lo, and each pass keeps one carry, so growth
-    appends blocks of at most _FPOW_BLOCK indices and never rebuilds.
-
-    The returned list is the memo itself, shared by every caller: treat it
-    as read-only.  Indices are >= 0; a negative index would wrap silently.
-    """
-    vals = _fpow_vals.get(t)
-    if vals is not None and n < len(vals):
-        return vals
-    if vals is None:
-        # f_0(t) = 1, and index 0 holds 1 before and after every pass
-        vals = _fpow_vals[t] = [1]
-        _fpow_carries[t] = [1] * abs(t)
-    carries = _fpow_carries[t]
-    while len(vals) <= n:
-        lo = len(vals)
-        hi = lo + min(lo, _FPOW_BLOCK)
-        block = [0] * (hi - lo)
-        block[lo & 1 :: 2] = vals[(lo + 1) // 2 : (hi + 1) // 2]
-        for p, c in enumerate(carries):
-            if t > 0:
-                carries[p] = block[-1]
-                block = list(map(sub, block, chain((c,), block)))
-            else:
-                block = list(accumulate(block, initial=c))
-                del block[0]
-                carries[p] = block[-1]
-        vals += block
-    return vals
-
-
-# t -> [f_0(t), ..., f_k(t)] mod 2^64 as a read-only numpy uint64 array
-_fpow_res: dict = {}
-
-
-def fpow_residues(t: int, n: int):
-    """[f_0(t), ..., f_k(t)] mod 2^64 with k >= n, as a memoised read-only
-    numpy uint64 array, or None when numpy cannot be imported.
-
-    The same identity as `fpow_prefix`, F(x)^t = (1-x)^t F(x^2)^t, in
-    wrapping uint64 arithmetic: each level upsamples the prefix to at most
-    twice its length, then applies t in-place first differences (t > 0) or
-    |t| running sums (t < 0).  The last level stops at exactly n + 1
-    entries.  numpy is imported here, not at module import, so the CLI
-    starts without it.
-    """
-    try:
-        import numpy as np
-    except ImportError:
-        return None
-    res = _fpow_res.get(t)
-    if res is not None and n < len(res):
-        return res
-    if res is None:
-        res = np.ones(1, dtype=np.uint64)
-    while len(res) <= n:
-        size = min(2 * len(res), n + 1)
-        level = np.zeros(size, dtype=np.uint64)
-        level[::2] = res[: (size + 1) // 2]
-        for _ in range(abs(t)):
-            if t > 0:
-                # numpy buffers overlapping operands: each entry minus its
-                # predecessor's value before this pass
-                np.subtract(level[1:], level[:-1], out=level[1:])
-            else:
-                np.cumsum(level, out=level)
-        res = level
-    res.flags.writeable = False
-    _fpow_res[t] = res
-    return res
 
 
 def _rising_factorials(j_max: int) -> list[IntPoly]:

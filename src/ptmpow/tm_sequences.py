@@ -2,7 +2,7 @@
 the zero set of t_3, the value search for t_2, symmetry, extrema, and
 inequality sweeps.
 
-Every value comes from `f_polys.fpow_prefix(m, n)`, the one production
+Every value comes from `fpow.fpow_prefix(m, n)`, the one production
 kernel for F(x)^t, which runs the halving identity
 F(x)^m = (1-x)^m F(x^2)^m.  The independent routes stay here as references
 that the tests compare against it: `tm_oracle` convolves m copies of the
@@ -25,7 +25,8 @@ from .core_arith import (
     nu2,
     nu2_binom,
 )
-from .f_polys import fpow_prefix, shared_fseries
+from .f_polys import shared_fseries
+from .fpow import fpow_prefix
 from .reports import CheckReport
 
 

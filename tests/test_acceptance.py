@@ -14,14 +14,17 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
+import pytest
+
+from ptmpow import bm_sequences, f_polys, fpow
 from ptmpow.core_arith import INFINITE, IntPoly, nu2
 from ptmpow.f_polys import (
     CoeffTable,
     check_g_factorization,
-    fpow_prefix,
     shared_fseries,
     w_poly,
 )
+from ptmpow.fpow import fpow_prefix
 from ptmpow.tm_sequences import (
     check_growth,
     check_logconcave,
@@ -60,6 +63,16 @@ from ptmpow.bm_sequences import (
     v_operator,
 )
 from ptmpow.campaigns import exit_code_for, run_campaign
+
+
+@pytest.fixture(autouse=True)
+def cold_caches(monkeypatch):
+    """Each criterion's budget covers building everything it reads: the
+    kernel memos, the h memo and the shared FSeries start empty."""
+    for name in ("_fpow_vals", "_fpow_carries", "_fpow_res"):
+        monkeypatch.setattr(fpow, name, {})
+    monkeypatch.setattr(bm_sequences, "_h_memo", {})
+    monkeypatch.setattr(f_polys, "_shared", f_polys.FSeries())
 
 
 @contextmanager

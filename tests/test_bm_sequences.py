@@ -3,7 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptmpow.core_arith import IntPoly, nu2
-from ptmpow.f_polys import fpow_prefix, shared_fseries
+from ptmpow.f_polys import shared_fseries
+from ptmpow.fpow import fpow_prefix
 from ptmpow.bm_sequences import (
     b1,
     b1_euler_prefix,

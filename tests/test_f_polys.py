@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from ptmpow import f_polys
+from ptmpow import fpow
 from ptmpow.core_arith import IntPoly, nu2
 from ptmpow.f_polys import (
     CoeffTable,
@@ -13,8 +13,6 @@ from ptmpow.f_polys import (
     check_g_factorization,
     f_poly_alt1,
     f_poly_alt2,
-    fpow_prefix,
-    fpow_residues,
     g_prefix_alt1,
     g_prefix_alt2,
     log_coeff,
@@ -24,6 +22,7 @@ from ptmpow.f_polys import (
     shared_fseries,
     w_poly,
 )
+from ptmpow.fpow import fpow_prefix, fpow_residues
 from ptmpow.tm_sequences import tm
 
 # n!*f_n for n = 0..5, coefficients by increasing degree
@@ -196,7 +195,7 @@ def test_fpow_residues_match_the_exact_prefix(monkeypatch):
     # starting from an empty memo: a first request of a length that is not a
     # power of two, a smaller request served by the memo, then two grows
     pytest.importorskip("numpy")
-    monkeypatch.setattr(f_polys, "_fpow_res", {})
+    monkeypatch.setattr(fpow, "_fpow_res", {})
     for t in (2, 3, 5, 9, -1, -2, -3, -6, -8):
         exact = [v % 2**64 for v in fpow_prefix(t, (1 << 14) - 1)[: 1 << 14]]
         first = fpow_residues(t, 1000)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from ptmpow import campaigns, tm_sequences
+from ptmpow import campaigns, fpow, tm_sequences
 from ptmpow.campaigns import CAMPAIGNS, exit_code_for, run_campaign
 from ptmpow.cli import main
 from ptmpow.seqcache import CacheError, cache_load, cache_store
@@ -234,6 +234,33 @@ def test_cli_seq_and_cache_refuse_large_m(capsys, tmp_path):
     assert not path.exists()
 
 
+def test_cli_refuses_costly_kernel_requests(capsys, monkeypatch, tmp_path):
+    # (|M|+1)(B+1) kernel steps above 2^24 are refused before the kernel runs
+    def kernel(t, n):
+        calls.append((t, n))
+        return [1] * (n + 1)
+
+    calls = []
+    monkeypatch.setattr(fpow, "fpow_prefix", kernel)
+    path = tmp_path / "b_1000.seq"
+    for argv in (["seq", "b", "1000", "262144..262144"],
+                 ["seq", "t", "2", "5592405..5592405"],
+                 ["cache", "store", "b", "1000", "--bound", "262144", "--path", str(path)],
+                 ["val", "b-pow2m1", "--k", "20", "--bound", "16"]):
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == 2 and out == "" and "the limit is 2^24" in err
+    assert calls == [] and not path.exists()
+    # the benchmark's requests, val --k 20 and the exact limit all run
+    for argv in (["seq", "t", "3", "0..65536", "--format", "json"],
+                 ["seq", "b", "6", "0..65536"],
+                 ["cache", "store", "b", "6", "--bound", "65536", "--path", str(path)],
+                 ["val", "t-pow2", "--k", "20", "--bound", "4"],
+                 ["val", "b-pow2m1", "--k", "20", "--bound", "15"],
+                 ["seq", "t", "2", "5592404..5592404"]):
+        assert run_cli(capsys, *argv)[0] != 2
+    assert calls[-2:] == [(-(2**20 - 1), 15), (2, 5592404)]
+
+
 def test_cli_poly(capsys):
     rc, out, _ = run_cli(capsys, "poly", "f", "3")
     assert rc == 0 and out.strip() == "(-2*t + 9*t^2 + -1*t^3)/3!"
@@ -314,6 +341,27 @@ def test_cli_verify_exit_codes(capsys, tmp_path):
     assert capsys.readouterr().out == ""
 
 
+# the least size bound at which each campaign checks anything
+MINIMUMS = {"t-zero-m4plus": 1, "t-threesigns-turan": 2, "b-turan-m4plus": 2,
+            "b-pow2m1-congruence": 256}
+
+
+def test_cli_verify_refuses_empty_ranges(capsys):
+    assert {name: c.minimum for name, c in CAMPAIGNS.items() if c.minimum} == MINIMUMS
+    for name, least in MINIMUMS.items():
+        for bound in (0, least - 1):
+            rc, out, err = run_cli(capsys, "verify", name, "--bound", str(bound))
+            assert rc == 2 and out == "" and f">= {least}, got {bound}" in err
+        rc, out, _ = run_cli(capsys, "verify", name, "--bound", str(least))
+        assert rc == 3 and json.loads(out)["bounds"] == {CAMPAIGNS[name].size_key: least}
+    # at index 256 every (m, k) of b-pow2m1-congruence checks n = 1
+    witness = run_campaign("b-pow2m1-congruence", {"index": 256}).witness
+    assert len(witness["failing"]) + len(witness["verified_for"]) == 9
+    for name in ("t5-valuation", "b-pow2-congruence"):
+        with pytest.raises(ValueError):
+            run_campaign(name, {CAMPAIGNS[name].size_key: -1})
+
+
 def test_cli_verify_bound_sets_only_size_keys(capsys):
     rc, out, _ = run_cli(capsys, "verify", "t-regularity", "--bound", "8")
     assert rc == 3 and json.loads(out)["bounds"] == {"n": 8, "depth": 5}
@@ -380,13 +428,41 @@ def test_cli_cache_load_rejects_other_sequence(capsys, tmp_path):
     assert rc == 0 and json.loads(out)["count"] == 65
 
 
-def test_cli_import_leaves_numpy_unloaded():
-    # every CLI start pays for what `import ptmpow.cli` loads; numpy is
-    # imported only when a residue campaign runs
+_FOOTPRINT = """
+import contextlib, io, json, sys
+import ptmpow.cli
+argv = json.loads(sys.argv[1])
+if argv:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        ptmpow.cli.main(argv)
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def _modules_loaded_by(*argv):
+    """The module names a fresh interpreter holds after `import ptmpow.cli`
+    and, with argv, one `main(argv)`."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    subprocess.run([sys.executable, "-c",
-                    "import sys, ptmpow.cli; assert 'numpy' not in sys.modules"],
-                   check=True, env={**os.environ, "PYTHONPATH": src})
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT, json.dumps(argv)],
+                          check=True, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    return set(json.loads(proc.stdout))
+
+
+def test_cli_loads_only_what_its_command_runs():
+    # every CLI start pays for what it imports, so `import ptmpow.cli` loads
+    # no other module of the package and each handler imports its own
+    def package(mods):
+        return {m for m in mods if m.split(".")[0] == "ptmpow"}
+
+    bare = _modules_loaded_by()
+    assert package(bare) == {"ptmpow", "ptmpow.cli"}
+    assert not bare & {"numpy", "fractions", "dataclasses"}
+    seq = _modules_loaded_by("seq", "t", "2", "0..8")
+    assert package(seq) == {"ptmpow", "ptmpow.cli", "ptmpow.fpow"}
+    verify = _modules_loaded_by("verify", "t5-valuation", "--bound", "64")
+    assert "ptmpow.campaigns" in verify
+    assert not verify & {"ptmpow.bm_sequences", "ptmpow.tm_sequences"}
 
 
 def test_cli_version(capsys):
