@@ -18,6 +18,9 @@ with h_{0,0,m} = 1 and a halving recurrence that substitutes y = sqrt(x) for
 the variable.  The sqrt bookkeeping is three helpers over IntPoly in y:
 `_one_plus_y` (the binomial row of (1+y)^n), `_flip` (y -> -y) and
 `_half_in_x` (the even or odd half of a polynomial in y, as one in x).
+
+The Churchhouse valuation and the PTM checks read the sign `core_arith.ptm`,
+so this module loads neither `tm_sequences` nor `f_polys`.
 """
 
 from __future__ import annotations
@@ -26,10 +29,9 @@ import math
 from dataclasses import dataclass
 from functools import partial
 
-from .core_arith import IntPoly, _mul_schoolbook, binom, convolve, nu2
+from .core_arith import IntPoly, _mul_schoolbook, binom, convolve, nu2, ptm
 from .fpow import fpow_prefix
 from .reports import CheckReport
-from .tm_sequences import ptm
 
 
 # ---------------------------------------------------------------------------
@@ -249,12 +251,6 @@ def h_poly(i: int, k: int, m: int) -> IntPoly:
     out = _half_in_x(s, odd, f"h recurrence parity violation at {key}")
     _h_memo[key] = out
     return out
-
-
-def h_export(i: int, k: int, m: int) -> dict:
-    """JSON-ready form with decimal-string coefficients."""
-    return {"i": i, "k": k, "m": m,
-            "coeffs": [str(c) for c in h_poly(i, k, m).coeffs]}
 
 
 def check_h_identity(i: int, k: int, m: int, order: int | None = None) -> CheckReport:

@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass
 from functools import partial
 
-from .core_arith import nu2
+from .core_arith import nu2, nu2_or_none
 from .fpow import fpow_prefix, fpow_residues
 
 VERIFIED = "verified-to-bound"
@@ -63,10 +63,6 @@ def _ceil_half(v: int) -> int:
 # runners
 
 
-def _nu2_or_none(v: int):
-    return None if v == 0 else nu2(v)
-
-
 def _valuation_verdict(m, width, extra, fail):
     """The verdict of a valuation claim on f_i(m), i = width*n + j, from its
     first failing (i, expected, actual), or None; `extra` adds witness keys
@@ -85,7 +81,7 @@ def _run_valuation(m, width, expect_of, extra, bounds):
     for n in range(n_max + 1):
         expect = expect_of(nu2(n + 1))
         for j in range(width):
-            got = _nu2_or_none(vals[width * n + j])
+            got = nu2_or_none(vals[width * n + j])
             if got != expect:
                 return _valuation_verdict(m, width, extra, (width * n + j, expect, got))
     return VERIFIED, {}
@@ -109,7 +105,7 @@ def _run_t2k1_table(bounds):
         for n in range(n_max + 1):
             v = nu2(n + 1)
             for j in range(1 << k):
-                got = _nu2_or_none(vals[(n << k) + j])
+                got = nu2_or_none(vals[(n << k) + j])
                 if table.setdefault(v, got) != got:
                     return OBSERVATION, {"k": k, "n": n, "j": j,
                                          "conflict_class": v,

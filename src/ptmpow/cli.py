@@ -14,6 +14,10 @@ above 2^24, and search exits 2 on a target past its scan cap.  Output on
 stdout is byte-deterministic for fixed (version, arguments); timing goes to
 stderr.
 
+The handlers format the library's values themselves: poly f prints g_n
+over n!, and val prints the valuation of zero, None in the library, as
+"INFINITE".
+
 A handler imports what it runs.  The module level imports only the stdlib
 modules the parser needs, so every process, --version included, starts
 without the rest of the package; each _cmd_* function imports its own
@@ -104,71 +108,53 @@ def _cmd_poly(args) -> int:
     if kind == "h" and len(p) != 3:
         raise ValueError("poly h takes i k m")
     if kind == "h":
-        from .bm_sequences import h_export, h_poly
+        from .bm_sequences import h_poly
 
         i, k, m = p
-        if args.format == "json":
-            print(_jdump(h_export(i, k, m)))
-        else:
-            print(h_poly(i, k, m).format("x"))
-        return 0
-    from .f_polys import shared_fseries, w_poly
+        poly, var, record = h_poly(i, k, m), "x", {"i": i, "k": k, "m": m}
+    elif kind == "W":
+        from .f_polys import w_poly
 
-    if kind == "f":
-        fp = shared_fseries().f(p[0])
-        if args.format == "json":
-            print(_jdump({"kind": "f", "n": p[0], "den_factorial_of": fp.fact_index,
-                          "num_coeffs": [str(c) for c in fp.num.coeffs]}))
-        else:
-            print(fp.format("t"))
-    elif kind == "g":
-        g = shared_fseries().g(p[0])
-        if args.format == "json":
-            print(_jdump({"kind": "g", "n": p[0], "coeffs": [str(c) for c in g.coeffs]}))
-        else:
-            print(g.format("t"))
+        poly, var, record = w_poly(p[0]), "n", {"kind": "W", "k": p[0]}
     else:
-        w = w_poly(p[0])
-        if args.format == "json":
-            print(_jdump({"kind": "W", "k": p[0], "coeffs": [str(c) for c in w.coeffs]}))
-        else:
-            print(w.format("n"))
+        from .f_polys import shared_fseries
+
+        poly, var, record = shared_fseries().g(p[0]), "t", {"kind": kind, "n": p[0]}
+    coeffs = [str(c) for c in poly.coeffs]
+    text = poly.format(var)
+    if kind == "f":
+        # f_n = g_n / n!, printed unreduced
+        text = f"({text})/{p[0]}!"
+        record.update(den_factorial_of=p[0], num_coeffs=coeffs)
+    else:
+        record["coeffs"] = coeffs
+    print(_jdump(record) if args.format == "json" else text)
     return 0
 
 
 def _cmd_val(args) -> int:
     from .bm_sequences import v2_b1_churchhouse, v2_b2k1_closed
-    from .core_arith import INFINITE, nu2
-    from .tm_sequences import ValuationReport, v2_t2k_closed, v2_t3_closed
+    from .core_arith import nu2_or_none
+    from .tm_sequences import v2_t2k_closed, v2_t3_closed
 
-    n_max = args.bound
-    reports: list[ValuationReport] = []
-    if args.family == "t-pow2":
-        vals = _family_prefix("t", 1 << args.k, n_max)
-        for n in range(n_max + 1):
-            d, c = nu2(vals[n]), v2_t2k_closed(args.k, n)
-            reports.append(ValuationReport(n, d, c, d == c))
-    elif args.family == "t3":
-        vals = _family_prefix("t", 3, n_max)
-        for n in range(1, n_max + 1):
-            d = INFINITE if vals[n] == 0 else nu2(vals[n])
-            c = v2_t3_closed(n)
-            reports.append(ValuationReport(n, d, c, d == c))
-    elif args.family == "b-pow2m1":
-        vals = _family_prefix("b", (1 << args.k) - 1, n_max)
-        for n in range(n_max + 1):
-            d, c = nu2(vals[n]), v2_b2k1_closed(args.k, n)
-            reports.append(ValuationReport(n, d, c, d == c))
-    else:  # b1
-        vals = _family_prefix("b", 1, n_max)
-        for n in range(2, n_max + 1):
-            d, c = nu2(vals[n]), v2_b1_churchhouse(n)
-            reports.append(ValuationReport(n, d, c, d == c))
-    enc = lambda v: "INFINITE" if v is INFINITE else v
-    for rep in reports:
-        print(_jdump({"n": rep.n, "direct": enc(rep.direct),
-                      "closed": enc(rep.closed), "ok": rep.ok}))
-    return 0 if all(r.ok for r in reports) else 1
+    k = args.k
+    # family -> (kernel family, m from --k, first n, closed form of nu2 at n);
+    # t3 and b1 ignore --k, so m is computed only for the chosen family
+    family, m_of, first, closed = {
+        "t-pow2": ("t", lambda: 1 << k, 0, lambda n: v2_t2k_closed(k, n)),
+        "t3": ("t", lambda: 3, 1, v2_t3_closed),
+        "b-pow2m1": ("b", lambda: (1 << k) - 1, 0, lambda n: v2_b2k1_closed(k, n)),
+        "b1": ("b", lambda: 1, 2, v2_b1_churchhouse),
+    }[args.family]
+    vals = _family_prefix(family, m_of(), args.bound)
+    enc = lambda v: "INFINITE" if v is None else v
+    all_ok = True
+    for n in range(first, args.bound + 1):
+        direct, want = nu2_or_none(vals[n]), closed(n)
+        all_ok &= direct == want
+        print(_jdump({"n": n, "direct": enc(direct), "closed": enc(want),
+                      "ok": direct == want}))
+    return 0 if all_ok else 1
 
 
 def _cmd_verify(args) -> int:
@@ -196,9 +182,6 @@ def _cmd_verify(args) -> int:
 def _cmd_search(args) -> int:
     from .tm_sequences import t2_solve
 
-    if args.target == 0:
-        print("t_2 never vanishes; 0 is not a value", file=sys.stderr)
-        return 2
     res = t2_solve(args.target)
     print(_jdump({"target": res.target, "n": res.n,
                   "shifted_instance": res.shifted_instance}))

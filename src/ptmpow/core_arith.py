@@ -1,6 +1,7 @@
-"""Exact integer foundations: binary-digit utilities, the exact signed
-convolution `convolve` and the dense integer polynomials built on it, and
-base-4 digit expansions.
+"""Exact integer foundations: binary-digit utilities (s2, nu2 and
+nu2_or_none, whose None is the valuation of zero, and the Prouhet-Thue-Morse
+sign ptm), the exact signed convolution `convolve` and the dense integer
+polynomials built on it, and base-4 digit expansions.
 
 No floating point: every operation is over Python big integers.
 """
@@ -24,12 +25,21 @@ def s2(n: int) -> int:
 def nu2(n: int) -> int:
     """2-adic valuation of a nonzero integer: largest e with 2^e | n.
 
-    nu2(0) is rejected; the valuation of zero lives only in valuation-report
-    values, as the INFINITE sentinel.
+    nu2(0) is rejected; where zero is a possible value, use nu2_or_none.
     """
     if n == 0:
-        raise ValueError("nu2(0) is undefined; use the INFINITE sentinel in reports")
+        raise ValueError("nu2(0) is undefined; use nu2_or_none where 0 can occur")
     return (n & -n).bit_length() - 1
+
+
+def nu2_or_none(n: int) -> int | None:
+    """nu2(n), or None for n = 0: the one encoding of an infinite valuation."""
+    return None if n == 0 else nu2(n)
+
+
+def ptm(n: int) -> int:
+    """Prouhet-Thue-Morse term (-1)^s2(n)."""
+    return -1 if n.bit_count() & 1 else 1
 
 
 def nu2_factorial(n: int) -> int:
@@ -52,38 +62,6 @@ def nu2_binom(a: int, b: int) -> int:
     if b < 0 or b > a:
         raise ValueError("nu2_binom of a zero binomial")
     return s2(b) + s2(a - b) - s2(a)
-
-
-class _InfiniteValuation:
-    """Valuation of zero. A dedicated sentinel, never a large integer.
-
-    Absorbs addition (3 + INFINITE == INFINITE) so recursive valuation
-    formulas can propagate it.
-    """
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "INFINITE"
-
-    def __add__(self, other):
-        return self
-
-    __radd__ = __add__
-
-    def __eq__(self, other):
-        return other is self
-
-    def __hash__(self):
-        return hash("INFINITE-valuation")
-
-
-INFINITE = _InfiniteValuation()
 
 
 # ---------------------------------------------------------------------------

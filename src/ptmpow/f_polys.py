@@ -7,10 +7,11 @@ Three equivalent recurrences are implemented and cross-validated:
   (alt 2)           f_n(t) = sum_{k<=n/2} C(n-2k-1-t, n-2k) f_k(t)
 
 All polynomial arithmetic happens on the integer companion g_n = n! * f_n,
-so no rational polynomial arithmetic is needed anywhere.  `FSeries` holds
-the g_n; `w_poly` reads the coefficients a(i, n) = g_n[i] / n! off it.
-`CoeffTable` builds the same a(i, n) by their own recurrence and is kept as
-a reference for the tests.
+so no rational polynomial arithmetic is needed anywhere, and f_n itself is
+never stored: it is g_n over n!.  `FSeries` holds the g_n and evaluates
+f_n(t0) = g_n(t0) / n!; `w_poly` reads the coefficients a(i, n) = g_n[i] / n!
+off it.  `CoeffTable` builds the same a(i, n) by their own recurrence and is
+kept as a reference for the tests.
 
 The values f_n(t) at one integer t do not come from here: `fpow.fpow_prefix`
 runs the product form F(x)^t = (1-x)^t F(x^2)^t instead of the polynomials.
@@ -19,7 +20,6 @@ runs the product form F(x)^t = (1-x)^t F(x^2)^t instead of the polynomials.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .core_arith import IntPoly, _mul_schoolbook, nu2
@@ -29,27 +29,6 @@ from .reports import CheckReport
 def _weight(j: int) -> int:
     # 1 - 2^(nu2(j)+1); the x^j coefficient of log F times j
     return 1 - (1 << (nu2(j) + 1))
-
-
-@dataclass(frozen=True)
-class FactPoly:
-    """num / fact_index! with num an integer polynomial.
-
-    Deliberately not normalized: fact_index is pinned to n for f_n, so that
-    num is exactly g_n.
-    """
-
-    num: IntPoly
-    fact_index: int
-
-    def coefficient(self, i: int) -> Fraction:
-        return Fraction(self.num[i], math.factorial(self.fact_index))
-
-    def evaluate(self, v) -> Fraction:
-        return Fraction(self.num.evaluate(v), math.factorial(self.fact_index))
-
-    def format(self, var: str = "t") -> str:
-        return f"({self.num.format(var)})/{self.fact_index}!"
 
 
 class FSeries:
@@ -82,11 +61,9 @@ class FSeries:
         self.extend(n)
         return self._g[n]
 
-    def f(self, n: int) -> FactPoly:
-        return FactPoly(self.g(n), n)
-
     def f_value(self, n: int, t0: int) -> Fraction:
-        return self.f(n).evaluate(t0)
+        """f_n(t0) = g_n(t0) / n!."""
+        return Fraction(self.g(n).evaluate(t0), math.factorial(n))
 
 
 _shared = FSeries()
@@ -148,14 +125,6 @@ def g_prefix_alt2(n_max: int) -> list[IntPoly]:
             acc = -acc
         g.append(acc)
     return g
-
-
-def f_poly_alt1(n: int) -> FactPoly:
-    return FactPoly(g_prefix_alt1(n)[n], n)
-
-
-def f_poly_alt2(n: int) -> FactPoly:
-    return FactPoly(g_prefix_alt2(n)[n], n)
 
 
 class CoeffTable:

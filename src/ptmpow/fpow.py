@@ -28,7 +28,8 @@ def fpow_prefix(t: int, n: int) -> list[int]:
     upsampled prefix (f_{i/2}(t) at even i, 0 at odd i) after t first
     differences (t > 0) or |t| running sums (t < 0).  Blocks need only
     indices below hi/2 <= lo, and each pass keeps one carry, so growth
-    appends blocks of at most _FPOW_BLOCK indices and never rebuilds.
+    appends blocks of at most _FPOW_BLOCK indices, the last one cut at
+    n + 1, and never rebuilds.
 
     The returned list is the memo itself, shared by every caller: treat it
     as read-only.  Indices are >= 0; a negative index would wrap silently.
@@ -43,7 +44,7 @@ def fpow_prefix(t: int, n: int) -> list[int]:
     carries = _fpow_carries[t]
     while len(vals) <= n:
         lo = len(vals)
-        hi = lo + min(lo, _FPOW_BLOCK)
+        hi = min(lo + min(lo, _FPOW_BLOCK), n + 1)
         block = [0] * (hi - lo)
         block[lo & 1 :: 2] = vals[(lo + 1) // 2 : (hi + 1) // 2]
         for p, c in enumerate(carries):

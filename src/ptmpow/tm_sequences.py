@@ -1,6 +1,7 @@
 """The sequences t_m(n) = f_n(m) for m >= 1: closed-form 2-adic valuations,
 the zero set of t_3, the value search for t_2, symmetry, extrema, and
-inequality sweeps.
+inequality sweeps.  The valuation at a zero of t_3 is None, as
+`core_arith.nu2_or_none` gives it.
 
 Every value comes from `fpow.fpow_prefix(m, n)`, the one production
 kernel for F(x)^t, which runs the halving identity
@@ -18,29 +19,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core_arith import (
-    INFINITE,
-    _mul_schoolbook,
-    base4_digits_0136,
-    nu2,
-    nu2_binom,
-)
+from .core_arith import _mul_schoolbook, base4_digits_0136, nu2, nu2_binom, ptm
 from .f_polys import shared_fseries
 from .fpow import fpow_prefix
 from .reports import CheckReport
-
-
-def ptm(n: int) -> int:
-    """Prouhet-Thue-Morse term (-1)^s2(n)."""
-    return -1 if n.bit_count() & 1 else 1
-
-
-@dataclass
-class ValuationReport:
-    n: int
-    direct: object  # int or INFINITE
-    closed: object
-    ok: bool
 
 
 def tm(m: int, n: int) -> int:
@@ -109,10 +91,10 @@ def v2_t2k_piecewise(k: int, n: int) -> int:
     return k - nu2(j) + nu2(q + 1)
 
 
-def v2_t3_closed(n: int):
+def v2_t3_closed(n: int) -> int | None:
     """nu2(t_3(n)) from the base-4 digit expansion over {0,1,3,6}:
-    INFINITE iff the leading digit is 2 and all lower digits lie in {3,6};
-    otherwise 3k where k is the length of the maximal {3,6} prefix."""
+    None (t_3(n) = 0) iff the leading digit is 2 and all lower digits lie in
+    {3,6}; otherwise 3k where k is the length of the maximal {3,6} prefix."""
     if n < 1:
         raise ValueError("defined for n >= 1")
     digits = base4_digits_0136(n)
@@ -123,19 +105,19 @@ def v2_t3_closed(n: int):
         else:
             break
     if digits[-1] == 2 and prefix == len(digits) - 1:
-        return INFINITE
+        return None
     return 3 * prefix
 
 
-def v2_t3_rec(n: int):
+def v2_t3_rec(n: int) -> int | None:
     """nu2(t_3(n)) by the reduction t_3(4n+3) = 8 t_3(n), t_3(4n+6) = 8 t_3(n)
-    together with t_3(4n), t_3(4n+1) odd."""
+    together with t_3(4n), t_3(4n+1) odd and t_3(2) = 0; None at a zero."""
     if n < 0:
         raise ValueError("defined for n >= 0")
     shift = 0
     while True:
         if n == 2:
-            return INFINITE
+            return None
         r = n & 3
         if r in (0, 1):
             return shift
@@ -147,7 +129,7 @@ def v2_t3_rec(n: int):
 
 
 def t3_is_zero(n: int) -> bool:
-    return n >= 1 and v2_t3_closed(n) is INFINITE
+    return n >= 1 and v2_t3_closed(n) is None
 
 
 def _t3_zero_indexed(count: int) -> list[int]:

@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 from ptmpow import bm_sequences, f_polys, fpow
-from ptmpow.core_arith import INFINITE, IntPoly, nu2
+from ptmpow.core_arith import IntPoly, nu2
 from ptmpow.f_polys import (
     CoeffTable,
     check_g_factorization,
@@ -100,8 +100,7 @@ def test_criterion_01_polynomial_table():
             (0, -24, 270, -155, 30, -1),
         ]
         for n, coeffs in enumerate(table):
-            fp = fs.f(n)
-            assert fp.num == IntPoly(coeffs) and fp.fact_index == n
+            assert fs.g(n) == IntPoly(coeffs)
 
 
 def test_criterion_02_coefficient_closed_forms():
@@ -160,7 +159,7 @@ def test_criterion_05_valuation_closed_forms():
             closed = v2_t3_closed(n)
             assert closed == v2_t3_rec(n)
             if n in zeros:
-                assert closed is INFINITE and t3[n] == 0
+                assert closed is None and t3[n] == 0
             else:
                 assert t3[n] != 0 and closed == nu2(t3[n])
 

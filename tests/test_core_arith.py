@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptmpow.core_arith import (
-    INFINITE,
     IntPoly,
     base4_digits_0136,
     base4_value_0136,
@@ -14,6 +13,7 @@ from ptmpow.core_arith import (
     nu2,
     nu2_binom,
     nu2_factorial,
+    nu2_or_none,
     s2,
 )
 from ptmpow.core_arith import _mul_schoolbook  # cross-check target
@@ -35,6 +35,9 @@ def test_nu2_basics():
     assert nu2(-12) == 2
     with pytest.raises(ValueError):
         nu2(0)
+    # None is the one encoding of the valuation of zero
+    assert nu2_or_none(0) is None
+    assert nu2_or_none(-12) == 2
 
 
 def test_digit_bookkeeping_sweep():
@@ -77,14 +80,6 @@ def test_legendre_against_direct_factorials():
     for n in range(1, 2001):
         fact *= n
         assert nu2_factorial(n) == nu2(fact)
-
-
-def test_infinite_sentinel():
-    assert repr(INFINITE) == "INFINITE"
-    assert 3 + INFINITE is INFINITE
-    assert INFINITE + 4 is INFINITE
-    assert INFINITE != 10**9
-    assert INFINITE == INFINITE
 
 
 def test_intpoly_ring_ops():

@@ -11,8 +11,6 @@ from ptmpow.f_polys import (
     FSeries,
     check_addition_formula,
     check_g_factorization,
-    f_poly_alt1,
-    f_poly_alt2,
     g_prefix_alt1,
     g_prefix_alt2,
     log_coeff,
@@ -39,9 +37,7 @@ G_TABLE = [
 def test_first_six_polynomials():
     fs = shared_fseries()
     for n, coeffs in enumerate(G_TABLE):
-        fp = fs.f(n)
-        assert fp.num == IntPoly(coeffs)
-        assert fp.fact_index == n
+        assert fs.g(n) == IntPoly(coeffs)
 
 
 def test_alternative_recurrences_agree():
@@ -50,8 +46,8 @@ def test_alternative_recurrences_agree():
     a2 = g_prefix_alt2(40)
     for n in range(41):
         assert a1[n] == a2[n] == fs.g(n)
-    assert f_poly_alt1(1).num == f_poly_alt2(1).num == IntPoly((0, -1))
-    assert f_poly_alt1(0).num == IntPoly((1,))
+    assert g_prefix_alt1(1)[1] == g_prefix_alt2(1)[1] == IntPoly((0, -1))
+    assert g_prefix_alt1(0) == g_prefix_alt2(0) == [IntPoly((1,))]
 
 
 def test_degree_and_leading_coefficient():
@@ -83,9 +79,9 @@ def test_coefficient_table_matches_polynomials():
     fs = shared_fseries()
     tab = CoeffTable()
     for n in range(41):
-        fp = fs.f(n)
+        g = fs.g(n)
         for i in range(n + 1):
-            assert tab.a(i, n) == fp.coefficient(i)
+            assert tab.a(i, n) == Fraction(g[i], math.factorial(n))
 
 
 def test_w_polynomials_match_factored_forms():
@@ -190,6 +186,25 @@ def test_fpow_prefix_satisfies_the_halving_identity():
         assert vals[:257] == product_series_oracle(t, 256)
 
 
+def test_fpow_prefix_builds_exactly_the_request(monkeypatch):
+    # from an empty memo the kernel stops at index n, below one block and
+    # across the block edges, and a memo that ends in a cut block grows on
+    # to the same values as one built in whole blocks (n = 2^14 - 1 cuts none)
+    def fresh():
+        monkeypatch.setattr(fpow, "_fpow_vals", {})
+        monkeypatch.setattr(fpow, "_fpow_carries", {})
+
+    for t in (2, -3):
+        fresh()
+        full = list(fpow_prefix(t, (1 << 14) - 1))
+        assert full[:65] == product_series_oracle(t, 64)
+        for n in (0, 1, 16, 4095, 4096, 4097, 12288):
+            fresh()
+            vals = fpow_prefix(t, n)
+            assert len(vals) == n + 1 and vals == full[: n + 1], (t, n)
+            assert fpow_prefix(t, 12289) == full[:12290], (t, n)
+
+
 def test_fpow_residues_match_the_exact_prefix(monkeypatch):
     # the uint64 kernel against the exact one at every index below 2^14,
     # starting from an empty memo: a first request of a length that is not a
@@ -213,7 +228,3 @@ def test_fpow_residues_match_the_exact_prefix(monkeypatch):
 def test_fpow_residues_need_numpy(monkeypatch):
     monkeypatch.setitem(sys.modules, "numpy", None)
     assert fpow_residues(2, 16) is None
-
-
-def test_fact_poly_format():
-    assert shared_fseries().f(2).format("t") == "(-3*t + 1*t^2)/2!"

@@ -272,6 +272,12 @@ def test_cli_poly(capsys):
     assert rc == 0
     assert json.loads(out) == {"i": 1, "k": 2, "m": 4,
                                "coeffs": ["4", "144", "504", "336", "36"]}
+    # the JSON lines, byte for byte: f is g_n over n!, unreduced
+    rc, out, _ = run_cli(capsys, "poly", "f", "2", "--format", "json")
+    assert rc == 0
+    assert out == '{"den_factorial_of":2,"kind":"f","n":2,"num_coeffs":["0","-3","1"]}\n'
+    rc, out, _ = run_cli(capsys, "poly", "g", "2", "--format", "json")
+    assert rc == 0 and out == '{"coeffs":["0","-3","1"],"kind":"g","n":2}\n'
     rc, _, _ = run_cli(capsys, "poly", "h", "1", "2")
     assert rc == 2
     # a negative index must not wrap around the g_n memo
@@ -288,6 +294,12 @@ def test_cli_val(capsys):
     assert rows[1] == {"n": 2, "direct": "INFINITE", "closed": "INFINITE", "ok": True}
     rc, out, _ = run_cli(capsys, "val", "b1", "--bound", "64")
     assert rc == 0
+    # the whole output of the two families that read --k, byte for byte
+    for family, closed in (("t-pow2", [0, 2, 1, 2, 0, 3, 2, 3, 0]),
+                           ("b-pow2m1", [0, 0, 0, 0, 1, 1, 1, 1, 2])):
+        rc, out, _ = run_cli(capsys, "val", family, "--k", "2", "--bound", "8")
+        assert rc == 0 and out == "".join(
+            f'{{"closed":{v},"direct":{v},"n":{n},"ok":true}}\n' for n, v in enumerate(closed))
     assert_usage_error("val", "b1", "--bound", "-5")
     # 2^k needs k >= 0 and b_(2^k - 1) needs k >= 1; the message names --k
     assert_usage_error("val", "t-pow2", "--k", "-1", "--bound", "4")
@@ -303,8 +315,8 @@ def test_cli_val(capsys):
 def test_cli_search(capsys, monkeypatch):
     rc, out, _ = run_cli(capsys, "search", "2")
     assert rc == 0 and json.loads(out)["n"] == 5
-    rc, _, _ = run_cli(capsys, "search", "0")
-    assert rc == 2
+    rc, out, _ = run_cli(capsys, "search", "0")
+    assert rc == 2 and out == ""
     # |t_2(n)| <= n+1: a target past the scan cap is refused before any scan
     with monkeypatch.context() as patch:
         patch.setattr(tm_sequences, "fpow_prefix", None)
@@ -463,6 +475,11 @@ def test_cli_loads_only_what_its_command_runs():
     verify = _modules_loaded_by("verify", "t5-valuation", "--bound", "64")
     assert "ptmpow.campaigns" in verify
     assert not verify & {"ptmpow.bm_sequences", "ptmpow.tm_sequences"}
+    # the b_m side reads ptm from core_arith, so it loads no t_m or f_n code
+    for argv in (("verify", "b2-valuation-list", "--bound", "64"), ("poly", "h", "0", "2", "2")):
+        loaded = _modules_loaded_by(*argv)
+        assert "ptmpow.bm_sequences" in loaded
+        assert not loaded & {"ptmpow.tm_sequences", "ptmpow.f_polys", "fractions"}, argv
 
 
 def test_cli_version(capsys):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptmpow.core_arith import INFINITE, nu2
+from ptmpow.core_arith import nu2, nu2_or_none, ptm
 from ptmpow.f_polys import shared_fseries
 from ptmpow.fpow import fpow_prefix
 from ptmpow.tm_sequences import (
@@ -21,7 +21,6 @@ from ptmpow.tm_sequences import (
     maxmin_scan,
     multinomial_s1_enumerate,
     pair_tree_rowmajor,
-    ptm,
     t2,
     t2_solve,
     t2_symmetry_partner,
@@ -102,13 +101,12 @@ def test_v2_powers_of_two():
 
 
 def test_v2_t3_closed_and_recursive():
-    assert v2_t3_closed(2) is INFINITE
+    assert v2_t3_closed(2) is None
     assert v2_t3_closed(3) == 3
     assert v2_t3_closed(4) == 0
     vals = fpow_prefix(3, 1 << 12)
     for n in range(1, 1 << 12):
-        direct = INFINITE if vals[n] == 0 else nu2(vals[n])
-        assert v2_t3_closed(n) == v2_t3_rec(n) == direct
+        assert v2_t3_closed(n) == v2_t3_rec(n) == nu2_or_none(vals[n])
 
 
 def test_t3_zero_set():
