@@ -121,7 +121,7 @@ def _run_t_regular(bounds):
     # kernel-of-subsequences statistics: how many distinct valuation patterns
     # the dyadic subsequences nu2(t_m(2^l n + j)) show, per m
     n_max = bounds["n"]
-    depth = bounds.get("depth", 5)
+    depth = bounds["depth"]
     stats = {}
     for m in (2, 3, 5, 6):
         vals = fpow_prefix(m, (n_max << depth) + (1 << depth))
@@ -288,7 +288,7 @@ def _run_t_zero_m4plus(bounds):
 
 def _run_t_missing_values(bounds):
     n_max = bounds["n"]
-    span = bounds.get("span", 50)
+    span = bounds["span"]
     out = {}
     for m in (3, 4, 5):
         vals = fpow_prefix(m, n_max)

@@ -274,7 +274,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     # seqcache.CacheError is a ValueError
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

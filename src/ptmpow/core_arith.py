@@ -226,31 +226,6 @@ class IntPoly:
             out.append(q)
         return IntPoly(out)
 
-    def divexact(self, divisor: "IntPoly") -> "IntPoly":
-        """Exact polynomial division over Z; raises on a nonzero remainder."""
-        if divisor.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        rem = list(self.coeffs)
-        dc = divisor.coeffs
-        lead = dc[-1]
-        qlen = len(rem) - len(dc) + 1
-        if qlen <= 0:
-            if any(rem):
-                raise ArithmeticError("not divisible (degree too small)")
-            return IntPoly.zero()
-        quot = [0] * qlen
-        for i in range(qlen - 1, -1, -1):
-            q, r = divmod(rem[i + len(dc) - 1], lead)
-            if r:
-                raise ArithmeticError("not divisible (leading coefficient)")
-            quot[i] = q
-            if q:
-                for j, d in enumerate(dc):
-                    rem[i + j] -= q * d
-        if any(rem):
-            raise ArithmeticError("not divisible (nonzero remainder)")
-        return IntPoly(quot)
-
     def format(self, var: str = "x") -> str:
         """Render per the documented grammar: terms in increasing degree joined
         by " + ", each term `c`, `c*v`, or `c*v^k` with exact decimal c."""

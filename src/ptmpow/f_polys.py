@@ -238,13 +238,6 @@ def check_addition_formula(n: int, t1: int, t2: int) -> CheckReport:
 # logarithm coefficients
 
 
-def log_coeff(n: int) -> Fraction:
-    """x^n coefficient of log F(x): (1 - 2^(nu2(n)+1)) / n."""
-    if n < 1:
-        raise ValueError("log coefficient defined for n >= 1")
-    return Fraction(_weight(n), n)
-
-
 def phi_base(k: int, n: int) -> int:
     """Largest e with k^e | n (n >= 1, k >= 2)."""
     e = 0
@@ -257,8 +250,8 @@ def phi_base(k: int, n: int) -> int:
 def log_coeff_base(k: int, n: int) -> Fraction:
     """x^n coefficient of log prod (1 - x^(k^j)), which is
     (1 - k^(phi_k(n)+1)) / ((k-1) n): the k-power divisors of n contribute
-    the geometric sum (k^(phi+1)-1)/(k-1).  For k = 2 the k-1 factor
-    vanishes and this reduces to log_coeff."""
+    the geometric sum (k^(phi+1)-1)/(k-1).  At k = 2 the k-1 factor is 1,
+    and this is (1 - 2^(nu2(n)+1)) / n, the x^n coefficient of log F(x)."""
     if n < 1 or k < 2:
         raise ValueError("need n >= 1 and base k >= 2")
     return Fraction(1 - k ** (phi_base(k, n) + 1), (k - 1) * n)
@@ -266,7 +259,7 @@ def log_coeff_base(k: int, n: int) -> Fraction:
 
 def log_series_oracle(n_max: int, base: int = 2) -> list[Fraction]:
     """Coefficients of log prod (1 - x^(base^j)) up to x^n_max, by formally
-    expanding -sum_{j, i} x^(i * base^j) / i.  Independent of log_coeff."""
+    expanding -sum_{j, i} x^(i * base^j) / i.  Independent of log_coeff_base."""
     acc = [Fraction(0)] * (n_max + 1)
     step = 1
     while step <= n_max:

@@ -1,7 +1,8 @@
 """The sequences t_m(n) = f_n(m) for m >= 1: closed-form 2-adic valuations,
 the zero set of t_3, the value search for t_2, symmetry, extrema, and
 inequality sweeps.  The valuation at a zero of t_3 is None, as
-`core_arith.nu2_or_none` gives it.
+`core_arith.nu2_or_none` gives it, so n >= 1 is a zero of t_3 iff
+`v2_t3_closed(n) is None`.
 
 Every value comes from `fpow.fpow_prefix(m, n)`, the one production
 kernel for F(x)^t, which runs the halving identity
@@ -126,10 +127,6 @@ def v2_t3_rec(n: int) -> int | None:
         else:
             n = (n - 6) >> 2
         shift += 3
-
-
-def t3_is_zero(n: int) -> bool:
-    return n >= 1 and v2_t3_closed(n) is None
 
 
 def _t3_zero_indexed(count: int) -> list[int]:
@@ -394,16 +391,18 @@ def check_mean(n_max: int) -> CheckReport:
                        witness={"odd_equalities": odd_equalities})
 
 
-def check_logconcave(n_max: int, equality_ks=range(3, 17)) -> CheckReport:
-    """t_2(n)^2 > t_2(n-1) t_2(n+1) for n >= 1; the margin is exactly 1 at
-    n = 2^k - 4 for the requested k."""
+def check_logconcave(n_max: int) -> CheckReport:
+    """t_2(n)^2 > t_2(n-1) t_2(n+1) for 1 <= n <= n_max, which is
+    check_turan_t at m = 2; the margin is exactly 1 at n = 2^k - 4 for every
+    k >= 3 with 2^k - 4 <= n_max."""
+    turan = check_turan_t(2, n_max + 1)
+    if not turan.ok:
+        return CheckReport("log-concave", False, checked=turan.checked,
+                           witness={"n": turan.witness["n"]})
     vals = fpow_prefix(2, n_max + 1)
-    for n in range(1, n_max + 1):
-        if vals[n] * vals[n] <= vals[n - 1] * vals[n + 1]:
-            return CheckReport("log-concave", False, checked=n, witness={"n": n})
-    for k in equality_ks:
+    for k in range(3, (n_max + 4).bit_length()):
         n = (1 << k) - 4
-        d = t2(n) ** 2 - t2(n - 1) * t2(n + 1)
+        d = vals[n] ** 2 - vals[n - 1] * vals[n + 1]
         if d != 1:
             return CheckReport("log-concave", False, checked=n_max,
                                witness={"equality_at": n, "difference": d})

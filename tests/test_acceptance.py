@@ -209,7 +209,7 @@ def test_criterion_09_inequality_suite():
         assert check_growth(2, n_max).ok
         assert check_growth(3, n_max).ok
         assert check_mean(n_max).ok
-        assert check_logconcave(n_max, equality_ks=range(3, 17)).ok
+        assert check_logconcave(n_max).ok
         assert check_signs(2, n_max).ok
 
 
@@ -246,7 +246,7 @@ def test_criterion_12_operator_suite():
         assert v_operator(2).order <= 4
         for i in range(4):
             assert check_annihilation(i, 2, 12).ok
-        assert check_g1_closed_forms(order=12).ok
+        assert check_g1_closed_forms().ok
 
 
 def test_criterion_13_b2_valuation_table():

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from ptmpow.core_arith import IntPoly, nu2
 from ptmpow.f_polys import shared_fseries
 from ptmpow.fpow import fpow_prefix
+from ptmpow import bm_sequences
 from ptmpow.bm_sequences import (
     b1,
     b1_euler_prefix,
@@ -23,7 +24,6 @@ from ptmpow.bm_sequences import (
     check_h_identity,
     check_h_mod_p,
     check_parity_b,
-    check_ptm_inverse,
     check_radical,
     check_rps,
     check_derivative_identity,
@@ -189,9 +189,30 @@ def test_window_sum_congruences():
     assert h_poly(2, 2, 2).mod(5) == IntPoly.monomial(2)
 
 
-def test_8x1_divisibility_and_palindromes():
+def test_8x1_divisibility_and_palindromes(monkeypatch):
     assert check_8x1(5).ok
     assert check_h12(5).ok
+    # each failure path, through one perturbed h on a fresh memo, so that no
+    # perturbed value is memoised past the test
+    h_exact = bm_sequences.h_poly
+
+    def perturb(key, delta):
+        monkeypatch.setattr(bm_sequences, "_h_memo", {})
+        monkeypatch.setattr(bm_sequences, "h_poly", lambda *ikm: (
+            h_exact(*ikm) + delta if ikm == key else h_exact(*ikm)))
+
+    # h_{3,2,2} = 8 + 8x: +8 keeps 8 | h but h(-1) = 8, +1 breaks 8 | h
+    for delta in (8, 1):
+        perturb((3, 2, 2), delta)
+        rep = check_8x1(5)
+        assert not rep.ok and rep.witness == {"family": 2, "k": 1}
+    # h_{1,1,2} = 2 leads with a_0 = 2; h_{1,2,2} = 2(1+x)^2 + 8x, and one
+    # more x keeps it palindromic with a_1 = 9
+    perturb((1, 1, 2), 1)
+    assert check_h12(5).witness == {"family": 2, "k": 0, "coeffs": [3]}
+    perturb((1, 2, 2), IntPoly.x())
+    rep = check_h12(5)
+    assert not rep.ok and rep.witness == {"family": 2, "k": 1, "coeffs": [2, 9]}
     assert check_4div(64).ok
     from ptmpow.core_arith import binom
     assert binom(4, 2) - binom(2, 1) == 4
@@ -265,7 +286,7 @@ def test_half_in_x_splits_and_rejects_the_other_parity():
 
 
 def test_g1_series_closed_forms():
-    assert check_g1_closed_forms(order=12).ok
+    assert check_g1_closed_forms().ok
 
 
 def test_b2_valuation_table():
@@ -276,7 +297,8 @@ def test_b2_valuation_table():
 
 
 def test_inverse_and_color_drop_identities():
-    assert check_ptm_inverse(10**4).ok
+    # k = 0 is the inverse identity: sum_j t_{n-j} b(j) == [n == 0]
+    assert check_formula_2k(0, 10**4).ok
     for k in (1, 2, 3):
         assert check_formula_2k(k, 1 << 10).ok
 

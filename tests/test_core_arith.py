@@ -96,14 +96,6 @@ def test_intpoly_ring_ops():
         IntPoly((4, 9)).divexact_scalar(4)
 
 
-def test_intpoly_divexact():
-    xp1 = IntPoly((1, 1))
-    p = IntPoly((8, 8)) * xp1 * xp1
-    assert p.divexact(xp1) == IntPoly((8, 8)) * xp1
-    with pytest.raises(ArithmeticError):
-        (p + 1).divexact(xp1)
-
-
 def test_intpoly_format_grammar():
     assert IntPoly(()).format() == "0"
     assert IntPoly((1, -3, 1)).format("t") == "1 + -3*t + 1*t^2"

@@ -13,7 +13,6 @@ from ptmpow.f_polys import (
     check_g_factorization,
     g_prefix_alt1,
     g_prefix_alt2,
-    log_coeff,
     log_coeff_base,
     log_series_oracle,
     product_series_oracle,
@@ -130,15 +129,14 @@ def test_addition_formula():
 
 def test_log_coefficients():
     # (1 - 2^(nu2(n)+1)) / n; the series oracle below pins the same values
-    assert log_coeff(1) == Fraction(1 - 2, 1) == -1
-    assert log_coeff(2) == Fraction(1 - 4, 2) == Fraction(-3, 2)
+    assert log_coeff_base(2, 1) == Fraction(1 - 2, 1) == -1
+    assert log_coeff_base(2, 2) == Fraction(1 - 4, 2) == Fraction(-3, 2)
     # base k needs the geometric-sum denominator (k-1)*n; hand expansion of
     # log(1-x) + log(1-x^3) puts -1/3 - 1 = -4/3 on x^3
     assert log_coeff_base(3, 3) == Fraction(1 - 9, 2 * 3) == Fraction(-4, 3)
-    assert log_coeff_base(2, 2) == log_coeff(2)
     oracle = log_series_oracle(64)
     for n in range(1, 65):
-        assert oracle[n] == log_coeff(n)
+        assert oracle[n] == log_coeff_base(2, n)
     oracle3 = log_series_oracle(64, base=3)
     for n in range(1, 65):
         assert oracle3[n] == log_coeff_base(3, n)
@@ -161,10 +159,12 @@ def test_value_prefix_matches_polynomial_evaluation():
         assert fs.f_value(n, 5) == vals[n]
 
 
-def test_fpow_prefix_satisfies_the_halving_identity():
+def test_fpow_prefix_satisfies_the_halving_identity(monkeypatch):
     # F(x)^t = (1-x)^t F(x^2)^t, checked index by index in its finite form,
-    # on values of t no other test warms; the requests step across the
-    # 4096-index block edges, and every request returns the same memo list
+    # from empty memos; the requests step across the 4096-index block
+    # edges, and every request returns the same memo list
+    monkeypatch.setattr(fpow, "_fpow_vals", {})
+    monkeypatch.setattr(fpow, "_fpow_carries", {})
     for t in (0, 10, -10, 11, -11, 13, -13):
         vals = fpow_prefix(t, 0)
         done = 0

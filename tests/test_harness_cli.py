@@ -156,15 +156,15 @@ def test_cache_roundtrip(tmp_path):
 def test_cache_rejects_corruption(tmp_path):
     path = str(tmp_path / "b_3.seq")
     cache_store("b", 3, [bm(3, n) for n in range(256)], path)
-    raw = open(path, "rb").read()
-    open(path, "wb").write(raw[:-2] + b"7\n")
+    raw = Path(path).read_bytes()
+    Path(path).write_bytes(raw[:-2] + b"7\n")
     with pytest.raises(CacheError):
         cache_load(path)
 
 
 def test_cache_rejects_wrong_version(tmp_path):
     path = str(tmp_path / "x.seq")
-    open(path, "w").write("ptmpow v9 t 2 1 00000000\n1\n")
+    Path(path).write_text("ptmpow v9 t 2 1 00000000\n1\n")
     with pytest.raises(CacheError):
         cache_load(path)
 
@@ -337,7 +337,7 @@ def test_cli_verify_exit_codes(capsys, tmp_path):
     assert rc == 3
     payload = json.loads(out)
     assert payload["status"] == "verified-to-bound"
-    persisted = json.loads(open(out_path).read())
+    persisted = json.loads(Path(out_path).read_text())
     assert persisted["name"] == "t5-valuation" and "wall_ms" in persisted
 
     rc, out, _ = run_cli(capsys, "verify", "b2-valuation-list", "--bound", "2048")
@@ -351,6 +351,19 @@ def test_cli_verify_exit_codes(capsys, tmp_path):
     assert_usage_error("verify", "t5-valuation", "--bound", "-5")
     assert_usage_error("verify", "b2-valuation-list", "--bound", "-1")
     assert capsys.readouterr().out == ""
+
+
+def test_cli_verify_lets_a_runner_bug_raise(monkeypatch, capsys):
+    # no handler raises KeyError by design, so one from a runner is a bug,
+    # not a usage error; an unknown campaign still exits 2
+    def broken(name, bounds=None):
+        raise KeyError("runner bug")
+
+    monkeypatch.setattr(campaigns, "run_campaign", broken)
+    with pytest.raises(KeyError, match="runner bug"):
+        main(["verify", "t5-valuation"])
+    rc, out, err = run_cli(capsys, "verify", "no-such-campaign")
+    assert rc == 2 and out == "" and "unknown campaign" in err
 
 
 # the least size bound at which each campaign checks anything
@@ -405,7 +418,7 @@ def test_cli_verify_out_records_backend(monkeypatch, capsys, tmp_path):
         assert verify("t-zero-m4plus")["status"] == "verified-to-bound"
     monkeypatch.setitem(sys.modules, "numpy", None)
     verify("t9-valuation")
-    records = [json.loads(line) for line in open(path)]
+    records = [json.loads(line) for line in Path(path).read_text().splitlines()]
     assert [(r["name"], r["backend"]) for r in records] == [
         ("t9-valuation", "residue"),
         ("b-turan-m4plus", "exact"),
