@@ -17,6 +17,7 @@ runs another campaign does not load them.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -324,11 +325,14 @@ def _run_t2_symmetry(bounds):
 # residue runners: the same checks on values mod 2^64 (`fpow_residues`).
 # Each returns the exact runner's (status, witness) from whole-array
 # operations, or None, in which case run_campaign runs the exact runner for
-# the whole campaign: when numpy is missing, or when a residue whose nu2 is
-# taken or that is tested for zero is 0 (a zero value or nu2 >= 64).  Any
-# exact settling of such an index would build the exact prefix up to it, so
-# declining costs no more.  A masked congruence difference is exact, so the
-# congruence runners never decline.
+# the whole campaign: when numpy is missing, when a residue whose nu2 is
+# taken or that is tested for zero is 0 (a zero value or nu2 >= 64), and
+# when an int64 reading of t_m (`_int64_values`) would pass its proved
+# bound.  Any exact settling of such an index would build the exact prefix
+# up to it, so declining costs no more.  A masked congruence difference is
+# exact, so the two congruence runners with a fixed modulus never decline;
+# b-congruence-growth takes nu2 of the whole difference and declines on a
+# difference of 0 mod 2^64.
 
 
 def _nu2_residues(r):
@@ -385,13 +389,17 @@ def _res_t2k1_table(bounds):
     return VERIFIED, out
 
 
+def _congruence_differences(seq, idx_max, k):
+    """seq[n << (k+1)] - seq[n << (k-1)] for n = 0..idx_max >> (k+1), mod 2^64
+    on residues."""
+    count = (idx_max >> (k + 1)) + 1
+    return seq[: count << (k + 1) : 1 << (k + 1)] - seq[: count << (k - 1) : 1 << (k - 1)]
+
+
 def _congruence_failures(seq, idx_max, k, mod):
     """Mask over n = 0..idx_max >> (k+1) of seq[n << (k+1)] != seq[n << (k-1)]
     (mod `mod`); exact on residues mod 2^64 for `mod` a power of two."""
-    count = (idx_max >> (k + 1)) + 1
-    hi = seq[: count << (k + 1) : 1 << (k + 1)]
-    lo = seq[: count << (k - 1) : 1 << (k - 1)]
-    return ((hi - lo) & (mod - 1)) != 0
+    return (_congruence_differences(seq, idx_max, k) & (mod - 1)) != 0
 
 
 def _res_b_pow2_congruence(bounds):
@@ -425,6 +433,96 @@ def _res_b_pow2m1_congruence(bounds):
     if failures:
         return OBSERVATION, {"failing": failures, "verified_for": verified}
     return VERIFIED, {}
+
+
+def _res_bm_unbounded(bounds):
+    # argmax takes the first maximum, as the exact loop's strict > does
+    n_max = bounds["n"]
+    out = {}
+    for m in (2, 4, 5, 6):
+        res = fpow_residues(-m, n_max)
+        if res is None or not res[: n_max + 1].all():
+            return None
+        v = _nu2_residues(res[: n_max + 1])
+        at = int(v.argmax())
+        out[f"m={m}"] = {"max_nu2": int(v[at]), "at": at}
+    return OBSERVATION, out
+
+
+def _res_b_congruence_growth(bounds):
+    # a difference of 0 mod 2^64 is an exact 0, which the exact loop skips,
+    # or nu2 >= 64: decline on it
+    idx_max = bounds["index"]
+    fit = {}
+    for m in (3, 5, 6):
+        seq = fpow_residues(-m, idx_max)
+        if seq is None:
+            return None
+        per_k = []
+        for k in range(2, 8):
+            d = _congruence_differences(seq, idx_max, k)[1:]
+            if not d.all():
+                return None
+            per_k.append(int(_nu2_residues(d).min()) if d.size else "exact")
+        fit[f"m={m}"] = per_k
+    return OBSERVATION, {"f(k) for k=2..7": fit}
+
+
+def _int64_values(ms, size):
+    """[t_m(0), ..., t_m(size - 1)] as exact int64 arrays, one per m in
+    `ms`, or None.  t_m(i) is a sum of C(i+m-1, m-1) terms, each +1 or -1
+    (one per composition of i into m parts), so while that count is below
+    2^63 the residue read as int64 is the value.  The count grows with i,
+    so it is checked at i = size - 1, for every m, before anything is
+    built; past it, or without numpy, the result is None."""
+    if any(math.comb(size - 1 + m - 1, m - 1) >= 1 << 63 for m in ms):
+        return None
+    arrays = []
+    for m in ms:
+        res = fpow_residues(m, size - 1)
+        if res is None:
+            return None
+        arrays.append(res[:size].view("int64"))
+    return arrays
+
+
+def _res_sign_density(bounds):
+    n_max = bounds["n"]
+    ms = (2, 3, 4, 5)
+    values = _int64_values(ms, 3 * n_max + 2)
+    if values is None:
+        return None
+    from fractions import Fraction
+
+    import numpy as np
+
+    out = {}
+    for m, vals in zip(ms, values):
+        for j in (0, 1):
+            want = 1 if j == 0 else -1
+            hits = int((np.sign(vals[j::3]) != want).sum())
+            out[f"m={m},j={j}"] = {
+                "exceptions": hits,
+                "frequency": str(Fraction(hits, n_max + 1)),
+            }
+    return OBSERVATION, out
+
+
+def _res_t_missing_values(bounds):
+    n_max = bounds["n"]
+    span = bounds["span"]
+    ms = (3, 4, 5)
+    values = _int64_values(ms, n_max + 1)
+    if values is None:
+        return None
+    import numpy as np
+
+    out = {}
+    for m, vals in zip(ms, values):
+        attained = np.unique(vals[(vals >= -span) & (vals <= span)])
+        missing = np.setdiff1d(np.arange(-span, span + 1), attained)
+        out[f"m={m}"] = {"attained_in_window": len(attained), "missing": missing.tolist()}
+    return OBSERVATION, out
 
 
 def _res_t_zero_m4plus(bounds):
@@ -489,7 +587,7 @@ _register(
     "bm-valuation-unbounded", "conjecture",
     "for m not of the form 2^k - 1 the sequence nu2(b_m(n)) is unbounded "
     "(report the running maximum)",
-    {"n": 1 << 12}, _run_bm_unbounded)
+    {"n": 1 << 12}, _run_bm_unbounded, _res_bm_unbounded)
 _register(
     "b-pow2-congruence", "conjecture",
     "b_{2^m}(2^(k+1) n) = b_{2^m}(2^(k-1) n) (mod 2^k) for k >= m+2",
@@ -505,12 +603,13 @@ _register(
     "b-congruence-growth", "conjecture",
     "b_m(2^(k+1) n) = b_m(2^(k-1) n) (mod 2^f(k)) with nondecreasing "
     "f(k) = O(k) (empirical fit of f)",
-    {"index": 1 << 14}, _run_b_congruence_growth)
+    {"index": 1 << 14}, _run_b_congruence_growth,
+    _res_b_congruence_growth)
 _register(
     "t-sign-density", "conjecture",
     "the exception sets {n : sgn t_m(3n+j) != (-1)^j} are infinite of "
     "density 0 (finite frequencies reported)",
-    {"n": 1 << 12}, _run_sign_density)
+    {"n": 1 << 12}, _run_sign_density, _res_sign_density)
 _register(
     "t-threesigns-turan", "conjecture",
     "for m >= 2: no three consecutive t_m values share a sign and "
@@ -533,7 +632,8 @@ _register(
     "t-missing-values", "conjecture",
     "for m >= 3 infinitely many integers are never attained by t_m "
     "(window histogram of attained values)",
-    {"n": 1 << 14, "span": 50}, _run_t_missing_values)
+    {"n": 1 << 14, "span": 50}, _run_t_missing_values,
+    _res_t_missing_values)
 _register(
     "b2-valuation-list", "theorem",
     "the pinned table of exact values nu2(b_2(M n + i)) = a, with the polynomial "

@@ -418,7 +418,7 @@ def check_signs(m: int, n_max: int) -> CheckReport:
         if (a > 0 and b > 0 and c > 0) or (a < 0 and b < 0 and c < 0):
             return CheckReport(f"three-signs m={m}", False, checked=n,
                                witness={"m": m, "n": n, "triple": [a, b, c]})
-    return CheckReport(f"three-signs m={m}", True, checked=n_max)
+    return CheckReport(f"three-signs m={m}", True, checked=max(n_max - 1, 0))
 
 
 def check_turan_t(m: int, n_max: int) -> CheckReport:
@@ -428,7 +428,7 @@ def check_turan_t(m: int, n_max: int) -> CheckReport:
         if vals[n] ** 2 <= vals[n - 1] * vals[n + 1]:
             return CheckReport(f"turan-t m={m}", False, checked=n,
                                witness={"m": m, "n": n})
-    return CheckReport(f"turan-t m={m}", True, checked=n_max)
+    return CheckReport(f"turan-t m={m}", True, checked=max(n_max - 1, 0))
 
 
 def check_t2_mod4(n_max: int) -> CheckReport:

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -64,7 +65,9 @@ def test_t5_witness_would_replay():
 # the residue backend
 
 RESIDUE_CAMPAIGNS = ("t5-valuation", "t9-valuation", "t2k1-valuation-table",
-                     "b-pow2-congruence", "b-pow2m1-congruence", "t-zero-m4plus")
+                     "b-pow2-congruence", "b-pow2m1-congruence", "t-zero-m4plus",
+                     "bm-valuation-unbounded", "b-congruence-growth",
+                     "t-sign-density", "t-missing-values")
 
 
 def _plant(monkeypatch, t, index, value):
@@ -107,38 +110,96 @@ def test_residue_campaigns_print_the_exact_stdout(capsys, monkeypatch, name):
     assert (rc, fast) == (rc_exact, exact)
 
 
-# (campaign, bounds, t, index): a value of F(x)^t that the campaign reads;
-# index 0 of t_5 sets the t2k1 table entry of class 0
+PLANTS = {"zero": 0, "2^70": 2**70, "six": 6}
+ALL = set(PLANTS)
+
+# (campaign, bounds, t, index, base, declines, changes): a value f_index(t)
+# that the campaign reads gets the plant, plus f_base(t) when base is set;
+# the residue runner declines on the plants in `declines`, and the plants in
+# `changes` change the exact verdict.  Index 0 of t_5 sets the t2k1 table
+# entry of class 0, index 24 of b_2 holds its largest nu2 up to 64, and
+# index 272 of b_3 is the upper end of two differences (k = 2, 3) whose
+# lower end is 68, so a plant on f_68(-3) makes both differences equal the
+# plant: 0 is an exact 0, which the exact loop skips, and 2^70 has
+# nu2 >= 64, and both read as 0 mod 2^64.  A fixed-modulus congruence
+# (a masked difference) never declines.
 PLANT_SITES = (
-    ("t5-valuation", {"n": 64}, 5, 13),
-    ("t9-valuation", {"n": 64}, 9, 43),
-    ("t2k1-valuation-table", {"n": 64}, 5, 0),
-    ("b-pow2-congruence", {"index": 1024}, -2, 64),
-    ("b-pow2m1-congruence", {"index": 1024}, -1, 64),
-    ("t-zero-m4plus", {"n": 256}, 4, 100),
+    ("t5-valuation", {"n": 64}, 5, 13, None, {"zero", "2^70"}, ALL),
+    ("t9-valuation", {"n": 64}, 9, 43, None, {"zero", "2^70"}, ALL),
+    ("t2k1-valuation-table", {"n": 64}, 5, 0, None, {"zero", "2^70"}, ALL),
+    ("b-pow2-congruence", {"index": 1024}, -2, 64, None, set(), ALL),
+    ("b-pow2m1-congruence", {"index": 1024}, -1, 64, None, set(), ALL),
+    ("t-zero-m4plus", {"n": 256}, 4, 100, None, {"zero", "2^70"}, {"zero"}),
+    ("bm-valuation-unbounded", {"n": 64}, -2, 24, None, {"zero", "2^70"}, ALL),
+    ("b-congruence-growth", {"index": 1024}, -3, 272, 68, {"zero", "2^70"}, {"six"}),
 )
 
 
-@pytest.mark.parametrize("value", [0, 2**70, 6], ids=["zero", "2^70", "six"])
-@pytest.mark.parametrize("name,bounds,t,index", PLANT_SITES,
+@pytest.mark.parametrize("plant", PLANTS)
+@pytest.mark.parametrize("name,bounds,t,index,base,declines,changes", PLANT_SITES,
                          ids=[site[0] for site in PLANT_SITES])
-def test_planted_values_give_the_exact_verdict(monkeypatch, name, bounds, t, index, value):
-    # 0 and 2^70 both leave a residue of 0, on which a valuation or zero claim
-    # declines and a congruence (a masked difference) does not; 6 has
-    # valuation 1 where none of the valuation claims expects it
+def test_planted_values_give_the_exact_verdict(monkeypatch, name, bounds, t, index, base,
+                                               declines, changes, plant):
     pytest.importorskip("numpy")
     camp = CAMPAIGNS[name]
     clean = camp.runner(dict(bounds))
+    value = PLANTS[plant] + (0 if base is None else fpow.fpow_prefix(t, base)[base])
     _plant(monkeypatch, t, index, value)
     want = camp.runner(dict(bounds))
     fast = camp.residue_runner(dict(bounds))
-    declines = value % 2**64 == 0 and "index" not in bounds
-    assert fast == (None if declines else want)
+    assert fast == (None if plant in declines else want)
     rep = run_campaign(name, dict(bounds))
     assert (rep.status, rep.witness, rep.backend) == (
-        *want, "exact" if declines else "residue")
-    # the plant changes the verdict, except where t-zero meets a nonzero value
-    assert (want == clean) == (name == "t-zero-m4plus" and value != 0)
+        *want, "exact" if plant in declines else "residue")
+    assert (want != clean) == (plant in changes)
+
+
+# (campaign, bounds, t, index): a value of t_m that an int64 runner reads;
+# t_3(15) = 64 is a j = 0 term of the sign count, and t_4(5) = 8 is the
+# only 8 in t_4's window, where neither 0, -1 nor -8 is attained
+INT64_SITES = (
+    ("t-sign-density", {"n": 64}, 3, 15),
+    ("t-missing-values", {"n": 256, "span": 50}, 4, 5),
+)
+
+
+@pytest.mark.parametrize("plant", ["zero", "minus-one", "flipped"])
+@pytest.mark.parametrize("name,bounds,t,index", INT64_SITES, ids=[s[0] for s in INT64_SITES])
+def test_int64_runners_read_planted_values_exactly(monkeypatch, name, bounds, t, index, plant):
+    # each plant keeps |t_m(i)| <= C(i+m-1, m-1), so the int64 reading holds
+    # and the runner settles the campaign with the exact verdict
+    pytest.importorskip("numpy")
+    camp = CAMPAIGNS[name]
+    clean = camp.runner(dict(bounds))
+    value = {"zero": 0, "minus-one": -1, "flipped": -fpow.fpow_prefix(t, index)[index]}[plant]
+    _plant(monkeypatch, t, index, value)
+    want = camp.runner(dict(bounds))
+    assert want != clean
+    assert camp.residue_runner(dict(bounds)) == want
+    rep = run_campaign(name, dict(bounds))
+    assert (rep.status, rep.witness, rep.backend) == (*want, "residue")
+
+
+# the largest size each int64 runner reads as int64: its largest index N
+# must keep C(N+m-1, m-1) < 2^63 for every m; m = 5 binds, at N = 121973
+INT64_LIMITS = (("t-sign-density", 40657, (2, 121972)), ("t-missing-values", 121973, (3, 121973)))
+
+
+@pytest.mark.parametrize("name,limit,first_build", INT64_LIMITS,
+                         ids=[s[0] for s in INT64_LIMITS])
+def test_int64_runners_decline_past_the_proved_bound(monkeypatch, name, limit, first_build):
+    def kernel(t, n):
+        calls.append((t, n))
+        return None
+
+    calls = []
+    monkeypatch.setattr(campaigns, "fpow_residues", kernel)
+    camp = CAMPAIGNS[name]
+    assert camp.residue_runner({**camp.defaults, "n": limit + 1}) is None
+    assert calls == []
+    # at the limit the runner goes on to build; this kernel then declines
+    assert camp.residue_runner({**camp.defaults, "n": limit}) is None
+    assert calls == [first_build]
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +252,27 @@ def test_cli_seq_csv(capsys):
     rows = [line.split(",") for line in out.strip().splitlines()]
     assert [int(v) for _, v in rows] == [1, -2, -1, 4, -3, 2, 3, -8, 1]
     assert [int(n) for n, _ in rows] == list(range(9))
+
+
+def test_cli_seq_and_val_write_in_blocks(monkeypatch):
+    # one write per block of at most 4096 lines: not one per line, and not
+    # one string of the whole window
+    class Stdout(io.StringIO):
+        def write(self, text):
+            blocks.append(text.count("\n"))
+            return super().write(text)
+
+    outputs = {}
+    for argv, lines in ((["seq", "t", "2", "3..9000"], 8998),
+                        (["val", "t3", "--bound", "4096"], 4096)):
+        blocks, out = [], Stdout()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(argv) == 0
+        assert blocks == [min(4096, lines - i) for i in range(0, lines, 4096)]
+        outputs[argv[0]] = out.getvalue()
+    t2_vals = fpow.fpow_prefix(2, 9000)
+    assert outputs["seq"] == "".join(f"{n},{t2_vals[n]}\n" for n in range(3, 9001))
+    assert outputs["val"].count('"ok":true') == 4096
 
 
 def test_cli_seq_json_and_determinism(capsys):

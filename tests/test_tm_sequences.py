@@ -216,6 +216,16 @@ def test_inequality_sweeps():
     assert 2 * abs(t2(6)) == abs(t2(5) + t2(7))
 
 
+def test_sign_and_turan_checks_count_the_indices_they_test():
+    # both test the middle index n of each triple, n = 1..n_max - 1
+    for check in (check_signs, check_turan_t):
+        reports = [check(2, n_max) for n_max in (0, 1, 2, 3, 64)]
+        assert all(rep.ok for rep in reports)
+        assert [rep.checked for rep in reports] == [0, 0, 1, 2, 63]
+    # check_logconcave(n) tests n = 1..n
+    assert check_logconcave(64).checked == 64
+
+
 def test_multinomial_count():
     assert multinomial_s1_enumerate(3, 2) == 4
     import math
