@@ -18,6 +18,7 @@ runs another campaign does not load them.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -332,7 +333,23 @@ def _run_t2_symmetry(bounds):
 # up to it, so declining costs no more.  A masked congruence difference is
 # exact, so the two congruence runners with a fixed modulus never decline;
 # b-congruence-growth takes nu2 of the whole difference and declines on a
-# difference of 0 mod 2^64.
+# difference of 0 mod 2^64.  The runners of bm-valuation-unbounded,
+# b-congruence-growth, t-sign-density and t-missing-values also decline
+# while `_import_paid` is false.
+
+
+# A residue run of the four campaigns above is mostly the numpy import,
+# about 0.15 s.  In a fresh process their exact runners were faster up to a
+# size of 2^16 and slower from 2^17 (Python 3.11, numpy 2.4, 2 cores), so
+# until then the residue runners wait for a process that has imported numpy.
+_COLD_RESIDUE_SIZE = 1 << 17
+
+
+def _import_paid(size):
+    """True when the numpy import costs a residue runner nothing more: the
+    process has imported numpy already, or the size is at least
+    _COLD_RESIDUE_SIZE."""
+    return sys.modules.get("numpy") is not None or size >= _COLD_RESIDUE_SIZE
 
 
 def _nu2_residues(r):
@@ -438,6 +455,8 @@ def _res_b_pow2m1_congruence(bounds):
 def _res_bm_unbounded(bounds):
     # argmax takes the first maximum, as the exact loop's strict > does
     n_max = bounds["n"]
+    if not _import_paid(n_max):
+        return None
     out = {}
     for m in (2, 4, 5, 6):
         res = fpow_residues(-m, n_max)
@@ -453,6 +472,8 @@ def _res_b_congruence_growth(bounds):
     # a difference of 0 mod 2^64 is an exact 0, which the exact loop skips,
     # or nu2 >= 64: decline on it
     idx_max = bounds["index"]
+    if not _import_paid(idx_max):
+        return None
     fit = {}
     for m in (3, 5, 6):
         seq = fpow_residues(-m, idx_max)
@@ -489,6 +510,8 @@ def _int64_values(ms, size):
 def _res_sign_density(bounds):
     n_max = bounds["n"]
     ms = (2, 3, 4, 5)
+    if not _import_paid(n_max):
+        return None
     values = _int64_values(ms, 3 * n_max + 2)
     if values is None:
         return None
@@ -512,6 +535,8 @@ def _res_t_missing_values(bounds):
     n_max = bounds["n"]
     span = bounds["span"]
     ms = (3, 4, 5)
+    if not _import_paid(n_max):
+        return None
     values = _int64_values(ms, n_max + 1)
     if values is None:
         return None

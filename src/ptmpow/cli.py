@@ -19,11 +19,9 @@ over n!, and val prints the valuation of zero, None in the library, as
 "INFINITE".
 
 A handler imports what it runs.  The module level imports only the stdlib
-modules the parser and the line writer need, so every process, --version
-included, starts without the rest of the package; each _cmd_* function
-imports its own modules (seq only ptmpow.fpow), at function level and never
-inside a loop.  seq and val write their lines in blocks of 4096, one write
-per block.
+modules the parser needs, so every process, --version included, starts
+without the rest of the package; each _cmd_* function imports its own
+modules (seq only ptmpow.fpow), at function level and never inside a loop.
 """
 
 from __future__ import annotations
@@ -31,27 +29,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import islice
 
 from . import __version__
 
 
 def _jdump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-# lines per stdout write: one write per line costs a system call each when
-# stdout is unbuffered, and one string of a whole window (seq b 6 0..65536
-# is 7 MB) would raise the process's peak memory
-_WRITE_BLOCK = 4096
-
-
-def _write_lines(lines) -> None:
-    """Write newline-terminated lines to stdout, one write per block of at
-    most _WRITE_BLOCK lines."""
-    lines = iter(lines)
-    while block := list(islice(lines, _WRITE_BLOCK)):
-        sys.stdout.write("".join(block))
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -107,12 +90,16 @@ def _family_prefix(family: str, m: int, n: int) -> list[int]:
 def _cmd_seq(args) -> int:
     lo, hi = _parse_range(args.range)
     vals = _family_prefix(args.family, args.m, hi)
-    window = vals[lo : hi + 1]
     if args.format == "json":
         print(_jdump({"family": args.family, "m": args.m, "from": lo, "to": hi,
-                      "values": [str(v) for v in window]}))
+                      "values": [str(v) for v in vals[lo : hi + 1]]}))
     else:
-        _write_lines(f"{n},{v}\n" for n, v in zip(range(lo, hi + 1), window))
+        # one write per 4096 lines: a print per line is a system call each
+        # when stdout is unbuffered, and one string of the whole window
+        # (seq b 6 0..65536 is 7 MB) would raise the peak memory
+        for at in range(lo, hi + 1, 4096):
+            sys.stdout.write("".join(f"{n},{vals[n]}\n"
+                                     for n in range(at, min(at + 4096, hi + 1))))
     return 0
 
 
@@ -165,16 +152,11 @@ def _cmd_val(args) -> int:
     vals = _family_prefix(family, m_of(), args.bound)
     enc = lambda v: "INFINITE" if v is None else v
     all_ok = True
-
-    def lines():
-        nonlocal all_ok
-        for n in range(first, args.bound + 1):
-            direct, want = nu2_or_none(vals[n]), closed(n)
-            all_ok &= direct == want
-            yield _jdump({"n": n, "direct": enc(direct), "closed": enc(want),
-                          "ok": direct == want}) + "\n"
-
-    _write_lines(lines())
+    for n in range(first, args.bound + 1):
+        direct, want = nu2_or_none(vals[n]), closed(n)
+        all_ok &= direct == want
+        print(_jdump({"n": n, "direct": enc(direct), "closed": enc(want),
+                      "ok": direct == want}))
     return 0 if all_ok else 1
 
 

@@ -194,12 +194,40 @@ def test_int64_runners_decline_past_the_proved_bound(monkeypatch, name, limit, f
 
     calls = []
     monkeypatch.setattr(campaigns, "fpow_residues", kernel)
+    # with or without numpy loaded, only the proved bound decides here
+    monkeypatch.setattr(campaigns, "_import_paid", lambda size: True)
     camp = CAMPAIGNS[name]
     assert camp.residue_runner({**camp.defaults, "n": limit + 1}) is None
     assert calls == []
     # at the limit the runner goes on to build; this kernel then declines
     assert camp.residue_runner({**camp.defaults, "n": limit}) is None
     assert calls == [first_build]
+
+
+# the four runners that decline until the numpy import is paid
+IMPORT_PAID_CAMPAIGNS = ("bm-valuation-unbounded", "b-congruence-growth",
+                         "t-sign-density", "t-missing-values")
+
+
+def test_runners_wait_for_the_numpy_import_below_the_cold_size(monkeypatch):
+    def kernel(t, n):
+        calls.append((t, n))
+        return None
+
+    calls = []
+    monkeypatch.setattr(campaigns, "fpow_residues", kernel)
+    # a process that has not imported numpy (nothing imports it while the
+    # entry is gone: each runner declines before its first kernel call)
+    monkeypatch.delitem(sys.modules, "numpy", raising=False)
+    for name in IMPORT_PAID_CAMPAIGNS:
+        camp = CAMPAIGNS[name]
+        size = campaigns._COLD_RESIDUE_SIZE - 1
+        assert camp.residue_runner({**camp.defaults, camp.size_key: size}) is None, name
+    assert calls == []
+    # from the cold size on the import pays for itself, and the runner builds
+    camp = CAMPAIGNS["bm-valuation-unbounded"]
+    assert camp.residue_runner({"n": campaigns._COLD_RESIDUE_SIZE}) is None
+    assert calls == [(-2, campaigns._COLD_RESIDUE_SIZE)]
 
 
 # ---------------------------------------------------------------------------
@@ -254,25 +282,21 @@ def test_cli_seq_csv(capsys):
     assert [int(n) for n, _ in rows] == list(range(9))
 
 
-def test_cli_seq_and_val_write_in_blocks(monkeypatch):
-    # one write per block of at most 4096 lines: not one per line, and not
-    # one string of the whole window
+def test_cli_seq_writes_in_blocks(monkeypatch):
+    # batched writes of whole lines: not one write per line, and not one
+    # string of the whole window
     class Stdout(io.StringIO):
         def write(self, text):
+            assert text.endswith("\n")
             blocks.append(text.count("\n"))
             return super().write(text)
 
-    outputs = {}
-    for argv, lines in ((["seq", "t", "2", "3..9000"], 8998),
-                        (["val", "t3", "--bound", "4096"], 4096)):
-        blocks, out = [], Stdout()
-        monkeypatch.setattr(sys, "stdout", out)
-        assert main(argv) == 0
-        assert blocks == [min(4096, lines - i) for i in range(0, lines, 4096)]
-        outputs[argv[0]] = out.getvalue()
+    blocks, out = [], Stdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["seq", "t", "2", "3..9000"]) == 0
+    assert sum(blocks) == 8998 and 1 < len(blocks) <= 8998 // 1000
     t2_vals = fpow.fpow_prefix(2, 9000)
-    assert outputs["seq"] == "".join(f"{n},{t2_vals[n]}\n" for n in range(3, 9001))
-    assert outputs["val"].count('"ok":true') == 4096
+    assert out.getvalue() == "".join(f"{n},{t2_vals[n]}\n" for n in range(3, 9001))
 
 
 def test_cli_seq_json_and_determinism(capsys):
@@ -570,6 +594,9 @@ def test_cli_loads_only_what_its_command_runs():
     verify = _modules_loaded_by("verify", "t5-valuation", "--bound", "64")
     assert "ptmpow.campaigns" in verify
     assert not verify & {"ptmpow.bm_sequences", "ptmpow.tm_sequences"}
+    # below the cold size these run exact in a fresh process, without numpy
+    for name in IMPORT_PAID_CAMPAIGNS:
+        assert "numpy" not in _modules_loaded_by("verify", name, "--bound", "64"), name
     # the b_m side reads ptm from core_arith, so it loads no t_m or f_n code
     for argv in (("verify", "b2-valuation-list", "--bound", "64"), ("poly", "h", "0", "2", "2")):
         loaded = _modules_loaded_by(*argv)
