@@ -17,11 +17,11 @@ runs another campaign does not load them.
 
 from __future__ import annotations
 
-import math
 import sys
 import time
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 
 from .core_arith import nu2, nu2_or_none
 from .fpow import fpow_prefix, fpow_residues
@@ -40,7 +40,7 @@ class CampaignReport:
     status: str
     witness: dict
     wall_ms: int
-    # "residue" when the checks ran on values mod 2^64, else "exact"
+    # "residue" when a whole-array runner settled the campaign, else "exact"
     backend: str = "exact"
 
     def payload(self) -> dict:
@@ -229,9 +229,13 @@ def _run_sign_density(bounds):
     return OBSERVATION, out
 
 
+# the m of t-threesigns-turan
+_THREESIGNS_MS = (2, 3, 4, 5, 6)
+
+
 def _run_threesigns_turan(bounds):
     n_max = bounds["n"]
-    for m in (3, 4, 5, 6):
+    for m in _THREESIGNS_MS:
         vals = fpow_prefix(m, n_max + 1)
         for n in range(1, n_max):
             a, b, c = vals[n - 1], vals[n], vals[n + 1]
@@ -323,25 +327,29 @@ def _run_t2_symmetry(bounds):
 
 
 # ---------------------------------------------------------------------------
-# residue runners: the same checks on values mod 2^64 (`fpow_residues`).
-# Each returns the exact runner's (status, witness) from whole-array
-# operations, or None, in which case run_campaign runs the exact runner for
-# the whole campaign: when numpy is missing, when a residue whose nu2 is
-# taken or that is tested for zero is 0 (a zero value or nu2 >= 64), and
-# when an int64 reading of t_m (`_int64_values`) would pass its proved
-# bound.  Any exact settling of such an index would build the exact prefix
-# up to it, so declining costs no more.  A masked congruence difference is
-# exact, so the two congruence runners with a fixed modulus never decline;
-# b-congruence-growth takes nu2 of the whole difference and declines on a
-# difference of 0 mod 2^64.  The runners of bm-valuation-unbounded,
-# b-congruence-growth, t-sign-density and t-missing-values also decline
-# while `_import_paid` is false.
+# residue runners ("residue" in a report: a whole-array runner ran): the
+# same checks on values mod 2^64 (`fpow_residues`), on t_m read exactly from
+# its residues as int64 (`_int64_values`), or on doubles whose sign of
+# b^2 - ac is certified (`_turan_signs`).  Each returns the exact runner's
+# (status, witness), or None, in which case run_campaign runs the exact
+# runner for the whole campaign: when numpy is missing, when a residue whose
+# nu2 is taken or that is tested for zero is 0 (a zero value or nu2 >= 64),
+# when the certificate of an int64 reading of t_m fails, and when a b_m
+# value has 510 bits or more.  Any exact settling of such an index would
+# build the exact prefix up to it, so declining costs no more.  A masked
+# congruence difference is exact, so the two congruence runners with a fixed
+# modulus never decline; b-congruence-growth takes nu2 of the whole
+# difference and declines on a difference of 0 mod 2^64.  The runners of
+# bm-valuation-unbounded, b-congruence-growth, t-sign-density,
+# t-missing-values, t-threesigns-turan, b-turan-m4plus, b3-turan-crossover
+# and t2-symmetry also decline while `_import_paid` is false.
 
 
-# A residue run of the four campaigns above is mostly the numpy import,
-# about 0.15 s.  In a fresh process their exact runners were faster up to a
-# size of 2^16 and slower from 2^17 (Python 3.11, numpy 2.4, 2 cores), so
-# until then the residue runners wait for a process that has imported numpy.
+# A residue run of the eight campaigns above is mostly the numpy import,
+# about 0.15 s.  In a fresh process the first four's exact runners were
+# faster up to a size of 2^16 and slower from 2^17 (Python 3.11, numpy 2.4,
+# 2 cores), so until then these runners wait for a process that has
+# imported numpy.
 _COLD_RESIDUE_SIZE = 1 << 17
 
 
@@ -491,20 +499,76 @@ def _res_b_congruence_growth(bounds):
 
 def _int64_values(ms, size):
     """[t_m(0), ..., t_m(size - 1)] as exact int64 arrays, one per m in
-    `ms`, or None.  t_m(i) is a sum of C(i+m-1, m-1) terms, each +1 or -1
-    (one per composition of i into m parts), so while that count is below
-    2^63 the residue read as int64 is the value.  The count grows with i,
-    so it is checked at i = size - 1, for every m, before anything is
-    built; past it, or without numpy, the result is None."""
-    if any(math.comb(size - 1 + m - 1, m - 1) >= 1 << 63 for m in ms):
-        return None
+    `ms`, or None (without numpy, or when the certificate fails).
+
+    F^m = (1-x)^m F(x^2)^m makes t_m(i) a sum of values t_m(k), k <= i/2,
+    times binomials C(m, j) of one parity of j, whose absolute values add up
+    to 2^(m-1).  The certificate: every int64 reading up to (size - 1)//2 has
+    absolute value below 2^(64-m).  By induction over the dyadic blocks
+    [2^j, 2^(j+1)) from t_m(0) = 1, each of those readings is exact, and so
+    every |t_m(i)|, i < size, is below 2^63 and read exactly too."""
     arrays = []
     for m in ms:
         res = fpow_residues(m, size - 1)
         if res is None:
             return None
-        arrays.append(res[:size].view("int64"))
+        vals = res[:size].view("int64")
+        if not _certifies(vals[: (size - 1) // 2 + 1], m):
+            return None
+        arrays.append(vals)
     return arrays
+
+
+def _certifies(half, m):
+    """True when the int64 readings `half` of t_m(0..k) are all below
+    2^(64-m) in absolute value, which proves every int64 reading of t_m up
+    to 2k + 1 exact (see `_int64_values`)."""
+    # not np.abs, which leaves -2^63 negative
+    return max(int(half.max()), -int(half.min())) < 1 << (64 - m)
+
+
+def _turan_signs(f, exact):
+    """sgn(v(n)^2 - v(n-1) v(n+1)) for n = 1..len(f) - 2, as an int8 array,
+    where f[n] is the correctly rounded double of the integer v(n) =
+    exact[n].
+
+    With u = 2^-53, a = f[n-1], b = f[n], c = f[n+1], P = fl(b*b) and
+    Q = fl(a*c), the rounding of the inputs, of both products and of the
+    difference D = fl(P - Q) leaves D within 4.01u(P + |Q|) of the exact
+    value.  So where |D| > 2^-49 (P + |Q|) the sign of D is the sign of the
+    exact value; every other index (ties, zeros, inf and nan among them) is
+    settled with exact Python ints."""
+    import numpy as np
+
+    with np.errstate(invalid="ignore", over="ignore"):
+        d = f[:-2] * f[2:]
+        tol = np.abs(d)
+        p = f[1:-1] * f[1:-1]
+        tol += p
+        tol *= 2.0**-49
+        np.subtract(p, d, out=d)
+        signs = (d > 0).view(np.int8) - (d < 0).view(np.int8)
+        unsure = ~(np.abs(d) > tol)
+    for i in np.flatnonzero(unsure).tolist():
+        a, b, c = (int(exact[j]) for j in range(i, i + 3))
+        x = b * b - a * c
+        signs[i] = (x > 0) - (x < 0)
+    return signs
+
+
+def _b_turan_signs(m, n_max):
+    """`_turan_signs` of b_m(0..n_max), or None: without numpy, or when
+    b_m(n_max) has 510 bits or more.  b_m is positive and nondecreasing, so
+    below that every product of two values is a finite double."""
+    try:
+        import numpy as np
+    except ImportError:
+        return None
+    vals = fpow_prefix(-m, n_max)
+    if vals[n_max].bit_length() >= 510:
+        return None
+    f = np.fromiter(map(float, islice(vals, n_max + 1)), np.float64, n_max + 1)
+    return _turan_signs(f, vals)
 
 
 def _res_sign_density(bounds):
@@ -548,6 +612,116 @@ def _res_t_missing_values(bounds):
         missing = np.setdiff1d(np.arange(-span, span + 1), attained)
         out[f"m={m}"] = {"attained_in_window": len(attained), "missing": missing.tolist()}
     return OBSERVATION, out
+
+
+def _res_threesigns_turan(bounds):
+    # a first index failing both properties reports three-signs, as the
+    # exact loop, which tests that first, does
+    n_max = bounds["n"]
+    if not _import_paid(n_max):
+        return None
+    values = _int64_values(_THREESIGNS_MS, n_max + 1)
+    if values is None:
+        return None
+    import numpy as np
+
+    for m, vals in zip(_THREESIGNS_MS, values):
+        s = np.sign(vals)
+        three = (s[:-2] == s[1:-1]) & (s[1:-1] == s[2:]) & (s[1:-1] != 0)
+        bad = _turan_signs(vals.astype(np.float64), vals) <= 0
+        bad |= three
+        i = int(bad.argmax())
+        if bad[i]:
+            kind = "three-signs" if three[i] else "turan"
+            return OBSERVATION, {"failing": {"m": m, "n": i + 1, "kind": kind}}
+    return VERIFIED, {}
+
+
+def _res_b_turan_m4plus(bounds):
+    n_max = bounds["n"]
+    if not _import_paid(n_max):
+        return None
+    for m in (4, 5, 6):
+        signs = _b_turan_signs(m, n_max)
+        if signs is None:
+            return None
+        bad = signs <= 0
+        i = int(bad.argmax())
+        if bad[i]:
+            return OBSERVATION, {"failing": {"m": m, "n": i + 1}}
+    return VERIFIED, {}
+
+
+def _res_b3_crossover(bounds):
+    n_max = bounds["n"]
+    if not _import_paid(n_max):
+        return None
+    signs = _b_turan_signs(3, n_max)
+    if signs is None:
+        return None
+    import numpy as np
+
+    nonpositive = np.flatnonzero(signs <= 0)
+    last = int(nonpositive[-1]) + 1 if nonpositive.size else 0
+    # the alternating sign at n = 1..last: -1 at odd n, +1 at even n
+    want = np.ones(last, np.int8)
+    want[::2] = -1
+    return OBSERVATION, {
+        "crossover_candidate": last,
+        "positive_beyond": True,
+        "zero_differences_at": (np.flatnonzero(signs == 0) + 1).tolist(),
+        "alternation_breaks": (np.flatnonzero(signs[:last] == -want) + 1).tolist(),
+    }
+
+
+def _res_t2_symmetry(bounds):
+    # m = t_2(n) has the partner p = n + (-1)^e 2^w, w = nu2(m) + 1, where
+    # e = w - 1 + (m - 2^(w-1)) / 2^w = w - 1 + (m >> w).  p <= 3n + 2, and
+    # F^2 = (1-x)^2 F(x^2)^2 gives t_2(2k) = t_2(k) + t_2(k-1) and
+    # t_2(2k+1) = -2 t_2(k), so t_2 is built only up to (3n + 2) // 2, and
+    # three int64 buffers of length n + 1 hold every step
+    n_max = bounds["n"]
+    if not _import_paid(n_max):
+        return None
+    res = fpow_residues(2, (3 * n_max + 2) // 2)
+    if res is None:
+        return None
+    import numpy as np
+
+    half = res[: (3 * n_max + 2) // 2 + 1].view(np.int64)
+    m = half[: n_max + 1]
+    if not _certifies(half, 2) or not m.all():
+        return None
+    w = np.negative(m)
+    w &= m
+    w -= 1
+    np.add(np.bitwise_count(w), 1, out=w)
+    # +1 where e is even, else -1, times 2^w, plus n
+    p = np.right_shift(m, w)
+    p ^= w
+    p &= 1
+    p *= 2
+    p -= 1
+    np.left_shift(p, w, out=p)
+    p += np.arange(n_max + 1)
+    if p.max() >= 2 * half.size:
+        return None
+    bad = p < 0
+    np.maximum(p, 0, out=p)
+    odd = (p & 1).astype(bool)
+    k = np.right_shift(p, 1, out=w)
+    got = np.take(half, k)
+    k -= 1
+    np.take(half, k, out=p, mode="wrap")
+    p[odd | (k < 0)] = 0
+    got += p
+    np.multiply(got, -2, out=got, where=odd)
+    got += m  # 0 exactly where t_2(p) = -m, also when the sum wraps
+    bad |= got != 0
+    n = int(bad.argmax())
+    if bad[n]:
+        return COUNTEREXAMPLE, {"n": n, "value": int(m[n])}
+    return VERIFIED, {}
 
 
 def _res_t_zero_m4plus(bounds):
@@ -639,16 +813,16 @@ _register(
     "t-threesigns-turan", "conjecture",
     "for m >= 2: no three consecutive t_m values share a sign and "
     "t_m(n)^2 > t_m(n-1) t_m(n+1)",
-    {"n": 1 << 12}, _run_threesigns_turan, minimum=2)
+    {"n": 1 << 12}, _run_threesigns_turan, _res_threesigns_turan, minimum=2)
 _register(
     "b-turan-m4plus", "conjecture",
     "for m >= 4: b_m(n)^2 - b_m(n-1) b_m(n+1) > 0",
-    {"n": 1 << 12}, _run_b_turan_m4plus, minimum=2)
+    {"n": 1 << 12}, _run_b_turan_m4plus, _res_b_turan_m4plus, minimum=2)
 _register(
     "b3-turan-crossover", "conjecture",
     "for m = 3 the sign of b_3(n)^2 - b_3(n-1) b_3(n+1) alternates up to "
     "some n_0 and is positive afterwards (search for n_0)",
-    {"n": 1 << 12}, _run_b3_crossover)
+    {"n": 1 << 12}, _run_b3_crossover, _res_b3_crossover)
 _register(
     "t-zero-m4plus", "conjecture",
     "t_m(n) = 0 has no solution for m >= 4",
@@ -668,7 +842,7 @@ _register(
     "t2-symmetry", "theorem",
     "t_2(n') = -t_2(n) for n' = n + (-1)^e * 2^(nu2(m)+1), "
     "m = t_2(n), e = nu2(m) + (m - 2^nu2(m))/2^(nu2(m)+1)",
-    {"n": 1 << 14}, _run_t2_symmetry)
+    {"n": 1 << 14}, _run_t2_symmetry, _res_t2_symmetry)
 
 
 def run_campaign(name: str, bounds: dict | None = None) -> CampaignReport:

@@ -67,7 +67,8 @@ def test_t5_witness_would_replay():
 RESIDUE_CAMPAIGNS = ("t5-valuation", "t9-valuation", "t2k1-valuation-table",
                      "b-pow2-congruence", "b-pow2m1-congruence", "t-zero-m4plus",
                      "bm-valuation-unbounded", "b-congruence-growth",
-                     "t-sign-density", "t-missing-values")
+                     "t-sign-density", "t-missing-values", "t-threesigns-turan",
+                     "b-turan-m4plus", "b3-turan-crossover", "t2-symmetry")
 
 
 def _plant(monkeypatch, t, index, value):
@@ -166,8 +167,8 @@ INT64_SITES = (
 @pytest.mark.parametrize("plant", ["zero", "minus-one", "flipped"])
 @pytest.mark.parametrize("name,bounds,t,index", INT64_SITES, ids=[s[0] for s in INT64_SITES])
 def test_int64_runners_read_planted_values_exactly(monkeypatch, name, bounds, t, index, plant):
-    # each plant keeps |t_m(i)| <= C(i+m-1, m-1), so the int64 reading holds
-    # and the runner settles the campaign with the exact verdict
+    # each plant is far below 2^(64-m), so the int64 certificate holds and
+    # the runner settles the campaign with the exact verdict
     pytest.importorskip("numpy")
     camp = CAMPAIGNS[name]
     clean = camp.runner(dict(bounds))
@@ -180,33 +181,151 @@ def test_int64_runners_read_planted_values_exactly(monkeypatch, name, bounds, t,
     assert (rep.status, rep.witness, rep.backend) == (*want, "residue")
 
 
-# the largest size each int64 runner reads as int64: its largest index N
-# must keep C(N+m-1, m-1) < 2^63 for every m; m = 5 binds, at N = 121973
-INT64_LIMITS = (("t-sign-density", 40657, (2, 121972)), ("t-missing-values", 121973, (3, 121973)))
+# (campaign, bounds, m, index): an int64 reading of t_m at an index in the
+# half-prefix that certifies a runner's int64 readings
+CERTIFIED_SITES = INT64_SITES + (
+    ("t-threesigns-turan", {"n": 64}, 6, 20),
+    ("t2-symmetry", {"n": 64}, 2, 50),
+)
 
 
-@pytest.mark.parametrize("name,limit,first_build", INT64_LIMITS,
-                         ids=[s[0] for s in INT64_LIMITS])
-def test_int64_runners_decline_past_the_proved_bound(monkeypatch, name, limit, first_build):
-    def kernel(t, n):
-        calls.append((t, n))
-        return None
-
-    calls = []
-    monkeypatch.setattr(campaigns, "fpow_residues", kernel)
-    # with or without numpy loaded, only the proved bound decides here
-    monkeypatch.setattr(campaigns, "_import_paid", lambda size: True)
+@pytest.mark.parametrize("name,bounds,m,index", CERTIFIED_SITES,
+                         ids=[s[0] for s in CERTIFIED_SITES])
+def test_int64_runners_decline_past_the_proved_bound(monkeypatch, name, bounds, m, index):
+    # a half-prefix reading of 2^(64-m) or more in absolute value voids the
+    # certificate; -2^63, which np.abs leaves negative, too
+    pytest.importorskip("numpy")
     camp = CAMPAIGNS[name]
-    assert camp.residue_runner({**camp.defaults, "n": limit + 1}) is None
-    assert calls == []
-    # at the limit the runner goes on to build; this kernel then declines
-    assert camp.residue_runner({**camp.defaults, "n": limit}) is None
-    assert calls == [first_build]
+    for value, declines in ((2 ** (64 - m), True), (-(2**63), True),
+                            (2 ** (64 - m) - 1, False), (1 - 2 ** (64 - m), False)):
+        with monkeypatch.context() as patch:
+            _plant(patch, m, index, value)
+            assert (camp.residue_runner(dict(bounds)) is None) == declines, value
 
 
-# the four runners that decline until the numpy import is paid
+def test_int64_certificate_holds_at_the_cold_sizes():
+    # the largest half-prefix reading of t_m at 2^16 has 16, 23, 33, 42 and
+    # 53 bits for m = 2..6, against limits of 62..58 bits
+    pytest.importorskip("numpy")
+    size = (1 << 16) + 1
+    for m, bits in zip(range(2, 7), (16, 23, 33, 42, 53)):
+        half = fpow.fpow_residues(m, size)[: size // 2 + 1].view("int64")
+        assert max(int(half.max()), -int(half.min())).bit_length() == bits
+    assert campaigns._int64_values(range(2, 7), size) is not None
+
+
+class _Reads(list):
+    """A list that records the indices read from it."""
+
+    def __getitem__(self, i):
+        self.reads.append(i)
+        return super().__getitem__(i)
+
+
+def _signs_and_reads(values):
+    import numpy as np
+
+    exact = _Reads(values)
+    exact.reads = []
+    f = np.array([float(v) if abs(v) < 2**1024 else np.inf for v in values])
+    return campaigns._turan_signs(f, exact).tolist(), exact.reads
+
+
+def test_turan_signs_settle_every_unsure_index_exactly():
+    pytest.importorskip("numpy")
+    # b^2 - ac = +1 and -1 with b near 2^62 and near 2^509: the doubles tie,
+    # and at b = 2^53 + 1 their difference is -2^54
+    for b in (2**53 + 1, 2**62 + 1, 2**509 + 1):
+        assert _signs_and_reads([b - 1, b, b + 1]) == ([1], [0, 1, 2])
+        assert _signs_and_reads([2, b, (b * b + 1) // 2]) == ([-1], [0, 1, 2])
+    # exact ties, zeros, inf and nan: no index is decided by the doubles
+    assert _signs_and_reads([1, 2, 4, 8, 16]) == ([0, 0, 0], [0, 1, 2, 1, 2, 3, 2, 3, 4])
+    assert _signs_and_reads([0, 0, 0, 5]) == ([0, 0], [0, 1, 2, 1, 2, 3])
+    assert _signs_and_reads([2**1100, 1, 2**1100]) == ([-1], [0, 1, 2])
+    assert _signs_and_reads([2**1100] * 3) == ([0], [0, 1, 2])
+    # clear signs are read from the doubles alone
+    assert _signs_and_reads([1, 5, 1, -3, 2**62]) == ([1, 1, -1], [])
+    assert _signs_and_reads([7]) == ([], [])
+
+
+# (campaign, bounds, t, index, value, declines, verdict): a planted value of
+# f_index(t), whether the whole-array runner declines on it, and the exact
+# verdict it gives, where pinned.  t_2(9) = 6 and t_2(3) = 4 get values
+# whose partners fail, one of them below index 0; t_3(3..5) = 8, -9, 3, so
+# 5 at index 4 shares a sign with both neighbours (25 > 24 keeps Turán), 1
+# there breaks both properties, and -1 at index 6 makes the Turán difference
+# at n = 5 an exact tie; b_4(1..2) = 4, 14 and b_3(1..2) = 3, 9, so 49 at
+# b_4(3) and 27 at b_3(3) are exact ties.  A last b_m value of 510 bits or
+# more declines.
+WHOLE_ARRAY_SITES = (
+    ("t2-symmetry", {"n": 64}, 2, 9, 18, False, ("counterexample", {"n": 9, "value": 18})),
+    ("t2-symmetry", {"n": 64}, 2, 3, -38, False, ("counterexample", {"n": 3, "value": -38})),
+    ("t-threesigns-turan", {"n": 64}, 3, 4, 5, False,
+     ("observation", {"failing": {"m": 3, "n": 4, "kind": "three-signs"}})),
+    ("t-threesigns-turan", {"n": 64}, 3, 4, 1, False,
+     ("observation", {"failing": {"m": 3, "n": 4, "kind": "three-signs"}})),
+    ("t-threesigns-turan", {"n": 64}, 3, 6, -1, False,
+     ("observation", {"failing": {"m": 3, "n": 5, "kind": "turan"}})),
+    ("b-turan-m4plus", {"n": 64}, -4, 3, 49, False, ("observation", {"failing": {"m": 4, "n": 2}})),
+    ("b-turan-m4plus", {"n": 64}, -4, 64, 2**510, True,
+     ("observation", {"failing": {"m": 4, "n": 63}})),
+    ("b-turan-m4plus", {"n": 64}, -4, 64, 2**509 - 1, False,
+     ("observation", {"failing": {"m": 4, "n": 63}})),
+    ("b3-turan-crossover", {"n": 64}, -3, 3, 27, False,
+     ("observation", {"crossover_candidate": 23, "positive_beyond": True,
+                      "zero_differences_at": [1, 2], "alternation_breaks": [3, 4]})),
+    ("b3-turan-crossover", {"n": 64}, -3, 64, 2**510, True, None),
+)
+
+
+@pytest.mark.parametrize("name,bounds,t,index,value,declines,verdict", WHOLE_ARRAY_SITES,
+                         ids=[f"{s[0]}-{s[3]}-{s[4]}" for s in WHOLE_ARRAY_SITES])
+def test_whole_array_runners_give_the_exact_verdict(monkeypatch, name, bounds, t, index, value,
+                                                    declines, verdict):
+    pytest.importorskip("numpy")
+    camp = CAMPAIGNS[name]
+    clean = camp.runner(dict(bounds))
+    _plant(monkeypatch, t, index, value)
+    want = camp.runner(dict(bounds))
+    assert want != clean
+    assert verdict in (None, want)
+    assert camp.residue_runner(dict(bounds)) == (None if declines else want)
+    rep = run_campaign(name, dict(bounds))
+    assert (rep.status, rep.witness, rep.backend) == (
+        *want, "exact" if declines else "residue")
+
+
+def test_t2_symmetry_declines_on_a_zero(monkeypatch):
+    # the exact runner cannot take nu2(0) and raises
+    pytest.importorskip("numpy")
+    _plant(monkeypatch, 2, 9, 0)
+    camp = CAMPAIGNS["t2-symmetry"]
+    assert camp.residue_runner({"n": 64}) is None
+    with pytest.raises(ValueError):
+        camp.runner({"n": 64})
+
+
+def test_no_campaign_writes_to_a_shared_prefix(monkeypatch):
+    # fpow_prefix hands every caller its memo list: after every runner of
+    # every campaign, each memo must equal a fresh build
+    pytest.importorskip("numpy")
+    monkeypatch.setattr(fpow, "_fpow_vals", {})
+    monkeypatch.setattr(fpow, "_fpow_carries", {})
+    for name, camp in CAMPAIGNS.items():
+        for runner in filter(None, (camp.runner, camp.residue_runner)):
+            runner({**camp.defaults, **_bounds_for(name)})
+    built = fpow._fpow_vals
+    assert len(built) > 10
+    monkeypatch.setattr(fpow, "_fpow_vals", {})
+    monkeypatch.setattr(fpow, "_fpow_carries", {})
+    for t, vals in built.items():
+        assert fpow.fpow_prefix(t, len(vals) - 1) == vals, t
+
+
+# the eight runners that decline until the numpy import is paid
 IMPORT_PAID_CAMPAIGNS = ("bm-valuation-unbounded", "b-congruence-growth",
-                         "t-sign-density", "t-missing-values")
+                         "t-sign-density", "t-missing-values", "t-threesigns-turan",
+                         "b-turan-m4plus", "b3-turan-crossover", "t2-symmetry")
 
 
 def test_runners_wait_for_the_numpy_import_below_the_cold_size(monkeypatch):
@@ -514,10 +633,10 @@ def test_cli_verify_out_records_backend(monkeypatch, capsys, tmp_path):
     def verify(name):
         rc, out, _ = run_cli(capsys, "verify", name, "--bound", "32", "--out", path)
         payload = json.loads(out)
-        assert rc == 3 and "backend" not in payload
+        assert rc == (0 if payload["kind"] == "theorem" else 3) and "backend" not in payload
         return payload
 
-    for name in ("t9-valuation", "b-turan-m4plus"):
+    for name in ("t9-valuation", "b2-valuation-list"):
         verify(name)
     with monkeypatch.context() as patch:
         _plant(patch, 4, 20, 2**70)
@@ -527,7 +646,7 @@ def test_cli_verify_out_records_backend(monkeypatch, capsys, tmp_path):
     records = [json.loads(line) for line in Path(path).read_text().splitlines()]
     assert [(r["name"], r["backend"]) for r in records] == [
         ("t9-valuation", "residue"),
-        ("b-turan-m4plus", "exact"),
+        ("b2-valuation-list", "exact"),
         ("t-zero-m4plus", "exact"),
         ("t9-valuation", "exact"),
     ]
