@@ -18,6 +18,8 @@ with h_{0,0,m} = 1 and a halving recurrence that substitutes y = sqrt(x) for
 the variable.  The sqrt bookkeeping is three helpers over IntPoly in y:
 `_one_plus_y` (the binomial row of (1+y)^n), `_flip` (y -> -y) and
 `_half_in_x` (the even or odd half of a polynomial in y, as one in x).
+Siblings i and i + 2^(k-1) share one product pair, so a level costs two
+multiplies per pair of children.
 
 The Churchhouse valuation and the PTM checks read the sign `core_arith.ptm`,
 so this module loads neither `tm_sequences` nor `f_polys`.
@@ -226,9 +228,11 @@ def _half_in_x(s: IntPoly, odd: bool, error: str) -> IntPoly:
 
 
 def h_poly(i: int, k: int, m: int) -> IntPoly:
-    """h_{i,k,m}(x), built by the halving recurrence.  For the lower half of
-    residues the symmetrized combination must be even in y = sqrt(x); for the
-    upper half it must be odd.  Violations raise, as they would mean the
+    """h_{i,k,m}(x), built by the halving recurrence.  Siblings share one
+    product pair a = p(y) (1+y)^(km), b = p(-y) (1-y)^(km) of their parent
+    p in y = sqrt(x): h_{low,k,m} is the even half of (a+b)/2 and
+    h_{low+2^(k-1),k,m} the odd half of (a-b)/2, memoised together once both
+    pass.  A half of the other parity raises, as it would mean the
     recurrence was applied wrongly."""
     if k < 0 or m < 0 or not 0 <= i < (1 << k):
         raise ValueError("need k >= 0, m >= 0, 0 <= i < 2^k")
@@ -244,13 +248,14 @@ def h_poly(i: int, k: int, m: int) -> IntPoly:
     plus = _one_plus_y(m * k)
     a = prev * plus
     # b is _flip(a), but computed as its own product so that the parity
-    # assertion also cross-checks the multiply
+    # assertions of both children also cross-check the multiply
     b = _flip(prev) * _flip(plus)
-    odd = i >= half
-    s = (a - b if odd else a + b).divexact_scalar(2)
-    out = _half_in_x(s, odd, f"h recurrence parity violation at {key}")
-    _h_memo[key] = out
-    return out
+    error = "h recurrence parity violation at {}"
+    even = _half_in_x((a + b).divexact_scalar(2), False, error.format((low, k, m)))
+    odd = _half_in_x((a - b).divexact_scalar(2), True, error.format((low + half, k, m)))
+    _h_memo[(low, k, m)] = even
+    _h_memo[(low + half, k, m)] = odd
+    return even if i == low else odd
 
 
 def check_h_identity(i: int, k: int, m: int, order: int | None = None) -> CheckReport:

@@ -10,9 +10,9 @@
 Exit codes: 0 all-pass, 1 theorem counterexample, 2 usage/data error,
 3 campaign finished in observation-only mode.  seq and cache take
 |M| <= 2^20, seq, cache store and val refuse a kernel cost (|M|+1)(B+1)
-above 2^24, and search exits 2 on a target past its scan cap.  Output on
-stdout is byte-deterministic for fixed (version, arguments); timing goes to
-stderr.
+above 2^24, poly refuses to build a polynomial of more than 2^20 bits, and
+search exits 2 on a target past its scan cap.  Output on stdout is
+byte-deterministic for fixed (version, arguments); timing goes to stderr.
 
 The handlers format the library's values themselves: poly f prints g_n
 over n!, and val prints the valuation of zero, None in the library, as
@@ -103,6 +103,24 @@ def _cmd_seq(args) -> int:
     return 0
 
 
+# the largest polynomial poly builds, in coefficients times the bits of the
+# largest one; poly g 340 and poly h 0 127 1, just below it, took 6.6 s and
+# 4.6 s (Python 3.11, 2 cores), and poly h 0 4 1000, 40 times over, 80 s
+_POLY_BITS_MAX = 1 << 20
+
+
+def _poly_bits(kind: str, p: list[int]) -> int:
+    """About the bits of the largest polynomial or number `poly KIND P`
+    builds: g_n has n + 1 coefficients near n! < 2^(n bitlen(n)), W_k reads
+    g up to 2k + 20, h_{i,k,m} has at most km + 1 below 2^(m k(k+1)/2) (level
+    j multiplies by (1+y)^(jm)), and h_poly checks i against 2^k."""
+    if kind == "h":
+        k, m = max(p[1], 0), max(p[2], 0)
+        return max((k * m + 1) * (m * k * (k + 1) // 2), k + 1)
+    n = max(2 * p[0] + 20 if kind == "W" else p[0], 0)
+    return (n + 1) * n * n.bit_length()
+
+
 def _cmd_poly(args) -> int:
     kind = args.kind
     p = args.params
@@ -110,6 +128,10 @@ def _cmd_poly(args) -> int:
         raise ValueError(f"poly {kind} takes one parameter")
     if kind == "h" and len(p) != 3:
         raise ValueError("poly h takes i k m")
+    bits = _poly_bits(kind, p)
+    if bits > _POLY_BITS_MAX:
+        raise ValueError(f"poly {kind} {' '.join(map(str, p))} builds a polynomial or "
+                         f"number of about {bits} bits; the limit is 2^20")
     if kind == "h":
         from .bm_sequences import h_poly
 

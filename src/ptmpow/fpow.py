@@ -69,10 +69,10 @@ def fpow_residues(t: int, n: int):
 
     The same identity as `fpow_prefix`, F(x)^t = (1-x)^t F(x^2)^t, in
     wrapping uint64 arithmetic: each level upsamples the prefix to at most
-    twice its length, then applies t in-place first differences (t > 0) or
-    |t| running sums (t < 0).  The last level stops at exactly n + 1
-    entries.  numpy is imported here, not at module import, so the CLI
-    starts without it.
+    twice its length, then applies t first differences (t > 0) or |t|
+    running sums (t < 0, in place).  The last level stops at exactly n + 1
+    entries; for t > 0 all levels share two buffers of that length.  numpy
+    is imported here, not at module import, so the CLI starts without it.
     """
     try:
         import numpy as np
@@ -83,18 +83,29 @@ def fpow_residues(t: int, n: int):
         return res
     if res is None:
         res = np.ones(1, dtype=np.uint64)
+    if t > 0:
+        # the levels alternate between two buffers of the final length: a
+        # level is upsampled into the one that does not hold the last, and
+        # each pass writes its differences into the other and swaps, since
+        # numpy copies an overlapping operand of an in-place subtract
+        free, other = np.empty(n + 1, dtype=np.uint64), np.empty(n + 1, dtype=np.uint64)
     while len(res) <= n:
         size = min(2 * len(res), n + 1)
-        level = np.zeros(size, dtype=np.uint64)
+        if t > 0:
+            level, spare = free[:size], other[:size]
+            level[1::2] = 0
+        else:
+            level = np.zeros(size, dtype=np.uint64)
         level[::2] = res[: (size + 1) // 2]
-        for _ in range(abs(t)):
-            if t > 0:
-                # numpy buffers overlapping operands: each entry minus its
-                # predecessor's value before this pass
-                np.subtract(level[1:], level[:-1], out=level[1:])
-            else:
-                np.cumsum(level, out=level)
+        for _ in range(t):
+            spare[0] = level[0]
+            np.subtract(level[1:], level[:-1], out=spare[1:])
+            level, spare = spare, level
+        for _ in range(-t):
+            np.cumsum(level, out=level)
         res = level
+        if t > 0 and res.base is free:
+            free, other = other, free
     res.flags.writeable = False
     _fpow_res[t] = res
     return res

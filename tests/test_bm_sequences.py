@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -283,6 +285,70 @@ def test_half_in_x_splits_and_rejects_the_other_parity():
     for p, odd in ((_one_plus_y(2), False), (_one_plus_y(4), True), (y3, False)):
         with pytest.raises(ArithmeticError, match="wrong parity"):
             _half_in_x(p, odd, "wrong parity")
+
+
+def _h_per_child(i, k, m, memo):
+    # the per-child reference: every child multiplies out its own a and b
+    # and keeps one half, so siblings share nothing but the memo
+    from ptmpow.bm_sequences import _flip, _half_in_x, _one_plus_y
+
+    if k == 0:
+        return IntPoly.one()
+    if (i, k, m) not in memo:
+        half = 1 << (k - 1)
+        prev = _h_per_child(i % half, k - 1, m, memo)
+        a = prev * _one_plus_y(m * k)
+        b = _flip(prev) * _flip(_one_plus_y(m * k))
+        odd = i >= half
+        s = (a - b if odd else a + b).divexact_scalar(2)
+        memo[i, k, m] = _half_in_x(s, odd, f"per-child parity at {(i, k, m)}")
+    return memo[i, k, m]
+
+
+@pytest.mark.parametrize("upper_first", [False, True])
+@pytest.mark.parametrize("k, m", [(4, 2), (5, 3), (6, 5)])
+def test_h_sibling_pair_matches_the_per_child_recurrence(monkeypatch, k, m, upper_first):
+    monkeypatch.setattr(bm_sequences, "_h_memo", {})
+    half, reference = 1 << (k - 1), {}
+    for j in range(1 << k):
+        i = j ^ half if upper_first else j
+        assert h_poly(i, k, m) == _h_per_child(i, k, m, reference), (i, k, m)
+        # one call memoises both siblings
+        assert (i ^ half, k, m) in bm_sequences._h_memo
+
+
+@pytest.mark.parametrize("at, bad", [(1, (0, 1, 3)), (2, (1, 1, 3))])
+def test_a_corrupted_flipped_product_fails_its_childs_parity(monkeypatch, at, bad):
+    # b = (1-y)^3 + 2y^at is flip(a) + 2y^at at level 1, so (a+b)/2 gains an
+    # odd power of y when `at` is odd, and (a-b)/2 an even one when it is
+    # even: each child's own assertion catches its half of the damage
+    flip = bm_sequences._flip
+
+    def corrupt(p):
+        q = list(flip(p).coeffs)
+        if len(q) == 4:  # the binomial row of (1+y)^3
+            q[at] += 2
+        return IntPoly(q)
+
+    monkeypatch.setattr(bm_sequences, "_h_memo", {})
+    monkeypatch.setattr(bm_sequences, "_flip", corrupt)
+    for i in (0, 1):  # either child builds the pair, and neither is memoised
+        with pytest.raises(ArithmeticError, match=re.escape(f"parity violation at {bad}")):
+            h_poly(i, 1, 3)
+        assert bm_sequences._h_memo == {}
+
+
+def test_v_operator_rejects_an_odd_power_in_its_product(monkeypatch):
+    product = bm_sequences._operator_product
+
+    def off_by_one(a, b):
+        out = product(a, b)
+        out[1] = out[1] + IntPoly.monomial(1)
+        return out
+
+    monkeypatch.setattr(bm_sequences, "_operator_product", off_by_one)
+    with pytest.raises(ArithmeticError, match="V_2 coefficient is not even"):
+        v_operator(2)
 
 
 def test_g1_series_closed_forms():

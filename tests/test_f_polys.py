@@ -225,6 +225,20 @@ def test_fpow_residues_match_the_exact_prefix(monkeypatch):
             full[0] = 0
 
 
+@pytest.mark.parametrize("t", [1, 2, 5, 9, -3])
+def test_fpow_residues_grown_from_the_memo_equal_a_fresh_build(monkeypatch, t):
+    # growth reads the memo array and never writes to it
+    pytest.importorskip("numpy")
+    monkeypatch.setattr(fpow, "_fpow_res", {})
+    fresh = fpow_residues(t, 40000).copy()
+    monkeypatch.setattr(fpow, "_fpow_res", {})
+    memo = fpow_residues(t, 3000)
+    before = memo.copy()
+    grown = fpow_residues(t, 40000)
+    assert grown is not memo and (grown == fresh).all() and (memo == before).all()
+    assert not memo.flags.writeable and not grown.flags.writeable
+
+
 def test_fpow_residues_need_numpy(monkeypatch):
     monkeypatch.setitem(sys.modules, "numpy", None)
     assert fpow_residues(2, 16) is None

@@ -511,6 +511,24 @@ def test_cli_poly(capsys):
         assert rc == 2 and out == "" and "n >= 0" in err
 
 
+def test_cli_poly_refuses_a_build_past_the_bit_limit(capsys, monkeypatch):
+    # the estimate is checked before any builder runs (all are None here)
+    from ptmpow import bm_sequences, f_polys
+
+    monkeypatch.setattr(bm_sequences, "h_poly", None)
+    monkeypatch.setattr(f_polys, "shared_fseries", None)
+    monkeypatch.setattr(f_polys, "w_poly", None)
+    for argv in (["g", "100000"], ["f", "341"], ["W", "161"], ["h", "0", "1", "100000000"],
+                 ["h", "0", "128", "1"], ["h", "0", "2", "1000", "--format", "json"],
+                 ["h", "0", str(2**20), "0"]):
+        rc, out, err = run_cli(capsys, "poly", *argv)
+        assert rc == 2 and out == "" and "the limit is 2^20" in err, argv
+    # just below the limit the builders are called (and fail on None here)
+    for argv in (["g", "340"], ["W", "160"], ["h", "0", "127", "1"], ["h", "3", "2", "417"]):
+        with pytest.raises(TypeError):
+            main(["poly", *argv])
+
+
 def test_cli_val(capsys):
     rc, out, _ = run_cli(capsys, "val", "t3", "--bound", "64")
     assert rc == 0
