@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from operator import neg
 
 from .core_arith import IntPoly, _mul_schoolbook, binom, convolve, nu2, ptm
 from .fpow import fpow_prefix
@@ -230,32 +231,39 @@ def _half_in_x(s: IntPoly, odd: bool, error: str) -> IntPoly:
 def h_poly(i: int, k: int, m: int) -> IntPoly:
     """h_{i,k,m}(x), built by the halving recurrence.  Siblings share one
     product pair a = p(y) (1+y)^(km), b = p(-y) (1-y)^(km) of their parent
-    p in y = sqrt(x): h_{low,k,m} is the even half of (a+b)/2 and
-    h_{low+2^(k-1),k,m} the odd half of (a-b)/2, memoised together once both
-    pass.  A half of the other parity raises, as it would mean the
-    recurrence was applied wrongly."""
+    p in y = sqrt(x): h_{low,k,m} is the even half of a and
+    h_{low+2^(k-1),k,m} the odd half, memoised together once both pass.  b
+    is its own multiply and must equal a(-y): its odd coefficients are the
+    negated ones of a, so that (a+b)/2 has only even powers (the lower
+    child's condition), and its even ones are those of a, so that (a-b)/2
+    has only odd powers (the upper child's).  A failed condition raises, as
+    it would mean the recurrence was applied wrongly.
+
+    The chain of ancestors i mod 2^j, j < k, is walked by a loop: down to
+    the deepest memoised one, then up, so its depth is not bounded by the
+    recursion limit."""
     if k < 0 or m < 0 or not 0 <= i < (1 << k):
         raise ValueError("need k >= 0, m >= 0, 0 <= i < 2^k")
-    if k == 0:
-        return IntPoly.one()
-    key = (i, k, m)
-    got = _h_memo.get(key)
-    if got is not None:
-        return got
-    half = 1 << (k - 1)
-    low = i if i < half else i - half
-    prev = h_poly(low, k - 1, m)  # read as a polynomial in y
-    plus = _one_plus_y(m * k)
-    a = prev * plus
-    # b is _flip(a), but computed as its own product so that the parity
-    # assertions of both children also cross-check the multiply
-    b = _flip(prev) * _flip(plus)
+    j = k
+    while j and (i % (1 << j), j, m) not in _h_memo:
+        j -= 1
+    h = _h_memo[i % (1 << j), j, m] if j else IntPoly.one()
     error = "h recurrence parity violation at {}"
-    even = _half_in_x((a + b).divexact_scalar(2), False, error.format((low, k, m)))
-    odd = _half_in_x((a - b).divexact_scalar(2), True, error.format((low + half, k, m)))
-    _h_memo[(low, k, m)] = even
-    _h_memo[(low + half, k, m)] = odd
-    return even if i == low else odd
+    for level in range(j + 1, k + 1):
+        half = 1 << (level - 1)
+        low = i % half
+        plus = _one_plus_y(m * level)
+        a = (h * plus).coeffs
+        b = (_flip(h) * _flip(plus)).coeffs
+        if b[1::2] != tuple(map(neg, a[1::2])):
+            raise ArithmeticError(error.format((low, level, m)))
+        if b[0::2] != a[0::2]:
+            raise ArithmeticError(error.format((low + half, level, m)))
+        even, odd = IntPoly(a[0::2]), IntPoly(a[1::2])
+        _h_memo[low, level, m] = even
+        _h_memo[low + half, level, m] = odd
+        h = odd if i & half else even
+    return h
 
 
 def check_h_identity(i: int, k: int, m: int, order: int | None = None) -> CheckReport:
@@ -655,13 +663,14 @@ def b2_valuation_table_suite(n_max: int) -> CheckReport:
             if hq.mod(2) != cert:
                 return CheckReport("b2-valuations", False,
                                    witness={"modulus": modulus, "i": i, "stage": "certificate"})
-            for n in range((n_max - i) // modulus + 1):
-                idx = modulus * n + i
-                if nu2(v[idx]) != a:
-                    return CheckReport("b2-valuations", False,
-                                       witness={"modulus": modulus, "i": i, "n": n,
-                                                "value_nu2": nu2(v[idx])})
-                checked += 1
+            # nu2(x) == a exactly when the low a + 1 bits of x are 2^a
+            low_bits = list(map(((2 << a) - 1).__and__, v[i : n_max + 1 : modulus]))
+            if low_bits.count(1 << a) < len(low_bits):
+                n = next(n for n, b in enumerate(low_bits) if b != 1 << a)
+                return CheckReport("b2-valuations", False,
+                                   witness={"modulus": modulus, "i": i, "n": n,
+                                            "value_nu2": nu2(v[modulus * n + i])})
+            checked += len(low_bits)
     return CheckReport("b2-valuations", True, checked)
 
 

@@ -104,8 +104,8 @@ def _cmd_seq(args) -> int:
 
 
 # the largest polynomial poly builds, in coefficients times the bits of the
-# largest one; poly g 340 and poly h 0 127 1, just below it, took 6.6 s and
-# 4.6 s (Python 3.11, 2 cores), and poly h 0 4 1000, 40 times over, 80 s
+# largest one; poly g 340 and poly h 0 127 1, just below it, took 2.7-3.1 s
+# and 5.1 s (Python 3.11, 2 cores), and poly h 0 4 1000, 40 times over, 80 s
 _POLY_BITS_MAX = 1 << 20
 
 

@@ -1,7 +1,9 @@
 """Exact integer foundations: binary-digit utilities (s2, nu2 and
 nu2_or_none, whose None is the valuation of zero, and the Prouhet-Thue-Morse
-sign ptm), the exact signed convolution `convolve` and the dense integer
-polynomials built on it, and base-4 digit expansions.
+sign ptm), the Kronecker packing of a signed integer sequence into one big
+integer (`kron_pack`, `kron_unpack`), the exact signed convolution
+`convolve` and the dense integer polynomials built on it, and base-4 digit
+expansions.
 
 No floating point: every operation is over Python big integers.
 """
@@ -78,15 +80,43 @@ def _mul_schoolbook(a, b):
     return out
 
 
+def _offsets(n: int, nb: int) -> int:
+    # h = 2^(8 nb - 1) in each of n nb-byte little-endian digits
+    return int.from_bytes((bytes(nb - 1) + b"\x80") * n, "little")
+
+
+def kron_pack(seq, nb: int) -> int:
+    """sum seq[i] * 2^(8 nb i), for integers |seq[i]| < h = 2^(8 nb - 1).
+
+    Each digit is written offset by h, which keeps the signed digits free of
+    carries, and the offsets are subtracted once; to_bytes/from_bytes make
+    both steps linear.
+    """
+    h = 1 << (8 * nb - 1)
+    raw = b"".join((v + h).to_bytes(nb, "little") for v in seq)
+    return int.from_bytes(raw, "little") - _offsets(len(seq), nb)
+
+
+def kron_unpack(v: int, n: int, nb: int) -> list[int]:
+    """The n signed nb-byte digits of v = sum d_i 2^(8 nb i), each |d_i| < h;
+    the inverse of kron_pack.
+
+    Adding the offsets makes digit i read d_i + h in [0, 2h); flipping its
+    top bit turns that into d_i in nb-byte two's complement, which
+    from_bytes reads into an int no longer than d_i needs.
+    """
+    off = _offsets(n, nb)
+    raw = ((v + off) ^ off).to_bytes(n * nb, "little")
+    return [int.from_bytes(raw[i : i + nb], "little", signed=True) for i in range(0, n * nb, nb)]
+
+
 def convolve(a, b) -> list[int]:
     """The full Cauchy product of two integer sequences of any sign, by one
     big-integer multiply (Kronecker substitution).
 
     Every product coefficient is bounded by max|a| * max|b| * min(len), so
     nb-byte digits with half-range h = 2^(8 nb - 1) above that bound hold
-    them exactly.  Each digit is packed and unpacked offset by h, which keeps
-    the signed digits free of carries; to_bytes/from_bytes make both steps
-    linear.
+    them exactly (kron_pack, kron_unpack).
     """
     if not a or not b:
         return []
@@ -95,16 +125,7 @@ def convolve(a, b) -> list[int]:
     if not bound:  # one side is all zeros; otherwise every |v| <= bound < h
         return [0] * n
     nb = bound.bit_length() // 8 + 1
-    h = 1 << (8 * nb - 1)
-    offsets = (bytes(nb - 1) + b"\x80") * n  # h in every digit, little-endian
-
-    def pack(seq):
-        raw = b"".join((v + h).to_bytes(nb, "little") for v in seq)
-        return int.from_bytes(raw, "little") - int.from_bytes(offsets[: len(raw)], "little")
-
-    prod = pack(a) * pack(b) + int.from_bytes(offsets, "little")
-    raw = prod.to_bytes(n * nb, "little")
-    return [int.from_bytes(raw[i : i + nb], "little") - h for i in range(0, n * nb, nb)]
+    return kron_unpack(kron_pack(a, nb) * kron_pack(b, nb), n, nb)
 
 
 def _zip_pad(a, b):

@@ -8,10 +8,11 @@ Three equivalent recurrences are implemented and cross-validated:
 
 All polynomial arithmetic happens on the integer companion g_n = n! * f_n,
 so no rational polynomial arithmetic is needed anywhere, and f_n itself is
-never stored: it is g_n over n!.  `FSeries` holds the g_n and evaluates
-f_n(t0) = g_n(t0) / n!; `w_poly` reads the coefficients a(i, n) = g_n[i] / n!
-off it.  `CoeffTable` builds the same a(i, n) by their own recurrence and is
-kept as a reference for the tests.
+never stored: it is g_n over n!.  `FSeries` runs the log-derivative
+recurrence in Horner form over Kronecker-packed rows, one big integer per
+g_n, and evaluates f_n(t0) = g_n(t0) / n!; `w_poly` reads the coefficients
+a(i, n) = g_n[i] / n! off it.  `CoeffTable` builds the same a(i, n) by
+their own recurrence and is kept as a reference for the tests.
 
 The values f_n(t) at one integer t do not come from here: `fpow.fpow_prefix`
 runs the product form F(x)^t = (1-x)^t F(x^2)^t instead of the polynomials.
@@ -22,7 +23,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .core_arith import IntPoly, _mul_schoolbook, nu2
+from .core_arith import IntPoly, _mul_schoolbook, kron_pack, kron_unpack, nu2
 from .reports import CheckReport
 
 
@@ -33,27 +34,78 @@ def _weight(j: int) -> int:
 
 class FSeries:
     """Append-only cache of g_n = n! * f_n, built by the log-derivative
-    recurrence in integer form:
+    recurrence in integer form,
 
-        g_n(t) = t * sum_{k<n} (1 - 2^(nu2(n-k)+1)) * ((n-1)!/k!) * g_k(t)
+        g_m(t) = t * sum_{k<m} c(m-k) ((m-1)!/k!) g_k(t),   c(j) = 1 - 2^(nu2(j)+1),
+
+    in Horner form over k: H_m <- H_m * k + c(m-k) * g_k for k = 0..m-1,
+    then g_m = t * H_m.  The rows are Kronecker-packed for it, each one
+    signed integer with an nb-byte digit per power of t (core_arith.kron_pack),
+    so a Horner step is one big-by-small multiply-add and t * H_m a shift by
+    one digit.  A call runs the steps of all its new rows k by k: packed row
+    k goes into every H_m still open, and H_k, complete by then, becomes
+    row k.  So only the open H_m and one packed row are held besides the
+    IntPoly rows, which are the cache.
+
+    The digits are wide enough by proof: with S_0 = 1 and
+    S_m = sum_{k<m} |c(m-k)| ((m-1)!/k!) S_k (the same Horner loop),
+    |g_m[i]| <= S_m, and S is nondecreasing (the k = m-1 term alone is
+    S_{m-1}).  So digits with h = 2^(8 nb - 1) > S_n hold every row to n.
+
+    A call that adds fewer rows than the table holds, as in a walk one row
+    at a time, keeps its packed rows for the next call, at digits sized for
+    twice the table, so such a walk repacks O(log n) times.  A call that at
+    least doubles the table keeps only the IntPoly rows: a packed copy, all
+    at the widest row's digits, would be about 1.5 times their size.
     """
 
     def __init__(self):
         self._g: list[IntPoly] = [IntPoly.one()]
+        self._bounds: list[int] = [1]  # S_0, S_1, ...
+        self._nb = 1  # digit bytes of _packed
+        self._packed: list[int] | None = None  # g_0, g_1, ... packed, after a short call
+
+    def _bound(self, m: int) -> int:
+        """S_m, extending the list of bounds to m."""
+        bounds = self._bounds
+        for j in range(len(bounds), m + 1):
+            s = 0
+            for k, b in enumerate(bounds):
+                s = s * k + abs(_weight(j - k)) * b
+            bounds.append(s)
+        return bounds[m]
 
     def extend(self, n: int) -> None:
         g = self._g
-        while len(g) <= n:
-            m = len(g)
-            acc = [0] * m
-            ratio = 1  # (m-1)!/k!, updated as k decreases
-            for k in range(m - 1, -1, -1):
-                w = _weight(m - k) * ratio
-                for i, gc in enumerate(g[k].coeffs):
-                    acc[i] += w * gc
-                if k:
-                    ratio *= k
-            g.append(IntPoly([0] + acc))
+        m0 = len(g)
+        if n < m0:
+            return
+        short = n < 2 * m0
+        packed = self._packed
+        if packed is None or self._bound(n).bit_length() >= 8 * self._nb:
+            self._nb = self._bound(max(n, 2 * m0) if short else n).bit_length() // 8 + 1
+            packed = [kron_pack(p.coeffs, self._nb) for p in g] if short else None
+        nb = self._nb
+        acc = [0] * (n + 1 - m0)  # H_m for m = m0..n
+        for k in range(n + 1):
+            if k < m0:
+                row = kron_pack(g[k].coeffs, nb) if packed is None else packed[k]
+            else:
+                row = acc[k - m0] << (8 * nb)  # g_k = t * H_k
+                acc[k - m0] = None  # H_k is done; free it
+                g.append(IntPoly(kron_unpack(row, k + 1, nb)))
+                if packed is not None:
+                    packed.append(row)
+            # the open H_m with m - k = d * odd, d a power of 2, share the
+            # term c(m - k) row = (1 - 2d) row, built once and dropped after
+            by_d: dict[int, list[int]] = {}
+            for m in range(max(k + 1, m0), n + 1):
+                by_d.setdefault((m - k) & (k - m), []).append(m - m0)
+            for d, open_ in by_d.items():
+                term = (1 - 2 * d) * row
+                for j in open_:
+                    acc[j] = acc[j] * k + term
+        self._packed = packed if short else None
 
     def g(self, n: int) -> IntPoly:
         if n < 0:
@@ -195,6 +247,7 @@ def w_poly(k: int) -> IntPoly:
     if k < 3:
         raise ValueError("w_poly is defined for k >= 3")
     fac2k = math.factorial(2 * k)
+    _shared.extend(2 * k + _W_EXTRA_CHECKS)  # every sample's row, in one widening
 
     def sample(n: int) -> Fraction:
         sign = -1 if (n + k) % 2 else 1

@@ -338,6 +338,14 @@ def test_a_corrupted_flipped_product_fails_its_childs_parity(monkeypatch, at, ba
         assert bm_sequences._h_memo == {}
 
 
+def test_h_chain_deeper_than_the_recursion_limit(monkeypatch):
+    # h_{i,k,0} = [i = 0]: every level multiplies by (1+y)^0 = 1
+    monkeypatch.setattr(bm_sequences, "_h_memo", {})
+    assert h_poly(0, 1500, 0) == IntPoly.one()
+    assert h_poly(3, 1500, 0) == IntPoly.zero()
+    assert h_poly((1 << 1500) - 1, 1500, 0) == IntPoly.zero()
+
+
 def test_v_operator_rejects_an_odd_power_in_its_product(monkeypatch):
     product = bm_sequences._operator_product
 
@@ -360,6 +368,23 @@ def test_b2_valuation_table():
     assert nu2(bm(2, 5)) == 3
     assert nu2(bm(2, 78)) == 7
     assert b2_valuation_table_suite(1 << 12).ok
+    # one check per index of each tabulated class up to the bound
+    assert b2_valuation_table_suite(1 << 16).checked == 61696
+
+
+def test_b2_valuation_table_reports_its_first_mismatch(monkeypatch):
+    # doubling b_2 at an index of a tabulated class raises its nu2 to a + 1;
+    # the witness is the first such index, in table order
+    n_max = 1 << 10
+    exact = fpow_prefix(-2, n_max)[: n_max + 1]
+    for bad, witness in (([4 * 5 + 3, 4 * 7 + 3], {"modulus": 4, "i": 3, "n": 5}),
+                         ([16 * 2 + 9], {"modulus": 16, "i": 9, "n": 2})):
+        vals = list(exact)
+        for idx in bad:
+            vals[idx] *= 2
+        monkeypatch.setattr(bm_sequences, "fpow_prefix", lambda t, n: vals)
+        rep = b2_valuation_table_suite(n_max)
+        assert not rep.ok and rep.witness == {**witness, "value_nu2": 4}
 
 
 def test_inverse_and_color_drop_identities():

@@ -10,6 +10,8 @@ from ptmpow.core_arith import (
     base4_value_0136,
     binom,
     convolve,
+    kron_pack,
+    kron_unpack,
     nu2,
     nu2_binom,
     nu2_factorial,
@@ -113,6 +115,17 @@ def test_convolve_matches_schoolbook(a, b):
     assert convolve(a, b) == expect
     pa, pb = IntPoly(a), IntPoly(b)
     assert pa * pb == IntPoly(expect)
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 5).flatmap(lambda nb: st.tuples(
+    st.just(nb), st.lists(st.integers(1 - 2 ** (8 * nb - 1), 2 ** (8 * nb - 1) - 1), max_size=20))))
+def test_kron_pack_round_trip(nb_seq):
+    # digits up to h - 1 = 2^(8 nb - 1) - 1 in size, of either sign
+    nb, seq = nb_seq
+    v = kron_pack(seq, nb)
+    assert v == sum(c << (8 * nb * i) for i, c in enumerate(seq))
+    assert kron_unpack(v, len(seq), nb) == seq
 
 
 def test_base4_digit_examples():

@@ -49,6 +49,55 @@ def test_alternative_recurrences_agree():
     assert g_prefix_alt1(0) == g_prefix_alt2(0) == [IntPoly((1,))]
 
 
+def _g_rows_reference(n_max):
+    # the row recurrence FSeries ran before its Horner form: each row sums
+    # c(m-k) (m-1)!/k! g_k coefficient by coefficient, on IntPoly rows
+    g = [IntPoly.one()]
+    for m in range(1, n_max + 1):
+        acc = [0] * m
+        ratio = 1  # (m-1)!/k!, updated as k decreases
+        for k in range(m - 1, -1, -1):
+            w = (1 - 2 ** (nu2(m - k) + 1)) * ratio
+            for i, gc in enumerate(g[k].coeffs):
+                acc[i] += w * gc
+            if k:
+                ratio *= k
+        g.append(IntPoly([0] + acc))
+    return g
+
+
+@pytest.fixture(scope="module")
+def g_reference():
+    return _g_rows_reference(200)
+
+
+def test_fseries_matches_the_row_recurrence_in_any_steps(g_reference):
+    walk = FSeries()
+    for n in range(201):  # one row per call, widening as it goes
+        assert walk.g(n) == g_reference[n], n
+    one_shot, uneven = FSeries(), FSeries()
+    one_shot.extend(200)
+    for n in (0, 5, 17, 64, 65, 200):
+        uneven.extend(n)
+    for n in range(201):
+        assert one_shot.g(n) == uneven.g(n) == g_reference[n], n
+    # one call to each small n, whose digits are sized by S_n alone
+    for n in range(1, 41):
+        fs = FSeries()
+        fs.extend(n)
+        assert [fs.g(m) for m in range(n + 1)] == g_reference[: n + 1], n
+    # a call that doubles the table keeps no packed copy of it; a walk does
+    assert one_shot._packed is None and uneven._packed is None
+    assert len(walk._packed) == 201
+
+
+def test_fseries_bound_covers_every_coefficient(g_reference):
+    fs = FSeries()
+    fs.extend(200)
+    for m in range(201):
+        assert fs._bound(m) >= max(map(abs, g_reference[m].coeffs)), m
+
+
 def test_degree_and_leading_coefficient():
     fs = shared_fseries()
     for n in range(201):

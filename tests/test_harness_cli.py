@@ -505,6 +505,9 @@ def test_cli_poly(capsys):
     assert rc == 0 and out == '{"coeffs":["0","-3","1"],"kind":"g","n":2}\n'
     rc, _, _ = run_cli(capsys, "poly", "h", "1", "2")
     assert rc == 2
+    # a chain of 1000 levels, past the recursion limit; h_{i,k,0} = [i = 0]
+    assert run_cli(capsys, "poly", "h", "0", "1000", "0")[:2] == (0, "1\n")
+    assert run_cli(capsys, "poly", "h", "3", "1000", "0")[:2] == (0, "0\n")
     # a negative index must not wrap around the g_n memo
     for kind, n in (("g", "-1"), ("f", "-2")):
         rc, out, err = run_cli(capsys, "poly", kind, n)
