@@ -18,8 +18,15 @@ with h_{0,0,m} = 1 and a halving recurrence that substitutes y = sqrt(x) for
 the variable.  The sqrt bookkeeping is three helpers over IntPoly in y:
 `_one_plus_y` (the binomial row of (1+y)^n), `_flip` (y -> -y) and
 `_half_in_x` (the even or odd half of a polynomial in y, as one in x).
-Siblings i and i + 2^(k-1) share one product pair, so a level costs two
-multiplies per pair of children.
+Applied k times, the recurrence gives
+
+    F(x)^(-m) = Q_k(x) F(x^(2^k))^(-m) / (1 - x^(2^k))^(km),
+    Q_k(x) = prod_{j<k} (1 + x^(2^j))^((j+1)m),
+
+so the whole family h_{.,k,m} is Q_k read with stride 2^k.  `h_poly` walks
+the chain of ancestors for the first request of a family, two small
+multiplies per level, and on a later one builds the family as one packed
+Q_k (`ptmpow.hfamily`), when 2^k + deg Q_k + 1 <= 2^16.
 
 The Churchhouse valuation and the PTM checks read the sign `core_arith.ptm`,
 so this module loads neither `tm_sequences` nor `f_polys`.
@@ -32,7 +39,8 @@ from dataclasses import dataclass
 from functools import partial
 from operator import neg
 
-from .core_arith import IntPoly, _mul_schoolbook, binom, convolve, nu2, ptm
+from .core_arith import (IntPoly, _mul_schoolbook, binom, convolve, kron_pack, kron_unpack,
+                         nu2, ptm)
 from .fpow import fpow_prefix
 from .reports import CheckReport
 
@@ -206,7 +214,13 @@ def v2_b2k1_reduced(k: int, n: int) -> int:
 # the h polynomial family
 
 
-_h_memo: dict[tuple[int, int, int], IntPoly] = {}
+# (k, m) -> None once the chain has served the family one request, then
+# (the bytes of Q_k, their digit width) once the whole family is built
+_h_memo: dict[tuple[int, int], tuple[bytes, int] | None] = {}
+
+# a family is built whole only while its 2^k residues and deg Q_k + 1
+# digits, summed, stay within this
+_H_FAMILY_LIMIT = 1 << 16
 
 
 def _one_plus_y(n: int) -> IntPoly:
@@ -228,28 +242,20 @@ def _half_in_x(s: IntPoly, odd: bool, error: str) -> IntPoly:
     return IntPoly(s.coeffs[odd::2])
 
 
-def h_poly(i: int, k: int, m: int) -> IntPoly:
-    """h_{i,k,m}(x), built by the halving recurrence.  Siblings share one
-    product pair a = p(y) (1+y)^(km), b = p(-y) (1-y)^(km) of their parent
-    p in y = sqrt(x): h_{low,k,m} is the even half of a and
-    h_{low+2^(k-1),k,m} the odd half, memoised together once both pass.  b
-    is its own multiply and must equal a(-y): its odd coefficients are the
-    negated ones of a, so that (a+b)/2 has only even powers (the lower
-    child's condition), and its even ones are those of a, so that (a-b)/2
-    has only odd powers (the upper child's).  A failed condition raises, as
-    it would mean the recurrence was applied wrongly.
-
-    The chain of ancestors i mod 2^j, j < k, is walked by a loop: down to
-    the deepest memoised one, then up, so its depth is not bounded by the
-    recursion limit."""
-    if k < 0 or m < 0 or not 0 <= i < (1 << k):
-        raise ValueError("need k >= 0, m >= 0, 0 <= i < 2^k")
-    j = k
-    while j and (i % (1 << j), j, m) not in _h_memo:
-        j -= 1
-    h = _h_memo[i % (1 << j), j, m] if j else IntPoly.one()
+def _h_chain(i: int, k: int, m: int) -> IntPoly:
+    """h_{i,k,m} by the halving recurrence along the ancestors i mod 2^j,
+    j < k, in a loop (so its depth is not bounded by the recursion limit).
+    The child of a parent p in y = sqrt(x) is a half of the product
+    a = p(y) (1+y)^(km): the even half for the lower child, the odd half
+    for the upper one.  b = p(-y) (1-y)^(km) is its own multiply and must
+    equal a(-y): its odd coefficients are the negated ones of a, so that
+    (a+b)/2 has only even powers (the lower child's condition), and its even
+    ones are those of a, so that (a-b)/2 has only odd powers (the upper
+    child's).  A failed condition raises, as it would mean the recurrence
+    was applied wrongly."""
+    h = IntPoly.one()
     error = "h recurrence parity violation at {}"
-    for level in range(j + 1, k + 1):
+    for level in range(1, k + 1):
         half = 1 << (level - 1)
         low = i % half
         plus = _one_plus_y(m * level)
@@ -259,11 +265,40 @@ def h_poly(i: int, k: int, m: int) -> IntPoly:
             raise ArithmeticError(error.format((low, level, m)))
         if b[0::2] != a[0::2]:
             raise ArithmeticError(error.format((low + half, level, m)))
-        even, odd = IntPoly(a[0::2]), IntPoly(a[1::2])
-        _h_memo[low, level, m] = even
-        _h_memo[low + half, level, m] = odd
-        h = odd if i & half else even
+        h = IntPoly(a[1::2] if i & half else a[0::2])
     return h
+
+
+def h_poly(i: int, k: int, m: int) -> IntPoly:
+    """h_{i,k,m}(x).  The halving recurrence, applied k times, gives
+
+        F(x)^(-m) = Q_k(x) F(x^(2^k))^(-m) / (1 - x^(2^k))^(km),
+        Q_k(x) = prod_{j<k} (1 + x^(2^j))^((j+1)m),
+
+    so h_{i,k,m} is the i-th 2^k-multisection of Q_k: its coefficients are
+    those of x^i, x^(i + 2^k), ... in Q_k.
+
+    Two routes give the same polynomial.  The first request for a family
+    (k, m) walks the chain of its ancestors (`_h_chain`), two small
+    multiplies per level.  A later request builds the whole family as one
+    packed Q_k (`hfamily.build`), memoises it, and every request from then
+    on reads its child's digits (`hfamily.child`).  A family whose
+    2^k + deg Q_k + 1 exceeds 2^16 stays on the chain.  A failed parity
+    condition on either route raises and memoises nothing."""
+    if k < 0 or m < 0 or not 0 <= i < (1 << k):
+        raise ValueError("need k >= 0, m >= 0, 0 <= i < 2^k")
+    family = _h_memo.get((k, m))
+    # deg Q_k = m sum_{j<k} (j+1) 2^j = m ((k-1) 2^k + 1)
+    if family is None and ((k, m) not in _h_memo
+                           or (1 << k) + m * (((k - 1) << k) + 1) >= _H_FAMILY_LIMIT):
+        h = _h_chain(i, k, m)
+        _h_memo[k, m] = None
+        return h
+    from . import hfamily  # loaded only by a process that builds a whole family
+
+    if family is None:
+        family = _h_memo[k, m] = hfamily.build(k, m)
+    return hfamily.child(family, i, k)
 
 
 def check_h_identity(i: int, k: int, m: int, order: int | None = None) -> CheckReport:
@@ -568,11 +603,23 @@ class ShiftOperator:
 
 
 def _operator_product(a: list[IntPoly], b: list[IntPoly]) -> list[IntPoly]:
-    out = [IntPoly.zero()] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] = out[i + j] + ai * bj
-    return out
+    """The theta-coefficients of (sum_i a_i theta^i)(sum_j b_j theta^j).
+
+    Every a_i and b_j is packed once (`core_arith.kron_pack`), at one digit
+    width: each digit of coefficient s = sum_{i+j=s} a_i b_j is at most
+    sum_{i+j=s} max|a_i| max|b_j| min(len a_i, len b_j), and the width sits
+    above the largest of these bounds.  Each coefficient is then one packed
+    sum of products and one unpack."""
+    ca, cb = [p.coeffs for p in a], [p.coeffs for p in b]
+    cols = [[(i, s - i) for i in range(len(a)) if 0 <= s - i < len(b)]
+            for s in range(len(a) + len(b) - 1)]
+    bound = max(sum(max(map(abs, ca[i]), default=0) * max(map(abs, cb[j]), default=0)
+                    * min(len(ca[i]), len(cb[j])) for i, j in col) for col in cols)
+    nb = bound.bit_length() // 8 + 1
+    pa, pb = [kron_pack(c, nb) for c in ca], [kron_pack(c, nb) for c in cb]
+    return [IntPoly(kron_unpack(sum(pa[i] * pb[j] for i, j in col),
+                                max(len(ca[i]) + len(cb[j]) - 1 for i, j in col), nb))
+            for col in cols]
 
 
 def v_operator(k: int) -> ShiftOperator:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from ptmpow.core_arith import IntPoly, nu2
 from ptmpow.f_polys import shared_fseries
 from ptmpow.fpow import fpow_prefix
-from ptmpow import bm_sequences
+from ptmpow import bm_sequences, hfamily
 from ptmpow.bm_sequences import (
     b1,
     b1_euler_prefix,
@@ -313,8 +313,96 @@ def test_h_sibling_pair_matches_the_per_child_recurrence(monkeypatch, k, m, uppe
     for j in range(1 << k):
         i = j ^ half if upper_first else j
         assert h_poly(i, k, m) == _h_per_child(i, k, m, reference), (i, k, m)
-        # one call memoises both siblings
-        assert (i ^ half, k, m) in bm_sequences._h_memo
+        # the sibling is then served without a multiply
+        sibling = _h_per_child(i ^ half, k, m, reference)
+        with monkeypatch.context() as mp:
+            mp.setattr(IntPoly, "__mul__", _no_multiply)
+            assert h_poly(i ^ half, k, m) == sibling, (i ^ half, k, m)
+
+
+def _no_multiply(*_):
+    raise AssertionError("a polynomial multiply")
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 5, 12])
+def test_h_family_route_matches_the_per_child_recurrence(monkeypatch, m):
+    monkeypatch.setattr(bm_sequences, "_h_memo", {})
+    for k in range(7):
+        reference = {}
+        h_poly(0, k, m)  # the chain serves the first request
+        assert bm_sequences._h_memo[k, m] is None
+        for i in range(1 << k):
+            assert h_poly(i, k, m) == _h_per_child(i, k, m, reference), (i, k, m)
+        assert bm_sequences._h_memo[k, m] is not None
+
+
+@pytest.mark.parametrize("k, m", [(10, 3), (9, 5)])
+def test_h_family_route_matches_the_chain_on_large_families(monkeypatch, k, m):
+    monkeypatch.setattr(bm_sequences, "_h_memo", {})
+    family = [h_poly(i, k, m) for i in range(1 << k)]
+    assert bm_sequences._h_memo[k, m] is not None
+    reference = {}
+    assert family == [_h_per_child(i, k, m, reference) for i in range(1 << k)]
+    # the chain itself, with no memo, at both ends and across the middle
+    for i in (0, 1, 5, (1 << (k - 1)) + 3, (1 << k) - 1):
+        assert bm_sequences._h_chain(i, k, m) == family[i], i
+
+
+@pytest.mark.parametrize("level, upper, bad", [(1, False, (0, 1, 2)), (1, True, (1, 1, 2)),
+                                                (3, False, (0, 3, 2)), (3, True, (4, 3, 2))])
+def test_a_corrupted_flipped_product_fails_on_the_family_route(monkeypatch, level, upper, bad):
+    # B + 2 at digit 0 (a digit of the upper children) or at the first digit
+    # under the mask (a flipped one, of the lower children), at one level
+    product, calls = hfamily._flipped_product, []
+
+    def corrupt(q, mask, shift, e):
+        calls.append(mask)
+        out = product(q, mask, shift, e)
+        if len(calls) == level:
+            out += 2 if upper else 2 * (mask & -mask)
+        return out
+
+    monkeypatch.setattr(bm_sequences, "_h_memo", {})
+    assert h_poly(0, 4, 2) == _h_per_child(0, 4, 2, {})  # by the chain
+    monkeypatch.setattr(hfamily, "_flipped_product", corrupt)
+    for i in (0, 13):  # any request raises, and the family is not memoised
+        calls.clear()
+        with pytest.raises(ArithmeticError, match=re.escape(f"parity violation at {bad}")):
+            h_poly(i, 4, 2)
+        assert bm_sequences._h_memo == {(4, 2): None}
+
+
+def test_h_route_choice(monkeypatch):
+    routes = []
+    chain, family = bm_sequences._h_chain, hfamily.build
+
+    def spy(name, build):
+        def wrapped(*args):
+            routes.append(name)
+            return build(*args)
+        return wrapped
+
+    monkeypatch.setattr(bm_sequences, "_h_memo", {})
+    monkeypatch.setattr(bm_sequences, "_h_chain", spy("chain", chain))
+    monkeypatch.setattr(hfamily, "build", spy("family", family))
+    reference = {}
+    for i, route in ((5, ["chain"]), (5, ["family"]), (2, []), (7, [])):
+        routes.clear()
+        assert h_poly(i, 3, 4) == _h_per_child(i, 3, 4, reference)
+        assert routes == route, i
+    # 2^k + deg Q_k + 1 against 2^16: (10, 6) fits and (10, 7) is 8 over;
+    # at m = 0 the 2^k term alone decides, and (16, 0) is 1 over
+    for k, m, fits in ((10, 6, True), (10, 7, False), (15, 0, True), (16, 0, False),
+                       (1500, 0, False)):
+        assert ((1 << k) + m * ((k - 1) * 2**k + 1) + 1 <= 1 << 16) == fits
+        routes.clear()
+        h0, h3 = h_poly(0, k, m), h_poly(3, k, m)
+        assert routes == ["chain", "family" if fits else "chain"], (k, m)
+        assert bm_sequences._h_memo[k, m] is None or fits
+        if m == 0:
+            assert (h0, h3) == (IntPoly.one(), IntPoly.zero())
+    for i in (0, 3, 1000):
+        assert h_poly(i, 10, 7) == _h_per_child(i, 10, 7, reference), i
 
 
 @pytest.mark.parametrize("at, bad", [(1, (0, 1, 3)), (2, (1, 1, 3))])
@@ -344,6 +432,18 @@ def test_h_chain_deeper_than_the_recursion_limit(monkeypatch):
     assert h_poly(0, 1500, 0) == IntPoly.one()
     assert h_poly(3, 1500, 0) == IntPoly.zero()
     assert h_poly((1 << 1500) - 1, 1500, 0) == IntPoly.zero()
+
+
+def test_operator_product_at_its_digit_bound():
+    # equal coefficients attain the digit bound in the middle of theta^1, so
+    # a width one byte short of the rule, or a bound without min(len), fails
+    p = IntPoly([1000] * 256)
+    a, b = [p, p, IntPoly.zero()], [p, p, -p, IntPoly((3, -1))]
+    want = [IntPoly.zero()] * 6
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            want[i + j] = want[i + j] + ai * bj
+    assert bm_sequences._operator_product(a, b) == want
 
 
 def test_v_operator_rejects_an_odd_power_in_its_product(monkeypatch):

@@ -514,6 +514,22 @@ def test_cli_poly(capsys):
         assert rc == 2 and out == "" and "n >= 0" in err
 
 
+def test_cli_poly_h_over_a_whole_family_in_one_process(capsys, monkeypatch):
+    # the first request walks the chain, the second builds the family, and
+    # the rest read it; every output is the per-child recurrence's
+    from ptmpow import bm_sequences
+    from test_bm_sequences import _h_per_child
+
+    monkeypatch.setattr(bm_sequences, "_h_memo", {})
+    reference = {}
+    for i in range(32):
+        rc, out, _ = run_cli(capsys, "poly", "h", str(i), "5", "3", "--format", "json")
+        assert rc == 0
+        want = _h_per_child(i, 5, 3, reference).coeffs
+        assert json.loads(out) == {"i": i, "k": 5, "m": 3, "coeffs": [str(c) for c in want]}, i
+    assert bm_sequences._h_memo[5, 3] is not None
+
+
 def test_cli_poly_refuses_a_build_past_the_bit_limit(capsys, monkeypatch):
     # the estimate is checked before any builder runs (all are None here)
     from ptmpow import bm_sequences, f_polys
@@ -742,6 +758,8 @@ def test_cli_loads_only_what_its_command_runs():
         loaded = _modules_loaded_by(*argv)
         assert "ptmpow.bm_sequences" in loaded
         assert not loaded & {"ptmpow.tm_sequences", "ptmpow.f_polys", "fractions"}, argv
+    # one request per family walks the chain, so it never loads the packed family
+    assert "ptmpow.hfamily" not in _modules_loaded_by("poly", "h", "5", "4", "3")
 
 
 def test_cli_version(capsys):
