@@ -1,8 +1,10 @@
 """Exact integer arithmetic for the coefficient families of F(x)^t, where
 F(x) = prod_{n>=0} (1 - x^(2^n)) generates the Prouhet-Thue-Morse sequence.
 
-Everything here is exact (Python big integers and fractions); there is no
-floating point anywhere in the computational paths.
+Every value is exact (Python big integers and fractions).  The one use of
+floating point is `campaigns._turan_signs`, which decides the sign of
+b^2 - ac from doubles where rounding provably cannot flip it and settles
+every other index with exact integers.
 """
 
 __version__ = "0.1.0"

@@ -4,11 +4,7 @@ annihilating shift operators V_k.
 
 Every value of b_m comes from `fpow.fpow_prefix(-m, n)`, the one
 production kernel for F(x)^t: F(x)^(-m) = (1-x)^(-m) F(x^2)^(-m), that is m
-running sums of the upsampled prefix.  The independent routes stay here as
-references that the tests compare against it: `b1_euler_prefix` (Euler's
-recurrence), `b1_oracle` (coin change), `bm_alt_prefix` (the half-index
-sums) and `bm_oracle` (the m-fold schoolbook convolution of Euler's b_1,
-by `core_arith._mul_schoolbook`).
+running sums of the upsampled prefix.
 
 The h family is pinned down by
 
@@ -39,8 +35,7 @@ from dataclasses import dataclass
 from functools import partial
 from operator import neg
 
-from .core_arith import (IntPoly, _mul_schoolbook, binom, convolve, kron_pack, kron_unpack,
-                         nu2, ptm)
+from .core_arith import IntPoly, binom, convolve, kron_pack, kron_unpack, nu2, ptm
 from .fpow import fpow_prefix
 from .reports import CheckReport
 
@@ -54,59 +49,11 @@ def b1(n: int) -> int:
     return fpow_prefix(-1, n)[n] if n >= 0 else 0
 
 
-def b1_euler_prefix(n: int) -> list[int]:
-    """[b(0), ..., b(n)] by Euler's recurrence b(2n) = b(2n-1) + b(n),
-    b(2n+1) = b(2n); a reference for the kernel, with no cache."""
-    v = [1, 1]
-    for i in range(2, n + 1):
-        v.append(v[i - 1] + v[i >> 1] if i % 2 == 0 else v[i - 1])
-    return v[: n + 1]
-
-
-def b1_oracle(n: int) -> int:
-    """b(n) by coin-change enumeration over the parts 1, 2, 4, ...; the
-    independent oracle for the recurrence."""
-    dp = [0] * (n + 1)
-    dp[0] = 1
-    c = 1
-    while c <= n:
-        for i in range(c, n + 1):
-            dp[i] += dp[i - c]
-        c <<= 1
-    return dp[n]
-
-
 def bm(m: int, n: int) -> int:
     """b_m(n), with b_m(n) = 0 for n < 0."""
     if m < 1:
         raise ValueError("b_m requires m >= 1")
     return fpow_prefix(-m, n)[n] if n >= 0 else 0
-
-
-def bm_alt_prefix(m: int, n_max: int) -> list[int]:
-    """b_m prefix via the second recurrence pair (half-index sums):
-
-        b_m(2n)   = sum_{j<=n} C(2(n-j)+m-1, m-1) b_m(j),
-        b_m(2n+1) = sum_{j<=n} C(2(n-j)+m,   m-1) b_m(j).
-
-    Quadratic; used for cross-validation at small n.
-    """
-    v = [1]
-    for i in range(1, n_max + 1):
-        n = i >> 1
-        extra = 0 if i % 2 == 0 else 1
-        v.append(sum(binom(2 * (n - j) + m - 1 + extra, m - 1) * v[j] for j in range(n + 1)))
-    return v
-
-
-def bm_oracle(m: int, n: int) -> int:
-    """b_m(n) as the m-fold Cauchy convolution of the binary partition
-    sequence; the independent oracle."""
-    base = b1_euler_prefix(n)
-    acc = base
-    for _ in range(m - 1):
-        acc = _mul_schoolbook(acc, base)[: n + 1]
-    return acc[n]
 
 
 # ---------------------------------------------------------------------------
@@ -202,12 +149,6 @@ def v2_b2k1_closed(k: int, n: int) -> int:
     if i < 3 * (1 << k):
         return 2
     return 1
-
-
-def v2_b2k1_reduced(k: int, n: int) -> int:
-    """The same valuation via nu2(b_{2^k-1}(2^k q + j)) = nu2(b_1(2q))."""
-    q, _ = divmod(n, 1 << k)
-    return v2_b1_churchhouse(2 * q)
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,10 @@
 Exit codes: 0 all-pass, 1 theorem counterexample, 2 usage/data error,
 3 campaign finished in observation-only mode.  seq and cache take
 |M| <= 2^20, seq, cache store and val refuse a kernel cost (|M|+1)(B+1)
-above 2^24, poly refuses to build a polynomial of more than 2^20 bits, and
-search exits 2 on a target past its scan cap.  Output on stdout is
-byte-deterministic for fixed (version, arguments); timing goes to stderr.
+above 2^24, val refuses a bound below its family's first index, poly
+refuses to build a polynomial of more than 2^20 bits, and search exits 2
+on a target past its scan cap.  Output on stdout is byte-deterministic for
+fixed (version, arguments); timing goes to stderr.
 
 The handlers format the library's values themselves: poly f prints g_n
 over n!, and val prints the valuation of zero, None in the library, as
@@ -171,6 +172,9 @@ def _cmd_val(args) -> int:
         "b-pow2m1": ("b", lambda: (1 << k) - 1, 0, lambda n: v2_b2k1_closed(k, n)),
         "b1": ("b", lambda: 1, 2, v2_b1_churchhouse),
     }[args.family]
+    if args.bound < first:
+        # a bound below the first index would check nothing and pass
+        raise ValueError(f"val {args.family} requires --bound >= {first}, got {args.bound}")
     vals = _family_prefix(family, m_of(), args.bound)
     enc = lambda v: "INFINITE" if v is None else v
     all_ok = True

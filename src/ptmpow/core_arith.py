@@ -70,16 +70,6 @@ def nu2_binom(a: int, b: int) -> int:
 # dense integer polynomials
 
 
-def _mul_schoolbook(a, b):
-    # the reference multiply, independent of convolve; skips the zeros of a
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
 def _offsets(n: int, nb: int) -> int:
     # h = 2^(8 nb - 1) in each of n nb-byte little-endian digits
     return int.from_bytes((bytes(nb - 1) + b"\x80") * n, "little")

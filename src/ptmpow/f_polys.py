@@ -1,18 +1,14 @@
-"""The polynomial family f_n(t) defined by F(x)^t = sum f_n(t) x^n.
+"""The polynomial family f_n(t) defined by F(x)^t = sum f_n(t) x^n, built
+by the log-derivative recurrence
 
-Three equivalent recurrences are implemented and cross-validated:
-
-  (log-derivative)  f_n(t) = (t/n) sum_{k<n} (1 - 2^(nu2(n-k)+1)) f_k(t)
-  (alt 1)           f_n(t) = -sum_{k<n} C(t+n-k-1, n-k) f_k(t) + chi2(n) f_{n/2}(t)
-  (alt 2)           f_n(t) = sum_{k<=n/2} C(n-2k-1-t, n-2k) f_k(t)
+    f_n(t) = (t/n) sum_{k<n} (1 - 2^(nu2(n-k)+1)) f_k(t).
 
 All polynomial arithmetic happens on the integer companion g_n = n! * f_n,
 so no rational polynomial arithmetic is needed anywhere, and f_n itself is
-never stored: it is g_n over n!.  `FSeries` runs the log-derivative
-recurrence in Horner form over Kronecker-packed rows, one big integer per
-g_n, and evaluates f_n(t0) = g_n(t0) / n!; `w_poly` reads the coefficients
-a(i, n) = g_n[i] / n! off it.  `CoeffTable` builds the same a(i, n) by
-their own recurrence and is kept as a reference for the tests.
+never stored: it is g_n over n!.  `FSeries` runs the recurrence in Horner
+form over Kronecker-packed rows, one big integer per g_n, and evaluates
+f_n(t0) = g_n(t0) / n!; `w_poly` reads the coefficients a(i, n) = g_n[i] / n!
+off it.
 
 The values f_n(t) at one integer t do not come from here: `fpow.fpow_prefix`
 runs the product form F(x)^t = (1-x)^t F(x^2)^t instead of the polynomials.
@@ -23,7 +19,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .core_arith import IntPoly, _mul_schoolbook, kron_pack, kron_unpack, nu2
+from .core_arith import IntPoly, kron_pack, kron_unpack, nu2
 from .reports import CheckReport
 
 
@@ -123,86 +119,6 @@ _shared = FSeries()
 
 def shared_fseries() -> FSeries:
     return _shared
-
-
-def _rising_factorials(j_max: int) -> list[IntPoly]:
-    # R_j(t) = t(t+1)...(t+j-1), with R_0 = 1; C(t+j-1, j) = R_j / j!
-    out = [IntPoly.one()]
-    for j in range(1, j_max + 1):
-        out.append(out[-1] * IntPoly((j - 1, 1)))
-    return out
-
-
-def _falling_factorials(j_max: int) -> list[IntPoly]:
-    # FF_j(t) = t(t-1)...(t-j+1); C(n-2k-1-t, j) = (-1)^j FF_j / j! when n-2k = j
-    out = [IntPoly.one()]
-    for j in range(1, j_max + 1):
-        out.append(out[-1] * IntPoly((-(j - 1), 1)))
-    return out
-
-
-def g_prefix_alt1(n_max: int) -> list[IntPoly]:
-    """g_0..g_{n_max} via the binomial recurrence (alt 1), recursing on its
-    own values.  Assembled at the g level so every division is exact:
-
-        g_n = -sum_k C(n,k) R_{n-k}(t) g_k + chi2(n) * (n!/(n/2)!) * g_{n/2}
-    """
-    rising = _rising_factorials(n_max)
-    g = [IntPoly.one()]
-    for n in range(1, n_max + 1):
-        acc = IntPoly.zero()
-        for k in range(n):
-            acc = acc + math.comb(n, k) * (rising[n - k] * g[k])
-        acc = -acc
-        if n % 2 == 0:
-            acc = acc + (math.factorial(n) // math.factorial(n // 2)) * g[n // 2]
-        g.append(acc)
-    return g
-
-
-def g_prefix_alt2(n_max: int) -> list[IntPoly]:
-    """g_0..g_{n_max} via the half-index recurrence (alt 2):
-
-        g_n = (-1)^n sum_{k<=n/2} (n!/((n-2k)! k!)) FF_{n-2k}(t) g_k
-    """
-    falling = _falling_factorials(n_max)
-    g = [IntPoly.one()]
-    for n in range(1, n_max + 1):
-        acc = IntPoly.zero()
-        for k in range(n // 2 + 1):
-            j = n - 2 * k
-            w = math.factorial(n) // (math.factorial(j) * math.factorial(k))
-            acc = acc + w * (falling[j] * g[k])
-        if n % 2:
-            acc = -acc
-        g.append(acc)
-    return g
-
-
-class CoeffTable:
-    """a(i, n): the t^i coefficient of f_n(t), built by the coefficient
-    recurrence rather than read off g_n; a reference that the tests compare
-    against FSeries:
-
-        a(i+1, n) = (1/n) sum_{j=i}^{n-1} (1 - 2^(nu2(n-j)+1)) a(i, j)
-    """
-
-    def __init__(self):
-        self._a: dict[tuple[int, int], Fraction] = {(0, 0): Fraction(1)}
-
-    def a(self, i: int, n: int) -> Fraction:
-        if i > n:
-            raise ValueError("a(i, n) requires i <= n")
-        key = (i, n)
-        if key in self._a:
-            return self._a[key]
-        if i == 0:
-            v = Fraction(0) if n > 0 else Fraction(1)
-        else:
-            s = sum(_weight(n - j) * self.a(i - 1, j) for j in range(i - 1, n))
-            v = s / n
-        self._a[key] = v
-        return v
 
 
 def _lagrange_int_poly(points: list[tuple[int, Fraction]]) -> IntPoly:
@@ -308,33 +224,3 @@ def log_coeff_base(k: int, n: int) -> Fraction:
     if n < 1 or k < 2:
         raise ValueError("need n >= 1 and base k >= 2")
     return Fraction(1 - k ** (phi_base(k, n) + 1), (k - 1) * n)
-
-
-def log_series_oracle(n_max: int, base: int = 2) -> list[Fraction]:
-    """Coefficients of log prod (1 - x^(base^j)) up to x^n_max, by formally
-    expanding -sum_{j, i} x^(i * base^j) / i.  Independent of log_coeff_base."""
-    acc = [Fraction(0)] * (n_max + 1)
-    step = 1
-    while step <= n_max:
-        for i in range(1, n_max // step + 1):
-            acc[i * step] -= Fraction(1, i)
-        step *= base
-    return acc
-
-
-def product_series_oracle(t0: int, n_max: int) -> list[int]:
-    """Coefficients of prod_{2^j <= n_max} (1 - x^(2^j))^t0 up to x^n_max,
-    multiplied out term by term; the independent oracle for f_n(t0)."""
-    series = [1] + [0] * n_max
-    step = 1
-    while step <= n_max:
-        factor = [0] * (n_max + 1)
-        for i in range(0, n_max // step + 1):
-            if t0 >= 0:
-                factor[i * step] = (-1) ** i * math.comb(t0, i)
-            else:
-                factor[i * step] = math.comb(i - t0 - 1, -t0 - 1)
-        # the sparse factor goes first: the schoolbook skips its zeros
-        series = _mul_schoolbook(factor, series)[: n_max + 1]
-        step *= 2
-    return series

@@ -9,7 +9,7 @@ for one h per family never loads it.
 
 from __future__ import annotations
 
-from .core_arith import IntPoly, _offsets, kron_unpack
+from .core_arith import IntPoly, _offsets
 
 
 def _flipped_product(q: int, mask: int, shift: int, e: int) -> int:
@@ -34,7 +34,12 @@ def build(k: int, m: int) -> tuple[bytes, int]:
     naming the failing child of least index.  Q_k has nonnegative
     coefficients, so each is at most Q_k(1) = 2^(m k(k+1)/2), and every
     digit of A, B and B - flip_s(A) at every level is below 2 Q_k(1), which
-    sets the width."""
+    sets the width.
+
+    The difference is formed in place on B, and each of its digits plus h
+    lies in [0, 2h); flipping every top bit then leaves a digit that is 0
+    exactly where the difference is 0.  A level holds only Q, B, the mask
+    and the offsets, and drops the last three before the next level."""
     nb = (m * k * (k + 1) // 2 + 2) // 8 + 1  # h = 2^(8 nb - 1) > 2 Q_k(1)
     q, n = 1, 1
     for level in range(1, k + 1):
@@ -45,14 +50,18 @@ def build(k: int, m: int) -> tuple[bytes, int]:
         b = _flipped_product(q, mask, shift, e)
         for _ in range(e):
             q += q << shift
-        # the offsets keep each digit of B - flip_s(A) in [0, 2h) for the masks
         off = _offsets(n, nb)
-        d = b - q + 2 * (q & mask) + off
-        lower, upper = d & mask == off & mask, d & ~mask == off & ~mask
+        b -= q
+        b += 2 * (q & mask)
+        b += off
+        b ^= off
+        lower, upper = not b & mask, not b & ~mask
         if not (lower and upper):
-            bad = min(j % s for j, x in enumerate(kron_unpack(d - off, n, nb))
-                      if x and bool(j & s) != lower)
+            raw = b.to_bytes(n * nb, "little")
+            bad = min(j % s for j in range(n)
+                      if bool(j & s) != lower and any(raw[j * nb : (j + 1) * nb]))
             raise ArithmeticError(f"h recurrence parity violation at {(bad + s * lower, level, m)}")
+        del b, off, mask
     return q.to_bytes(n * nb, "little"), nb
 
 

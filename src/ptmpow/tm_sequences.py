@@ -6,12 +6,7 @@ inequality sweeps.  The valuation at a zero of t_3 is None, as
 
 Every value comes from `fpow.fpow_prefix(m, n)`, the one production
 kernel for F(x)^t, which runs the halving identity
-F(x)^m = (1-x)^m F(x^2)^m.  The independent routes stay here as references
-that the tests compare against it: `tm_oracle` convolves m copies of the
-PTM sequence with the schoolbook multiply `core_arith._mul_schoolbook`
-(independent of `convolve`), and `t2_two_term_prefix` runs the short form
-
-    t_2(2n) = t_2(n) + t_2(n-1),   t_2(2n+1) = -2 t_2(n).
+F(x)^m = (1-x)^m F(x^2)^m.
 """
 
 from __future__ import annotations
@@ -20,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core_arith import _mul_schoolbook, base4_digits_0136, nu2, nu2_binom, ptm
+from .core_arith import base4_digits_0136, nu2, nu2_binom
 from .f_polys import shared_fseries
 from .fpow import fpow_prefix
 from .reports import CheckReport
@@ -33,34 +28,9 @@ def tm(m: int, n: int) -> int:
     return fpow_prefix(m, n)[n] if n >= 0 else 0
 
 
-def tm_oracle(m: int, n: int) -> int:
-    """t_m(n) by literally convolving m copies of the PTM sequence.
-
-    Quadratic in n per convolution; this is the independent oracle, meant
-    for small m*n only.
-    """
-    if m < 1:
-        raise ValueError("oracle requires m >= 1")
-    base = [ptm(i) for i in range(n + 1)]
-    acc = base
-    for _ in range(m - 1):
-        acc = _mul_schoolbook(acc, base)[: n + 1]
-    return acc[n]
-
-
 def t2(n: int) -> int:
     """t_2(n), with t_2(n) = 0 for n < 0."""
     return fpow_prefix(2, n)[n] if n >= 0 else 0
-
-
-def t2_two_term_prefix(n: int) -> list[int]:
-    """[t_2(0), ..., t_2(n)] by the linear-time two-term recurrence; a
-    reference for the kernel, with no cache."""
-    v = [1, -2]
-    for i in range(2, n + 1):
-        h = i >> 1
-        v.append(-2 * v[h] if i & 1 else v[h] + v[h - 1])
-    return v[: n + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -83,15 +53,6 @@ def v2_t2k_closed(k: int, n: int) -> int:
     return nu2_binom(n + (1 << k) - 1, (1 << k) - 1)
 
 
-def v2_t2k_piecewise(k: int, n: int) -> int:
-    """The same valuation in the piecewise form: writing n = 2^k q + j,
-    it is 0 for j = 0 and k - nu2(j) + nu2(q+1) for 1 <= j < 2^k."""
-    q, j = divmod(n, 1 << k)
-    if j == 0:
-        return 0
-    return k - nu2(j) + nu2(q + 1)
-
-
 def v2_t3_closed(n: int) -> int | None:
     """nu2(t_3(n)) from the base-4 digit expansion over {0,1,3,6}:
     None (t_3(n) = 0) iff the leading digit is 2 and all lower digits lie in
@@ -108,25 +69,6 @@ def v2_t3_closed(n: int) -> int | None:
     if digits[-1] == 2 and prefix == len(digits) - 1:
         return None
     return 3 * prefix
-
-
-def v2_t3_rec(n: int) -> int | None:
-    """nu2(t_3(n)) by the reduction t_3(4n+3) = 8 t_3(n), t_3(4n+6) = 8 t_3(n)
-    together with t_3(4n), t_3(4n+1) odd and t_3(2) = 0; None at a zero."""
-    if n < 0:
-        raise ValueError("defined for n >= 0")
-    shift = 0
-    while True:
-        if n == 2:
-            return None
-        r = n & 3
-        if r in (0, 1):
-            return shift
-        if r == 3:
-            n = (n - 3) >> 2
-        else:
-            n = (n - 6) >> 2
-        shift += 3
 
 
 def _t3_zero_indexed(count: int) -> list[int]:
@@ -314,20 +256,6 @@ class Extrema:
     min: int
     argmax: int
     argmin: int
-
-
-def maxmin_scan(m: int, k: int) -> Extrema:
-    """Extrema of t_m over [0, 2^k], with the first attaining indices."""
-    vals = fpow_prefix(m, 1 << k)
-    hi = lo = vals[0]
-    ahi = alo = 0
-    for n in range(1, (1 << k) + 1):
-        v = vals[n]
-        if v > hi:
-            hi, ahi = v, n
-        if v < lo:
-            lo, alo = v, n
-    return Extrema(hi, lo, ahi, alo)
 
 
 def maxmin_closed(m: int, k: int) -> Extrema:

@@ -19,7 +19,6 @@ import pytest
 from ptmpow import bm_sequences, f_polys, fpow
 from ptmpow.core_arith import IntPoly, nu2
 from ptmpow.f_polys import (
-    CoeffTable,
     check_g_factorization,
     shared_fseries,
     w_poly,
@@ -34,7 +33,6 @@ from ptmpow.tm_sequences import (
     check_t2_mod4,
     check_t3_reducibility_witness,
     maxmin_closed,
-    maxmin_scan,
     multinomial_s1_enumerate,
     t2,
     t2_solve_many,
@@ -42,16 +40,11 @@ from ptmpow.tm_sequences import (
     t3_zero_seq,
     t3_zero_set_upto,
     tm,
-    tm_oracle,
     v2_t2k_closed,
-    v2_t2k_piecewise,
     v2_t3_closed,
-    v2_t3_rec,
 )
 from ptmpow.bm_sequences import (
     bm,
-    bm_alt_prefix,
-    bm_oracle,
     check_8x1,
     check_annihilation,
     check_g1_closed_forms,
@@ -63,6 +56,9 @@ from ptmpow.bm_sequences import (
     v_operator,
 )
 from ptmpow.campaigns import exit_code_for, run_campaign
+
+from oracles import (CoeffTable, bm_alt_prefix, bm_oracle, maxmin_scan, tm_oracle,
+                     v2_t2k_piecewise, v2_t3_rec)
 
 
 @pytest.fixture(autouse=True)

@@ -10,11 +10,7 @@ from ptmpow.fpow import fpow_prefix
 from ptmpow import bm_sequences, hfamily
 from ptmpow.bm_sequences import (
     b1,
-    b1_euler_prefix,
-    b1_oracle,
     bm,
-    bm_alt_prefix,
-    bm_oracle,
     check_4div,
     check_8x1,
     check_annihilation,
@@ -36,9 +32,11 @@ from ptmpow.bm_sequences import (
     b2_valuation_table_suite,
     v2_b1_churchhouse,
     v2_b2k1_closed,
-    v2_b2k1_reduced,
     v_operator,
 )
+
+from oracles import (_h_per_child, b1_euler_prefix, b1_oracle, bm_alt_prefix, bm_oracle,
+                     v2_b2k1_reduced)
 
 
 def test_b1_values_and_oracle():
@@ -285,24 +283,6 @@ def test_half_in_x_splits_and_rejects_the_other_parity():
     for p, odd in ((_one_plus_y(2), False), (_one_plus_y(4), True), (y3, False)):
         with pytest.raises(ArithmeticError, match="wrong parity"):
             _half_in_x(p, odd, "wrong parity")
-
-
-def _h_per_child(i, k, m, memo):
-    # the per-child reference: every child multiplies out its own a and b
-    # and keeps one half, so siblings share nothing but the memo
-    from ptmpow.bm_sequences import _flip, _half_in_x, _one_plus_y
-
-    if k == 0:
-        return IntPoly.one()
-    if (i, k, m) not in memo:
-        half = 1 << (k - 1)
-        prev = _h_per_child(i % half, k - 1, m, memo)
-        a = prev * _one_plus_y(m * k)
-        b = _flip(prev) * _flip(_one_plus_y(m * k))
-        odd = i >= half
-        s = (a - b if odd else a + b).divexact_scalar(2)
-        memo[i, k, m] = _half_in_x(s, odd, f"per-child parity at {(i, k, m)}")
-    return memo[i, k, m]
 
 
 @pytest.mark.parametrize("upper_first", [False, True])

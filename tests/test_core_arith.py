@@ -18,7 +18,8 @@ from ptmpow.core_arith import (
     nu2_or_none,
     s2,
 )
-from ptmpow.core_arith import _mul_schoolbook  # cross-check target
+
+from oracles import _mul_schoolbook  # cross-check target
 
 
 def test_s2_basics():

@@ -7,20 +7,18 @@ import pytest
 from ptmpow import fpow
 from ptmpow.core_arith import IntPoly, nu2
 from ptmpow.f_polys import (
-    CoeffTable,
     FSeries,
     check_addition_formula,
     check_g_factorization,
-    g_prefix_alt1,
-    g_prefix_alt2,
     log_coeff_base,
-    log_series_oracle,
-    product_series_oracle,
     shared_fseries,
     w_poly,
 )
 from ptmpow.fpow import fpow_prefix, fpow_residues
 from ptmpow.tm_sequences import tm
+
+from oracles import (CoeffTable, _g_rows_reference, g_prefix_alt1, g_prefix_alt2,
+                     log_series_oracle, product_series_oracle)
 
 # n!*f_n for n = 0..5, coefficients by increasing degree
 G_TABLE = [
@@ -47,23 +45,6 @@ def test_alternative_recurrences_agree():
         assert a1[n] == a2[n] == fs.g(n)
     assert g_prefix_alt1(1)[1] == g_prefix_alt2(1)[1] == IntPoly((0, -1))
     assert g_prefix_alt1(0) == g_prefix_alt2(0) == [IntPoly((1,))]
-
-
-def _g_rows_reference(n_max):
-    # the row recurrence FSeries ran before its Horner form: each row sums
-    # c(m-k) (m-1)!/k! g_k coefficient by coefficient, on IntPoly rows
-    g = [IntPoly.one()]
-    for m in range(1, n_max + 1):
-        acc = [0] * m
-        ratio = 1  # (m-1)!/k!, updated as k decreases
-        for k in range(m - 1, -1, -1):
-            w = (1 - 2 ** (nu2(m - k) + 1)) * ratio
-            for i, gc in enumerate(g[k].coeffs):
-                acc[i] += w * gc
-            if k:
-                ratio *= k
-        g.append(IntPoly([0] + acc))
-    return g
 
 
 @pytest.fixture(scope="module")

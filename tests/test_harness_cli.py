@@ -14,6 +14,8 @@ from ptmpow.seqcache import CacheError, cache_load, cache_store
 from ptmpow.bm_sequences import bm
 from ptmpow.tm_sequences import t2
 
+from oracles import _h_per_child
+
 
 SMALL = {"n": 1 << 8, "index": 1 << 10, "depth": 4}
 
@@ -518,7 +520,6 @@ def test_cli_poly_h_over_a_whole_family_in_one_process(capsys, monkeypatch):
     # the first request walks the chain, the second builds the family, and
     # the rest read it; every output is the per-child recurrence's
     from ptmpow import bm_sequences
-    from test_bm_sequences import _h_per_child
 
     monkeypatch.setattr(bm_sequences, "_h_memo", {})
     reference = {}
@@ -563,6 +564,10 @@ def test_cli_val(capsys):
         assert rc == 0 and out == "".join(
             f'{{"closed":{v},"direct":{v},"n":{n},"ok":true}}\n' for n, v in enumerate(closed))
     assert_usage_error("val", "b1", "--bound", "-5")
+    # t3 starts at n = 1 and b1 at n = 2: a bound below checks nothing
+    for family, bound, first in (("t3", "0", 1), ("b1", "1", 2)):
+        rc, out, err = run_cli(capsys, "val", family, "--bound", bound)
+        assert rc == 2 and out == "" and f"--bound >= {first}" in err
     # 2^k needs k >= 0 and b_(2^k - 1) needs k >= 1; the message names --k
     assert_usage_error("val", "t-pow2", "--k", "-1", "--bound", "4")
     assert "--k >= 0" in capsys.readouterr().err

@@ -18,22 +18,19 @@ from ptmpow.tm_sequences import (
     check_t3_reducibility_witness,
     check_turan_t,
     maxmin_closed,
-    maxmin_scan,
     multinomial_s1_enumerate,
     pair_tree_rowmajor,
     t2,
     t2_solve,
     t2_symmetry_partner,
-    t2_two_term_prefix,
     t3_zero_seq,
     t3_zero_set_upto,
     tm,
-    tm_oracle,
     v2_t2k_closed,
-    v2_t2k_piecewise,
     v2_t3_closed,
-    v2_t3_rec,
 )
+
+from oracles import maxmin_scan, t2_two_term_prefix, tm_oracle, v2_t2k_piecewise, v2_t3_rec
 
 # first zeros of t_3; note the seventh is 62 (= 4*a_3 + 6 = 4*14 + 6, also
 # confirmed by a direct scan), not the near-miss 72
