@@ -159,9 +159,14 @@ def v2_b2k1_closed(k: int, n: int) -> int:
 # (the bytes of Q_k, their digit width) once the whole family is built
 _h_memo: dict[tuple[int, int], tuple[bytes, int] | None] = {}
 
-# a family is built whole only while its 2^k residues and deg Q_k + 1
-# digits, summed, stay within this
-_H_FAMILY_LIMIT = 1 << 16
+# a family is built whole only while its packed Q_k, (deg Q_k + 1) digits
+# of `hfamily.width` bytes, fits in _H_FAMILY_BYTES and it has at most
+# _H_FAMILY_CHILDREN children.  All i of (11, 4) (2.7 MiB) took 0.26 s for
+# the build plus 0.05 s for the reads, against 4 s on the chain; (10, 7)
+# (3.02 MiB) stays on the chain.  The child cap decides only at m = 0,
+# where Q_k = 1 and every child is 0 or 1, so the chain costs no more.
+_H_FAMILY_BYTES = 3 << 20
+_H_FAMILY_CHILDREN = 1 << 15
 
 
 def _one_plus_y(n: int) -> IntPoly:
@@ -223,21 +228,24 @@ def h_poly(i: int, k: int, m: int) -> IntPoly:
     (k, m) walks the chain of its ancestors (`_h_chain`), two small
     multiplies per level.  A later request builds the whole family as one
     packed Q_k (`hfamily.build`), memoises it, and every request from then
-    on reads its child's digits (`hfamily.child`).  A family whose
-    2^k + deg Q_k + 1 exceeds 2^16 stays on the chain.  A failed parity
+    on reads its child's digits (`hfamily.child`).  A family whose packed
+    Q_k would take more than _H_FAMILY_BYTES, or that has more than
+    _H_FAMILY_CHILDREN children, stays on the chain.  A failed parity
     condition on either route raises and memoises nothing."""
     if k < 0 or m < 0 or not 0 <= i < (1 << k):
         raise ValueError("need k >= 0, m >= 0, 0 <= i < 2^k")
-    family = _h_memo.get((k, m))
-    # deg Q_k = m sum_{j<k} (j+1) 2^j = m ((k-1) 2^k + 1)
-    if family is None and ((k, m) not in _h_memo
-                           or (1 << k) + m * (((k - 1) << k) + 1) >= _H_FAMILY_LIMIT):
+    if (k, m) not in _h_memo:
         h = _h_chain(i, k, m)
         _h_memo[k, m] = None
         return h
-    from . import hfamily  # loaded only by a process that builds a whole family
+    from . import hfamily  # loaded only from a family's second request on
 
+    family = _h_memo[k, m]
     if family is None:
+        # deg Q_k = m sum_{j<k} (j+1) 2^j = m ((k-1) 2^k + 1)
+        packed = (m * (((k - 1) << k) + 1) + 1) * hfamily.width(k, m)
+        if (1 << k) > _H_FAMILY_CHILDREN or packed > _H_FAMILY_BYTES:
+            return _h_chain(i, k, m)
         family = _h_memo[k, m] = hfamily.build(k, m)
     return hfamily.child(family, i, k)
 

@@ -12,7 +12,9 @@ prints it and appends the `--out` record.  A size bound below the
 campaign's `minimum` is refused before any work, since it would check
 nothing.  The runners read values from `fpow`; the two that need
 `tm_sequences` or `bm_sequences` import them themselves, so a process that
-runs another campaign does not load them.
+runs another campaign does not load them.  A whole-array runner holds its
+`fpow_residues` arrays plus one `fpow._CHUNK`-entry slice of scratch: it
+checks the range slice by slice and stops at the first failing slice.
 """
 
 from __future__ import annotations
@@ -21,10 +23,9 @@ import sys
 import time
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice
 
 from .core_arith import nu2, nu2_or_none
-from .fpow import fpow_prefix, fpow_residues
+from .fpow import chunks, fpow_prefix, fpow_residues
 
 VERIFIED = "verified-to-bound"
 COUNTEREXAMPLE = "counterexample"
@@ -65,13 +66,10 @@ def _ceil_half(v: int) -> int:
 # runners
 
 
-def _valuation_verdict(m, width, extra, fail):
+def _valuation_verdict(m, width, extra, i, expect, got):
     """The verdict of a valuation claim on f_i(m), i = width*n + j, from its
-    first failing (i, expected, actual), or None; `extra` adds witness keys
-    from i."""
-    if fail is None:
-        return VERIFIED, {}
-    i, expect, got = fail
+    first failing index i, the expected and the actual valuation; `extra`
+    adds witness keys from i."""
     return OBSERVATION, {"failing": {"m": m, "n": i // width, "j": i % width, **extra(i),
                                      "expected": expect, "actual": got}}
 
@@ -85,7 +83,7 @@ def _run_valuation(m, width, expect_of, extra, bounds):
         for j in range(width):
             got = nu2_or_none(vals[width * n + j])
             if got != expect:
-                return _valuation_verdict(m, width, extra, (width * n + j, expect, got))
+                return _valuation_verdict(m, width, extra, width * n + j, expect, got)
     return VERIFIED, {}
 
 
@@ -343,6 +341,15 @@ def _run_t2_symmetry(bounds):
 # bm-valuation-unbounded, b-congruence-growth, t-sign-density,
 # t-missing-values, t-threesigns-turan, b-turan-m4plus, b3-turan-crossover
 # and t2-symmetry also decline while `_import_paid` is false.
+#
+# Memory: one array per kernel request plus one chunk.  Every runner that
+# reads a whole index range walks it in `chunks` of _CHUNK entries (the
+# Turán checks with one neighbour on either side) and stops at the first
+# chunk that fails or declines, so no temporary is as long as the range.  A
+# zero residue past the first failure is then never read; the exact runner
+# gives the same witness there, since it reads no index past the failure.
+# The congruence runners take their strided differences, at most an eighth
+# of the array, whole.
 
 
 # A residue run of the eight campaigns above is mostly the numpy import,
@@ -361,52 +368,69 @@ def _import_paid(size):
 
 
 def _nu2_residues(r):
-    """nu2 of each uint64 residue (a count of trailing zero bits): 64 at 0."""
+    """nu2 of each uint64 residue (a count of trailing zero bits): 64 at 0.
+    One temporary as long as r: its lowest set bit, less 1."""
     import numpy as np
 
-    return np.bitwise_count(~r & (r - 1))
+    low = np.negative(r)
+    low &= r
+    low -= 1
+    return np.bitwise_count(low)
 
 
-def _nu2_classes(n_max):
-    """nu2(n + 1) for n = 0..n_max, as int64."""
+def _nu2_classes(lo, hi):
+    """nu2(n + 1) for n = lo..hi - 1, as int64."""
     import numpy as np
 
-    return _nu2_residues(np.arange(1, n_max + 2, dtype=np.uint64)).astype(np.int64)
+    return _nu2_residues(np.arange(lo + 1, hi + 1, dtype=np.uint64)).astype(np.int64)
 
 
 def _res_valuation(m, width, expect_of, extra, bounds):
-    """`_run_valuation` on residues."""
-    size = width * (bounds["n"] + 1)
-    res = fpow_residues(m, size - 1)
-    if res is None or not res[:size].all():
+    """`_run_valuation` on residues, one chunk of indices at a time."""
+    n_max = bounds["n"]
+    res = fpow_residues(m, width * (n_max + 1) - 1)
+    if res is None:
         return None
-    expect = expect_of(_nu2_classes(bounds["n"])).repeat(width)
-    got = _nu2_residues(res[:size])
-    bad = got != expect
-    i = int(bad.argmax())
-    fail = (i, int(expect[i]), int(got[i])) if bad[i] else None
-    return _valuation_verdict(m, width, extra, fail)
+    for lo, hi in chunks(n_max + 1, width):
+        part = res[width * lo : width * hi]
+        if not part.all():
+            return None
+        expect = expect_of(_nu2_classes(lo, hi)).repeat(width)
+        got = _nu2_residues(part)
+        bad = got != expect
+        i = int(bad.argmax())
+        if bad[i]:
+            return _valuation_verdict(m, width, extra, width * lo + i,
+                                      int(expect[i]), int(got[i]))
+    return VERIFIED, {}
 
 
 def _res_t2k1_table(bounds):
     n_max = bounds["n"]
     out = {}
     for k in (2, 3):
-        size = (n_max + 1) << k
-        res = fpow_residues((1 << k) + 1, size - 1)
-        if res is None or not res[:size].all():
+        width = 1 << k
+        res = fpow_residues(width + 1, (n_max + 1) * width - 1)
+        if res is None:
             return None
-        got = _nu2_residues(res[:size])
-        cls = _nu2_classes(n_max).repeat(1 << k)
         # class v first occurs at n = 2^v - 1, j = 0
-        table = got[[((1 << v) - 1) << k for v in range(int(cls.max()) + 1)]]
-        bad = got != table[cls]
-        i = int(bad.argmax())
-        if bad[i]:
-            v = int(cls[i])
-            return OBSERVATION, {"k": k, "n": i >> k, "j": i & ((1 << k) - 1),
-                                 "conflict_class": v,
-                                 "values": [int(table[v]), int(got[i])]}
+        firsts = res[[((1 << v) - 1) << k for v in range((n_max + 1).bit_length())]]
+        if not firsts.all():
+            return None
+        table = _nu2_residues(firsts)
+        for lo, hi in chunks(n_max + 1, width):
+            part = res[lo << k : hi << k]
+            if not part.all():
+                return None
+            cls = _nu2_classes(lo, hi).repeat(width)
+            got = _nu2_residues(part)
+            bad = got != table[cls]
+            i = int(bad.argmax())
+            if bad[i]:
+                v = int(cls[i])
+                return OBSERVATION, {"k": k, "n": lo + (i >> k), "j": i & (width - 1),
+                                     "conflict_class": v,
+                                     "values": [int(table[v]), int(got[i])]}
         fitted = table.tolist()
         if fitted[0] != 0 or any(a >= b for a, b in zip(fitted, fitted[1:])):
             return OBSERVATION, {"k": k, "table_not_strictly_increasing": fitted}
@@ -461,18 +485,26 @@ def _res_b_pow2m1_congruence(bounds):
 
 
 def _res_bm_unbounded(bounds):
-    # argmax takes the first maximum, as the exact loop's strict > does
+    # argmax and a strict > across chunks take the first maximum, as the
+    # exact loop's strict > does
     n_max = bounds["n"]
     if not _import_paid(n_max):
         return None
     out = {}
     for m in (2, 4, 5, 6):
         res = fpow_residues(-m, n_max)
-        if res is None or not res[: n_max + 1].all():
+        if res is None:
             return None
-        v = _nu2_residues(res[: n_max + 1])
-        at = int(v.argmax())
-        out[f"m={m}"] = {"max_nu2": int(v[at]), "at": at}
+        best, arg = -1, 0
+        for lo, hi in chunks(n_max + 1):
+            part = res[lo:hi]
+            if not part.all():
+                return None
+            v = _nu2_residues(part)
+            at = int(v.argmax())
+            if int(v[at]) > best:
+                best, arg = int(v[at]), lo + at
+        out[f"m={m}"] = {"max_nu2": best, "at": arg}
     return OBSERVATION, out
 
 
@@ -527,10 +559,10 @@ def _certifies(half, m):
     return max(int(half.max()), -int(half.min())) < 1 << (64 - m)
 
 
-def _turan_signs(f, exact):
+def _turan_signs(f, exact, lo=0):
     """sgn(v(n)^2 - v(n-1) v(n+1)) for n = 1..len(f) - 2, as an int8 array,
     where f[n] is the correctly rounded double of the integer v(n) =
-    exact[n].
+    exact[lo + n].
 
     With u = 2^-53, a = f[n-1], b = f[n], c = f[n+1], P = fl(b*b) and
     Q = fl(a*c), the rounding of the inputs, of both products and of the
@@ -550,16 +582,19 @@ def _turan_signs(f, exact):
         signs = (d > 0).view(np.int8) - (d < 0).view(np.int8)
         unsure = ~(np.abs(d) > tol)
     for i in np.flatnonzero(unsure).tolist():
-        a, b, c = (int(exact[j]) for j in range(i, i + 3))
+        a, b, c = (int(exact[j]) for j in range(lo + i, lo + i + 3))
         x = b * b - a * c
         signs[i] = (x > 0) - (x < 0)
     return signs
 
 
 def _b_turan_signs(m, n_max):
-    """`_turan_signs` of b_m(0..n_max), or None: without numpy, or when
-    b_m(n_max) has 510 bits or more.  b_m is positive and nondecreasing, so
-    below that every product of two values is a finite double."""
+    """The `_turan_signs` of b_m(0..n_max) as an iterator of (lo, signs at
+    n = lo + 1..hi) over the chunks (lo, hi) of its n_max - 1 indices, each
+    chunk read with one neighbour on either side; or None: without numpy,
+    or when b_m(n_max) has 510 bits or more.  b_m is positive and
+    nondecreasing, so below that every product of two values is a finite
+    double."""
     try:
         import numpy as np
     except ImportError:
@@ -567,8 +602,17 @@ def _b_turan_signs(m, n_max):
     vals = fpow_prefix(-m, n_max)
     if vals[n_max].bit_length() >= 510:
         return None
-    f = np.fromiter(map(float, islice(vals, n_max + 1)), np.float64, n_max + 1)
-    return _turan_signs(f, vals)
+
+    def signs():
+        # one pass over the values: each chunk's doubles follow the last two
+        # of the chunk before, and no list slice of the prefix is made
+        floats = map(float, vals)
+        f = np.fromiter(floats, np.float64, min(n_max + 1, 2))
+        for lo, hi in chunks(n_max - 1):
+            f = np.concatenate((f[-2:], np.fromiter(floats, np.float64, hi - lo)))
+            yield lo, _turan_signs(f, vals, lo)
+
+    return signs()
 
 
 def _res_sign_density(bounds):
@@ -587,7 +631,8 @@ def _res_sign_density(bounds):
     for m, vals in zip(ms, values):
         for j in (0, 1):
             want = 1 if j == 0 else -1
-            hits = int((np.sign(vals[j::3]) != want).sum())
+            hits = sum(int(np.count_nonzero(np.sign(vals[3 * lo + j : 3 * hi : 3]) != want))
+                       for lo, hi in chunks(n_max + 1, 3))
             out[f"m={m},j={j}"] = {
                 "exceptions": hits,
                 "frequency": str(Fraction(hits, n_max + 1)),
@@ -608,9 +653,13 @@ def _res_t_missing_values(bounds):
 
     out = {}
     for m, vals in zip(ms, values):
-        attained = np.unique(vals[(vals >= -span) & (vals <= span)])
-        missing = np.setdiff1d(np.arange(-span, span + 1), attained)
-        out[f"m={m}"] = {"attained_in_window": len(attained), "missing": missing.tolist()}
+        # seen[v + span]: whether v in [-span, span] is attained
+        seen = np.zeros(max(2 * span + 1, 0), dtype=bool)
+        for lo, hi in chunks(n_max + 1):
+            part = vals[lo:hi]
+            seen[part[(part >= -span) & (part <= span)] + span] = True
+        out[f"m={m}"] = {"attained_in_window": int(np.count_nonzero(seen)),
+                         "missing": (np.flatnonzero(~seen) - span).tolist()}
     return OBSERVATION, out
 
 
@@ -626,14 +675,17 @@ def _res_threesigns_turan(bounds):
     import numpy as np
 
     for m, vals in zip(_THREESIGNS_MS, values):
-        s = np.sign(vals)
-        three = (s[:-2] == s[1:-1]) & (s[1:-1] == s[2:]) & (s[1:-1] != 0)
-        bad = _turan_signs(vals.astype(np.float64), vals) <= 0
-        bad |= three
-        i = int(bad.argmax())
-        if bad[i]:
-            kind = "three-signs" if three[i] else "turan"
-            return OBSERVATION, {"failing": {"m": m, "n": i + 1, "kind": kind}}
+        # n = lo + 1..hi, with one neighbour on either side
+        for lo, hi in chunks(n_max - 1):
+            part = vals[lo : hi + 2]
+            s = np.sign(part)
+            three = (s[:-2] == s[1:-1]) & (s[1:-1] == s[2:]) & (s[1:-1] != 0)
+            bad = _turan_signs(part.astype(np.float64), part) <= 0
+            bad |= three
+            i = int(bad.argmax())
+            if bad[i]:
+                kind = "three-signs" if three[i] else "turan"
+                return OBSERVATION, {"failing": {"m": m, "n": lo + i + 1, "kind": kind}}
     return VERIFIED, {}
 
 
@@ -645,10 +697,11 @@ def _res_b_turan_m4plus(bounds):
         signs = _b_turan_signs(m, n_max)
         if signs is None:
             return None
-        bad = signs <= 0
-        i = int(bad.argmax())
-        if bad[i]:
-            return OBSERVATION, {"failing": {"m": m, "n": i + 1}}
+        for lo, part in signs:
+            bad = part <= 0
+            i = int(bad.argmax())
+            if bad[i]:
+                return OBSERVATION, {"failing": {"m": m, "n": lo + i + 1}}
     return VERIFIED, {}
 
 
@@ -661,16 +714,26 @@ def _res_b3_crossover(bounds):
         return None
     import numpy as np
 
-    nonpositive = np.flatnonzero(signs <= 0)
-    last = int(nonpositive[-1]) + 1 if nonpositive.size else 0
-    # the alternating sign at n = 1..last: -1 at odd n, +1 at even n
-    want = np.ones(last, np.int8)
-    want[::2] = -1
+    # the alternation wants -1 at odd n and +1 at even n up to the last
+    # nonpositive n; every n after it is positive, so when a chunk has a
+    # nonpositive sign, the odd n between the last one before and the chunk
+    # break the alternation, and so do the chunk's own up to its last one
+    last, zeros, breaks = 0, [], []
+    for lo, part in signs:
+        n = np.arange(lo + 1, lo + 1 + part.size)
+        zeros += n[part == 0].tolist()
+        nonpositive = np.flatnonzero(part <= 0)
+        if nonpositive.size:
+            top = int(nonpositive[-1]) + 1
+            breaks += range((last + 1) | 1, lo + 1, 2)
+            head, n = part[:top], n[:top]
+            breaks += n[head == np.where(n & 1, 1, -1)].tolist()
+            last = lo + top
     return OBSERVATION, {
         "crossover_candidate": last,
         "positive_beyond": True,
-        "zero_differences_at": (np.flatnonzero(signs == 0) + 1).tolist(),
-        "alternation_breaks": (np.flatnonzero(signs[:last] == -want) + 1).tolist(),
+        "zero_differences_at": zeros,
+        "alternation_breaks": breaks,
     }
 
 
@@ -679,7 +742,7 @@ def _res_t2_symmetry(bounds):
     # e = w - 1 + (m - 2^(w-1)) / 2^w = w - 1 + (m >> w).  p <= 3n + 2, and
     # F^2 = (1-x)^2 F(x^2)^2 gives t_2(2k) = t_2(k) + t_2(k-1) and
     # t_2(2k+1) = -2 t_2(k), so t_2 is built only up to (3n + 2) // 2, and
-    # three int64 buffers of length n + 1 hold every step
+    # three int64 buffers of one chunk hold every step
     n_max = bounds["n"]
     if not _import_paid(n_max):
         return None
@@ -689,38 +752,41 @@ def _res_t2_symmetry(bounds):
     import numpy as np
 
     half = res[: (3 * n_max + 2) // 2 + 1].view(np.int64)
-    m = half[: n_max + 1]
-    if not _certifies(half, 2) or not m.all():
+    if not _certifies(half, 2):
         return None
-    w = np.negative(m)
-    w &= m
-    w -= 1
-    np.add(np.bitwise_count(w), 1, out=w)
-    # +1 where e is even, else -1, times 2^w, plus n
-    p = np.right_shift(m, w)
-    p ^= w
-    p &= 1
-    p *= 2
-    p -= 1
-    np.left_shift(p, w, out=p)
-    p += np.arange(n_max + 1)
-    if p.max() >= 2 * half.size:
-        return None
-    bad = p < 0
-    np.maximum(p, 0, out=p)
-    odd = (p & 1).astype(bool)
-    k = np.right_shift(p, 1, out=w)
-    got = np.take(half, k)
-    k -= 1
-    np.take(half, k, out=p, mode="wrap")
-    p[odd | (k < 0)] = 0
-    got += p
-    np.multiply(got, -2, out=got, where=odd)
-    got += m  # 0 exactly where t_2(p) = -m, also when the sum wraps
-    bad |= got != 0
-    n = int(bad.argmax())
-    if bad[n]:
-        return COUNTEREXAMPLE, {"n": n, "value": int(m[n])}
+    for lo, hi in chunks(n_max + 1):
+        m = half[lo:hi]
+        if not m.all():
+            return None
+        w = np.negative(m)
+        w &= m
+        w -= 1
+        np.add(np.bitwise_count(w), 1, out=w)
+        # +1 where e is even, else -1, times 2^w, plus n
+        p = np.right_shift(m, w)
+        p ^= w
+        p &= 1
+        p *= 2
+        p -= 1
+        np.left_shift(p, w, out=p)
+        p += np.arange(lo, hi)
+        if p.max() >= 2 * half.size:
+            return None
+        bad = p < 0
+        np.maximum(p, 0, out=p)
+        odd = (p & 1).astype(bool)
+        k = np.right_shift(p, 1, out=w)
+        got = np.take(half, k)
+        k -= 1
+        np.take(half, k, out=p, mode="wrap")
+        p[odd | (k < 0)] = 0
+        got += p
+        np.multiply(got, -2, out=got, where=odd)
+        got += m  # 0 exactly where t_2(p) = -m, also when the sum wraps
+        bad |= got != 0
+        n = int(bad.argmax())
+        if bad[n]:
+            return COUNTEREXAMPLE, {"n": lo + n, "value": int(m[n])}
     return VERIFIED, {}
 
 

@@ -3,9 +3,12 @@ integer t: the values f_n(t), so t_m(n) = f_n(m) and b_m(n) = f_n(-m).
 
 Both routes run the halving identity F(x)^t = (1-x)^t F(x^2)^t.
 `fpow_prefix` gives the exact values as Python integers; `fpow_residues`
-gives them mod 2^64 as a numpy uint64 array.  This module imports only the
-standard library (numpy is imported inside `fpow_residues`), so a process
-that needs only values pays for nothing else.
+gives them mod 2^64 as a numpy uint64 array.  A residue request holds one
+array, its result, plus one _CHUNK-entry block of scratch, and the
+campaigns' checks walk that array in _CHUNK slices (`chunks`).  This module
+imports only the standard library (numpy is imported inside
+`fpow_residues`), so a process that needs only values pays for nothing
+else.
 """
 
 from __future__ import annotations
@@ -59,53 +62,73 @@ def fpow_prefix(t: int, n: int) -> list[int]:
     return vals
 
 
-# t -> [f_0(t), ..., f_k(t)] mod 2^64 as a read-only numpy uint64 array
+# t -> ([f_0(t), ..., f_k(t)] mod 2^64 as a read-only numpy uint64 array,
+# the |t| per-pass carries as a uint64 array)
 _fpow_res: dict = {}
+
+# entries per block of `fpow_residues` and per slice of the campaigns'
+# whole-array checks, so that a kernel request or a check holds its arrays
+# plus scratch of about this length.  Best of 5 (Python 3.11, numpy 2.4,
+# 4 MiB L2): fpow_residues(9, 2^22 - 1) took 94, 63, 50, 44 and 42 ms with
+# blocks of 2^12 .. 2^16 entries, against 81 ms for whole levels, since a
+# block's t passes run in cache and each pass costs a few numpy calls.  At
+# 2^15 a check's 256 KiB temporaries made glibc hand the freed heap top back
+# to the system after each slice, and a verify-warm pass took 4.9k page
+# faults (1.1k with whole-array checks); at 2^14 it took 0 to 16.
+_CHUNK = 1 << 14
+
+
+def chunks(size: int, per: int = 1):
+    """(lo, hi) pairs that cover range(size) in order, each at most
+    _CHUNK // per long: a check that reads `per` entries per index walks
+    _CHUNK entries at a time."""
+    step = max(_CHUNK // per, 1)
+    return ((lo, min(lo + step, size)) for lo in range(0, size, step))
 
 
 def fpow_residues(t: int, n: int):
     """[f_0(t), ..., f_k(t)] mod 2^64 with k >= n, as a memoised read-only
     numpy uint64 array, or None when numpy cannot be imported.
 
-    The same identity as `fpow_prefix`, F(x)^t = (1-x)^t F(x^2)^t, in
-    wrapping uint64 arithmetic: each level upsamples the prefix to at most
-    twice its length, then applies t first differences (t > 0) or |t|
-    running sums (t < 0, in place).  The last level stops at exactly n + 1
-    entries; for t > 0 all levels share two buffers of that length.  numpy
-    is imported here, not at module import, so the CLI starts without it.
+    The blocks of `fpow_prefix` in wrapping uint64 arithmetic: the block
+    [lo, hi), hi <= 2 lo, is the upsampled prefix, written straight into the
+    result, after t first differences (t > 0) or |t| running sums (t < 0),
+    each pass in place with one carry.  Blocks hold at most _CHUNK entries,
+    so every pass of a block runs in cache, and each index is computed once.
+    A request allocates only its result, exactly n + 1 entries, and copies
+    the memo into it when it grows one; the overlapping operand of a
+    difference is the only other copy, one block long.  numpy is imported
+    here, not at module import, so the CLI starts without it.
     """
     try:
         import numpy as np
     except ImportError:
         return None
-    res = _fpow_res.get(t)
-    if res is not None and n < len(res):
-        return res
-    if res is None:
-        res = np.ones(1, dtype=np.uint64)
-    if t > 0:
-        # the levels alternate between two buffers of the final length: a
-        # level is upsampled into the one that does not hold the last, and
-        # each pass writes its differences into the other and swaps, since
-        # numpy copies an overlapping operand of an in-place subtract
-        free, other = np.empty(n + 1, dtype=np.uint64), np.empty(n + 1, dtype=np.uint64)
-    while len(res) <= n:
-        size = min(2 * len(res), n + 1)
-        if t > 0:
-            level, spare = free[:size], other[:size]
-            level[1::2] = 0
-        else:
-            level = np.zeros(size, dtype=np.uint64)
-        level[::2] = res[: (size + 1) // 2]
-        for _ in range(t):
-            spare[0] = level[0]
-            np.subtract(level[1:], level[:-1], out=spare[1:])
-            level, spare = spare, level
-        for _ in range(-t):
-            np.cumsum(level, out=level)
-        res = level
-        if t > 0 and res.base is free:
-            free, other = other, free
+    memo = _fpow_res.get(t)
+    if memo is not None and n < len(memo[0]):
+        return memo[0]
+    # f_0(t) = 1, and index 0 holds 1 before and after every pass
+    done, carry = memo or (np.ones(1, dtype=np.uint64), np.ones(abs(t), dtype=np.uint64))
+    res = np.empty(n + 1, dtype=np.uint64)
+    res[: len(done)] = done
+    carry = carry.copy()
+    lo = len(done)
+    while lo <= n:
+        hi = min(lo + min(lo, _CHUNK), n + 1)
+        block = res[lo:hi]
+        block[lo & 1 :: 2] = res[(lo + 1) // 2 : (hi + 1) // 2]
+        block[1 - (lo & 1) :: 2] = 0
+        for p in range(t):
+            last = block[-1]
+            # numpy copies the overlapping operand, one block long
+            np.subtract(block[1:], block[:-1], out=block[1:])
+            block[:1] -= carry[p : p + 1]
+            carry[p] = last
+        for p in range(-t):
+            np.cumsum(block, out=block)
+            block += carry[p]
+            carry[p] = block[-1]
+        lo = hi
     res.flags.writeable = False
-    _fpow_res[t] = res
+    _fpow_res[t] = res, carry
     return res

@@ -3,7 +3,7 @@ polynomial: h_{i,k,m} is the i-th 2^k-multisection of
 Q_k(x) = prod_{j<k} (1 + x^(2^j))^((j+1)m).  `build` packs Q_k one
 coefficient per nb-byte digit (the layout of `core_arith.kron_pack`) and
 `child` reads h_{i,k,m} from its digits i, i + 2^k, ....  `h_poly` imports
-this module only to build or read a whole family, so a process that asks
+this module only from a family's second request on, so a process that asks
 for one h per family never loads it.
 """
 
@@ -19,6 +19,12 @@ def _flipped_product(q: int, mask: int, shift: int, e: int) -> int:
     for _ in range(e):
         b -= b << shift
     return b
+
+
+def width(k: int, m: int) -> int:
+    """The digit width nb of `build`: h = 2^(8 nb - 1) > 2 Q_k(1), where
+    Q_k(1) = 2^(m k(k+1)/2)."""
+    return (m * k * (k + 1) // 2 + 2) // 8 + 1
 
 
 def build(k: int, m: int) -> tuple[bytes, int]:
@@ -40,7 +46,7 @@ def build(k: int, m: int) -> tuple[bytes, int]:
     lies in [0, 2h); flipping every top bit then leaves a digit that is 0
     exactly where the difference is 0.  A level holds only Q, B, the mask
     and the offsets, and drops the last three before the next level."""
-    nb = (m * k * (k + 1) // 2 + 2) // 8 + 1  # h = 2^(8 nb - 1) > 2 Q_k(1)
+    nb = width(k, m)
     q, n = 1, 1
     for level in range(1, k + 1):
         s, e, shift = 1 << (level - 1), level * m, (8 * nb) << (level - 1)

@@ -370,11 +370,13 @@ def test_h_route_choice(monkeypatch):
         routes.clear()
         assert h_poly(i, 3, 4) == _h_per_child(i, 3, 4, reference)
         assert routes == route, i
-    # 2^k + deg Q_k + 1 against 2^16: (10, 6) fits and (10, 7) is 8 over;
-    # at m = 0 the 2^k term alone decides, and (16, 0) is 1 over
-    for k, m, fits in ((10, 6, True), (10, 7, False), (15, 0, True), (16, 0, False),
-                       (1500, 0, False)):
-        assert ((1 << k) + m * ((k - 1) * 2**k + 1) + 1 <= 1 << 16) == fits
+    # the packed bytes of Q_k against 3 MiB: (10, 6) fits and (10, 7) is
+    # 15752 bytes over; at m = 0 the packed Q_k is one byte, and the 2^15
+    # child cap decides
+    for k, m, fits in ((10, 6, True), (10, 7, False), (11, 4, True), (15, 0, True),
+                       (16, 0, False), (1500, 0, False)):
+        packed = (m * ((k - 1) * 2**k + 1) + 1) * hfamily.width(k, m)
+        assert (packed <= 3 << 20 and k <= 15) == fits
         routes.clear()
         h0, h3 = h_poly(0, k, m), h_poly(3, k, m)
         assert routes == ["chain", "family" if fits else "chain"], (k, m)
@@ -383,6 +385,24 @@ def test_h_route_choice(monkeypatch):
             assert (h0, h3) == (IntPoly.one(), IntPoly.zero())
     for i in (0, 3, 1000):
         assert h_poly(i, 10, 7) == _h_per_child(i, 10, 7, reference), i
+
+
+def test_a_family_within_the_byte_budget_is_built_once(monkeypatch):
+    # (11, 4) has 2^11 + deg Q_11 + 1 = 83973 digits and residues, past the
+    # count that once kept it on the chain, and packs into 2.7 MiB
+    builds = []
+    build = hfamily.build
+
+    def counted(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(bm_sequences, "_h_memo", {})
+    monkeypatch.setattr(hfamily, "build", counted)
+    family = [h_poly(i, 11, 4) for i in range(1 << 11)]
+    assert builds == [(11, 4)]
+    for i in (0, 1, 777, 1024, 2047):
+        assert bm_sequences._h_chain(i, 11, 4) == family[i], i
 
 
 @pytest.mark.parametrize("at, bad", [(1, (0, 1, 3)), (2, (1, 1, 3))])

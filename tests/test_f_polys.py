@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -267,6 +268,58 @@ def test_fpow_residues_grown_from_the_memo_equal_a_fresh_build(monkeypatch, t):
     grown = fpow_residues(t, 40000)
     assert grown is not memo and (grown == fresh).all() and (memo == before).all()
     assert not memo.flags.writeable and not grown.flags.writeable
+
+
+@pytest.mark.parametrize("t", range(-6, 10))
+def test_fpow_residues_in_small_blocks_match_the_exact_prefix(monkeypatch, t):
+    # blocks of 64 entries: a fresh build, a memo grown from a length that
+    # is no block edge, and one grown by less than a block
+    pytest.importorskip("numpy")
+    monkeypatch.setattr(fpow, "_CHUNK", 64)
+    monkeypatch.setattr(fpow, "_fpow_res", {})
+    exact = [v % 2**64 for v in fpow_prefix(t, 3000)[:3001]]
+    assert fpow_residues(t, 1000).tolist() == exact[:1001]
+    monkeypatch.setattr(fpow, "_fpow_res", {})
+    for n in (5, 700, 730, 3000):
+        assert fpow_residues(t, n).tolist() == exact[: n + 1], n
+
+
+def test_an_interrupted_growth_leaves_the_memo_whole(monkeypatch):
+    # a growth works on copies of the memo's array and carries, so one that
+    # raises part-way leaves the memo to grow correctly later
+    np = pytest.importorskip("numpy")
+    monkeypatch.setattr(fpow, "_CHUNK", 64)
+    monkeypatch.setattr(fpow, "_fpow_res", {})
+    exact = [v % 2**64 for v in fpow_prefix(5, 2000)[:2001]]
+    fpow_residues(5, 700)
+    subtract, calls = np.subtract, []
+
+    def failing(*args, **kwargs):
+        calls.append(args)
+        if len(calls) > 20:
+            raise RuntimeError("interrupted")
+        return subtract(*args, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(np, "subtract", failing)
+        with pytest.raises(RuntimeError):
+            fpow_residues(5, 2000)
+    assert fpow_residues(5, 2000).tolist() == exact
+
+
+def test_fpow_residues_hold_one_array(monkeypatch):
+    # tracemalloc sees numpy's buffers: a fresh build peaks at its result
+    # plus one block of scratch, where two buffers of the result peaked at 2x
+    pytest.importorskip("numpy")
+    monkeypatch.setattr(fpow, "_fpow_res", {})
+    n = (1 << 19) - 1
+    tracemalloc.start()
+    try:
+        res = fpow_residues(9, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * res.nbytes, peak / res.nbytes
 
 
 def test_fpow_residues_need_numpy(monkeypatch):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -305,6 +306,89 @@ def test_t2_symmetry_declines_on_a_zero(monkeypatch):
     assert camp.residue_runner({"n": 64}) is None
     with pytest.raises(ValueError):
         camp.runner({"n": 64})
+
+
+# the runners walk their arrays in fpow._CHUNK entries; at 64 the bounds
+# below span several chunks (of 16 n for t5-valuation, 8 for the width-8
+# runners, 21 for t-sign-density), and the kernel builds in 64-entry blocks
+EDGE_CHUNK = 64
+EDGE_BOUNDS = {"n": 300, "index": 1000}
+
+
+@pytest.mark.parametrize("name", RESIDUE_CAMPAIGNS)
+def test_residue_runners_match_the_exact_runner_across_chunks(monkeypatch, name):
+    pytest.importorskip("numpy")
+    monkeypatch.setattr(fpow, "_CHUNK", EDGE_CHUNK)
+    monkeypatch.setattr(fpow, "_fpow_res", {})
+    camp = CAMPAIGNS[name]
+    bounds = {**camp.defaults, camp.size_key: EDGE_BOUNDS[camp.size_key]}
+    assert camp.residue_runner(dict(bounds)) == camp.runner(dict(bounds))
+
+
+# (campaign, bounds, t, plants): values of f_i(t), {i: value}, on either
+# side of a chunk edge.  A plant of 6 (nu2 1) fails the valuation claims at
+# its index, last of one chunk (63) or first of the next (64); two equal
+# maxima of nu2(b_2) in two chunks give the first; t_3(63..65) = 512, -441,
+# -213, so 400 at index 65 fails Turán at n = 64, whose triple reads one
+# index into the next chunk, 1 at 64 and 65 gives three signs there, and
+# -400 at 66 gives three signs at n = 65, the next chunk's first triple;
+# b_4(65) = b_4(64)^2 fails Turán at n = 64; a zero of b_3 at 129 or 150
+# moves the crossover two chunks on, so the alternation breaks run through
+# every chunk between
+EDGE_SITES = (
+    ("t5-valuation", {"n": 100}, 5, {63: 6}),
+    ("t5-valuation", {"n": 100}, 5, {64: 6}),
+    ("t9-valuation", {"n": 100}, 9, {63: 6}),
+    ("t9-valuation", {"n": 100}, 9, {64: 6}),
+    ("t2k1-valuation-table", {"n": 100}, 9, {63: 6}),
+    ("t2k1-valuation-table", {"n": 100}, 9, {64: 6}),
+    ("bm-valuation-unbounded", {"n": 300}, -2, {64: 2**40, 128: 2**40}),
+    ("bm-valuation-unbounded", {"n": 300}, -2, {63: 2**40, 64: 2**40}),
+    ("t-sign-density", {"n": 100}, 3, {63: -512, 64: 441}),
+    ("t-missing-values", {"n": 300, "span": 50}, 4, {63: 0, 64: -1}),
+    ("t-threesigns-turan", {"n": 200}, 3, {65: 400}),
+    ("t-threesigns-turan", {"n": 200}, 3, {64: 1, 65: 1}),
+    ("t-threesigns-turan", {"n": 200}, 3, {66: -400}),
+    ("b-turan-m4plus", {"n": 200}, -4, {65: None}),
+    ("b-turan-m4plus", {"n": 200}, -4, {64: 0}),
+    ("b3-turan-crossover", {"n": 300}, -3, {150: 0}),
+    ("b3-turan-crossover", {"n": 300}, -3, {64: 0, 129: 0}),
+    ("t2-symmetry", {"n": 200}, 2, {63: 18}),
+    ("t2-symmetry", {"n": 200}, 2, {64: 18}),
+)
+
+
+@pytest.mark.parametrize("name,bounds,t,plants", EDGE_SITES,
+                         ids=[f"{s[0]}-{min(s[3])}" for s in EDGE_SITES])
+def test_residue_runners_give_the_exact_witness_at_chunk_edges(monkeypatch, name, bounds, t,
+                                                               plants):
+    pytest.importorskip("numpy")
+    monkeypatch.setattr(fpow, "_CHUNK", EDGE_CHUNK)
+    camp = CAMPAIGNS[name]
+    clean = camp.runner(dict(bounds))
+    for index, value in plants.items():
+        if value is None:  # b_4(index - 1)^2
+            value = fpow.fpow_prefix(t, index)[index - 1] ** 2
+        _plant(monkeypatch, t, index, value)
+    want = camp.runner(dict(bounds))
+    assert want != clean
+    assert camp.residue_runner(dict(bounds)) == want
+
+
+def test_a_residue_campaign_holds_its_array_and_one_chunk(monkeypatch):
+    # tracemalloc sees numpy's buffers: the kernel's result is the only
+    # array as long as the range, and the checks add one chunk of scratch
+    pytest.importorskip("numpy")
+    monkeypatch.setattr(fpow, "_fpow_res", {})
+    n = (1 << 16) - 1
+    tracemalloc.start()
+    try:
+        rep = run_campaign("t9-valuation", {"n": n})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.backend == "residue"
+    assert peak <= 1.25 * fpow.fpow_residues(9, 8 * n + 7).nbytes
 
 
 def test_no_campaign_writes_to_a_shared_prefix(monkeypatch):
