@@ -328,19 +328,22 @@ def _run_t2_symmetry(bounds):
 # residue runners ("residue" in a report: a whole-array runner ran): the
 # same checks on values mod 2^64 (`fpow_residues`), on t_m read exactly from
 # its residues as int64 (`_int64_values`), or on doubles whose sign of
-# b^2 - ac is certified (`_turan_signs`).  Each returns the exact runner's
-# (status, witness), or None, in which case run_campaign runs the exact
-# runner for the whole campaign: when numpy is missing, when a residue whose
-# nu2 is taken or that is tested for zero is 0 (a zero value or nu2 >= 64),
-# when the certificate of an int64 reading of t_m fails, and when a b_m
-# value has 510 bits or more.  Any exact settling of such an index would
-# build the exact prefix up to it, so declining costs no more.  A masked
-# congruence difference is exact, so the two congruence runners with a fixed
-# modulus never decline; b-congruence-growth takes nu2 of the whole
-# difference and declines on a difference of 0 mod 2^64.  The runners of
-# bm-valuation-unbounded, b-congruence-growth, t-sign-density,
-# t-missing-values, t-threesigns-turan, b-turan-m4plus, b3-turan-crossover
-# and t2-symmetry also decline while `_import_paid` is false.
+# b^2 - ac is certified (`_turan_signs`): t_m's int64 readings converted,
+# and b_m from the kernel's blocks run in float64 (`_b_doubles`, with the
+# error bound `_kernel_eps`), so the b_m runners build the exact prefix
+# only up to the last index the doubles leave unsure.  Each returns the exact
+# runner's (status, witness), or None, in which case run_campaign runs the
+# exact runner for the whole campaign: when numpy is missing, when a
+# residue whose nu2 is taken or that is tested for zero is 0 (a zero value
+# or nu2 >= 64), when the certificate of an int64 reading of t_m fails, and
+# when the double of a b_m value is not below 2^510.  Any exact settling of
+# such an index would build the exact prefix up to it, so declining costs
+# no more.  A masked congruence difference is exact, so the two congruence
+# runners with a fixed modulus never decline; b-congruence-growth takes nu2
+# of the whole difference and declines on a difference of 0 mod 2^64.  The
+# runners of bm-valuation-unbounded, b-congruence-growth, t-sign-density,
+# t-missing-values, t-threesigns-turan and t2-symmetry also decline while
+# `_import_paid` is false.
 #
 # Memory: one array per kernel request plus one chunk.  Every runner that
 # reads a whole index range walks it in `chunks` of _CHUNK entries (the
@@ -352,7 +355,7 @@ def _run_t2_symmetry(bounds):
 # of the array, whole.
 
 
-# A residue run of the eight campaigns above is mostly the numpy import,
+# A residue run of the six campaigns above is mostly the numpy import,
 # about 0.15 s.  In a fresh process the first four's exact runners were
 # faster up to a size of 2^16 and slower from 2^17 (Python 3.11, numpy 2.4,
 # 2 cores), so until then these runners wait for a process that has
@@ -559,17 +562,25 @@ def _certifies(half, m):
     return max(int(half.max()), -int(half.min())) < 1 << (64 - m)
 
 
-def _turan_signs(f, exact, lo=0):
+# the unit roundoff of a double
+_U = 2.0**-53
+
+
+def _turan_signs(f, prefix, lo=0, eps=0.0):
     """sgn(v(n)^2 - v(n-1) v(n+1)) for n = 1..len(f) - 2, as an int8 array,
-    where f[n] is the correctly rounded double of the integer v(n) =
-    exact[lo + n].
+    where v(n) = prefix(top)[lo + n] is an integer (prefix(top) holds the
+    values up to index top at least) and f[n] its double: correctly rounded
+    at eps = 0, else within a relative error eps of it.
 
     With u = 2^-53, a = f[n-1], b = f[n], c = f[n+1], P = fl(b*b) and
-    Q = fl(a*c), the rounding of the inputs, of both products and of the
-    difference D = fl(P - Q) leaves D within 4.01u(P + |Q|) of the exact
-    value.  So where |D| > 2^-49 (P + |Q|) the sign of D is the sign of the
-    exact value; every other index (ties, zeros, inf and nan among them) is
-    settled with exact Python ints."""
+    Q = fl(a*c), each input is within a relative eps + u of its integer, so
+    the rounding of the inputs, of both products and of the difference
+    D = fl(P - Q) leaves D within (2 eps + 4u)(P + |Q|) of the exact value,
+    plus terms of second order, below 0.1 eps for eps < 2^-10.  So where
+    |D| > (2.1 eps + 8u)(P + |Q|) the sign of D is the sign of the exact
+    value; every other index (ties, zeros, inf and nan among them) is
+    settled with exact Python ints, read in increasing order of n from one
+    prefix up to the last such index."""
     import numpy as np
 
     with np.errstate(invalid="ignore", over="ignore"):
@@ -577,42 +588,75 @@ def _turan_signs(f, exact, lo=0):
         tol = np.abs(d)
         p = f[1:-1] * f[1:-1]
         tol += p
-        tol *= 2.0**-49
+        tol *= 2.1 * eps + 8 * _U
         np.subtract(p, d, out=d)
+        del p
         signs = (d > 0).view(np.int8) - (d < 0).view(np.int8)
-        unsure = ~(np.abs(d) > tol)
-    for i in np.flatnonzero(unsure).tolist():
-        a, b, c = (int(exact[j]) for j in range(lo + i, lo + i + 3))
+        unsure = np.flatnonzero(~(np.abs(d, out=d) > tol)).tolist()
+    vals = prefix(lo + unsure[-1] + 2) if unsure else None
+    for i in unsure:
+        a, b, c = (int(vals[j]) for j in range(lo + i, lo + i + 3))
         x = b * b - a * c
         signs[i] = (x > 0) - (x < 0)
     return signs
 
 
-def _b_turan_signs(m, n_max):
-    """The `_turan_signs` of b_m(0..n_max) as an iterator of (lo, signs at
-    n = lo + 1..hi) over the chunks (lo, hi) of its n_max - 1 indices, each
-    chunk read with one neighbour on either side; or None: without numpy,
-    or when b_m(n_max) has 510 bits or more.  b_m is positive and
-    nondecreasing, so below that every product of two values is a finite
-    double."""
+def _kernel_eps(m, n):
+    """A relative-error bound for every double of b_m(0..n) from `_b_doubles`.
+
+    The kernel builds the indices [2^j, 2^(j+1)) of level j + 1 from the
+    upsampled values below 2^j, in blocks of min(2^j, _CHUNK) entries, by m
+    passes of an in-place cumsum plus one carry.  Within a pass a term
+    reaches an index through the cumsum chain of its own block, at most one
+    block long, and one carry add per later block: k = longest block +
+    blocks up to the index + 1 roundings bound it.  Every term is
+    nonnegative, so a pass keeps its inputs' relative error e and adds at
+    most gamma_k = k u / (1 - k u): e <- (1 + e)(1 + gamma_k)^m - 1 per
+    level, from 0 at f_0 = 1.  At m = 3..6 this is 2^-35.4 .. 2^-33.8 from
+    2^16 to 2^19."""
+    from .fpow import _CHUNK
+
+    eps, blocks = 0.0, 0
+    for j in range(n.bit_length()):
+        longest = min(1 << j, _CHUNK)
+        # the blocks of level j + 1 up to index n
+        blocks += (min(n, (2 << j) - 1) - (1 << j)) // longest + 1
+        k = longest + blocks + 1
+        eps = (1 + eps) * (1 + k * _U / (1 - k * _U)) ** m - 1
+    return eps
+
+
+def _b_doubles(m, n):
+    """b_m(0..k), k >= n, as the read-only float64 array of `fpow_residues`,
+    or None without numpy.  The request is taken up to the end of the
+    kernel's block that holds n (powers of two up to 2 _CHUNK, then
+    multiples of _CHUNK), so the memo only ever grows by whole blocks and
+    holds the blocks of one fresh build, which `_kernel_eps` counts."""
     try:
         import numpy as np
     except ImportError:
         return None
-    vals = fpow_prefix(-m, n_max)
-    if vals[n_max].bit_length() >= 510:
+    from .fpow import _CHUNK
+
+    end = min(1 << n.bit_length(), -(-(n + 1) // _CHUNK) * _CHUNK)
+    with np.errstate(over="ignore"):  # past 2^1024 a double is inf
+        return fpow_residues(-m, end - 1, "float64")
+
+
+def _b_turan_signs(m, n_max):
+    """The `_turan_signs` of b_m(0..n_max) as an iterator of (lo, signs at
+    n = lo + 1..hi) over the chunks (lo, hi) of its n_max - 1 indices, each
+    chunk read with one neighbour on either side from `_b_doubles`; or
+    None: without numpy, or when the double of b_m(n_max) is not below
+    2^510.  b_m is positive and nondecreasing, so below that every product
+    of two values is a finite double.  An index the doubles leave unsure is
+    settled on fpow_prefix(-m, ·), built only up to the last such index."""
+    f = _b_doubles(m, n_max)
+    if f is None or not f[n_max] < 2.0**510:
         return None
-
-    def signs():
-        # one pass over the values: each chunk's doubles follow the last two
-        # of the chunk before, and no list slice of the prefix is made
-        floats = map(float, vals)
-        f = np.fromiter(floats, np.float64, min(n_max + 1, 2))
-        for lo, hi in chunks(n_max - 1):
-            f = np.concatenate((f[-2:], np.fromiter(floats, np.float64, hi - lo)))
-            yield lo, _turan_signs(f, vals, lo)
-
-    return signs()
+    prefix = partial(fpow_prefix, -m)
+    return ((lo, _turan_signs(f[lo : hi + 2], prefix, lo, _kernel_eps(m, hi + 1)))
+            for lo, hi in chunks(n_max - 1))
 
 
 def _res_sign_density(bounds):
@@ -680,7 +724,7 @@ def _res_threesigns_turan(bounds):
             part = vals[lo : hi + 2]
             s = np.sign(part)
             three = (s[:-2] == s[1:-1]) & (s[1:-1] == s[2:]) & (s[1:-1] != 0)
-            bad = _turan_signs(part.astype(np.float64), part) <= 0
+            bad = _turan_signs(part.astype(np.float64), lambda top: part) <= 0
             bad |= three
             i = int(bad.argmax())
             if bad[i]:
@@ -691,8 +735,6 @@ def _res_threesigns_turan(bounds):
 
 def _res_b_turan_m4plus(bounds):
     n_max = bounds["n"]
-    if not _import_paid(n_max):
-        return None
     for m in (4, 5, 6):
         signs = _b_turan_signs(m, n_max)
         if signs is None:
@@ -707,8 +749,6 @@ def _res_b_turan_m4plus(bounds):
 
 def _res_b3_crossover(bounds):
     n_max = bounds["n"]
-    if not _import_paid(n_max):
-        return None
     signs = _b_turan_signs(3, n_max)
     if signs is None:
         return None

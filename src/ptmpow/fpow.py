@@ -3,9 +3,11 @@ integer t: the values f_n(t), so t_m(n) = f_n(m) and b_m(n) = f_n(-m).
 
 Both routes run the halving identity F(x)^t = (1-x)^t F(x^2)^t.
 `fpow_prefix` gives the exact values as Python integers; `fpow_residues`
-gives them mod 2^64 as a numpy uint64 array.  A residue request holds one
-array, its result, plus one _CHUNK-entry block of scratch, and the
-campaigns' checks walk that array in _CHUNK slices (`chunks`).  This module
+gives them mod 2^64 as a numpy uint64 array, or, for t < 0, as doubles
+from the same blocks: every pass then adds nonnegative terms, so the
+doubles keep the relative-error bound of `campaigns._kernel_eps`.  A
+request holds one array, its result, plus one _CHUNK-entry block of
+scratch, and the campaigns' checks walk it in _CHUNK slices.  This module
 imports only the standard library (numpy is imported inside
 `fpow_residues`), so a process that needs only values pays for nothing
 else.
@@ -62,8 +64,8 @@ def fpow_prefix(t: int, n: int) -> list[int]:
     return vals
 
 
-# t -> ([f_0(t), ..., f_k(t)] mod 2^64 as a read-only numpy uint64 array,
-# the |t| per-pass carries as a uint64 array)
+# (t, dtype) -> ([f_0(t), ..., f_k(t)] as a read-only numpy array of dtype,
+# the |t| per-pass carries as an array of dtype)
 _fpow_res: dict = {}
 
 # entries per block of `fpow_residues` and per slice of the campaigns'
@@ -86,9 +88,10 @@ def chunks(size: int, per: int = 1):
     return ((lo, min(lo + step, size)) for lo in range(0, size, step))
 
 
-def fpow_residues(t: int, n: int):
+def fpow_residues(t: int, n: int, dtype: str = "uint64"):
     """[f_0(t), ..., f_k(t)] mod 2^64 with k >= n, as a memoised read-only
-    numpy uint64 array, or None when numpy cannot be imported.
+    numpy uint64 array, or None when numpy cannot be imported.  With dtype
+    "float64" and t < 0, the same loop in doubles, memoised apart.
 
     The blocks of `fpow_prefix` in wrapping uint64 arithmetic: the block
     [lo, hi), hi <= 2 lo, is the upsampled prefix, written straight into the
@@ -104,12 +107,12 @@ def fpow_residues(t: int, n: int):
         import numpy as np
     except ImportError:
         return None
-    memo = _fpow_res.get(t)
+    memo = _fpow_res.get((t, dtype))
     if memo is not None and n < len(memo[0]):
         return memo[0]
     # f_0(t) = 1, and index 0 holds 1 before and after every pass
-    done, carry = memo or (np.ones(1, dtype=np.uint64), np.ones(abs(t), dtype=np.uint64))
-    res = np.empty(n + 1, dtype=np.uint64)
+    done, carry = memo or (np.ones(1, dtype), np.ones(abs(t), dtype))
+    res = np.empty(n + 1, dtype)
     res[: len(done)] = done
     carry = carry.copy()
     lo = len(done)
@@ -130,5 +133,5 @@ def fpow_residues(t: int, n: int):
             carry[p] = block[-1]
         lo = hi
     res.flags.writeable = False
-    _fpow_res[t] = res, carry
+    _fpow_res[t, dtype] = res, carry
     return res

@@ -16,7 +16,8 @@ the log-derivative one that `f_polys.FSeries` runs:
   (alt 2)  f_n(t) = sum_{k<=n/2} C(n-2k-1-t, n-2k) f_k(t)
 
 (`g_prefix_alt1`, `g_prefix_alt2`); `_g_rows_reference` runs the
-log-derivative one row by row, and `CoeffTable` builds the coefficients
+log-derivative one row by row, `fseries_bounds` the recurrence of the
+coefficient bounds of `FSeries`, and `CoeffTable` builds the coefficients
 a(i, n) of f_n by their own recurrence.  `_h_per_child` runs the halving
 recurrence of h_{i,k,m} one child at a time.
 
@@ -281,6 +282,18 @@ def _g_rows_reference(n_max):
                 ratio *= k
         g.append(IntPoly([0] + acc))
     return g
+
+
+def fseries_bounds(n_max):
+    # the coefficient bounds S_0..S_n_max of FSeries by their defining
+    # recurrence, S_m = sum_{k<m} |c(m-k)| ((m-1)!/k!) S_k in Horner form
+    bounds = [1]
+    for m in range(1, n_max + 1):
+        s = 0
+        for k, b in enumerate(bounds):
+            s = s * k + (2 ** (nu2(m - k) + 1) - 1) * b
+        bounds.append(s)
+    return bounds
 
 
 class CoeffTable:

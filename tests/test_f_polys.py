@@ -18,8 +18,8 @@ from ptmpow.f_polys import (
 from ptmpow.fpow import fpow_prefix, fpow_residues
 from ptmpow.tm_sequences import tm
 
-from oracles import (CoeffTable, _g_rows_reference, g_prefix_alt1, g_prefix_alt2,
-                     log_series_oracle, product_series_oracle)
+from oracles import (CoeffTable, _g_rows_reference, fseries_bounds, g_prefix_alt1,
+                     g_prefix_alt2, log_series_oracle, product_series_oracle)
 
 # n!*f_n for n = 0..5, coefficients by increasing degree
 G_TABLE = [
@@ -78,6 +78,16 @@ def test_fseries_bound_covers_every_coefficient(g_reference):
     fs.extend(200)
     for m in range(201):
         assert fs._bound(m) >= max(map(abs, g_reference[m].coeffs)), m
+
+
+def test_fseries_bound_is_its_recurrence():
+    # S_m = m! b_1(m), read in O(m), against the O(m^2) recurrence
+    # that defines it, asked for in increasing and then in any order
+    want = fseries_bounds(200)
+    fs = FSeries()
+    assert [fs._bound(m) for m in range(201)] == want
+    fs = FSeries()
+    assert [fs._bound(m) for m in (200, 7, 0, 64)] == [want[m] for m in (200, 7, 0, 64)]
 
 
 def test_degree_and_leading_coefficient():

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -75,7 +76,9 @@ RESIDUE_CAMPAIGNS = ("t5-valuation", "t9-valuation", "t2k1-valuation-table",
 
 
 def _plant(monkeypatch, t, index, value):
-    """Make both kernels, as the campaigns see them, hold `value` at f_index(t)."""
+    """Make every kernel, as the campaigns see it, hold `value` at f_index(t):
+    the exact prefix, the residues mod 2^64 and the doubles, where a value
+    of 2^1024 or more in absolute value is an infinite double."""
     exact, residues = campaigns.fpow_prefix, campaigns.fpow_residues
 
     def planted_prefix(s, n):
@@ -85,11 +88,16 @@ def _plant(monkeypatch, t, index, value):
             vals[index] = value
         return vals
 
-    def planted_residues(s, n):
-        res = residues(s, max(n, index))
+    def planted_residues(s, n, dtype="uint64"):
+        res = residues(s, max(n, index), dtype)
         if s == t:
             res = res.copy()
-            res[index] = value % 2**64
+            if dtype == "uint64":
+                res[index] = value % 2**64
+            elif abs(value) < 2**1024:
+                res[index] = float(value)
+            else:
+                res[index] = math.inf if value > 0 else -math.inf
         return res
 
     monkeypatch.setattr(campaigns, "fpow_prefix", planted_prefix)
@@ -231,7 +239,7 @@ def _signs_and_reads(values):
     exact = _Reads(values)
     exact.reads = []
     f = np.array([float(v) if abs(v) < 2**1024 else np.inf for v in values])
-    return campaigns._turan_signs(f, exact).tolist(), exact.reads
+    return campaigns._turan_signs(f, lambda top: exact).tolist(), exact.reads
 
 
 def test_turan_signs_settle_every_unsure_index_exactly():
@@ -251,6 +259,72 @@ def test_turan_signs_settle_every_unsure_index_exactly():
     assert _signs_and_reads([7]) == ([], [])
 
 
+@pytest.mark.parametrize("chunk", [fpow._CHUNK, 64])
+def test_kernel_doubles_of_b_m_are_within_their_bound(monkeypatch, chunk):
+    # the float64 kernel against the exact prefix: every double up to n is
+    # within a relative _kernel_eps(m, n) of b_m, with room for the rounding
+    # of the exact value to the double it is compared with; a memo grown
+    # from a shorter request holds the same doubles as a fresh build
+    np = pytest.importorskip("numpy")
+    monkeypatch.setattr(fpow, "_CHUNK", chunk)
+    for m in range(1, 9):
+        for n in (1 << 12, (1 << 16) + 5):
+            monkeypatch.setattr(fpow, "_fpow_res", {})
+            f = campaigns._b_doubles(m, n)[: n + 1]
+            exact = np.array([float(v) for v in fpow.fpow_prefix(-m, n)[: n + 1]])
+            eps = campaigns._kernel_eps(m, n)
+            assert (np.abs(f - exact) <= (eps - 2**-52) * exact).all(), (m, n)
+        monkeypatch.setattr(fpow, "_fpow_res", {})
+        campaigns._b_doubles(m, 1000)
+        assert (campaigns._b_doubles(m, n)[: n + 1] == f).all()
+
+
+def test_b_turan_m4plus_holds_only_its_doubles(monkeypatch):
+    # tracemalloc sees numpy's buffers: at 2^16 no index is unsure, so no
+    # exact b_m is built, and the doubles of b_4..b_6 plus one chunk of
+    # scratch are the whole peak
+    pytest.importorskip("numpy")
+    for name in ("_fpow_vals", "_fpow_carries", "_fpow_res"):
+        monkeypatch.setattr(fpow, name, {})
+    tracemalloc.start()
+    try:
+        rep = run_campaign("b-turan-m4plus", {"n": 1 << 16})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rep.status, rep.backend) == ("verified-to-bound", "residue")
+    assert not fpow._fpow_vals
+    doubles = sum(campaigns._b_doubles(m, 1 << 16).nbytes for m in (4, 5, 6))
+    assert peak <= 1.25 * doubles, peak / doubles
+
+
+@pytest.mark.parametrize("eps,top", [(2.0**-24, 2), (2.0**-20, 4096), (2.0**-12, 4096)])
+def test_unsure_b_m_signs_are_settled_on_a_prefix_to_the_last_one(monkeypatch, eps, top):
+    # a bound loose enough to leave indices unsure: the signs are still the
+    # exact ones, and the exact prefix is built, at most once per chunk,
+    # only up to the neighbour of the last unsure index: b_3(2) at 2^-24,
+    # where only b_3(1)^2 - b_3(0) b_3(2) = 0 is unsure, and n at the
+    # looser bounds
+    pytest.importorskip("numpy")
+    n = 4096
+    tops = []
+
+    def prefix(t, i):
+        tops.append(i)
+        return fpow.fpow_prefix(t, i)
+
+    monkeypatch.setattr(fpow, "_fpow_vals", {})
+    monkeypatch.setattr(fpow, "_fpow_carries", {})
+    monkeypatch.setattr(campaigns, "_kernel_eps", lambda m, k: eps)
+    monkeypatch.setattr(campaigns, "fpow_prefix", prefix)
+    signs = [s for _, part in campaigns._b_turan_signs(3, n) for s in part.tolist()]
+    assert len(fpow._fpow_vals[-3]) == max(tops) + 1 == top + 1
+    assert len(tops) <= len(list(fpow.chunks(n - 1)))
+    b3 = fpow.fpow_prefix(-3, n)
+    assert signs == [(x > 0) - (x < 0) for x in (b3[i] ** 2 - b3[i - 1] * b3[i + 1]
+                                                 for i in range(1, n))]
+
+
 # (campaign, bounds, t, index, value, declines, verdict): a planted value of
 # f_index(t), whether the whole-array runner declines on it, and the exact
 # verdict it gives, where pinned.  t_2(9) = 6 and t_2(3) = 4 get values
@@ -258,8 +332,9 @@ def test_turan_signs_settle_every_unsure_index_exactly():
 # 5 at index 4 shares a sign with both neighbours (25 > 24 keeps Turán), 1
 # there breaks both properties, and -1 at index 6 makes the Turán difference
 # at n = 5 an exact tie; b_4(1..2) = 4, 14 and b_3(1..2) = 3, 9, so 49 at
-# b_4(3) and 27 at b_3(3) are exact ties.  A last b_m value of 510 bits or
-# more declines.
+# b_4(3) and 27 at b_3(3) are exact ties, and 2^1100 at b_4(30) is an
+# infinite double, so the doubles leave n = 29..31 to the exact values.  A
+# last b_m value whose double is 2^510 or more declines.
 WHOLE_ARRAY_SITES = (
     ("t2-symmetry", {"n": 64}, 2, 9, 18, False, ("counterexample", {"n": 9, "value": 18})),
     ("t2-symmetry", {"n": 64}, 2, 3, -38, False, ("counterexample", {"n": 3, "value": -38})),
@@ -270,6 +345,8 @@ WHOLE_ARRAY_SITES = (
     ("t-threesigns-turan", {"n": 64}, 3, 6, -1, False,
      ("observation", {"failing": {"m": 3, "n": 5, "kind": "turan"}})),
     ("b-turan-m4plus", {"n": 64}, -4, 3, 49, False, ("observation", {"failing": {"m": 4, "n": 2}})),
+    ("b-turan-m4plus", {"n": 64}, -4, 30, 2**1100, False,
+     ("observation", {"failing": {"m": 4, "n": 29}})),
     ("b-turan-m4plus", {"n": 64}, -4, 64, 2**510, True,
      ("observation", {"failing": {"m": 4, "n": 63}})),
     ("b-turan-m4plus", {"n": 64}, -4, 64, 2**509 - 1, False,
@@ -364,6 +441,7 @@ def test_residue_runners_give_the_exact_witness_at_chunk_edges(monkeypatch, name
                                                                plants):
     pytest.importorskip("numpy")
     monkeypatch.setattr(fpow, "_CHUNK", EDGE_CHUNK)
+    monkeypatch.setattr(fpow, "_fpow_res", {})
     camp = CAMPAIGNS[name]
     clean = camp.runner(dict(bounds))
     for index, value in plants.items():
@@ -408,10 +486,10 @@ def test_no_campaign_writes_to_a_shared_prefix(monkeypatch):
         assert fpow.fpow_prefix(t, len(vals) - 1) == vals, t
 
 
-# the eight runners that decline until the numpy import is paid
+# the six runners that decline until the numpy import is paid
 IMPORT_PAID_CAMPAIGNS = ("bm-valuation-unbounded", "b-congruence-growth",
                          "t-sign-density", "t-missing-values", "t-threesigns-turan",
-                         "b-turan-m4plus", "b3-turan-crossover", "t2-symmetry")
+                         "t2-symmetry")
 
 
 def test_runners_wait_for_the_numpy_import_below_the_cold_size(monkeypatch):

@@ -20,6 +20,7 @@ _CALLS = {
     "_rising_factorials": lambda: oracles._rising_factorials(6),
     "_falling_factorials": lambda: oracles._falling_factorials(6),
     "_g_rows_reference": lambda: oracles._g_rows_reference(8),
+    "fseries_bounds": lambda: oracles.fseries_bounds(20),
     "CoeffTable": lambda: [oracles.CoeffTable().a(i, n) for n in range(8) for i in range(n + 1)],
     "log_series_oracle": lambda: oracles.log_series_oracle(20, base=3),
     "product_series_oracle": lambda: [oracles.product_series_oracle(t, 20) for t in (-2, 3)],
