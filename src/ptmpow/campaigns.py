@@ -10,7 +10,7 @@ conjecture and question campaigns only ever report `verified-to-bound` or
 `run_campaign` runs one campaign and returns its `CampaignReport`; the CLI
 prints it and appends the `--out` record.  A size bound below the
 campaign's `minimum` is refused before any work, since it would check
-nothing.  The runners read values from `fpow`; the two that need
+nothing.  The runners read values from `fpow`; those that need
 `tm_sequences` or `bm_sequences` import them themselves, so a process that
 runs another campaign does not load them.  A whole-array runner holds its
 `fpow_residues` arrays plus one `fpow._CHUNK`-entry slice of scratch: it
@@ -119,20 +119,17 @@ def _run_t2k1_table(bounds):
 
 def _run_t_regular(bounds):
     # kernel-of-subsequences statistics: how many distinct valuation patterns
-    # the dyadic subsequences nu2(t_m(2^l n + j)) show, per m
+    # the dyadic subsequences nu2(t_m(2^l n + j)) show, per m; each pattern
+    # is a strided slice of one valuation list
     n_max = bounds["n"]
     depth = bounds["depth"]
     stats = {}
     for m in (2, 3, 5, 6):
         vals = fpow_prefix(m, (n_max << depth) + (1 << depth))
-        patterns = set()
-        for l in range(depth + 1):
-            for j in range(1 << l):
-                pat = tuple(
-                    -1 if vals[(n << l) + j] == 0 else nu2(vals[(n << l) + j])
-                    for n in range(n_max + 1)
-                )
-                patterns.add(pat)
+        # nu2 of each value, and -1 at a zero, where v & -v is 0
+        v2 = [(v & -v).bit_length() - 1 for v in vals[: (n_max + 1) << depth]]
+        patterns = {tuple(v2[j : (n_max << l) + j + 1 : 1 << l])
+                    for l in range(depth + 1) for j in range(1 << l)}
         stats[f"m={m}"] = len(patterns)
     return OBSERVATION, {"distinct_kernel_patterns": stats,
                          "note": "-1 encodes an infinite valuation"}
@@ -343,7 +340,8 @@ def _run_t2_symmetry(bounds):
 # of the whole difference and declines on a difference of 0 mod 2^64.  The
 # runners of bm-valuation-unbounded, b-congruence-growth, t-sign-density,
 # t-missing-values, t-threesigns-turan and t2-symmetry also decline while
-# `_import_paid` is false.
+# `_import_paid` is false, and that of b2-valuation-list in a process that
+# has not imported numpy, at any size.
 #
 # Memory: one array per kernel request plus one chunk.  Every runner that
 # reads a whole index range walks it in `chunks` of _CHUNK entries (the
@@ -840,6 +838,39 @@ def _res_t_zero_m4plus(bounds):
     return VERIFIED, {}
 
 
+def _res_b2_valuation_list(bounds):
+    # nu2(x) = a exactly when the low a + 1 bits of x are 2^a, and a + 1 <= 8,
+    # so residues mod 2^64 decide every equality.  The polynomial
+    # certificates stay exact: the suite at n = 0, where no tabulated index
+    # lies, checks them alone, and on a failing one the exact runner gives
+    # the witness in its own order.  A fresh process runs the exact runner
+    # in less time than the numpy import takes, so this waits for a process
+    # that has imported numpy.
+    if sys.modules.get("numpy") is None:
+        return None
+    from .bm_sequences import B2_VALUATION_TABLE, b2_valuation_table_suite
+
+    n_max = bounds["n"]
+    res = fpow_residues(-2, n_max)
+    if res is None or not b2_valuation_table_suite(0).ok:
+        return None
+    checked = 0
+    for modulus, residues, a in B2_VALUATION_TABLE:
+        for i in residues:
+            line = res[i : n_max + 1 : modulus]
+            for lo, hi in chunks(line.size):
+                bad = (line[lo:hi] & ((2 << a) - 1)) != 1 << a
+                n = int(bad.argmax())
+                if bad[n]:
+                    value = int(line[lo + n])
+                    if not value:  # nu2 >= 64
+                        return None
+                    return COUNTEREXAMPLE, {"modulus": modulus, "i": i, "n": lo + n,
+                                            "value_nu2": nu2(value)}
+            checked += line.size
+    return VERIFIED, {"checked": checked}
+
+
 # ---------------------------------------------------------------------------
 # registry (the traceability matrix)
 
@@ -896,7 +927,9 @@ _register(
 _register(
     "b-pow2-congruence", "conjecture",
     "b_{2^m}(2^(k+1) n) = b_{2^m}(2^(k-1) n) (mod 2^k) for k >= m+2",
-    {"index": 1 << 14}, _run_b_pow2_congruence, _res_b_pow2_congruence)
+    {"index": 1 << 14}, _run_b_pow2_congruence, _res_b_pow2_congruence,
+    # every (m, k) checks n >= 1 at index 2^(k+1), and k+1 reaches 8
+    minimum=1 << 8)
 _register(
     "b-pow2m1-congruence", "conjecture",
     "b_{2^m-1}(2^(k+1) n) = b_{2^m-1}(2^(k-1) n) "
@@ -943,7 +976,9 @@ _register(
     "b2-valuation-list", "theorem",
     "the pinned table of exact values nu2(b_2(M n + i)) = a, with the polynomial "
     "certificates h_{i,k,2} = 0 (mod 2^a) and h/2^a = (1-x)^(2k-3) (mod 2)",
-    {"n": 1 << 14}, _run_b2_valuation_list)
+    {"n": 1 << 14}, _run_b2_valuation_list, _res_b2_valuation_list,
+    # the first tabulated index is 4n + 3 at n = 0
+    minimum=3)
 _register(
     "t2-symmetry", "theorem",
     "t_2(n') = -t_2(n) for n' = n + (-1)^e * 2^(nu2(m)+1), "

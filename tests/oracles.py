@@ -19,7 +19,9 @@ the log-derivative one that `f_polys.FSeries` runs:
 log-derivative one row by row, `fseries_bounds` the recurrence of the
 coefficient bounds of `FSeries`, and `CoeffTable` builds the coefficients
 a(i, n) of f_n by their own recurrence.  `_h_per_child` runs the halving
-recurrence of h_{i,k,m} one child at a time.
+recurrence of h_{i,k,m} one child at a time, and `kernel_pattern_count`
+counts the t-regularity campaign's patterns index by index, on values it
+is given.
 
 Every product here is the schoolbook `_mul_schoolbook`, on coefficient
 lists; IntPoly only wraps a result.  Nothing here calls
@@ -127,6 +129,21 @@ def maxmin_scan(m: int, k: int) -> Extrema:
         if v < lo:
             lo, alo = v, n
     return Extrema(hi, lo, ahi, alo)
+
+
+def kernel_pattern_count(vals: list[int], n_max: int, depth: int) -> int:
+    """The number of distinct patterns (nu2(vals[2^l n + j]))_{n <= n_max},
+    -1 at a zero, over l <= depth and j < 2^l, each pattern built index by
+    index: the count of the t-regularity campaign for one t_m."""
+    patterns = set()
+    for l in range(depth + 1):
+        for j in range(1 << l):
+            pat = tuple(
+                -1 if vals[(n << l) + j] == 0 else nu2(vals[(n << l) + j])
+                for n in range(n_max + 1)
+            )
+            patterns.add(pat)
+    return len(patterns)
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,14 @@ from pathlib import Path
 
 import pytest
 
-from ptmpow import campaigns, fpow, tm_sequences
+from ptmpow import bm_sequences, campaigns, fpow, tm_sequences
 from ptmpow.campaigns import CAMPAIGNS, exit_code_for, run_campaign
 from ptmpow.cli import main
 from ptmpow.seqcache import CacheError, cache_load, cache_store
 from ptmpow.bm_sequences import bm
 from ptmpow.tm_sequences import t2
 
-from oracles import _h_per_child
+from oracles import _h_per_child, kernel_pattern_count
 
 
 SMALL = {"n": 1 << 8, "index": 1 << 10, "depth": 4}
@@ -65,6 +65,17 @@ def test_t5_witness_would_replay():
     assert rep.bounds == {"n": 1 << 9}
 
 
+@pytest.mark.parametrize("n,depth", [(0, 0), (2, 5), (4, 3), (8, 3), (64, 5), (115, 5), (300, 7)])
+def test_t_regularity_counts_the_reference_patterns(n, depth):
+    # every range from n = 2 holds zeros of t_3 (t_3(2) = t_3(11) = 0),
+    # which both routes encode as -1; at n = 2 and 4 a pattern one entry
+    # short gives other counts
+    status, witness = CAMPAIGNS["t-regularity"].runner({"n": n, "depth": depth})
+    want = {f"m={m}": kernel_pattern_count(fpow.fpow_prefix(m, (n + 1) << depth), n, depth)
+            for m in (2, 3, 5, 6)}
+    assert (status, witness["distinct_kernel_patterns"]) == ("observation", want)
+
+
 # ---------------------------------------------------------------------------
 # the residue backend
 
@@ -72,13 +83,15 @@ RESIDUE_CAMPAIGNS = ("t5-valuation", "t9-valuation", "t2k1-valuation-table",
                      "b-pow2-congruence", "b-pow2m1-congruence", "t-zero-m4plus",
                      "bm-valuation-unbounded", "b-congruence-growth",
                      "t-sign-density", "t-missing-values", "t-threesigns-turan",
-                     "b-turan-m4plus", "b3-turan-crossover", "t2-symmetry")
+                     "b-turan-m4plus", "b3-turan-crossover", "t2-symmetry",
+                     "b2-valuation-list")
 
 
 def _plant(monkeypatch, t, index, value):
     """Make every kernel, as the campaigns see it, hold `value` at f_index(t):
-    the exact prefix, the residues mod 2^64 and the doubles, where a value
-    of 2^1024 or more in absolute value is an infinite double."""
+    the exact prefix (also as bm_sequences reads it, for b2-valuation-list),
+    the residues mod 2^64 and the doubles, where a value of 2^1024 or more
+    in absolute value is an infinite double."""
     exact, residues = campaigns.fpow_prefix, campaigns.fpow_residues
 
     def planted_prefix(s, n):
@@ -101,6 +114,7 @@ def _plant(monkeypatch, t, index, value):
         return res
 
     monkeypatch.setattr(campaigns, "fpow_prefix", planted_prefix)
+    monkeypatch.setattr(bm_sequences, "fpow_prefix", planted_prefix)
     monkeypatch.setattr(campaigns, "fpow_residues", planted_residues)
 
 
@@ -134,7 +148,9 @@ ALL = set(PLANTS)
 # lower end is 68, so a plant on f_68(-3) makes both differences equal the
 # plant: 0 is an exact 0, which the exact loop skips, and 2^70 has
 # nu2 >= 64, and both read as 0 mod 2^64.  A fixed-modulus congruence
-# (a masked difference) never declines.
+# (a masked difference) never declines.  Index 36 of b_2 is 32 n + 4 at
+# n = 1, where the table has nu2 = 4; the exact runner takes nu2 of a
+# planted 0 there and raises, as no b_2 value is 0.
 PLANT_SITES = (
     ("t5-valuation", {"n": 64}, 5, 13, None, {"zero", "2^70"}, ALL),
     ("t9-valuation", {"n": 64}, 9, 43, None, {"zero", "2^70"}, ALL),
@@ -144,6 +160,7 @@ PLANT_SITES = (
     ("t-zero-m4plus", {"n": 256}, 4, 100, None, {"zero", "2^70"}, {"zero"}),
     ("bm-valuation-unbounded", {"n": 64}, -2, 24, None, {"zero", "2^70"}, ALL),
     ("b-congruence-growth", {"index": 1024}, -3, 272, 68, {"zero", "2^70"}, {"six"}),
+    ("b2-valuation-list", {"n": 64}, -2, 36, None, {"zero", "2^70"}, ALL),
 )
 
 
@@ -157,12 +174,20 @@ def test_planted_values_give_the_exact_verdict(monkeypatch, name, bounds, t, ind
     clean = camp.runner(dict(bounds))
     value = PLANTS[plant] + (0 if base is None else fpow.fpow_prefix(t, base)[base])
     _plant(monkeypatch, t, index, value)
-    want = camp.runner(dict(bounds))
+    try:
+        want = camp.runner(dict(bounds))
+    except ValueError:  # nu2 of a planted 0
+        want = ValueError
     fast = camp.residue_runner(dict(bounds))
     assert fast == (None if plant in declines else want)
-    rep = run_campaign(name, dict(bounds))
-    assert (rep.status, rep.witness, rep.backend) == (
-        *want, "exact" if plant in declines else "residue")
+    if want is ValueError:
+        # only a runner that declines leaves the campaign to one that raises
+        with pytest.raises(ValueError):
+            run_campaign(name, dict(bounds))
+    else:
+        rep = run_campaign(name, dict(bounds))
+        assert (rep.status, rep.witness, rep.backend) == (
+            *want, "exact" if plant in declines else "residue")
     assert (want != clean) == (plant in changes)
 
 
@@ -432,6 +457,8 @@ EDGE_SITES = (
     ("b3-turan-crossover", {"n": 300}, -3, {64: 0, 129: 0}),
     ("t2-symmetry", {"n": 200}, 2, {63: 18}),
     ("t2-symmetry", {"n": 200}, 2, {64: 18}),
+    ("b2-valuation-list", {"n": 300}, -2, {255: 6}),
+    ("b2-valuation-list", {"n": 300}, -2, {259: 6}),
 )
 
 
@@ -511,6 +538,28 @@ def test_runners_wait_for_the_numpy_import_below_the_cold_size(monkeypatch):
     camp = CAMPAIGNS["bm-valuation-unbounded"]
     assert camp.residue_runner({"n": campaigns._COLD_RESIDUE_SIZE}) is None
     assert calls == [(-2, campaigns._COLD_RESIDUE_SIZE)]
+
+
+def test_b2_valuation_list_runs_exact_without_the_numpy_import(monkeypatch):
+    # a fresh process runs it exact in less time than the numpy import
+    # takes, so at any size the residue runner waits for a process with numpy
+    calls = []
+    monkeypatch.setattr(campaigns, "fpow_residues", lambda *args: calls.append(args))
+    monkeypatch.delitem(sys.modules, "numpy", raising=False)
+    rep = run_campaign("b2-valuation-list", {"n": 1 << 17})
+    assert (rep.status, rep.backend) == ("verified-to-bound", "exact")
+    assert calls == []
+
+
+def test_b2_valuation_list_on_residues_builds_no_exact_prefix(monkeypatch):
+    # the certificates take the exact suite at n = 0, which reads b_2(0) alone
+    pytest.importorskip("numpy")
+    monkeypatch.setattr(fpow, "_fpow_vals", {})
+    monkeypatch.setattr(fpow, "_fpow_carries", {})
+    rep = run_campaign("b2-valuation-list", {"n": 1 << 16})
+    assert (rep.status, rep.backend) == ("verified-to-bound", "residue")
+    assert fpow._fpow_vals == {-2: [1]}
+    assert (rep.status, rep.witness) == CAMPAIGNS["b2-valuation-list"].runner({"n": 1 << 16})
 
 
 # ---------------------------------------------------------------------------
@@ -797,7 +846,7 @@ def test_cli_verify_lets_a_runner_bug_raise(monkeypatch, capsys):
 
 # the least size bound at which each campaign checks anything
 MINIMUMS = {"t-zero-m4plus": 1, "t-threesigns-turan": 2, "b-turan-m4plus": 2,
-            "b-pow2m1-congruence": 256}
+            "b-pow2m1-congruence": 256, "b-pow2-congruence": 256, "b2-valuation-list": 3}
 
 
 def test_cli_verify_refuses_empty_ranges(capsys):
@@ -807,7 +856,10 @@ def test_cli_verify_refuses_empty_ranges(capsys):
             rc, out, err = run_cli(capsys, "verify", name, "--bound", str(bound))
             assert rc == 2 and out == "" and f">= {least}, got {bound}" in err
         rc, out, _ = run_cli(capsys, "verify", name, "--bound", str(least))
-        assert rc == 3 and json.loads(out)["bounds"] == {CAMPAIGNS[name].size_key: least}
+        assert rc == (0 if CAMPAIGNS[name].kind == "theorem" else 3)
+        assert json.loads(out)["bounds"] == {CAMPAIGNS[name].size_key: least}
+    # b2-valuation-list at n = 3 checks its first tabulated index, b_2(3)
+    assert run_campaign("b2-valuation-list", {"n": 3}).witness == {"checked": 1}
     # at index 256 every (m, k) of b-pow2m1-congruence checks n = 1
     witness = run_campaign("b-pow2m1-congruence", {"index": 256}).witness
     assert len(witness["failing"]) + len(witness["verified_for"]) == 9
@@ -850,7 +902,7 @@ def test_cli_verify_out_records_backend(monkeypatch, capsys, tmp_path):
     records = [json.loads(line) for line in Path(path).read_text().splitlines()]
     assert [(r["name"], r["backend"]) for r in records] == [
         ("t9-valuation", "residue"),
-        ("b2-valuation-list", "exact"),
+        ("b2-valuation-list", "residue"),
         ("t-zero-m4plus", "exact"),
         ("t9-valuation", "exact"),
     ]
@@ -920,11 +972,12 @@ def test_cli_loads_only_what_its_command_runs():
     # below the cold size these run exact in a fresh process, without numpy
     for name in IMPORT_PAID_CAMPAIGNS:
         assert "numpy" not in _modules_loaded_by("verify", name, "--bound", "64"), name
-    # the b_m side reads ptm from core_arith, so it loads no t_m or f_n code
+    # the b_m side reads ptm from core_arith, so it loads no t_m or f_n code,
+    # and b2-valuation-list runs exact in a fresh process, without numpy
     for argv in (("verify", "b2-valuation-list", "--bound", "64"), ("poly", "h", "0", "2", "2")):
         loaded = _modules_loaded_by(*argv)
         assert "ptmpow.bm_sequences" in loaded
-        assert not loaded & {"ptmpow.tm_sequences", "ptmpow.f_polys", "fractions"}, argv
+        assert not loaded & {"ptmpow.tm_sequences", "ptmpow.f_polys", "fractions", "numpy"}, argv
     # one request per family walks the chain, so it never loads the packed family
     assert "ptmpow.hfamily" not in _modules_loaded_by("poly", "h", "5", "4", "3")
 

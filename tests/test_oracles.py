@@ -26,6 +26,7 @@ _CALLS = {
     "product_series_oracle": lambda: [oracles.product_series_oracle(t, 20) for t in (-2, 3)],
     "_mul_schoolbook": lambda: oracles._mul_schoolbook([1, 0, -2], [3, 4]),
     "_h_per_child": lambda: [oracles._h_per_child(i, 3, 2, {}) for i in range(8)],
+    "kernel_pattern_count": lambda: oracles.kernel_pattern_count(list(range(-4, 16)), 3, 2),
 }
 
 
