@@ -340,8 +340,8 @@ def _run_t2_symmetry(bounds):
 # of the whole difference and declines on a difference of 0 mod 2^64.  The
 # runners of bm-valuation-unbounded, b-congruence-growth, t-sign-density,
 # t-missing-values, t-threesigns-turan and t2-symmetry also decline while
-# `_import_paid` is false, and that of b2-valuation-list in a process that
-# has not imported numpy, at any size.
+# `_import_paid` is false, and that of b2-valuation-list while
+# `_numpy_loaded` is false, at any size.
 #
 # Memory: one array per kernel request plus one chunk.  Every runner that
 # reads a whole index range walks it in `chunks` of _CHUNK entries (the
@@ -361,11 +361,15 @@ def _run_t2_symmetry(bounds):
 _COLD_RESIDUE_SIZE = 1 << 17
 
 
+def _numpy_loaded():
+    """True when the process has imported numpy already."""
+    return sys.modules.get("numpy") is not None
+
+
 def _import_paid(size):
-    """True when the numpy import costs a residue runner nothing more: the
-    process has imported numpy already, or the size is at least
-    _COLD_RESIDUE_SIZE."""
-    return sys.modules.get("numpy") is not None or size >= _COLD_RESIDUE_SIZE
+    """True when the numpy import costs a residue runner nothing more: numpy
+    is loaded, or the size is at least _COLD_RESIDUE_SIZE."""
+    return _numpy_loaded() or size >= _COLD_RESIDUE_SIZE
 
 
 def _nu2_residues(r):
@@ -846,7 +850,7 @@ def _res_b2_valuation_list(bounds):
     # the witness in its own order.  A fresh process runs the exact runner
     # in less time than the numpy import takes, so this waits for a process
     # that has imported numpy.
-    if sys.modules.get("numpy") is None:
+    if not _numpy_loaded():
         return None
     from .bm_sequences import B2_VALUATION_TABLE, b2_valuation_table_suite
 

@@ -139,45 +139,48 @@ def test_residue_campaigns_print_the_exact_stdout(capsys, monkeypatch, name):
 PLANTS = {"zero": 0, "2^70": 2**70, "six": 6}
 ALL = set(PLANTS)
 
-# (campaign, bounds, t, index, base, declines, changes): a value f_index(t)
-# that the campaign reads gets the plant, plus f_base(t) when base is set;
-# the residue runner declines on the plants in `declines`, and the plants in
-# `changes` change the exact verdict.  Index 0 of t_5 sets the t2k1 table
-# entry of class 0, index 24 of b_2 holds its largest nu2 up to 64, and
-# index 272 of b_3 is the upper end of two differences (k = 2, 3) whose
-# lower end is 68, so a plant on f_68(-3) makes both differences equal the
-# plant: 0 is an exact 0, which the exact loop skips, and 2^70 has
-# nu2 >= 64, and both read as 0 mod 2^64.  A fixed-modulus congruence
+# (campaign, bounds, t, index, base, declines, changes, raises): a value
+# f_index(t) that the campaign reads gets the plant, plus f_base(t) when base
+# is set; the residue runner declines on the plants in `declines`, the plants
+# in `changes` change the exact verdict, and on the plants in `raises` the
+# exact runner raises ValueError instead of giving one.  Index 0 of t_5 sets
+# the t2k1 table entry of class 0, index 24 of b_2 holds its largest nu2 up
+# to 64, and index 272 of b_3 is the upper end of two differences
+# (k = 2, 3) whose lower end is 68, so a plant on f_68(-3) makes both
+# differences equal the plant: 0 is an exact 0, which the exact loop skips,
+# and 2^70 has nu2 >= 64, and both read as 0 mod 2^64.  A fixed-modulus congruence
 # (a masked difference) never declines.  Index 36 of b_2 is 32 n + 4 at
 # n = 1, where the table has nu2 = 4; the exact runner takes nu2 of a
 # planted 0 there and raises, as no b_2 value is 0.
 PLANT_SITES = (
-    ("t5-valuation", {"n": 64}, 5, 13, None, {"zero", "2^70"}, ALL),
-    ("t9-valuation", {"n": 64}, 9, 43, None, {"zero", "2^70"}, ALL),
-    ("t2k1-valuation-table", {"n": 64}, 5, 0, None, {"zero", "2^70"}, ALL),
-    ("b-pow2-congruence", {"index": 1024}, -2, 64, None, set(), ALL),
-    ("b-pow2m1-congruence", {"index": 1024}, -1, 64, None, set(), ALL),
-    ("t-zero-m4plus", {"n": 256}, 4, 100, None, {"zero", "2^70"}, {"zero"}),
-    ("bm-valuation-unbounded", {"n": 64}, -2, 24, None, {"zero", "2^70"}, ALL),
-    ("b-congruence-growth", {"index": 1024}, -3, 272, 68, {"zero", "2^70"}, {"six"}),
-    ("b2-valuation-list", {"n": 64}, -2, 36, None, {"zero", "2^70"}, ALL),
+    ("t5-valuation", {"n": 64}, 5, 13, None, {"zero", "2^70"}, ALL, set()),
+    ("t9-valuation", {"n": 64}, 9, 43, None, {"zero", "2^70"}, ALL, set()),
+    ("t2k1-valuation-table", {"n": 64}, 5, 0, None, {"zero", "2^70"}, ALL, set()),
+    ("b-pow2-congruence", {"index": 1024}, -2, 64, None, set(), ALL, set()),
+    ("b-pow2m1-congruence", {"index": 1024}, -1, 64, None, set(), ALL, set()),
+    ("t-zero-m4plus", {"n": 256}, 4, 100, None, {"zero", "2^70"}, {"zero"}, set()),
+    ("bm-valuation-unbounded", {"n": 64}, -2, 24, None, {"zero", "2^70"}, ALL, set()),
+    ("b-congruence-growth", {"index": 1024}, -3, 272, 68, {"zero", "2^70"}, {"six"}, set()),
+    ("b2-valuation-list", {"n": 64}, -2, 36, None, {"zero", "2^70"}, ALL, {"zero"}),
 )
 
 
 @pytest.mark.parametrize("plant", PLANTS)
-@pytest.mark.parametrize("name,bounds,t,index,base,declines,changes", PLANT_SITES,
+@pytest.mark.parametrize("name,bounds,t,index,base,declines,changes,raises", PLANT_SITES,
                          ids=[site[0] for site in PLANT_SITES])
 def test_planted_values_give_the_exact_verdict(monkeypatch, name, bounds, t, index, base,
-                                               declines, changes, plant):
+                                               declines, changes, raises, plant):
     pytest.importorskip("numpy")
     camp = CAMPAIGNS[name]
     clean = camp.runner(dict(bounds))
     value = PLANTS[plant] + (0 if base is None else fpow.fpow_prefix(t, base)[base])
     _plant(monkeypatch, t, index, value)
-    try:
-        want = camp.runner(dict(bounds))
-    except ValueError:  # nu2 of a planted 0
+    if plant in raises:
+        with pytest.raises(ValueError):
+            camp.runner(dict(bounds))
         want = ValueError
+    else:
+        want = camp.runner(dict(bounds))
     fast = camp.residue_runner(dict(bounds))
     assert fast == (None if plant in declines else want)
     if want is ValueError:
