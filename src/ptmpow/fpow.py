@@ -90,8 +90,8 @@ def chunks(size: int, per: int = 1):
 
 def fpow_residues(t: int, n: int, dtype: str = "uint64"):
     """[f_0(t), ..., f_k(t)] mod 2^64 with k >= n, as a memoised read-only
-    numpy uint64 array, or None when numpy cannot be imported.  With dtype
-    "float64" and t < 0, the same loop in doubles, memoised apart.
+    numpy uint64 array (ImportError without numpy).  With dtype "float64"
+    and t < 0, the same loop in doubles, memoised apart.
 
     The blocks of `fpow_prefix` in wrapping uint64 arithmetic: the block
     [lo, hi), hi <= 2 lo, is the upsampled prefix, written straight into the
@@ -103,10 +103,8 @@ def fpow_residues(t: int, n: int, dtype: str = "uint64"):
     difference is the only other copy, one block long.  numpy is imported
     here, not at module import, so the CLI starts without it.
     """
-    try:
-        import numpy as np
-    except ImportError:
-        return None
+    import numpy as np
+
     memo = _fpow_res.get((t, dtype))
     if memo is not None and n < len(memo[0]):
         return memo[0]

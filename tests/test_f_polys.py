@@ -334,4 +334,5 @@ def test_fpow_residues_hold_one_array(monkeypatch):
 
 def test_fpow_residues_need_numpy(monkeypatch):
     monkeypatch.setitem(sys.modules, "numpy", None)
-    assert fpow_residues(2, 16) is None
+    with pytest.raises(ImportError):
+        fpow_residues(2, 16)

@@ -1,3 +1,5 @@
+import builtins
+import dataclasses
 import io
 import json
 import math
@@ -5,6 +7,8 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import types
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -516,31 +520,67 @@ def test_no_campaign_writes_to_a_shared_prefix(monkeypatch):
         assert fpow.fpow_prefix(t, len(vals) - 1) == vals, t
 
 
-# the six runners that decline until the numpy import is paid
+# the six campaigns that a process which has not imported numpy runs on
+# residues only from a size of 2^17 on
 IMPORT_PAID_CAMPAIGNS = ("bm-valuation-unbounded", "b-congruence-growth",
                          "t-sign-density", "t-missing-values", "t-threesigns-turan",
                          "t2-symmetry")
+# the size from which such a process runs each campaign named here on
+# residues; the other residue campaigns do so at any size, except
+# b2-valuation-list, which waits for a process that has imported numpy
+COLD_SIZES = {**dict.fromkeys(IMPORT_PAID_CAMPAIGNS, 1 << 17),
+              "b-turan-m4plus": 3 << 14, "b3-turan-crossover": 3 << 15}
 
 
 def test_runners_wait_for_the_numpy_import_below_the_cold_size(monkeypatch):
-    def kernel(t, n):
-        calls.append((t, n))
-        return None
+    # every runner is a stub, and `import numpy` reads a stand-in module
+    # without entering it in sys.modules, so each run_campaign call starts
+    # like a fresh process and the backend is all the gate decided
+    fake = types.ModuleType("numpy")
+    imports = []
+    real_import = builtins.__import__
 
-    calls = []
-    monkeypatch.setattr(campaigns, "fpow_residues", kernel)
-    # a process that has not imported numpy (nothing imports it while the
-    # entry is gone: each runner declines before its first kernel call)
+    def recording_import(name, *args, **kwargs):
+        if name == "numpy":
+            imports.append(name)
+            if "numpy" not in sys.modules:
+                return fake
+        return real_import(name, *args, **kwargs)
+
+    def stub(backend, bounds):
+        return "observation", {"backend": backend}
+
+    for name, camp in CAMPAIGNS.items():
+        monkeypatch.setitem(CAMPAIGNS, name, dataclasses.replace(
+            camp, runner=partial(stub, "exact"),
+            residue_runner=camp.residue_runner and partial(stub, "residue")))
+    monkeypatch.setattr(builtins, "__import__", recording_import)
     monkeypatch.delitem(sys.modules, "numpy", raising=False)
-    for name in IMPORT_PAID_CAMPAIGNS:
-        camp = CAMPAIGNS[name]
-        size = campaigns._COLD_RESIDUE_SIZE - 1
-        assert camp.residue_runner({**camp.defaults, camp.size_key: size}) is None, name
-    assert calls == []
-    # from the cold size on the import pays for itself, and the runner builds
-    camp = CAMPAIGNS["bm-valuation-unbounded"]
-    assert camp.residue_runner({"n": campaigns._COLD_RESIDUE_SIZE}) is None
-    assert calls == [(-2, campaigns._COLD_RESIDUE_SIZE)]
+
+    def run(name, size):
+        """The backend at the given size, and whether numpy was imported."""
+        imports.clear()
+        rep = run_campaign(name, {CAMPAIGNS[name].size_key: size})
+        assert rep.witness == {"backend": rep.backend}
+        return rep.backend, bool(imports)
+
+    for name, camp in CAMPAIGNS.items():
+        if name in ("t-regularity", "b2-valuation-list"):
+            assert run(name, 1 << 20) == ("exact", False), name
+        elif name in COLD_SIZES:
+            assert run(name, COLD_SIZES[name] - 1) == ("exact", False), name
+            assert run(name, COLD_SIZES[name]) == ("residue", True), name
+        else:
+            assert run(name, camp.minimum) == ("residue", True), name
+    # a process that has imported numpy runs every residue runner at any size
+    monkeypatch.setitem(sys.modules, "numpy", fake)
+    for name, camp in CAMPAIGNS.items():
+        want = "residue" if camp.residue_runner else "exact"
+        assert run(name, camp.minimum)[0] == want, name
+    # and one where numpy cannot be imported runs every exact runner
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    for name in CAMPAIGNS:
+        assert run(name, 1 << 20)[0] == "exact", name
 
 
 def test_b2_valuation_list_runs_exact_without_the_numpy_import(monkeypatch):
@@ -973,7 +1013,7 @@ def test_cli_loads_only_what_its_command_runs():
     assert "ptmpow.campaigns" in verify
     assert not verify & {"ptmpow.bm_sequences", "ptmpow.tm_sequences"}
     # below the cold size these run exact in a fresh process, without numpy
-    for name in IMPORT_PAID_CAMPAIGNS:
+    for name in COLD_SIZES:
         assert "numpy" not in _modules_loaded_by("verify", name, "--bound", "64"), name
     # the b_m side reads ptm from core_arith, so it loads no t_m or f_n code,
     # and b2-valuation-list runs exact in a fresh process, without numpy
