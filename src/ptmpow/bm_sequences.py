@@ -22,7 +22,8 @@ Applied k times, the recurrence gives
 so the whole family h_{.,k,m} is Q_k read with stride 2^k.  `h_poly` walks
 the chain of ancestors for the first request of a family, two small
 multiplies per level, and on a later one builds the family as one packed
-Q_k (`ptmpow.hfamily`), when 2^k + deg Q_k + 1 <= 2^16.
+Q_k (`ptmpow.hfamily`), when its (deg Q_k + 1) digits of `hfamily.width`
+bytes take at most 3 MiB.
 
 The Churchhouse valuation and the PTM checks read the sign `core_arith.ptm`,
 so this module loads neither `tm_sequences` nor `f_polys`.
@@ -160,13 +161,10 @@ def v2_b2k1_closed(k: int, n: int) -> int:
 _h_memo: dict[tuple[int, int], tuple[bytes, int] | None] = {}
 
 # a family is built whole only while its packed Q_k, (deg Q_k + 1) digits
-# of `hfamily.width` bytes, fits in _H_FAMILY_BYTES and it has at most
-# _H_FAMILY_CHILDREN children.  All i of (11, 4) (2.7 MiB) took 0.26 s for
-# the build plus 0.05 s for the reads, against 4 s on the chain; (10, 7)
-# (3.02 MiB) stays on the chain.  The child cap decides only at m = 0,
-# where Q_k = 1 and every child is 0 or 1, so the chain costs no more.
+# of `hfamily.width` bytes, fits in _H_FAMILY_BYTES.  All i of (11, 4)
+# (2.7 MiB) took 0.26 s for the build plus 0.05 s for the reads, against
+# 4 s on the chain; (10, 7) (3.02 MiB) stays on the chain.
 _H_FAMILY_BYTES = 3 << 20
-_H_FAMILY_CHILDREN = 1 << 15
 
 
 def _one_plus_y(n: int) -> IntPoly:
@@ -229,9 +227,8 @@ def h_poly(i: int, k: int, m: int) -> IntPoly:
     multiplies per level.  A later request builds the whole family as one
     packed Q_k (`hfamily.build`), memoises it, and every request from then
     on reads its child's digits (`hfamily.child`).  A family whose packed
-    Q_k would take more than _H_FAMILY_BYTES, or that has more than
-    _H_FAMILY_CHILDREN children, stays on the chain.  A failed parity
-    condition on either route raises and memoises nothing."""
+    Q_k would take more than _H_FAMILY_BYTES stays on the chain.  A failed
+    parity condition on either route raises and memoises nothing."""
     if k < 0 or m < 0 or not 0 <= i < (1 << k):
         raise ValueError("need k >= 0, m >= 0, 0 <= i < 2^k")
     if (k, m) not in _h_memo:
@@ -244,18 +241,17 @@ def h_poly(i: int, k: int, m: int) -> IntPoly:
     if family is None:
         # deg Q_k = m sum_{j<k} (j+1) 2^j = m ((k-1) 2^k + 1)
         packed = (m * (((k - 1) << k) + 1) + 1) * hfamily.width(k, m)
-        if (1 << k) > _H_FAMILY_CHILDREN or packed > _H_FAMILY_BYTES:
+        if packed > _H_FAMILY_BYTES:
             return _h_chain(i, k, m)
         family = _h_memo[k, m] = hfamily.build(k, m)
     return hfamily.child(family, i, k)
 
 
-def check_h_identity(i: int, k: int, m: int, order: int | None = None) -> CheckReport:
-    """Verify the defining identity through x^order:
+def check_h_identity(i: int, k: int, m: int) -> CheckReport:
+    """Verify the defining identity through x^order, order = max(256, 4 deg h):
     (1-x)^(km) * sum b_m(2^k n + i) x^n == h_{i,k,m} * sum b_m(n) x^n."""
     h = h_poly(i, k, m)
-    if order is None:
-        order = max(256, 4 * max(h.degree, 1))
+    order = max(256, 4 * max(h.degree, 1))
     vals = fpow_prefix(-m, (order << k) + i)
     sub = [vals[(n << k) + i] for n in range(order + 1)]
     lhs = IntPoly(convolve(_flip(_one_plus_y(k * m)).coeffs, sub)[: order + 1])
@@ -641,12 +637,11 @@ B2_VALUATION_TABLE: tuple[tuple[int, tuple[int, ...], int], ...] = (
 )
 
 
-def b2_valuation_table_suite(n_max: int) -> CheckReport:
-    """Every tabulated equality nu2(b_2(M n + i)) = a for indices <= n_max,
-    together with the polynomial certificate used to derive it:
-    h_{i,k,2} == 0 (mod 2^a) and h_{i,k,2}/2^a == (1-x)^(2k-3) (mod 2)."""
-    v = fpow_prefix(-2, n_max)
-    checked = 0
+def b2_certificate_witness() -> dict | None:
+    """The first entry of B2_VALUATION_TABLE whose polynomial certificate
+    fails, as {"modulus", "i", "stage"}, or None when all hold: for
+    M = 2^k, h_{i,k,2} == 0 (mod 2^a) ("divisibility") and
+    h_{i,k,2}/2^a == (1-x)^(2k-3) (mod 2) ("certificate")."""
     for modulus, residues, a in B2_VALUATION_TABLE:
         k = modulus.bit_length() - 1
         cert = _one_plus_y(2 * k - 3).mod(2)
@@ -654,11 +649,23 @@ def b2_valuation_table_suite(n_max: int) -> CheckReport:
             try:
                 hq = h_poly(i, k, 2).divexact_scalar(1 << a)
             except ArithmeticError:
-                return CheckReport("b2-valuations", False,
-                                   witness={"modulus": modulus, "i": i, "stage": "divisibility"})
+                return {"modulus": modulus, "i": i, "stage": "divisibility"}
             if hq.mod(2) != cert:
-                return CheckReport("b2-valuations", False,
-                                   witness={"modulus": modulus, "i": i, "stage": "certificate"})
+                return {"modulus": modulus, "i": i, "stage": "certificate"}
+    return None
+
+
+def b2_valuation_table_suite(n_max: int) -> CheckReport:
+    """Every tabulated equality nu2(b_2(M n + i)) = a for indices <= n_max,
+    after the polynomial certificates used to derive them
+    (`b2_certificate_witness`)."""
+    witness = b2_certificate_witness()
+    if witness:
+        return CheckReport("b2-valuations", False, witness=witness)
+    v = fpow_prefix(-2, n_max)
+    checked = 0
+    for modulus, residues, a in B2_VALUATION_TABLE:
+        for i in residues:
             # nu2(x) == a exactly when the low a + 1 bits of x are 2^a
             low_bits = list(map(((2 << a) - 1).__and__, v[i : n_max + 1 : modulus]))
             if low_bits.count(1 << a) < len(low_bits):

@@ -255,26 +255,19 @@ def _run_b_turan_m4plus(bounds):
 def _run_b3_crossover(bounds):
     n_max = bounds["n"]
     vals = fpow_prefix(-3, n_max + 1)
-    last_nonpositive = 0
-    zeros = []
-    for n in range(1, n_max):
-        d = vals[n] ** 2 - vals[n - 1] * vals[n + 1]
-        if d == 0:
-            zeros.append(n)
-        if d <= 0:
-            last_nonpositive = n
-    broken = [
-        n
-        for n in range(1, last_nonpositive + 1)
-        if (lambda d: d != 0 and (d > 0) != (n % 2 == 0))(
-            vals[n] ** 2 - vals[n - 1] * vals[n + 1]
-        )
-    ]
+    # the sign of b^2 - ac at n = 1 .. n_max - 1, each difference taken once;
+    # the alternation wants -1 at odd n and +1 at even n up to the last
+    # nonpositive n
+    signs = [(d > 0) - (d < 0)
+             for d in (vals[n] ** 2 - vals[n - 1] * vals[n + 1] for n in range(1, n_max))]
+    zeros = [n for n, sign in enumerate(signs, 1) if sign == 0]
+    last = max((n for n, sign in enumerate(signs, 1) if sign <= 0), default=0)
+    breaks = [n for n, sign in enumerate(signs[:last], 1) if sign == (1 if n & 1 else -1)]
     return OBSERVATION, {
-        "crossover_candidate": last_nonpositive,
+        "crossover_candidate": last,
         "positive_beyond": True,
         "zero_differences_at": zeros,
-        "alternation_breaks": broken,
+        "alternation_breaks": breaks,
     }
 
 
@@ -335,9 +328,8 @@ def _run_t2_symmetry(bounds):
 # runner's (status, witness), or None, in which case run_campaign runs the
 # exact runner for the whole campaign: when a residue whose nu2 is taken or
 # that is tested for zero is 0 (a zero value or nu2 >= 64), when the
-# certificate of an int64 reading of t_m fails, when the double of a b_m
-# value is not below 2^510, and when a polynomial certificate of
-# b2-valuation-list fails.  Any exact settling of such an index would build
+# certificate of an int64 reading of t_m fails, and when the double of a b_m
+# value is not below 2^510.  Any exact settling of such an index would build
 # the exact prefix up to it, so declining costs no more.  A masked
 # congruence difference is exact, so the two congruence runners with a
 # fixed modulus never decline; b-congruence-growth takes nu2 of the whole
@@ -794,15 +786,14 @@ def _res_t_zero_m4plus(bounds):
 def _res_b2_valuation_list(bounds):
     # nu2(x) = a exactly when the low a + 1 bits of x are 2^a, and a + 1 <= 8,
     # so residues mod 2^64 decide every equality.  The polynomial
-    # certificates stay exact: the suite at n = 0, where no tabulated index
-    # lies, checks them alone, and on a failing one the exact runner gives
-    # the witness in its own order
-    from .bm_sequences import B2_VALUATION_TABLE, b2_valuation_table_suite
+    # certificates stay exact and come first, as in the exact suite
+    from .bm_sequences import B2_VALUATION_TABLE, b2_certificate_witness
 
+    witness = b2_certificate_witness()
+    if witness:
+        return COUNTEREXAMPLE, witness
     n_max = bounds["n"]
     res = fpow_residues(-2, n_max)
-    if not b2_valuation_table_suite(0).ok:
-        return None
     checked = 0
     for modulus, residues, a in B2_VALUATION_TABLE:
         for i in residues:

@@ -51,8 +51,9 @@ def build(k: int, m: int) -> tuple[bytes, int]:
     for level in range(1, k + 1):
         s, e, shift = 1 << (level - 1), level * m, (8 * nb) << (level - 1)
         n += e * s
-        mask = int.from_bytes(((bytes(s * nb) + b"\xff" * (s * nb)) * (n // (2 * s) + 1))[: n * nb],
-                              "little")
+        # no digit index below n has bit s set when s >= n (m = 0, Q_k = 1)
+        mask = 0 if s >= n else int.from_bytes(
+            ((bytes(s * nb) + b"\xff" * (s * nb)) * (n // (2 * s) + 1))[: n * nb], "little")
         b = _flipped_product(q, mask, shift, e)
         for _ in range(e):
             q += q << shift

@@ -71,30 +71,17 @@ def v2_t3_closed(n: int) -> int | None:
     return 3 * prefix
 
 
-def _t3_zero_indexed(count: int) -> list[int]:
-    # a_1 = 2, a_{2k} = 4 a_k + 3, a_{2k+1} = 4 a_k + 6
-    a = [0, 2]
-    k = 1
-    while len(a) <= count:
-        a.append(4 * a[k] + 3)
-        a.append(4 * a[k] + 6)
-        k += 1
-    return a[1 : count + 1]
-
-
 def t3_zero_seq(count: int) -> list[int]:
-    """The first `count` zeros of t_3 in increasing order."""
-    vals = _t3_zero_indexed(2 * count + 2)
-    ordered = sorted(vals)
-    if any(x >= y for x, y in zip(ordered, ordered[1:])):
-        raise ArithmeticError("zero-set recurrence produced a repeat")
-    # index order and size order agree (levels do not interleave)
-    if vals != ordered:
-        raise ArithmeticError("zero-set recurrence not monotone in the index")
-    return ordered[:count]
+    """The first `count` zeros of t_3 in increasing order.  Level L of
+    t3_zero_set_upto's map lies in [3 4^L - 1, 4^(L+1) - 2], so levels never
+    interleave, and for L = count.bit_length() the levels below L hold
+    2^L - 1 >= count zeros, all below 4^L."""
+    return sorted(t3_zero_set_upto(4 ** count.bit_length()))[:count]
 
 
 def t3_zero_set_upto(bound: int) -> set[int]:
+    """The zeros n <= bound of t_3: from 2, each zero v gives 4v + 3 and
+    4v + 6 on the next level."""
     out = set()
     level = [2]
     while level:

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 from ptmpow.core_arith import IntPoly, nu2
 from ptmpow.f_polys import shared_fseries
 from ptmpow.fpow import fpow_prefix
-from ptmpow import bm_sequences, hfamily
+from ptmpow import bm_sequences, hfamily, tm_sequences
 from ptmpow.bm_sequences import (
     b1,
+    b2_certificate_witness,
     bm,
     check_4div,
     check_8x1,
@@ -139,7 +140,7 @@ def test_h_defining_identity():
     for k in range(4):
         for i in range(1 << k):
             for m in range(1, 7):
-                assert check_h_identity(i, k, m, order=256).ok
+                assert check_h_identity(i, k, m).ok
     # deep residues of the kind the valuation table relies on
     for i, k in ((5, 3), (17, 5), (78, 8), (180, 8)):
         assert check_h_identity(i, k, 2).ok
@@ -370,13 +371,12 @@ def test_h_route_choice(monkeypatch):
         routes.clear()
         assert h_poly(i, 3, 4) == _h_per_child(i, 3, 4, reference)
         assert routes == route, i
-    # the packed bytes of Q_k against 3 MiB: (10, 6) fits and (10, 7) is
-    # 15752 bytes over; at m = 0 the packed Q_k is one byte, and the 2^15
-    # child cap decides
+    # the packed bytes of Q_k against 3 MiB alone: (10, 6) fits and (10, 7)
+    # is 15752 bytes over; at m = 0 the packed Q_k is one byte at any k
     for k, m, fits in ((10, 6, True), (10, 7, False), (11, 4, True), (15, 0, True),
-                       (16, 0, False), (1500, 0, False)):
+                       (16, 0, True), (1500, 0, True)):
         packed = (m * ((k - 1) * 2**k + 1) + 1) * hfamily.width(k, m)
-        assert (packed <= 3 << 20 and k <= 15) == fits
+        assert (packed <= 3 << 20) == fits
         routes.clear()
         h0, h3 = h_poly(0, k, m), h_poly(3, k, m)
         assert routes == ["chain", "family" if fits else "chain"], (k, m)
@@ -485,6 +485,69 @@ def test_b2_valuation_table_reports_its_first_mismatch(monkeypatch):
         monkeypatch.setattr(bm_sequences, "fpow_prefix", lambda t, n: vals)
         rep = b2_valuation_table_suite(n_max)
         assert not rep.ok and rep.witness == {**witness, "value_nu2": 4}
+
+
+# (module, check, args, t, index, plant, witness): f_index(t), as the
+# module's check reads it, becomes plant(f_index(t)), and the check fails
+# with a witness that holds these items.  t_2(27) = -1 sits between -1 and
+# -11, so a 0 there breaks Turán's inequality at 27; t_2(28) = -11 sits
+# between 12 and 10 after -1, so a 1 there gives the first positive triple
+# at 28; b_3(77) and b_3(78) are 0 mod 3, and 78 is a multiple of 3
+PLANTED_CHECKS = (
+    (tm_sequences, "check_parity_t", (3, 200), 3, 77, lambda v: v + 1, {"m": 3, "n": 77}),
+    (tm_sequences, "check_turan_t", (2, 200), 2, 27, lambda v: 0, {"m": 2, "n": 27}),
+    (tm_sequences, "check_signs", (2, 200), 2, 28, lambda v: 1, {"m": 2, "n": 28}),
+    (tm_sequences, "check_t2_mod4", (100,), 2, 74, lambda v: v + 1, {"n": 37}),
+    (tm_sequences, "check_growth", (3, 200), 3, 50, lambda v: 10**9, {"m": 3, "n": 50}),
+    (bm_sequences, "check_parity_b", (3, 200), -3, 77, lambda v: v + 1, {"m": 3, "n": 77}),
+    (bm_sequences, "check_parity_b", (2, 200), -2, 77, lambda v: v + 1,
+     {"m": 2, "n": 77, "mod": 8}),
+    (bm_sequences, "check_rps", (1, 3, 1, 200), -3, 77, lambda v: v + 1,
+     {"n": 77, "family": "vanishing"}),
+    (bm_sequences, "check_rps", (1, 3, 1, 200), -3, 78, lambda v: v + 1,
+     {"n": 78, "family": "reduction"}),
+    (bm_sequences, "check_turan_b", (1, 100), -1, 60, lambda v: v + 1, {"n": 30}),
+    (bm_sequences, "check_bm_monotone", (4, 200), -3, 90, lambda v: 0, {"m": 3}),
+)
+
+
+@pytest.mark.parametrize("module,check,args,t,index,plant,witness", PLANTED_CHECKS,
+                         ids=[f"{c[1]}{c[2]}@{c[4]}" for c in PLANTED_CHECKS])
+def test_a_planted_value_fails_its_check_at_its_index(monkeypatch, module, check, args, t,
+                                                      index, plant, witness):
+    exact = module.fpow_prefix
+
+    def planted(s, n):
+        vals = exact(s, max(n, index))
+        if s == t:
+            vals = list(vals)  # a copy: the memo is shared
+            vals[index] = plant(vals[index])
+        return vals
+
+    assert getattr(module, check)(*args).ok
+    monkeypatch.setattr(module, "fpow_prefix", planted)
+    rep = getattr(module, check)(*args)
+    assert rep.ok is False
+    assert {key: rep.witness.get(key) for key in witness} == witness
+
+
+@pytest.mark.parametrize("stage, plant", [("divisibility", 1), ("certificate", 8)])
+def test_a_failed_b2_certificate_names_its_entry(monkeypatch, stage, plant):
+    # h_{9,4,2} is 0 mod 2^3: + 1 breaks the divisibility, and + 8 keeps it
+    # but flips the constant term of h/2^3 mod 2; the suite checks the
+    # certificates before any value
+    exact = bm_sequences.h_poly
+
+    def planted(i, k, m):
+        h = exact(i, k, m)
+        return h + IntPoly((plant,)) if (i, k, m) == (9, 4, 2) else h
+
+    assert b2_certificate_witness() is None
+    monkeypatch.setattr(bm_sequences, "h_poly", planted)
+    witness = {"modulus": 16, "i": 9, "stage": stage}
+    assert b2_certificate_witness() == witness
+    rep = b2_valuation_table_suite(1 << 10)
+    assert (rep.ok, rep.checked, rep.witness) == (False, 0, witness)
 
 
 def test_inverse_and_color_drop_identities():

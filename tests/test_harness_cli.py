@@ -595,14 +595,41 @@ def test_b2_valuation_list_runs_exact_without_the_numpy_import(monkeypatch):
 
 
 def test_b2_valuation_list_on_residues_builds_no_exact_prefix(monkeypatch):
-    # the certificates take the exact suite at n = 0, which reads b_2(0) alone
+    # the certificates read h_{i,k,2} alone, and the values come from residues
     pytest.importorskip("numpy")
     monkeypatch.setattr(fpow, "_fpow_vals", {})
     monkeypatch.setattr(fpow, "_fpow_carries", {})
     rep = run_campaign("b2-valuation-list", {"n": 1 << 16})
     assert (rep.status, rep.backend) == ("verified-to-bound", "residue")
-    assert fpow._fpow_vals == {-2: [1]}
+    assert len(fpow._fpow_vals.get(-2, ())) <= 1
     assert (rep.status, rep.witness) == CAMPAIGNS["b2-valuation-list"].runner({"n": 1 << 16})
+
+
+def test_a_failed_b2_certificate_is_a_counterexample_on_either_backend(monkeypatch):
+    # h_{9,4,2} + 1 is odd at x^0, so 2^3 no longer divides it; the residue
+    # runner reports that entry itself, as the exact suite does
+    pytest.importorskip("numpy")
+    exact = bm_sequences.h_poly
+    monkeypatch.setattr(bm_sequences, "h_poly", lambda i, k, m: exact(i, k, m) + (
+        1 if (i, k, m) == (9, 4, 2) else 0))
+    want = ("counterexample", {"modulus": 16, "i": 9, "stage": "divisibility"})
+    assert CAMPAIGNS["b2-valuation-list"].runner({"n": 64}) == want
+    assert CAMPAIGNS["b2-valuation-list"].residue_runner({"n": 64}) == want
+    rep = run_campaign("b2-valuation-list", {"n": 64})
+    assert (rep.status, rep.witness, rep.backend) == (*want, "residue")
+    assert exit_code_for(rep) == 1
+
+
+def test_a_conjecture_counterexample_is_reported_as_an_observation(monkeypatch):
+    # conjecture campaigns never hard-fail: run_campaign downgrades the status
+    camp = CAMPAIGNS["t5-valuation"]
+    stub = dataclasses.replace(camp, runner=lambda bounds: (campaigns.COUNTEREXAMPLE, {"n": 7}),
+                               residue_runner=None)
+    monkeypatch.setitem(CAMPAIGNS, "t5-valuation", stub)
+    rep = run_campaign("t5-valuation", {"n": 64})
+    assert (rep.kind, rep.status, rep.witness, rep.backend) == (
+        "conjecture", "observation", {"n": 7}, "exact")
+    assert exit_code_for(rep) == 3
 
 
 # ---------------------------------------------------------------------------
