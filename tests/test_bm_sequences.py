@@ -489,9 +489,9 @@ def test_b2_valuation_table_reports_its_first_mismatch(monkeypatch):
 
 # (module, check, args, t, index, plant, witness): f_index(t), as the
 # module's check reads it, becomes plant(f_index(t)), and the check fails
-# with a witness that holds these items.  t_2(27) = -1 sits between -1 and
+# with a witness that holds these items.  t_2(27) = 12 sits between -1 and
 # -11, so a 0 there breaks Turán's inequality at 27; t_2(28) = -11 sits
-# between 12 and 10 after -1, so a 1 there gives the first positive triple
+# between 12 and 10, after -1, so a 1 there gives the first positive triple
 # at 28; b_3(77) and b_3(78) are 0 mod 3, and 78 is a multiple of 3
 PLANTED_CHECKS = (
     (tm_sequences, "check_parity_t", (3, 200), 3, 77, lambda v: v + 1, {"m": 3, "n": 77}),
