@@ -2,9 +2,10 @@
 and congruences, the generating-numerator polynomials h_{i,k,m}(x), and the
 annihilating shift operators V_k.
 
-Every value of b_m comes from `fpow.fpow_prefix(-m, n)`, the one
-production kernel for F(x)^t: F(x)^(-m) = (1-x)^(-m) F(x^2)^(-m), that is m
-running sums of the upsampled prefix.
+Every value of b_m comes from `fpow.fpow_prefix(-m, n)`, or one at a time
+from `fpow.fpow_at(-m, n)`: the one production kernel for F(x)^t, where
+F(x)^(-m) = (1-x)^(-m) F(x^2)^(-m) is m running sums of the upsampled
+prefix.
 
 The h family is pinned down by
 
@@ -37,24 +38,8 @@ from functools import partial
 from operator import neg
 
 from .core_arith import IntPoly, binom, convolve, kron_pack, kron_unpack, nu2, ptm
-from .fpow import fpow_prefix
+from .fpow import fpow_at, fpow_prefix
 from .reports import CheckReport
-
-
-# ---------------------------------------------------------------------------
-# the sequences themselves
-
-
-def b1(n: int) -> int:
-    """Binary partition number: representations of n as sums of powers of 2."""
-    return fpow_prefix(-1, n)[n] if n >= 0 else 0
-
-
-def bm(m: int, n: int) -> int:
-    """b_m(n), with b_m(n) = 0 for n < 0."""
-    if m < 1:
-        raise ValueError("b_m requires m >= 1")
-    return fpow_prefix(-m, n)[n] if n >= 0 else 0
 
 
 # ---------------------------------------------------------------------------
@@ -82,20 +67,20 @@ def check_turan_b(m: int, n_max: int) -> CheckReport:
             i1 = v[2 * n] ** 2 - v[2 * n - 1] * v[2 * n + 1] - v[2 * n] * v[n]
             i2 = v[2 * n - 1] ** 2 - v[2 * n - 2] * v[2 * n] + v[2 * n - 2] * v[n]
             if i1 or i2:
-                return CheckReport("turan-b m=1", False, checked=n,
+                return CheckReport("turan-b m=1", False, checked=n - 1,
                                    witness={"n": n, "identity": 1 if i1 else 2})
         else:
             i3 = v[2 * n] ** 2 - v[2 * n - 1] * v[2 * n + 1] - psum * psum
             odd_lhs = v[2 * n - 1] ** 2 - v[2 * n - 2] * v[2 * n]
             i4 = odd_lhs - (psum_prev * psum_prev - v[2 * n - 2] * v[n])
             if i3 or i4:
-                return CheckReport("turan-b m=2", False, checked=n,
+                return CheckReport("turan-b m=2", False, checked=n - 1,
                                    witness={"n": n, "identity": 3 if i3 else 4})
             if odd_lhs >= 0:
                 negativity_violations += 1
         sign = v[n] ** 2 - v[n - 1] * v[n + 1]
         if (sign > 0) != (n % 2 == 0) or sign == 0:
-            return CheckReport(f"turan-b m={m}", False, checked=n,
+            return CheckReport(f"turan-b m={m}", False, checked=n - 1,
                                witness={"n": n, "difference": sign})
     return CheckReport(f"turan-b m={m}", True, checked=n_max,
                        witness={"negativity_violations": negativity_violations} if m == 2 else {})
@@ -312,7 +297,7 @@ def check_congrup(p: int, s: int, n_max: int) -> CheckReport:
     m = p^s.  The case split is on m mod 4 (which is what the reductions
     depend on; the parity of s decides it only when p == 3 (mod 4))."""
     m = p**s
-    v = partial(bm, m)  # reads below index 0 give 0
+    v = partial(fpow_at, -m)  # reads below index 0 give 0
     checked = 0
     for n in range(n_max + 1):
         for i in (0, 1):

@@ -13,8 +13,9 @@ campaign's `minimum` is refused before any work, since it would check
 nothing.  The runners read values from `fpow`; those that need
 `tm_sequences` or `bm_sequences` import them themselves, so a process that
 runs another campaign does not load them.  A whole-array runner holds its
-`fpow_residues` arrays plus one `fpow._CHUNK`-entry slice of scratch: it
-checks the range slice by slice and stops at the first failing slice.
+`fpow_residues` or `fpow_doubles` arrays plus one slice of `fpow.chunks`
+of scratch: it checks the range slice by slice and stops at the first
+failing slice.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .core_arith import nu2, nu2_or_none
-from .fpow import chunks, fpow_prefix, fpow_residues
+from .fpow import chunks, fpow_doubles, fpow_doubles_eps, fpow_prefix, fpow_residues
 
 VERIFIED = "verified-to-bound"
 COUNTEREXAMPLE = "counterexample"
@@ -320,25 +321,26 @@ def _run_t2_symmetry(bounds):
 # same checks on values mod 2^64 (`fpow_residues`), on t_m read exactly from
 # its residues as int64 (`_int64_values`), or on doubles whose sign of
 # b^2 - ac is certified (`_turan_signs`): t_m's int64 readings converted,
-# and b_m from the kernel's blocks run in float64 (`_b_doubles`, with the
-# error bound `_kernel_eps`), so the b_m runners build the exact prefix
-# only up to the last index the doubles leave unsure.  run_campaign calls
-# one only when numpy imports and its import pays (`Campaign.cold_size`),
-# so a runner decides only the mathematics.  Each returns the exact
-# runner's (status, witness), or None, in which case run_campaign runs the
-# exact runner for the whole campaign: when a residue whose nu2 is taken or
-# that is tested for zero is 0 (a zero value or nu2 >= 64), when the
-# certificate of an int64 reading of t_m fails, and when the double of a b_m
-# value is not below 2^510.  Any exact settling of such an index would build
-# the exact prefix up to it, so declining costs no more.  A masked
-# congruence difference is exact, so the two congruence runners with a
-# fixed modulus never decline; b-congruence-growth takes nu2 of the whole
-# difference and declines on a difference of 0 mod 2^64.
+# and b_m from the kernel's blocks run in float64 (`fpow_doubles`, with
+# the error bound `fpow_doubles_eps`, both beside the blocks they count),
+# so the b_m runners build the exact prefix only up to the last index the
+# doubles leave unsure.  run_campaign calls one only when numpy imports and
+# its import pays (`Campaign.cold_size`), so a runner decides only the
+# mathematics.  Each returns the exact runner's (status, witness), or None,
+# in which case run_campaign runs the exact runner for the whole campaign:
+# when a residue whose nu2 is taken or that is tested for zero is 0 (a zero
+# value or nu2 >= 64), when the certificate of an int64 reading of t_m
+# fails, and when the double of a b_m value is not below 2^510.  Any exact
+# settling of such an index would build the exact prefix up to it, so
+# declining costs no more.  A masked congruence difference is exact, so the
+# two congruence runners with a fixed modulus never decline;
+# b-congruence-growth takes nu2 of the whole difference and declines on a
+# difference of 0 mod 2^64.
 #
 # Memory: one array per kernel request plus one chunk.  Every runner that
-# reads a whole index range walks it in `chunks` of _CHUNK entries (the
-# Turán checks with one neighbour on either side) and stops at the first
-# chunk that fails or declines, so no temporary is as long as the range.  A
+# reads a whole index range walks it in `chunks` (the Turán checks with one
+# neighbour on either side) and stops at the first chunk that fails or
+# declines, so no temporary is as long as the range.  A
 # zero residue past the first failure is then never read; the exact runner
 # gives the same witness there, since it reads no index past the failure.
 # The congruence runners take their strided differences, at most an eighth
@@ -557,59 +559,19 @@ def _turan_signs(f, prefix, lo=0, eps=0.0):
     return signs
 
 
-def _kernel_eps(m, n):
-    """A relative-error bound for every double of b_m(0..n) from `_b_doubles`.
-
-    The kernel builds the indices [2^j, 2^(j+1)) of level j + 1 from the
-    upsampled values below 2^j, in blocks of min(2^j, _CHUNK) entries, by m
-    passes of an in-place cumsum plus one carry.  Within a pass a term
-    reaches an index through the cumsum chain of its own block, at most one
-    block long, and one carry add per later block: k = longest block +
-    blocks up to the index + 1 roundings bound it.  Every term is
-    nonnegative, so a pass keeps its inputs' relative error e and adds at
-    most gamma_k = k u / (1 - k u): e <- (1 + e)(1 + gamma_k)^m - 1 per
-    level, from 0 at f_0 = 1.  At m = 3..6 this is 2^-35.4 .. 2^-33.8 from
-    2^16 to 2^19."""
-    from .fpow import _CHUNK
-
-    eps, blocks = 0.0, 0
-    for j in range(n.bit_length()):
-        longest = min(1 << j, _CHUNK)
-        # the blocks of level j + 1 up to index n
-        blocks += (min(n, (2 << j) - 1) - (1 << j)) // longest + 1
-        k = longest + blocks + 1
-        eps = (1 + eps) * (1 + k * _U / (1 - k * _U)) ** m - 1
-    return eps
-
-
-def _b_doubles(m, n):
-    """b_m(0..k), k >= n, as the read-only float64 array of `fpow_residues`.
-    The request is taken up to the end of the kernel's block that holds n
-    (powers of two up to 2 _CHUNK, then multiples of _CHUNK), so the memo
-    only ever grows by whole blocks and holds the blocks of one fresh
-    build, which `_kernel_eps` counts."""
-    import numpy as np
-
-    from .fpow import _CHUNK
-
-    end = min(1 << n.bit_length(), -(-(n + 1) // _CHUNK) * _CHUNK)
-    with np.errstate(over="ignore"):  # past 2^1024 a double is inf
-        return fpow_residues(-m, end - 1, "float64")
-
-
 def _b_turan_signs(m, n_max):
     """The `_turan_signs` of b_m(0..n_max) as an iterator of (lo, signs at
     n = lo + 1..hi) over the chunks (lo, hi) of its n_max - 1 indices, each
-    chunk read with one neighbour on either side from `_b_doubles`; or
+    chunk read with one neighbour on either side from `fpow_doubles`; or
     None when the double of b_m(n_max) is not below 2^510.  b_m is positive
     and nondecreasing, so below that every product of two values is a
     finite double.  An index the doubles leave unsure is settled on
     fpow_prefix(-m, ·), built only up to the last such index."""
-    f = _b_doubles(m, n_max)
+    f = fpow_doubles(-m, n_max)
     if not f[n_max] < 2.0**510:
         return None
     prefix = partial(fpow_prefix, -m)
-    return ((lo, _turan_signs(f[lo : hi + 2], prefix, lo, _kernel_eps(m, hi + 1)))
+    return ((lo, _turan_signs(f[lo : hi + 2], prefix, lo, fpow_doubles_eps(-m, hi + 1)))
             for lo, hi in chunks(n_max - 1))
 
 
@@ -836,15 +798,6 @@ class Campaign:
         return "index" if "index" in self.defaults else "n"
 
 
-CAMPAIGNS: dict[str, Campaign] = {}
-
-
-def _register(name, kind, claim, defaults, runner, residue_runner=None, minimum=0,
-              cold_size=0):
-    CAMPAIGNS[name] = Campaign(name, kind, claim, defaults, runner, residue_runner, minimum,
-                               cold_size)
-
-
 # A residue run of bm-valuation-unbounded, b-congruence-growth,
 # t-sign-density, t-missing-values, t-threesigns-turan and t2-symmetry is
 # mostly the numpy import, about 0.15 s.  In a fresh process the first
@@ -853,104 +806,108 @@ def _register(name, kind, claim, defaults, runner, residue_runner=None, minimum=
 _COLD_RESIDUE_SIZE = 1 << 17
 
 
-_register(
-    "t5-valuation", "conjecture",
-    "nu2(t_5(4n+j)) = 4*ceil(nu2(n+1)/2) - (nu2(n+1) mod 2) for j in 0..3",
-    {"n": 1 << 12}, partial(_run_valuation, *_T5_VALUATION),
-    partial(_res_valuation, *_T5_VALUATION))
-_register(
-    "t9-valuation", "conjecture",
-    "nu2(t_9(8n+j)) = 5*ceil(nu2(n+1)/2) - 2*(nu2(n+1) mod 2) for j in 0..7",
-    {"n": 1 << 12}, partial(_run_valuation, *_T9_VALUATION),
-    partial(_res_valuation, *_T9_VALUATION))
-_register(
-    "t2k1-valuation-table", "conjecture",
-    "nu2(t_{2^k+1}(2^k n + j)) = A_{k, nu2(n+1)} for a strictly increasing "
-    "integer table with A_{k,0} = 0",
-    {"n": 1 << 12}, _run_t2k1_table, _res_t2k1_table)
-_register(
-    "t-regularity", "question",
-    "is (nu2(t_m(n)))_n 2-regular?  (statistics only: count distinct dyadic "
-    "subsequence patterns)",
-    {"n": 64, "depth": 5}, _run_t_regular)
-_register(
-    "bm-valuation-unbounded", "conjecture",
-    "for m not of the form 2^k - 1 the sequence nu2(b_m(n)) is unbounded "
-    "(report the running maximum)",
-    {"n": 1 << 12}, _run_bm_unbounded, _res_bm_unbounded, cold_size=_COLD_RESIDUE_SIZE)
-_register(
-    "b-pow2-congruence", "conjecture",
-    "b_{2^m}(2^(k+1) n) = b_{2^m}(2^(k-1) n) (mod 2^k) for k >= m+2",
-    {"index": 1 << 14}, _run_b_pow2_congruence, _res_b_pow2_congruence,
-    # every (m, k) checks n >= 1 at index 2^(k+1), and k+1 reaches 8
-    minimum=1 << 8)
-_register(
-    "b-pow2m1-congruence", "conjecture",
-    "b_{2^m-1}(2^(k+1) n) = b_{2^m-1}(2^(k-1) n) "
-    "(mod 2^(4*floor((k+1)/2)-2)) for k >= m+2",
-    {"index": 1 << 14}, _run_b_pow2m1_congruence, _res_b_pow2m1_congruence,
-    # every (m, k) checks n >= 1 at index 2^(k+1), and k+1 reaches 8
-    minimum=1 << 8)
-_register(
-    "b-congruence-growth", "conjecture",
-    "b_m(2^(k+1) n) = b_m(2^(k-1) n) (mod 2^f(k)) with nondecreasing "
-    "f(k) = O(k) (empirical fit of f)",
-    {"index": 1 << 14}, _run_b_congruence_growth, _res_b_congruence_growth,
-    cold_size=_COLD_RESIDUE_SIZE)
-_register(
-    "t-sign-density", "conjecture",
-    "the exception sets {n : sgn t_m(3n+j) != (-1)^j} are infinite of "
-    "density 0 (finite frequencies reported)",
-    {"n": 1 << 12}, _run_sign_density, _res_sign_density, cold_size=_COLD_RESIDUE_SIZE)
-_register(
-    "t-threesigns-turan", "conjecture",
-    "for m >= 2: no three consecutive t_m values share a sign and "
-    "t_m(n)^2 > t_m(n-1) t_m(n+1)",
-    {"n": 1 << 12}, _run_threesigns_turan, _res_threesigns_turan, minimum=2,
-    cold_size=_COLD_RESIDUE_SIZE)
-_register(
-    "b-turan-m4plus", "conjecture",
-    "for m >= 4: b_m(n)^2 - b_m(n-1) b_m(n+1) > 0",
-    {"n": 1 << 12}, _run_b_turan_m4plus, _res_b_turan_m4plus, minimum=2,
-    # whole fresh processes, best of 5, residue against exact (Python 3.11,
-    # numpy 2.4, 2 cores): 0.30 vs 0.13 s at 4096, 0.30 vs 0.23 s at 32768,
-    # 0.30 vs 0.29 s at 49152, 0.30 vs 0.33 s at 57344, 0.30 vs 0.37 s at 65510
-    cold_size=3 << 14)
-_register(
-    "b3-turan-crossover", "conjecture",
-    "for m = 3 the sign of b_3(n)^2 - b_3(n-1) b_3(n+1) alternates up to "
-    "some n_0 and is positive afterwards (search for n_0)",
-    {"n": 1 << 12}, _run_b3_crossover, _res_b3_crossover,
-    # as for b-turan-m4plus: 0.28 vs 0.11 s at 4096, 0.28 vs 0.17 s at 65536,
-    # 0.25 vs 0.20 s at 98304, 0.27 vs 0.20 s at 131046, where another set of
-    # runs read 0.22 vs 0.25 s: the two cross near 2^17
-    cold_size=3 << 15)
-_register(
-    "t-zero-m4plus", "conjecture",
-    "t_m(n) = 0 has no solution for m >= 4",
-    {"n": 1 << 14}, _run_t_zero_m4plus, _res_t_zero_m4plus, minimum=1)
-_register(
-    "t-missing-values", "conjecture",
-    "for m >= 3 infinitely many integers are never attained by t_m "
-    "(window histogram of attained values)",
-    {"n": 1 << 14, "span": 50}, _run_t_missing_values, _res_t_missing_values,
-    cold_size=_COLD_RESIDUE_SIZE)
-_register(
-    "b2-valuation-list", "theorem",
-    "the pinned table of exact values nu2(b_2(M n + i)) = a, with the polynomial "
-    "certificates h_{i,k,2} = 0 (mod 2^a) and h/2^a = (1-x)^(2k-3) (mod 2)",
-    {"n": 1 << 14}, _run_b2_valuation_list, _res_b2_valuation_list,
-    # the first tabulated index is 4n + 3 at n = 0
-    minimum=3,
-    # a whole exact process at 2^17 took 0.11-0.13 s, against 0.23 s for one
-    # that only imports numpy (Python 3.11, numpy 2.4, 2 cores), so it runs on
-    # residues only in a process that has imported numpy
-    cold_size=math.inf)
-_register(
-    "t2-symmetry", "theorem",
-    "t_2(n') = -t_2(n) for n' = n + (-1)^e * 2^(nu2(m)+1), "
-    "m = t_2(n), e = nu2(m) + (m - 2^nu2(m))/2^(nu2(m)+1)",
-    {"n": 1 << 14}, _run_t2_symmetry, _res_t2_symmetry, cold_size=_COLD_RESIDUE_SIZE)
+CAMPAIGNS: dict[str, Campaign] = {}
+for _camp in (
+    Campaign(
+        "t5-valuation", "conjecture",
+        "nu2(t_5(4n+j)) = 4*ceil(nu2(n+1)/2) - (nu2(n+1) mod 2) for j in 0..3",
+        {"n": 1 << 12}, partial(_run_valuation, *_T5_VALUATION),
+        partial(_res_valuation, *_T5_VALUATION)),
+    Campaign(
+        "t9-valuation", "conjecture",
+        "nu2(t_9(8n+j)) = 5*ceil(nu2(n+1)/2) - 2*(nu2(n+1) mod 2) for j in 0..7",
+        {"n": 1 << 12}, partial(_run_valuation, *_T9_VALUATION),
+        partial(_res_valuation, *_T9_VALUATION)),
+    Campaign(
+        "t2k1-valuation-table", "conjecture",
+        "nu2(t_{2^k+1}(2^k n + j)) = A_{k, nu2(n+1)} for a strictly increasing "
+        "integer table with A_{k,0} = 0",
+        {"n": 1 << 12}, _run_t2k1_table, _res_t2k1_table),
+    Campaign(
+        "t-regularity", "question",
+        "is (nu2(t_m(n)))_n 2-regular?  (statistics only: count distinct dyadic "
+        "subsequence patterns)",
+        {"n": 64, "depth": 5}, _run_t_regular),
+    Campaign(
+        "bm-valuation-unbounded", "conjecture",
+        "for m not of the form 2^k - 1 the sequence nu2(b_m(n)) is unbounded "
+        "(report the running maximum)",
+        {"n": 1 << 12}, _run_bm_unbounded, _res_bm_unbounded, cold_size=_COLD_RESIDUE_SIZE),
+    Campaign(
+        "b-pow2-congruence", "conjecture",
+        "b_{2^m}(2^(k+1) n) = b_{2^m}(2^(k-1) n) (mod 2^k) for k >= m+2",
+        {"index": 1 << 14}, _run_b_pow2_congruence, _res_b_pow2_congruence,
+        # every (m, k) checks n >= 1 at index 2^(k+1), and k+1 reaches 8
+        minimum=1 << 8),
+    Campaign(
+        "b-pow2m1-congruence", "conjecture",
+        "b_{2^m-1}(2^(k+1) n) = b_{2^m-1}(2^(k-1) n) "
+        "(mod 2^(4*floor((k+1)/2)-2)) for k >= m+2",
+        {"index": 1 << 14}, _run_b_pow2m1_congruence, _res_b_pow2m1_congruence,
+        # every (m, k) checks n >= 1 at index 2^(k+1), and k+1 reaches 8
+        minimum=1 << 8),
+    Campaign(
+        "b-congruence-growth", "conjecture",
+        "b_m(2^(k+1) n) = b_m(2^(k-1) n) (mod 2^f(k)) with nondecreasing "
+        "f(k) = O(k) (empirical fit of f)",
+        {"index": 1 << 14}, _run_b_congruence_growth, _res_b_congruence_growth,
+        cold_size=_COLD_RESIDUE_SIZE),
+    Campaign(
+        "t-sign-density", "conjecture",
+        "the exception sets {n : sgn t_m(3n+j) != (-1)^j} are infinite of "
+        "density 0 (finite frequencies reported)",
+        {"n": 1 << 12}, _run_sign_density, _res_sign_density, cold_size=_COLD_RESIDUE_SIZE),
+    Campaign(
+        "t-threesigns-turan", "conjecture",
+        "for m >= 2: no three consecutive t_m values share a sign and "
+        "t_m(n)^2 > t_m(n-1) t_m(n+1)",
+        {"n": 1 << 12}, _run_threesigns_turan, _res_threesigns_turan, minimum=2,
+        cold_size=_COLD_RESIDUE_SIZE),
+    Campaign(
+        "b-turan-m4plus", "conjecture",
+        "for m >= 4: b_m(n)^2 - b_m(n-1) b_m(n+1) > 0",
+        {"n": 1 << 12}, _run_b_turan_m4plus, _res_b_turan_m4plus, minimum=2,
+        # whole fresh processes, best of 5, residue against exact (Python 3.11,
+        # numpy 2.4, 2 cores): 0.30 vs 0.13 s at 4096, 0.30 vs 0.23 s at 32768,
+        # 0.30 vs 0.29 s at 49152, 0.30 vs 0.33 s at 57344, 0.30 vs 0.37 s at 65510
+        cold_size=3 << 14),
+    Campaign(
+        "b3-turan-crossover", "conjecture",
+        "for m = 3 the sign of b_3(n)^2 - b_3(n-1) b_3(n+1) alternates up to "
+        "some n_0 and is positive afterwards (search for n_0)",
+        {"n": 1 << 12}, _run_b3_crossover, _res_b3_crossover,
+        # as for b-turan-m4plus: 0.28 vs 0.11 s at 4096, 0.28 vs 0.17 s at 65536,
+        # 0.25 vs 0.20 s at 98304, 0.27 vs 0.20 s at 131046, where another set of
+        # runs read 0.22 vs 0.25 s: the two cross near 2^17
+        cold_size=3 << 15),
+    Campaign(
+        "t-zero-m4plus", "conjecture",
+        "t_m(n) = 0 has no solution for m >= 4",
+        {"n": 1 << 14}, _run_t_zero_m4plus, _res_t_zero_m4plus, minimum=1),
+    Campaign(
+        "t-missing-values", "conjecture",
+        "for m >= 3 infinitely many integers are never attained by t_m "
+        "(window histogram of attained values)",
+        {"n": 1 << 14, "span": 50}, _run_t_missing_values, _res_t_missing_values,
+        cold_size=_COLD_RESIDUE_SIZE),
+    Campaign(
+        "b2-valuation-list", "theorem",
+        "the pinned table of exact values nu2(b_2(M n + i)) = a, with the polynomial "
+        "certificates h_{i,k,2} = 0 (mod 2^a) and h/2^a = (1-x)^(2k-3) (mod 2)",
+        {"n": 1 << 14}, _run_b2_valuation_list, _res_b2_valuation_list,
+        # the first tabulated index is 4n + 3 at n = 0
+        minimum=3,
+        # a whole exact process at 2^17 took 0.11-0.13 s, against 0.23 s for one
+        # that only imports numpy (Python 3.11, numpy 2.4, 2 cores), so it runs on
+        # residues only in a process that has imported numpy
+        cold_size=math.inf),
+    Campaign(
+        "t2-symmetry", "theorem",
+        "t_2(n') = -t_2(n) for n' = n + (-1)^e * 2^(nu2(m)+1), "
+        "m = t_2(n), e = nu2(m) + (m - 2^nu2(m))/2^(nu2(m)+1)",
+        {"n": 1 << 14}, _run_t2_symmetry, _res_t2_symmetry, cold_size=_COLD_RESIDUE_SIZE),
+):
+    CAMPAIGNS[_camp.name] = _camp
 
 
 def run_campaign(name: str, bounds: dict | None = None) -> CampaignReport:

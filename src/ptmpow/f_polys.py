@@ -20,6 +20,7 @@ import math
 from fractions import Fraction
 
 from .core_arith import IntPoly, kron_pack, kron_unpack
+from .fpow import fpow_at
 from .reports import CheckReport
 
 
@@ -43,8 +44,8 @@ class FSeries:
     |g_m[i]| <= S_m, and S is nondecreasing (the k = m-1 term alone is
     S_{m-1}).  So digits with h = 2^(8 nb - 1) > S_n hold every row to n.
     Since c(j) < 0, S_m / m! runs the log-derivative recurrence at t = -1,
-    so S_m = m! b_1(m) with the binary partition counts b_1(0) = 1,
-    b_1(2k+1) = b_1(2k) and b_1(2k) = b_1(2k-1) + b_1(k): O(m) to extend.
+    so S_m = m! b_1(m), with the binary partition count b_1(m) = f_m(-1)
+    read from the production kernel (`fpow.fpow_at`).
 
     A call that adds fewer rows than the table holds, as in a walk one row
     at a time, keeps its packed rows for the next call, at digits sized for
@@ -55,16 +56,12 @@ class FSeries:
 
     def __init__(self):
         self._g: list[IntPoly] = [IntPoly.one()]
-        self._b1: list[int] = [1]  # b_1(0), b_1(1), ...
         self._nb = 1  # digit bytes of _packed
         self._packed: list[int] | None = None  # g_0, g_1, ... packed, after a short call
 
     def _bound(self, m: int) -> int:
-        """S_m = m! b_1(m), extending the list of b_1 to m."""
-        b1 = self._b1
-        for j in range(len(b1), m + 1):
-            b1.append(b1[-1] + (0 if j & 1 else b1[j >> 1]))
-        return math.factorial(m) * b1[m]
+        """S_m = m! b_1(m)."""
+        return math.factorial(m) * fpow_at(-1, m)
 
     def extend(self, n: int) -> None:
         g = self._g

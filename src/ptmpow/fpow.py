@@ -1,16 +1,16 @@
 """The production kernel for F(x)^t = prod_{n>=0} (1 - x^(2^n))^t at an
 integer t: the values f_n(t), so t_m(n) = f_n(m) and b_m(n) = f_n(-m).
 
-Both routes run the halving identity F(x)^t = (1-x)^t F(x^2)^t.
-`fpow_prefix` gives the exact values as Python integers; `fpow_residues`
-gives them mod 2^64 as a numpy uint64 array, or, for t < 0, as doubles
-from the same blocks: every pass then adds nonnegative terms, so the
-doubles keep the relative-error bound of `campaigns._kernel_eps`.  A
-request holds one array, its result, plus one _CHUNK-entry block of
-scratch, and the campaigns' checks walk it in _CHUNK slices.  This module
-imports only the standard library (numpy is imported inside
-`fpow_residues`), so a process that needs only values pays for nothing
-else.
+Every route runs the halving identity F(x)^t = (1-x)^t F(x^2)^t.
+`fpow_at` reads one value and `fpow_prefix` a prefix, as Python integers;
+`fpow_residues` gives the prefix mod 2^64 as a numpy uint64 array, and,
+for t < 0, `fpow_doubles` as doubles from the same blocks: every pass then
+adds nonnegative terms, so the doubles keep the relative-error bound of
+`fpow_doubles_eps`, which counts those blocks.  A request holds one array,
+its result, plus one _CHUNK-entry block of scratch, and the campaigns'
+checks walk it in _CHUNK slices.  This module imports only the standard
+library (numpy is imported inside the array routes), so a process that
+needs only values pays for nothing else.
 """
 
 from __future__ import annotations
@@ -64,6 +64,12 @@ def fpow_prefix(t: int, n: int) -> list[int]:
     return vals
 
 
+def fpow_at(t: int, n: int) -> int:
+    """f_n(t) for any integer t, and 0 for n < 0: t_m(n) = fpow_at(m, n),
+    b_m(n) = fpow_at(-m, n), and f_n(0) = [n == 0]."""
+    return fpow_prefix(t, n)[n] if n >= 0 else 0
+
+
 # (t, dtype) -> ([f_0(t), ..., f_k(t)] as a read-only numpy array of dtype,
 # the |t| per-pass carries as an array of dtype)
 _fpow_res: dict = {}
@@ -88,10 +94,9 @@ def chunks(size: int, per: int = 1):
     return ((lo, min(lo + step, size)) for lo in range(0, size, step))
 
 
-def fpow_residues(t: int, n: int, dtype: str = "uint64"):
+def fpow_residues(t: int, n: int):
     """[f_0(t), ..., f_k(t)] mod 2^64 with k >= n, as a memoised read-only
-    numpy uint64 array (ImportError without numpy).  With dtype "float64"
-    and t < 0, the same loop in doubles, memoised apart.
+    numpy uint64 array (ImportError without numpy).
 
     The blocks of `fpow_prefix` in wrapping uint64 arithmetic: the block
     [lo, hi), hi <= 2 lo, is the upsampled prefix, written straight into the
@@ -101,8 +106,57 @@ def fpow_residues(t: int, n: int, dtype: str = "uint64"):
     A request allocates only its result, exactly n + 1 entries, and copies
     the memo into it when it grows one; the overlapping operand of a
     difference is the only other copy, one block long.  numpy is imported
-    here, not at module import, so the CLI starts without it.
+    by the call, not at module import, so the CLI starts without it.
     """
+    return _blocks(t, n, "uint64")
+
+
+def fpow_doubles(t: int, n: int):
+    """[f_0(t), ..., f_k(t)] for t < 0 and k >= n, as a memoised read-only
+    float64 array: the blocks of `fpow_residues` run in doubles, memoised
+    apart, each double within a relative `fpow_doubles_eps(t, n)` of its
+    value (inf past 2^1024).  The request is taken up to the end of the
+    block that holds n (powers of two up to 2 _CHUNK, then multiples of
+    _CHUNK), so the memo only ever grows by whole blocks and holds the
+    blocks of one fresh build, which `fpow_doubles_eps` counts."""
+    import numpy as np
+
+    if t >= 0:
+        raise ValueError(f"fpow_doubles takes t < 0, where every pass adds "
+                         f"nonnegative terms; got t = {t}")
+    end = min(1 << n.bit_length(), -(-(n + 1) // _CHUNK) * _CHUNK)
+    with np.errstate(over="ignore"):  # past 2^1024 a double is inf
+        return _blocks(t, end - 1, "float64")
+
+
+def fpow_doubles_eps(t: int, n: int) -> float:
+    """A relative-error bound for every double of f_0(t), ..., f_n(t) from
+    `fpow_doubles`, t < 0.
+
+    The blocks build the indices [2^j, 2^(j+1)) of level j + 1 from the
+    upsampled values below 2^j, min(2^j, _CHUNK) entries each, by |t|
+    passes of an in-place cumsum plus one carry.  Within a pass a term
+    reaches an index through the cumsum chain of its own block, at most one
+    block long, and one carry add per later block: k = longest block +
+    blocks up to the index + 1 roundings bound it.  Every term is
+    nonnegative, so a pass keeps its inputs' relative error e and adds at
+    most gamma_k = k u / (1 - k u), u = 2^-53:
+    e <- (1 + e)(1 + gamma_k)^|t| - 1 per level, from 0 at f_0 = 1.  At
+    t = -3..-6 this is 2^-35.4 .. 2^-33.8 from 2^16 to 2^19."""
+    u = 2.0**-53  # the unit roundoff of a double
+    eps, blocks = 0.0, 0
+    for j in range(n.bit_length()):
+        longest = min(1 << j, _CHUNK)
+        # the blocks of level j + 1 up to index n
+        blocks += (min(n, (2 << j) - 1) - (1 << j)) // longest + 1
+        k = longest + blocks + 1
+        eps = (1 + eps) * (1 + k * u / (1 - k * u)) ** -t - 1
+    return eps
+
+
+def _blocks(t: int, n: int, dtype: str):
+    """The block loop of `fpow_residues` and `fpow_doubles` in `dtype`, with
+    its memo."""
     import numpy as np
 
     memo = _fpow_res.get((t, dtype))

@@ -4,9 +4,9 @@ inequality sweeps.  The valuation at a zero of t_3 is None, as
 `core_arith.nu2_or_none` gives it, so n >= 1 is a zero of t_3 iff
 `v2_t3_closed(n) is None`.
 
-Every value comes from `fpow.fpow_prefix(m, n)`, the one production
-kernel for F(x)^t, which runs the halving identity
-F(x)^m = (1-x)^m F(x^2)^m.
+Every value comes from `fpow.fpow_prefix(m, n)`, or one at a time from
+`fpow.fpow_at(m, n)`: the one production kernel for F(x)^t, which runs the
+halving identity F(x)^m = (1-x)^m F(x^2)^m.
 """
 
 from __future__ import annotations
@@ -17,20 +17,8 @@ from fractions import Fraction
 
 from .core_arith import base4_digits_0136, nu2, nu2_binom
 from .f_polys import shared_fseries
-from .fpow import fpow_prefix
+from .fpow import fpow_at, fpow_prefix
 from .reports import CheckReport
-
-
-def tm(m: int, n: int) -> int:
-    """t_m(n), with t_m(n) = 0 for n < 0."""
-    if m < 1:
-        raise ValueError("t_m requires m >= 1 (the m = 0 sequence is the constant 1)")
-    return fpow_prefix(m, n)[n] if n >= 0 else 0
-
-
-def t2(n: int) -> int:
-    """t_2(n), with t_2(n) = 0 for n < 0."""
-    return fpow_prefix(2, n)[n] if n >= 0 else 0
 
 
 # ---------------------------------------------------------------------------
@@ -108,12 +96,13 @@ def t2_partner_index(n: int, m: int) -> int:
 
 def t2_symmetry_partner(n: int) -> int:
     """The index n' with t_2(n') = -t_2(n), checked; see t2_partner_index."""
-    m = t2(n)
+    m = fpow_at(2, n)
     n2 = t2_partner_index(n, m)
     if n2 < 0:
         raise ArithmeticError(f"symmetry partner of n={n} fell below 0")
-    if t2(n2) != -m:
-        raise ArithmeticError(f"symmetry failed at n={n}: t2({n2}) = {t2(n2)}, expected {-m}")
+    if fpow_at(2, n2) != -m:
+        raise ArithmeticError(f"symmetry failed at n={n}: t_2({n2}) = {fpow_at(2, n2)}, "
+                              f"expected {-m}")
     return n2
 
 
@@ -207,16 +196,20 @@ def t2_solve_many(targets) -> dict[int, SolveResult]:
 
 def t2_solve(target: int) -> SolveResult:
     res = t2_solve_many([target])[target]
-    if res.shifted_instance is not None and t2(res.shifted_instance) != target:
+    if res.shifted_instance is not None and fpow_at(2, res.shifted_instance) != target:
         raise ArithmeticError(f"shifted instance failed for n={res.n}")
     return res
 
 
-def check_t2_shift_families(n_max: int, ms=range(3, 9)) -> CheckReport:
+# the m of check_t2_shift_families; m = 3 is the identity case
+_T2_SHIFT_MS = range(3, 9)
+
+
+def check_t2_shift_families(n_max: int) -> CheckReport:
     """t_2(8n+c) = t_2(2^m n + c') for the four residue families,
-    all m in `ms`, 1 <= n <= n_max."""
+    all m in _T2_SHIFT_MS, 1 <= n <= n_max."""
     checked = 0
-    for m in ms:
+    for m in _T2_SHIFT_MS:
         big = 1 << m
         for n in range(1, n_max + 1):
             cases = (
@@ -226,7 +219,7 @@ def check_t2_shift_families(n_max: int, ms=range(3, 9)) -> CheckReport:
                 (8 * n + 2, big * n + big - 6),
             )
             for a, b in cases:
-                if t2(a) != t2(b):
+                if fpow_at(2, a) != fpow_at(2, b):
                     return CheckReport("t2-shift-families", False, checked,
                                        witness={"m": m, "n": n, "lhs_index": a, "rhs_index": b})
                 checked += 1
@@ -285,7 +278,7 @@ def check_growth(m: int, n_max: int) -> CheckReport:
     m2 = m * m
     for n in range(1, n_max + 1):
         if vals[n] * vals[n] > m2 * n**m:
-            return CheckReport(f"growth m={m}", False, checked=n,
+            return CheckReport(f"growth m={m}", False, checked=n - 1,
                                witness={"m": m, "n": n, "value": vals[n]})
     return CheckReport(f"growth m={m}", True, checked=n_max)
 
@@ -298,7 +291,7 @@ def check_mean(n_max: int) -> CheckReport:
         lhs = 2 * abs(vals[n])
         rhs = abs(vals[n - 1] + vals[n + 1])
         if lhs < rhs or (n % 2 == 0 and lhs != rhs):
-            return CheckReport("mean", False, checked=n,
+            return CheckReport("mean", False, checked=n - 1,
                                witness={"n": n, "lhs": lhs, "rhs": rhs})
         if n % 2 and lhs == rhs:
             odd_equalities += 1
@@ -331,7 +324,7 @@ def check_signs(m: int, n_max: int) -> CheckReport:
     for n in range(1, n_max):
         a, b, c = vals[n - 1], vals[n], vals[n + 1]
         if (a > 0 and b > 0 and c > 0) or (a < 0 and b < 0 and c < 0):
-            return CheckReport(f"three-signs m={m}", False, checked=n,
+            return CheckReport(f"three-signs m={m}", False, checked=n - 1,
                                witness={"m": m, "n": n, "triple": [a, b, c]})
     return CheckReport(f"three-signs m={m}", True, checked=max(n_max - 1, 0))
 
@@ -341,7 +334,7 @@ def check_turan_t(m: int, n_max: int) -> CheckReport:
     vals = fpow_prefix(m, n_max + 1)
     for n in range(1, n_max):
         if vals[n] ** 2 <= vals[n - 1] * vals[n + 1]:
-            return CheckReport(f"turan-t m={m}", False, checked=n,
+            return CheckReport(f"turan-t m={m}", False, checked=n - 1,
                                witness={"m": m, "n": n})
     return CheckReport(f"turan-t m={m}", True, checked=max(n_max - 1, 0))
 

@@ -23,7 +23,7 @@ from ptmpow.f_polys import (
     shared_fseries,
     w_poly,
 )
-from ptmpow.fpow import fpow_prefix
+from ptmpow.fpow import fpow_at, fpow_prefix
 from ptmpow.tm_sequences import (
     check_growth,
     check_logconcave,
@@ -34,17 +34,14 @@ from ptmpow.tm_sequences import (
     check_t3_reducibility_witness,
     maxmin_closed,
     multinomial_s1_enumerate,
-    t2,
     t2_solve_many,
     t2_symmetry_partner,
     t3_zero_seq,
     t3_zero_set_upto,
-    tm,
     v2_t2k_closed,
     v2_t3_closed,
 )
 from ptmpow.bm_sequences import (
-    bm,
     check_8x1,
     check_annihilation,
     check_g1_closed_forms,
@@ -134,11 +131,11 @@ def test_criterion_04_oracle_equivalence():
     with criterion(4, 10, "t_m and b_m recurrences match the convolution oracles (n <= 60)"):
         for m in range(1, 7):
             for n in range(61):
-                assert tm(m, n) == tm_oracle(m, n)
+                assert fpow_at(m, n) == tm_oracle(m, n)
         for m in range(1, 6):
             alt = bm_alt_prefix(m, 60)
             for n in range(61):
-                assert bm(m, n) == alt[n] == bm_oracle(m, n)
+                assert fpow_at(-m, n) == alt[n] == bm_oracle(m, n)
 
 
 def test_criterion_05_valuation_closed_forms():
@@ -166,7 +163,7 @@ def test_criterion_06_t3_zero_prefix_and_reducibility():
         assert prefix == [2, 11, 14, 47, 50, 59, 62, 191, 194, 203]
         # 72 is not a zero: it fails both the recurrence and the evaluation
         assert 4 * 14 + 6 == 62
-        assert tm(3, 72) == 361 != 0
+        assert fpow_at(3, 72) == 361 != 0
         assert check_t3_reducibility_witness(10).ok
 
 
@@ -175,11 +172,11 @@ def test_criterion_07_t2_coverage():
         targets = [v for v in range(-50, 51) if v]
         found = t2_solve_many(targets)
         for v in targets:
-            assert t2(found[v].n) == v
+            assert fpow_at(2, found[v].n) == v
             if found[v].shifted_instance is not None:
-                assert t2(found[v].shifted_instance) == v
+                assert fpow_at(2, found[v].shifted_instance) == v
         for n in range(10**5 + 1):
-            assert t2(t2_symmetry_partner(n)) == -t2(n)
+            assert fpow_at(2, t2_symmetry_partner(n)) == -fpow_at(2, n)
         assert check_t2_mod4(1 << 16).ok
 
 
@@ -194,7 +191,7 @@ def test_criterion_08_extrema():
             assert s.argmin == c.argmin
             if k == 1:
                 # closed-form index 2 gives t_3(2) = 0, but the max 1 sits at 0
-                assert s.argmax == 0 and c.argmax == 2 and tm(3, 2) == 0
+                assert s.argmax == 0 and c.argmax == 2 and fpow_at(3, 2) == 0
             else:
                 assert s.argmax == c.argmax
 
@@ -283,6 +280,7 @@ def test_criterion_15_conjecture_campaigns():
         rep = run_campaign("b-pow2m1-congruence", bounds={"index": bound})
         w = rep.witness["failing"][0]
         m = (1 << w["m"]) - 1
-        assert (bm(m, w["n"] << (w["k"] + 1)) - bm(m, w["n"] << (w["k"] - 1))) % w["mod"] != 0
+        n, k = w["n"], w["k"]
+        assert (fpow_at(-m, n << (k + 1)) - fpow_at(-m, n << (k - 1))) % w["mod"] != 0
         print("  note: b-pow2m1-congruence records the witness "
               f"{w} against the conjectured modulus, as documented")

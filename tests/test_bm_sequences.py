@@ -1,4 +1,5 @@
 import re
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -6,12 +7,10 @@ from hypothesis import strategies as st
 
 from ptmpow.core_arith import IntPoly, nu2
 from ptmpow.f_polys import shared_fseries
-from ptmpow.fpow import fpow_prefix
+from ptmpow.fpow import fpow_at, fpow_prefix
 from ptmpow import bm_sequences, hfamily, tm_sequences
 from ptmpow.bm_sequences import (
-    b1,
     b2_certificate_witness,
-    bm,
     check_4div,
     check_8x1,
     check_annihilation,
@@ -41,27 +40,25 @@ from oracles import (_h_per_child, b1_euler_prefix, b1_oracle, bm_alt_prefix, bm
 
 
 def test_b1_values_and_oracle():
-    assert b1(0) == 1 and b1(1) == 1
-    assert b1(2) == 2
-    assert b1(8) == 10
+    assert fpow_at(-1, 0) == 1 and fpow_at(-1, 1) == 1
+    assert fpow_at(-1, 2) == 2
+    assert fpow_at(-1, 8) == 10
     for n in range(201):
-        assert b1(n) == b1_oracle(n)
+        assert fpow_at(-1, n) == b1_oracle(n)
 
 
 def test_bm_seeds_and_small_values():
-    assert bm(3, 1) == 3
-    assert bm(2, 2) == 5
-    assert bm(2, 3) == 8
-    assert bm(4, -1) == 0
-    with pytest.raises(ValueError):
-        bm(0, 3)
+    assert fpow_at(-3, 1) == 3
+    assert fpow_at(-2, 2) == 5
+    assert fpow_at(-2, 3) == 8
+    assert fpow_at(-4, -1) == 0
 
 
 def test_bm_three_routes_agree():
     for m in range(1, 5):
         alt = bm_alt_prefix(m, 40)
         for n in range(41):
-            assert bm(m, n) == alt[n] == bm_oracle(m, n)
+            assert fpow_at(-m, n) == alt[n] == bm_oracle(m, n)
 
 
 def test_bm_1_matches_b1():
@@ -73,14 +70,16 @@ def test_f_at_negative_integers_is_bm():
     fs = shared_fseries()
     for m in range(1, 5):
         for n in range(41):
-            assert fs.f_value(n, -m) == bm(m, n)
+            assert fs.f_value(n, -m) == fpow_at(-m, n)
 
 
 def test_turan_identities():
     # hand instance: b(2)^2 - b(1) b(3) = 4 - 2 = b(2) b(1)
+    b1 = partial(fpow_at, -1)
     assert b1(2) ** 2 - b1(1) * b1(3) == b1(2) * b1(1) == 2
     # hand instance for m=2 at n=1: b_2(2)^2 - b_2(1) b_2(3) = (b_2(0)+b_2(1))^2
-    assert bm(2, 2) ** 2 - bm(2, 1) * bm(2, 3) == (bm(2, 0) + bm(2, 1)) ** 2 == 9
+    b2 = partial(fpow_at, -2)
+    assert b2(2) ** 2 - b2(1) * b2(3) == (b2(0) + b2(1)) ** 2 == 9
     assert check_turan_b(1, 1 << 12).ok
     rep = check_turan_b(2, 1 << 12)
     assert rep.ok
@@ -90,13 +89,14 @@ def test_turan_identities():
 def test_b2_odd_identity_uses_shifted_partial_sum():
     # at n = 1 the identity only balances with the partial sum stopping at
     # n - 1; the same display with the sum through n misses by 8
-    lhs = bm(2, 1) ** 2 - bm(2, 0) * bm(2, 2)
-    assert lhs == bm(2, 0) ** 2 - bm(2, 0) * bm(2, 1)
-    assert lhs != (bm(2, 0) + bm(2, 1)) ** 2 - bm(2, 0) * bm(2, 1)
+    b2 = partial(fpow_at, -2)
+    lhs = b2(1) ** 2 - b2(0) * b2(2)
+    assert lhs == b2(0) ** 2 - b2(0) * b2(1)
+    assert lhs != (b2(0) + b2(1)) ** 2 - b2(0) * b2(1)
 
 
 def test_parity_congruences():
-    assert bm(2, 2) % 8 == 5  # C(2,2) + 4*C(0,0)
+    assert fpow_at(-2, 2) % 8 == 5  # C(2,2) + 4*C(0,0)
     assert check_parity_b(2, 1 << 12).ok
     assert check_parity_b(3, 1 << 12).ok
     assert check_parity_b(4, 1 << 12).ok
@@ -170,8 +170,9 @@ def test_congruence_families_for_prime_powers():
 
 
 def test_derivative_identity_and_divisibility():
-    assert 2 * bm(2, 2) == 2 * (2 * b1(2) * 1 + 1 * b1(1) * bm(1, 1))
-    assert bm(3, 2) % 3 == 0
+    b1 = partial(fpow_at, -1)
+    assert 2 * fpow_at(-2, 2) == 2 * (2 * b1(2) * 1 + 1 * b1(1) * b1(1))
+    assert fpow_at(-3, 2) % 3 == 0
     for m in (2, 3, 6):
         assert check_derivative_identity(m, 1 << 10).ok
 
@@ -464,9 +465,9 @@ def test_g1_series_closed_forms():
 
 
 def test_b2_valuation_table():
-    assert nu2(bm(2, 3)) == 3
-    assert nu2(bm(2, 5)) == 3
-    assert nu2(bm(2, 78)) == 7
+    assert nu2(fpow_at(-2, 3)) == 3
+    assert nu2(fpow_at(-2, 5)) == 3
+    assert nu2(fpow_at(-2, 78)) == 7
     assert b2_valuation_table_suite(1 << 12).ok
     # one check per index of each tabulated class up to the bound
     assert b2_valuation_table_suite(1 << 16).checked == 61696
@@ -487,34 +488,39 @@ def test_b2_valuation_table_reports_its_first_mismatch(monkeypatch):
         assert not rep.ok and rep.witness == {**witness, "value_nu2": 4}
 
 
-# (module, check, args, t, index, plant, witness): f_index(t), as the
-# module's check reads it, becomes plant(f_index(t)), and the check fails
-# with a witness that holds these items.  t_2(27) = 12 sits between -1 and
-# -11, so a 0 there breaks Turán's inequality at 27; t_2(28) = -11 sits
-# between 12 and 10, after -1, so a 1 there gives the first positive triple
-# at 28; b_3(77) and b_3(78) are 0 mod 3, and 78 is a multiple of 3
+# (module, check, args, t, index, plant, checked, witness): f_index(t), as
+# the module's check reads it, becomes plant(f_index(t)), and the check
+# fails with a witness that holds these items, having counted as checked
+# only the indices that held.  t_2(27) = 12 sits between -1 and -11, so a 0
+# there breaks Turán's inequality at 27; t_2(28) = -11 sits between 12 and
+# 10, after -1, so a 1 there gives the first positive triple at 28; a large
+# t_2(40) breaks the mean inequality at 39; b_3(77) and b_3(78) are 0 mod 3,
+# and 78 is a multiple of 3
 PLANTED_CHECKS = (
-    (tm_sequences, "check_parity_t", (3, 200), 3, 77, lambda v: v + 1, {"m": 3, "n": 77}),
-    (tm_sequences, "check_turan_t", (2, 200), 2, 27, lambda v: 0, {"m": 2, "n": 27}),
-    (tm_sequences, "check_signs", (2, 200), 2, 28, lambda v: 1, {"m": 2, "n": 28}),
-    (tm_sequences, "check_t2_mod4", (100,), 2, 74, lambda v: v + 1, {"n": 37}),
-    (tm_sequences, "check_growth", (3, 200), 3, 50, lambda v: 10**9, {"m": 3, "n": 50}),
-    (bm_sequences, "check_parity_b", (3, 200), -3, 77, lambda v: v + 1, {"m": 3, "n": 77}),
-    (bm_sequences, "check_parity_b", (2, 200), -2, 77, lambda v: v + 1,
+    (tm_sequences, "check_parity_t", (3, 200), 3, 77, lambda v: v + 1, 77, {"m": 3, "n": 77}),
+    (tm_sequences, "check_turan_t", (2, 200), 2, 27, lambda v: 0, 26, {"m": 2, "n": 27}),
+    (tm_sequences, "check_logconcave", (200,), 2, 27, lambda v: 0, 26, {"n": 27}),
+    (tm_sequences, "check_signs", (2, 200), 2, 28, lambda v: 1, 27, {"m": 2, "n": 28}),
+    (tm_sequences, "check_t2_mod4", (100,), 2, 74, lambda v: v + 1, 37, {"n": 37}),
+    (tm_sequences, "check_growth", (3, 200), 3, 50, lambda v: 10**9, 49, {"m": 3, "n": 50}),
+    (tm_sequences, "check_mean", (200,), 2, 40, lambda v: 10**6, 38, {"n": 39}),
+    (bm_sequences, "check_parity_b", (3, 200), -3, 77, lambda v: v + 1, 77,
+     {"m": 3, "n": 77}),
+    (bm_sequences, "check_parity_b", (2, 200), -2, 77, lambda v: v + 1, 77,
      {"m": 2, "n": 77, "mod": 8}),
-    (bm_sequences, "check_rps", (1, 3, 1, 200), -3, 77, lambda v: v + 1,
+    (bm_sequences, "check_rps", (1, 3, 1, 200), -3, 77, lambda v: v + 1, 77,
      {"n": 77, "family": "vanishing"}),
-    (bm_sequences, "check_rps", (1, 3, 1, 200), -3, 78, lambda v: v + 1,
+    (bm_sequences, "check_rps", (1, 3, 1, 200), -3, 78, lambda v: v + 1, 78,
      {"n": 78, "family": "reduction"}),
-    (bm_sequences, "check_turan_b", (1, 100), -1, 60, lambda v: v + 1, {"n": 30}),
-    (bm_sequences, "check_bm_monotone", (4, 200), -3, 90, lambda v: 0, {"m": 3}),
+    (bm_sequences, "check_turan_b", (1, 100), -1, 60, lambda v: v + 1, 29, {"n": 30}),
+    (bm_sequences, "check_bm_monotone", (4, 200), -3, 90, lambda v: 0, 0, {"m": 3}),
 )
 
 
-@pytest.mark.parametrize("module,check,args,t,index,plant,witness", PLANTED_CHECKS,
+@pytest.mark.parametrize("module,check,args,t,index,plant,checked,witness", PLANTED_CHECKS,
                          ids=[f"{c[1]}{c[2]}@{c[4]}" for c in PLANTED_CHECKS])
 def test_a_planted_value_fails_its_check_at_its_index(monkeypatch, module, check, args, t,
-                                                      index, plant, witness):
+                                                      index, plant, checked, witness):
     exact = module.fpow_prefix
 
     def planted(s, n):
@@ -527,7 +533,7 @@ def test_a_planted_value_fails_its_check_at_its_index(monkeypatch, module, check
     assert getattr(module, check)(*args).ok
     monkeypatch.setattr(module, "fpow_prefix", planted)
     rep = getattr(module, check)(*args)
-    assert rep.ok is False
+    assert (rep.ok, rep.checked) == (False, checked)
     assert {key: rep.witness.get(key) for key in witness} == witness
 
 

@@ -15,8 +15,7 @@ from ptmpow.f_polys import (
     shared_fseries,
     w_poly,
 )
-from ptmpow.fpow import fpow_prefix, fpow_residues
-from ptmpow.tm_sequences import tm
+from ptmpow.fpow import fpow_at, fpow_prefix, fpow_residues
 
 from oracles import (CoeffTable, _g_rows_reference, fseries_bounds, g_prefix_alt1,
                      g_prefix_alt2, log_series_oracle, product_series_oracle)
@@ -161,11 +160,11 @@ def test_addition_formula():
         assert check_addition_formula(n, 1, -1).ok
         assert check_addition_formula(n, 2, 3).ok
     for n in range(51):
-        assert fs.f_value(n, 2) == tm(2, n)
+        assert fs.f_value(n, 2) == fpow_at(2, n)
     # evaluation bridge: f_n at positive integers is t_m
     for m in range(1, 6):
         for n in range(41):
-            assert fs.f_value(n, m) == tm(m, n)
+            assert fs.f_value(n, m) == fpow_at(m, n)
 
 
 def test_log_coefficients():
@@ -244,6 +243,19 @@ def test_fpow_prefix_builds_exactly_the_request(monkeypatch):
             vals = fpow_prefix(t, n)
             assert len(vals) == n + 1 and vals == full[: n + 1], (t, n)
             assert fpow_prefix(t, 12289) == full[:12290], (t, n)
+
+
+@pytest.mark.parametrize("t", range(-6, 10))
+def test_fpow_at_reads_one_value_at_any_integer_t(monkeypatch, t):
+    # read one index at a time from an empty memo, and as one prefix from
+    # another: f_n(0) = [n == 0], and every index below 0 reads 0
+    monkeypatch.setattr(fpow, "_fpow_vals", {})
+    monkeypatch.setattr(fpow, "_fpow_carries", {})
+    one_at_a_time = [fpow_at(t, n) for n in range(-2, 301)]
+    assert one_at_a_time == [0, 0] + product_series_oracle(t, 300)
+    monkeypatch.setattr(fpow, "_fpow_vals", {})
+    monkeypatch.setattr(fpow, "_fpow_carries", {})
+    assert one_at_a_time[2:] == fpow_prefix(t, 300)[:301]
 
 
 def test_fpow_residues_match_the_exact_prefix(monkeypatch):

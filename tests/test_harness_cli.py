@@ -17,8 +17,7 @@ from ptmpow import bm_sequences, campaigns, fpow, tm_sequences
 from ptmpow.campaigns import CAMPAIGNS, exit_code_for, run_campaign
 from ptmpow.cli import main
 from ptmpow.seqcache import CacheError, cache_load, cache_store
-from ptmpow.bm_sequences import bm
-from ptmpow.tm_sequences import t2
+from ptmpow.fpow import fpow_at
 
 from oracles import _h_per_child, kernel_pattern_count
 
@@ -60,7 +59,7 @@ def test_pow2m1_witness_replays():
         w = rep.witness["failing"][0]
         m, k, n, mod = w["m"], w["k"], w["n"], w["mod"]
         seq_m = (1 << m) - 1
-        assert (bm(seq_m, n << (k + 1)) - bm(seq_m, n << (k - 1))) % mod != 0
+        assert (fpow_at(-seq_m, n << (k + 1)) - fpow_at(-seq_m, n << (k - 1))) % mod != 0
 
 
 def test_t5_witness_would_replay():
@@ -96,7 +95,8 @@ def _plant(monkeypatch, t, index, value):
     the exact prefix (also as bm_sequences reads it, for b2-valuation-list),
     the residues mod 2^64 and the doubles, where a value of 2^1024 or more
     in absolute value is an infinite double."""
-    exact, residues = campaigns.fpow_prefix, campaigns.fpow_residues
+    exact, residues, doubles = (campaigns.fpow_prefix, campaigns.fpow_residues,
+                                campaigns.fpow_doubles)
 
     def planted_prefix(s, n):
         vals = exact(s, max(n, index))
@@ -105,21 +105,27 @@ def _plant(monkeypatch, t, index, value):
             vals[index] = value
         return vals
 
-    def planted_residues(s, n, dtype="uint64"):
-        res = residues(s, max(n, index), dtype)
+    def planted_residues(s, n):
+        res = residues(s, max(n, index))
         if s == t:
             res = res.copy()
-            if dtype == "uint64":
-                res[index] = value % 2**64
-            elif abs(value) < 2**1024:
-                res[index] = float(value)
-            else:
-                res[index] = math.inf if value > 0 else -math.inf
+            res[index] = value % 2**64
         return res
+
+    def planted_doubles(s, n):
+        f = doubles(s, max(n, index))
+        if s == t:
+            f = f.copy()
+            if abs(value) < 2**1024:
+                f[index] = float(value)
+            else:
+                f[index] = math.inf if value > 0 else -math.inf
+        return f
 
     monkeypatch.setattr(campaigns, "fpow_prefix", planted_prefix)
     monkeypatch.setattr(bm_sequences, "fpow_prefix", planted_prefix)
     monkeypatch.setattr(campaigns, "fpow_residues", planted_residues)
+    monkeypatch.setattr(campaigns, "fpow_doubles", planted_doubles)
 
 
 def test_residue_campaigns_are_exactly_the_residue_set():
@@ -294,21 +300,25 @@ def test_turan_signs_settle_every_unsure_index_exactly():
 @pytest.mark.parametrize("chunk", [fpow._CHUNK, 64])
 def test_kernel_doubles_of_b_m_are_within_their_bound(monkeypatch, chunk):
     # the float64 kernel against the exact prefix: every double up to n is
-    # within a relative _kernel_eps(m, n) of b_m, with room for the rounding
-    # of the exact value to the double it is compared with; a memo grown
-    # from a shorter request holds the same doubles as a fresh build
+    # within a relative fpow_doubles_eps(-m, n) of b_m, with room for the
+    # rounding of the exact value to the double it is compared with; a memo
+    # grown from a shorter request holds the same doubles as a fresh build;
+    # t >= 0, where a pass subtracts, has no such bound
     np = pytest.importorskip("numpy")
     monkeypatch.setattr(fpow, "_CHUNK", chunk)
     for m in range(1, 9):
         for n in (1 << 12, (1 << 16) + 5):
             monkeypatch.setattr(fpow, "_fpow_res", {})
-            f = campaigns._b_doubles(m, n)[: n + 1]
+            f = fpow.fpow_doubles(-m, n)[: n + 1]
             exact = np.array([float(v) for v in fpow.fpow_prefix(-m, n)[: n + 1]])
-            eps = campaigns._kernel_eps(m, n)
+            eps = fpow.fpow_doubles_eps(-m, n)
             assert (np.abs(f - exact) <= (eps - 2**-52) * exact).all(), (m, n)
         monkeypatch.setattr(fpow, "_fpow_res", {})
-        campaigns._b_doubles(m, 1000)
-        assert (campaigns._b_doubles(m, n)[: n + 1] == f).all()
+        fpow.fpow_doubles(-m, 1000)
+        assert (fpow.fpow_doubles(-m, n)[: n + 1] == f).all()
+    for t in (0, 2):
+        with pytest.raises(ValueError):
+            fpow.fpow_doubles(t, 100)
 
 
 def test_b_turan_m4plus_holds_only_its_doubles(monkeypatch):
@@ -326,7 +336,7 @@ def test_b_turan_m4plus_holds_only_its_doubles(monkeypatch):
         tracemalloc.stop()
     assert (rep.status, rep.backend) == ("verified-to-bound", "residue")
     assert not fpow._fpow_vals
-    doubles = sum(campaigns._b_doubles(m, 1 << 16).nbytes for m in (4, 5, 6))
+    doubles = sum(fpow.fpow_doubles(-m, 1 << 16).nbytes for m in (4, 5, 6))
     assert peak <= 1.25 * doubles, peak / doubles
 
 
@@ -347,7 +357,7 @@ def test_unsure_b_m_signs_are_settled_on_a_prefix_to_the_last_one(monkeypatch, e
 
     monkeypatch.setattr(fpow, "_fpow_vals", {})
     monkeypatch.setattr(fpow, "_fpow_carries", {})
-    monkeypatch.setattr(campaigns, "_kernel_eps", lambda m, k: eps)
+    monkeypatch.setattr(campaigns, "fpow_doubles_eps", lambda t, k: eps)
     monkeypatch.setattr(campaigns, "fpow_prefix", prefix)
     signs = [s for _, part in campaigns._b_turan_signs(3, n) for s in part.tolist()]
     assert len(fpow._fpow_vals[-3]) == max(tops) + 1 == top + 1
@@ -638,7 +648,7 @@ def test_a_conjecture_counterexample_is_reported_as_an_observation(monkeypatch):
 
 def test_cache_roundtrip(tmp_path):
     path = str(tmp_path / "t_2.seq")
-    values = [t2(n) for n in range(1 << 12)]
+    values = [fpow_at(2, n) for n in range(1 << 12)]
     cache_store("t", 2, values, path)
     family, m, loaded = cache_load(path)
     assert (family, m, loaded) == ("t", 2, values)
@@ -646,7 +656,7 @@ def test_cache_roundtrip(tmp_path):
 
 def test_cache_rejects_corruption(tmp_path):
     path = str(tmp_path / "b_3.seq")
-    cache_store("b", 3, [bm(3, n) for n in range(256)], path)
+    cache_store("b", 3, [fpow_at(-3, n) for n in range(256)], path)
     raw = Path(path).read_bytes()
     Path(path).write_bytes(raw[:-2] + b"7\n")
     with pytest.raises(CacheError):
@@ -720,7 +730,7 @@ def test_cli_seq_f_eval_negative_point(capsys):
     rc, out, _ = run_cli(capsys, "seq", "f-eval", "-2", "0..6")
     assert rc == 0
     vals = [int(line.split(",")[1]) for line in out.strip().splitlines()]
-    assert vals == [bm(2, n) for n in range(7)]
+    assert vals == [fpow_at(-2, n) for n in range(7)]
 
 
 def test_cli_seq_bad_range(capsys):

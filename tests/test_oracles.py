@@ -40,13 +40,15 @@ def test_oracles_share_no_arithmetic_with_the_production_code(monkeypatch):
     assert defined == set(_CALLS) | {"maxmin_scan", "_add_scaled", "_flip"}
     # the module binds none of the production routes, under any name
     banned = {"convolve": core_arith.convolve, "kron_pack": core_arith.kron_pack, "fpow": fpow,
-              "fpow_prefix": fpow.fpow_prefix, "fpow_residues": fpow.fpow_residues}
+              "fpow_prefix": fpow.fpow_prefix, "fpow_residues": fpow.fpow_residues,
+              "fpow_at": fpow.fpow_at, "fpow_doubles": fpow.fpow_doubles}
     assert not set(banned) & set(vars(oracles))
     assert not any(v is b for v in vars(oracles).values() for b in banned.values())
     # and every route returns the same values with all of them disabled
     before = {name: call() for name, call in _CALLS.items()}
     for owner, name in ((core_arith, "convolve"), (core_arith, "kron_pack"), (IntPoly, "__mul__"),
-                        (IntPoly, "__rmul__"), (fpow, "fpow_prefix"), (fpow, "fpow_residues")):
+                        (IntPoly, "__rmul__"), (fpow, "fpow_prefix"), (fpow, "fpow_residues"),
+                        (fpow, "fpow_at"), (fpow, "fpow_doubles")):
         monkeypatch.setattr(owner, name, _raise)
     for name, call in _CALLS.items():
         assert call() == before[name], name

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from ptmpow.core_arith import nu2, nu2_or_none, ptm
 from ptmpow.f_polys import shared_fseries
-from ptmpow.fpow import fpow_prefix
+from ptmpow.fpow import fpow_at, fpow_prefix
 from ptmpow.tm_sequences import (
     PairTreeNode,
     check_growth,
@@ -20,12 +20,10 @@ from ptmpow.tm_sequences import (
     maxmin_closed,
     multinomial_s1_enumerate,
     pair_tree_rowmajor,
-    t2,
     t2_solve,
     t2_symmetry_partner,
     t3_zero_seq,
     t3_zero_set_upto,
-    tm,
     v2_t2k_closed,
     v2_t3_closed,
 )
@@ -45,19 +43,17 @@ def test_ptm_values():
 
 
 def test_tm_basic_values():
-    assert tm(3, 2) == 0
-    assert tm(2, 5) == 2
-    assert tm(2, 3) == 4
-    assert tm(5, 1) == -5
-    assert tm(4, -3) == 0
-    with pytest.raises(ValueError):
-        tm(0, 1)
+    assert fpow_at(3, 2) == 0
+    assert fpow_at(2, 5) == 2
+    assert fpow_at(2, 3) == 4
+    assert fpow_at(5, 1) == -5
+    assert fpow_at(4, -3) == 0
 
 
 def test_recurrence_matches_convolution_oracle():
     for m in range(1, 5):
         for n in range(41):
-            assert tm(m, n) == tm_oracle(m, n)
+            assert fpow_at(m, n) == tm_oracle(m, n)
 
 
 def test_t1_is_ptm():
@@ -72,10 +68,10 @@ def test_t2_fast_path_matches_general_recurrence():
 
 
 def test_t2_dyadic_anchors():
-    assert t2(0) == 1 and t2(1) == -2
+    assert fpow_at(2, 0) == 1 and fpow_at(2, 1) == -2
     for k in range(1, 21):
-        assert t2((1 << k) - 1) == (-2) ** k
-        assert t2((1 << k) - 2) == (1 - (-2) ** k) // 3
+        assert fpow_at(2, (1 << k) - 1) == (-2) ** k
+        assert fpow_at(2, (1 << k) - 2) == (1 - (-2) ** k) // 3
 
 
 def test_parity_congruence():
@@ -116,30 +112,30 @@ def test_t3_zero_set():
 
 def test_72_is_not_a_zero_of_t3():
     # 72 is a tempting mistranscription of the seventh zero 62
-    assert tm(3, 62) == 0
-    assert tm(3, 72) == 361 != 0
+    assert fpow_at(3, 62) == 0
+    assert fpow_at(3, 72) == 361 != 0
     assert v2_t3_closed(72) is not None
 
 
 def test_symmetry_partner():
-    assert t2_symmetry_partner(0) == 2 and t2(2) == -1
+    assert t2_symmetry_partner(0) == 2 and fpow_at(2, 2) == -1
     assert t2_symmetry_partner(2) == 0
     for n in range(10**4 + 1):
         n2 = t2_symmetry_partner(n)
-        assert t2(n2) == -t2(n)
+        assert fpow_at(2, n2) == -fpow_at(2, n)
 
 
 @settings(max_examples=200)
 @given(st.integers(0, 10**5))
 def test_symmetry_is_a_sign_flipping_involution(n):
     n2 = t2_symmetry_partner(n)
-    assert t2(n2) == -t2(n)
+    assert fpow_at(2, n2) == -fpow_at(2, n)
     assert t2_symmetry_partner(n2) == n
 
 
 def test_pair_tree_reproduces_t2():
     for i, pair in enumerate(pair_tree_rowmajor(1 << 12)):
-        assert pair == (t2(i + 1), t2(i))
+        assert pair == (fpow_at(2, i + 1), fpow_at(2, i))
 
 
 def test_pair_tree_invariants():
@@ -156,8 +152,8 @@ def test_t2_solve():
     assert t2_solve(-2).n == 1
     assert t2_solve(2).n == 5
     res = t2_solve(-7)
-    assert t2(res.n) == -7
-    assert res.shifted_instance is None or t2(res.shifted_instance) == -7
+    assert fpow_at(2, res.n) == -7
+    assert res.shifted_instance is None or fpow_at(2, res.shifted_instance) == -7
     # past the first scanned block of 4096 indices
     assert t2_solve(-321).n == 7106
     with pytest.raises(ValueError):
@@ -165,8 +161,8 @@ def test_t2_solve():
 
 
 def test_t2_shift_families():
-    assert check_t2_shift_families(1 << 10, ms=(3, 4)).ok  # m=3 is the identity case
-    assert check_t2_shift_families(1 << 8, ms=(8,)).ok
+    rep = check_t2_shift_families(1 << 10)
+    assert rep.ok and rep.checked == 6 * 4 * (1 << 10)
 
 
 def test_extrema_m2():
@@ -194,7 +190,7 @@ def test_extrema_m3():
     # the closed-form argmax index fails at k = 1: the max sits at 0, not 2
     assert maxmin_scan(3, 1).argmax == 0
     assert maxmin_closed(3, 1).argmax == 2
-    assert tm(3, 2) == 0 != maxmin_scan(3, 1).max
+    assert fpow_at(3, 2) == 0 != maxmin_scan(3, 1).max
 
 
 def test_inequality_sweeps():
@@ -208,9 +204,9 @@ def test_inequality_sweeps():
     # the log-concavity margin is exactly 1 at n = 2^k - 4
     for k in range(3, 12):
         n = (1 << k) - 4
-        assert t2(n) ** 2 - t2(n - 1) * t2(n + 1) == 1
+        assert fpow_at(2, n) ** 2 - fpow_at(2, n - 1) * fpow_at(2, n + 1) == 1
     # the mean inequality is an equality at even n (spot values)
-    assert 2 * abs(t2(6)) == abs(t2(5) + t2(7))
+    assert 2 * abs(fpow_at(2, 6)) == abs(fpow_at(2, 5) + fpow_at(2, 7))
 
 
 def test_sign_and_turan_checks_count_the_indices_they_test():
@@ -246,4 +242,4 @@ def test_t3_reducibility_witness():
 
 def test_t2_mod4():
     assert check_t2_mod4(1 << 12).ok
-    assert t2(2) == -1 and (-1 - (1 + 2)) % 4 == 0
+    assert fpow_at(2, 2) == -1 and (-1 - (1 + 2)) % 4 == 0
