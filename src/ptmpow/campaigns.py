@@ -12,10 +12,11 @@ prints it and appends the `--out` record.  A size bound below the
 campaign's `minimum` is refused before any work, since it would check
 nothing.  The runners read values from `fpow`; those that need
 `tm_sequences` or `bm_sequences` import them themselves, so a process that
-runs another campaign does not load them.  A whole-array runner holds its
-`fpow_residues` or `fpow_doubles` arrays plus one slice of `fpow.chunks`
-of scratch: it checks the range slice by slice and stops at the first
-failing slice.
+runs another campaign does not load them.  A whole-array runner holds one
+`fpow_residues` or `fpow_doubles` array at a time plus one slice of
+`fpow.chunks` of scratch: it checks the range slice by slice and stops at
+the first failing slice.  A bound key the campaign does not define, or a
+negative value of a key other than its size, is refused before any work.
 """
 
 from __future__ import annotations
@@ -163,6 +164,11 @@ def _run_b_pow2_congruence(bounds):
     return VERIFIED, {}
 
 
+def _pow2m1_mod(k):
+    """The conjectured modulus of b-pow2m1-congruence at k."""
+    return 1 << (4 * ((k + 1) // 2) - 2)
+
+
 def _run_b_pow2m1_congruence(bounds):
     # b_{2^m-1}(2^(k+1) n) == b_{2^m-1}(2^(k-1) n)  (mod 2^(4*floor((k+1)/2)-2))
     # the conjectured modulus is numerically too strong for some (m, k),
@@ -173,7 +179,7 @@ def _run_b_pow2m1_congruence(bounds):
     for m in (1, 2, 3):
         seq = fpow_prefix(1 - (1 << m), idx_max)
         for k in range(m + 2, m + 5):
-            mod = 1 << (4 * ((k + 1) // 2) - 2)
+            mod = _pow2m1_mod(k)
             n = next((n for n in range(1, (idx_max >> (k + 1)) + 1)
                       if (seq[n << (k + 1)] - seq[n << (k - 1)]) % mod), None)
             if n is None:
@@ -344,7 +350,13 @@ def _run_t2_symmetry(bounds):
 # zero residue past the first failure is then never read; the exact runner
 # gives the same witness there, since it reads no index past the failure.
 # The congruence runners take their strided differences, at most an eighth
-# of the array, whole.
+# of the array, whole.  A runner that reads several arrays reads each in its
+# own call (`_res_t2k1_fit`, `_res_bm_max_nu2`, `_congruence_reads`, ...),
+# whose locals, views included, die when it returns, so no array outlives
+# its call into the next request; under `fpow.arrays_unkept()`, as in
+# `ptmpow verify`, the process then holds one array at a time.  The int64
+# certificate is taken per m, so a failure on one m is reported even where
+# a later m would have declined; the exact runner gives the same witness.
 
 
 def _nu2_residues(r):
@@ -383,58 +395,91 @@ def _res_valuation(m, width, expect_of, extra, bounds):
     return VERIFIED, {}
 
 
-def _res_t2k1_table(bounds):
-    n_max = bounds["n"]
+def _all_verified(verdicts):
+    """The first of `verdicts` that is None or not VERIFIED, else VERIFIED
+    with their witnesses merged: a runner that reads one array per verdict
+    makes each in a call that drops its array on return, so the next
+    request starts with none alive."""
     out = {}
-    for k in (2, 3):
-        width = 1 << k
-        res = fpow_residues(width + 1, (n_max + 1) * width - 1)
-        # class v first occurs at n = 2^v - 1, j = 0
-        firsts = res[[((1 << v) - 1) << k for v in range((n_max + 1).bit_length())]]
-        if not firsts.all():
-            return None
-        table = _nu2_residues(firsts)
-        for lo, hi in chunks(n_max + 1, width):
-            part = res[lo << k : hi << k]
-            if not part.all():
-                return None
-            cls = _nu2_classes(lo, hi).repeat(width)
-            got = _nu2_residues(part)
-            bad = got != table[cls]
-            i = int(bad.argmax())
-            if bad[i]:
-                v = int(cls[i])
-                return OBSERVATION, {"k": k, "n": lo + (i >> k), "j": i & (width - 1),
-                                     "conflict_class": v,
-                                     "values": [int(table[v]), int(got[i])]}
-        fitted = table.tolist()
-        if fitted[0] != 0 or any(a >= b for a, b in zip(fitted, fitted[1:])):
-            return OBSERVATION, {"k": k, "table_not_strictly_increasing": fitted}
-        out[f"A_{k}"] = fitted
+    for verdict in verdicts:
+        if verdict is None or verdict[0] != VERIFIED:
+            return verdict
+        out.update(verdict[1])
     return VERIFIED, out
 
 
-def _congruence_differences(seq, idx_max, k):
-    """seq[n << (k+1)] - seq[n << (k-1)] for n = 0..idx_max >> (k+1), mod 2^64
-    on residues."""
-    count = (idx_max >> (k + 1)) + 1
-    return seq[: count << (k + 1) : 1 << (k + 1)] - seq[: count << (k - 1) : 1 << (k - 1)]
+def _merged(parts):
+    """The witness parts merged, or None when one is None (a decline); as
+    `_all_verified`, for the observation runners."""
+    out = {}
+    for part in parts:
+        if part is None:
+            return None
+        out.update(part)
+    return out
 
 
-def _congruence_failures(seq, idx_max, k, mod):
-    """Mask over n = 0..idx_max >> (k+1) of seq[n << (k+1)] != seq[n << (k-1)]
-    (mod `mod`); exact on residues mod 2^64 for `mod` a power of two."""
-    return (_congruence_differences(seq, idx_max, k) & (mod - 1)) != 0
+def _res_t2k1_table(bounds):
+    return _all_verified(_res_t2k1_fit(k, bounds["n"]) for k in (2, 3))
+
+
+def _res_t2k1_fit(k, n_max):
+    """The verdict of `_res_t2k1_table` on m = 2^k + 1 alone, VERIFIED with
+    its fitted table A_k."""
+    width = 1 << k
+    res = fpow_residues(width + 1, (n_max + 1) * width - 1)
+    # class v first occurs at n = 2^v - 1, j = 0
+    firsts = res[[((1 << v) - 1) << k for v in range((n_max + 1).bit_length())]]
+    if not firsts.all():
+        return None
+    table = _nu2_residues(firsts)
+    for lo, hi in chunks(n_max + 1, width):
+        part = res[lo << k : hi << k]
+        if not part.all():
+            return None
+        cls = _nu2_classes(lo, hi).repeat(width)
+        got = _nu2_residues(part)
+        bad = got != table[cls]
+        i = int(bad.argmax())
+        if bad[i]:
+            v = int(cls[i])
+            return OBSERVATION, {"k": k, "n": lo + (i >> k), "j": i & (width - 1),
+                                 "conflict_class": v,
+                                 "values": [int(table[v]), int(got[i])]}
+    fitted = table.tolist()
+    if fitted[0] != 0 or any(a >= b for a, b in zip(fitted, fitted[1:])):
+        return OBSERVATION, {"k": k, "table_not_strictly_increasing": fitted}
+    return VERIFIED, {f"A_{k}": fitted}
+
+
+def _congruence_reads(t, idx_max, ks, read):
+    """[read(k, d) for k in ks], where d holds f_(n << (k+1))(t) -
+    f_(n << (k-1))(t) mod 2^64 for n = 1..idx_max >> (k+1) (at n = 0 the
+    difference is 0), from one residue array that dies on return."""
+    seq = fpow_residues(t, idx_max)
+    out = []
+    for k in ks:
+        hi, lo, end = 1 << (k + 1), 1 << (k - 1), (idx_max >> (k + 1)) + 1
+        out.append(read(k, seq[hi : end * hi : hi] - seq[lo : end * lo : lo]))
+    return out
+
+
+def _first_failure(mod, d):
+    """The least n >= 1 whose difference d[n - 1] is not 0 mod `mod`, or
+    None; exact on residues mod 2^64 for `mod` a power of two."""
+    bad = (d & (mod - 1)) != 0
+    return int(bad.argmax()) + 1 if bad.any() else None
 
 
 def _res_b_pow2_congruence(bounds):
     idx_max = bounds["index"]
     for m in (1, 2, 3):
-        seq = fpow_residues(-(1 << m), idx_max)
-        for k in range(m + 2, m + 5):
-            bad = _congruence_failures(seq, idx_max, k, 1 << k)
-            if bad.any():
-                return OBSERVATION, {"failing": {"m": m, "k": k, "n": int(bad.argmax())}}
+        ks = range(m + 2, m + 5)
+        firsts = _congruence_reads(-(1 << m), idx_max, ks,
+                                   lambda k, d: _first_failure(1 << k, d))
+        for k, n in zip(ks, firsts):
+            if n is not None:
+                return OBSERVATION, {"failing": {"m": m, "k": k, "n": n}}
     return VERIFIED, {}
 
 
@@ -443,59 +488,63 @@ def _res_b_pow2m1_congruence(bounds):
     failures = []
     verified = []
     for m in (1, 2, 3):
-        seq = fpow_residues(1 - (1 << m), idx_max)
-        for k in range(m + 2, m + 5):
-            mod = 1 << (4 * ((k + 1) // 2) - 2)
-            bad = _congruence_failures(seq, idx_max, k, mod)[1:]
-            if bad.any():
-                failures.append({"m": m, "k": k, "n": int(bad.argmax()) + 1, "mod": mod})
-            else:
+        ks = range(m + 2, m + 5)
+        firsts = _congruence_reads(1 - (1 << m), idx_max, ks,
+                                   lambda k, d: _first_failure(_pow2m1_mod(k), d))
+        for k, n in zip(ks, firsts):
+            if n is None:
                 verified.append({"m": m, "k": k})
+            else:
+                failures.append({"m": m, "k": k, "n": n, "mod": _pow2m1_mod(k)})
     if failures:
         return OBSERVATION, {"failing": failures, "verified_for": verified}
     return VERIFIED, {}
 
 
 def _res_bm_unbounded(bounds):
+    out = _merged(_res_bm_max_nu2(m, bounds["n"]) for m in (2, 4, 5, 6))
+    return None if out is None else (OBSERVATION, out)
+
+
+def _res_bm_max_nu2(m, n_max):
+    """The witness part of `_res_bm_unbounded` for b_m alone, or None."""
     # argmax and a strict > across chunks take the first maximum, as the
     # exact loop's strict > does
-    n_max = bounds["n"]
-    out = {}
-    for m in (2, 4, 5, 6):
-        res = fpow_residues(-m, n_max)
-        best, arg = -1, 0
-        for lo, hi in chunks(n_max + 1):
-            part = res[lo:hi]
-            if not part.all():
-                return None
-            v = _nu2_residues(part)
-            at = int(v.argmax())
-            if int(v[at]) > best:
-                best, arg = int(v[at]), lo + at
-        out[f"m={m}"] = {"max_nu2": best, "at": arg}
-    return OBSERVATION, out
+    res = fpow_residues(-m, n_max)
+    best, arg = -1, 0
+    for lo, hi in chunks(n_max + 1):
+        part = res[lo:hi]
+        if not part.all():
+            return None
+        v = _nu2_residues(part)
+        at = int(v.argmax())
+        if int(v[at]) > best:
+            best, arg = int(v[at]), lo + at
+    return {f"m={m}": {"max_nu2": best, "at": arg}}
+
+
+def _min_nu2(k, d):
+    """min nu2 over the differences d, "exact" when there are none, or None
+    on a difference of 0 mod 2^64: an exact 0, which the exact loop skips,
+    or nu2 >= 64."""
+    if not d.all():
+        return None
+    return int(_nu2_residues(d).min()) if d.size else "exact"
 
 
 def _res_b_congruence_growth(bounds):
-    # a difference of 0 mod 2^64 is an exact 0, which the exact loop skips,
-    # or nu2 >= 64: decline on it
-    idx_max = bounds["index"]
     fit = {}
     for m in (3, 5, 6):
-        seq = fpow_residues(-m, idx_max)
-        per_k = []
-        for k in range(2, 8):
-            d = _congruence_differences(seq, idx_max, k)[1:]
-            if not d.all():
-                return None
-            per_k.append(int(_nu2_residues(d).min()) if d.size else "exact")
+        per_k = _congruence_reads(-m, bounds["index"], range(2, 8), _min_nu2)
+        if None in per_k:
+            return None
         fit[f"m={m}"] = per_k
     return OBSERVATION, {"f(k) for k=2..7": fit}
 
 
-def _int64_values(ms, size):
-    """[t_m(0), ..., t_m(size - 1)] as exact int64 arrays, one per m in
-    `ms`, or None when the certificate fails.
+def _int64_values(m, size):
+    """[t_m(0), ..., t_m(size - 1)] as an exact int64 array, or None when
+    the certificate fails.
 
     F^m = (1-x)^m F(x^2)^m makes t_m(i) a sum of values t_m(k), k <= i/2,
     times binomials C(m, j) of one parity of j, whose absolute values add up
@@ -503,13 +552,8 @@ def _int64_values(ms, size):
     absolute value below 2^(64-m).  By induction over the dyadic blocks
     [2^j, 2^(j+1)) from t_m(0) = 1, each of those readings is exact, and so
     every |t_m(i)|, i < size, is below 2^63 and read exactly too."""
-    arrays = []
-    for m in ms:
-        vals = fpow_residues(m, size - 1)[:size].view("int64")
-        if not _certifies(vals[: (size - 1) // 2 + 1], m):
-            return None
-        arrays.append(vals)
-    return arrays
+    vals = fpow_residues(m, size - 1)[:size].view("int64")
+    return vals if _certifies(vals[: (size - 1) // 2 + 1], m) else None
 
 
 def _certifies(half, m):
@@ -576,84 +620,93 @@ def _b_turan_signs(m, n_max):
 
 
 def _res_sign_density(bounds):
-    n_max = bounds["n"]
-    ms = (2, 3, 4, 5)
-    values = _int64_values(ms, 3 * n_max + 2)
-    if values is None:
+    out = _merged(_res_sign_exceptions(m, bounds["n"]) for m in (2, 3, 4, 5))
+    return None if out is None else (OBSERVATION, out)
+
+
+def _res_sign_exceptions(m, n_max):
+    """The witness part of `_res_sign_density` for t_m alone, or None."""
+    vals = _int64_values(m, 3 * n_max + 2)
+    if vals is None:
         return None
     from fractions import Fraction
 
     import numpy as np
 
     out = {}
-    for m, vals in zip(ms, values):
-        for j in (0, 1):
-            want = 1 if j == 0 else -1
-            hits = sum(int(np.count_nonzero(np.sign(vals[3 * lo + j : 3 * hi : 3]) != want))
-                       for lo, hi in chunks(n_max + 1, 3))
-            out[f"m={m},j={j}"] = {
-                "exceptions": hits,
-                "frequency": str(Fraction(hits, n_max + 1)),
-            }
-    return OBSERVATION, out
+    for j in (0, 1):
+        want = 1 if j == 0 else -1
+        hits = sum(int(np.count_nonzero(np.sign(vals[3 * lo + j : 3 * hi : 3]) != want))
+                   for lo, hi in chunks(n_max + 1, 3))
+        out[f"m={m},j={j}"] = {
+            "exceptions": hits,
+            "frequency": str(Fraction(hits, n_max + 1)),
+        }
+    return out
 
 
 def _res_t_missing_values(bounds):
-    n_max = bounds["n"]
-    span = bounds["span"]
-    ms = (3, 4, 5)
-    values = _int64_values(ms, n_max + 1)
-    if values is None:
+    out = _merged(_res_t_attained(m, bounds["n"], bounds["span"]) for m in (3, 4, 5))
+    return None if out is None else (OBSERVATION, out)
+
+
+def _res_t_attained(m, n_max, span):
+    """The witness part of `_res_t_missing_values` for t_m alone, or None."""
+    vals = _int64_values(m, n_max + 1)
+    if vals is None:
         return None
     import numpy as np
 
-    out = {}
-    for m, vals in zip(ms, values):
-        # seen[v + span]: whether v in [-span, span] is attained
-        seen = np.zeros(max(2 * span + 1, 0), dtype=bool)
-        for lo, hi in chunks(n_max + 1):
-            part = vals[lo:hi]
-            seen[part[(part >= -span) & (part <= span)] + span] = True
-        out[f"m={m}"] = {"attained_in_window": int(np.count_nonzero(seen)),
-                         "missing": (np.flatnonzero(~seen) - span).tolist()}
-    return OBSERVATION, out
+    # seen[v + span]: whether v in [-span, span] is attained
+    seen = np.zeros(2 * span + 1, dtype=bool)
+    for lo, hi in chunks(n_max + 1):
+        part = vals[lo:hi]
+        seen[part[(part >= -span) & (part <= span)] + span] = True
+    return {f"m={m}": {"attained_in_window": int(np.count_nonzero(seen)),
+                       "missing": (np.flatnonzero(~seen) - span).tolist()}}
 
 
 def _res_threesigns_turan(bounds):
+    return _all_verified(_res_threesigns_of(m, bounds["n"]) for m in _THREESIGNS_MS)
+
+
+def _res_threesigns_of(m, n_max):
+    """The verdict of `_res_threesigns_turan` on t_m alone."""
     # a first index failing both properties reports three-signs, as the
     # exact loop, which tests that first, does
-    n_max = bounds["n"]
-    values = _int64_values(_THREESIGNS_MS, n_max + 1)
-    if values is None:
+    vals = _int64_values(m, n_max + 1)
+    if vals is None:
         return None
     import numpy as np
 
-    for m, vals in zip(_THREESIGNS_MS, values):
-        # n = lo + 1..hi, with one neighbour on either side
-        for lo, hi in chunks(n_max - 1):
-            part = vals[lo : hi + 2]
-            s = np.sign(part)
-            three = (s[:-2] == s[1:-1]) & (s[1:-1] == s[2:]) & (s[1:-1] != 0)
-            bad = _turan_signs(part.astype(np.float64), lambda top: part) <= 0
-            bad |= three
-            i = int(bad.argmax())
-            if bad[i]:
-                kind = "three-signs" if three[i] else "turan"
-                return OBSERVATION, {"failing": {"m": m, "n": lo + i + 1, "kind": kind}}
+    # n = lo + 1..hi, with one neighbour on either side
+    for lo, hi in chunks(n_max - 1):
+        part = vals[lo : hi + 2]
+        s = np.sign(part)
+        three = (s[:-2] == s[1:-1]) & (s[1:-1] == s[2:]) & (s[1:-1] != 0)
+        bad = _turan_signs(part.astype(np.float64), lambda top: part) <= 0
+        bad |= three
+        i = int(bad.argmax())
+        if bad[i]:
+            kind = "three-signs" if three[i] else "turan"
+            return OBSERVATION, {"failing": {"m": m, "n": lo + i + 1, "kind": kind}}
     return VERIFIED, {}
 
 
 def _res_b_turan_m4plus(bounds):
-    n_max = bounds["n"]
-    for m in (4, 5, 6):
-        signs = _b_turan_signs(m, n_max)
-        if signs is None:
-            return None
-        for lo, part in signs:
-            bad = part <= 0
-            i = int(bad.argmax())
-            if bad[i]:
-                return OBSERVATION, {"failing": {"m": m, "n": lo + i + 1}}
+    return _all_verified(_res_b_turan_of(m, bounds["n"]) for m in (4, 5, 6))
+
+
+def _res_b_turan_of(m, n_max):
+    """The verdict of `_res_b_turan_m4plus` on b_m alone."""
+    signs = _b_turan_signs(m, n_max)
+    if signs is None:
+        return None
+    for lo, part in signs:
+        bad = part <= 0
+        i = int(bad.argmax())
+        if bad[i]:
+            return OBSERVATION, {"failing": {"m": m, "n": lo + i + 1}}
     return VERIFIED, {}
 
 
@@ -917,6 +970,16 @@ def run_campaign(name: str, bounds: dict | None = None) -> CampaignReport:
     eff = dict(camp.defaults)
     if bounds:
         eff.update(bounds)
+    # a key the campaign does not read would be reported as a bound it
+    # checked, and a negative depth or span checks nothing or fails deep
+    # inside a runner; both are refused before any work
+    unknown = sorted(eff.keys() - camp.defaults.keys())
+    if unknown:
+        raise ValueError(f"{name} has no bound {', '.join(unknown)}; its bounds are "
+                         f"{', '.join(camp.defaults)}")
+    for key, value in eff.items():
+        if key != camp.size_key and value < 0:
+            raise ValueError(f"{name} requires {key} >= 0, got {value}")
     size = eff[camp.size_key]
     if size < camp.minimum:
         # below it the range is empty, and nothing checked verifies nothing

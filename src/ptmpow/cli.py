@@ -187,7 +187,13 @@ def _cmd_val(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    import os
+
+    # before numpy can load: ptmpow calls no BLAS, and OpenBLAS would start
+    # one thread per CPU as numpy loads (about 60 ms of the import on 2 CPUs)
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from .campaigns import CAMPAIGNS, exit_code_for, run_campaign
+    from .fpow import arrays_unkept
 
     if args.campaign not in CAMPAIGNS:
         print(f"unknown campaign {args.campaign!r}; known: "
@@ -197,7 +203,9 @@ def _cmd_verify(args) -> int:
     if args.bound is not None:
         # override the size key only, never depth or span
         bounds = {CAMPAIGNS[args.campaign].size_key: args.bound}
-    report = run_campaign(args.campaign, bounds)
+    # one campaign, which reads each kernel array once: keep none of them
+    with arrays_unkept():
+        report = run_campaign(args.campaign, bounds)
     if args.out:
         record = dict(report.payload(), wall_ms=report.wall_ms, backend=report.backend)
         with open(args.out, "a", encoding="utf-8") as fh:

@@ -8,13 +8,18 @@ for t < 0, `fpow_doubles` as doubles from the same blocks: every pass then
 adds nonnegative terms, so the doubles keep the relative-error bound of
 `fpow_doubles_eps`, which counts those blocks.  A request holds one array,
 its result, plus one _CHUNK-entry block of scratch, and the campaigns'
-checks walk it in _CHUNK slices.  This module imports only the standard
-library (numpy is imported inside the array routes), so a process that
-needs only values pays for nothing else.
+checks walk it in _CHUNK slices.  A session keeps every array it builds,
+since it re-reads them across campaigns; inside `arrays_unkept()`, which
+`ptmpow verify` enters around its one campaign, the arrays are not kept,
+so a runner that drops each before its next request holds one at a time.
+This module imports only the standard library (numpy is imported inside
+the array routes), so a process that needs only values pays for nothing
+else.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from itertools import accumulate, chain
 from operator import sub
 
@@ -71,8 +76,26 @@ def fpow_at(t: int, n: int) -> int:
 
 
 # (t, dtype) -> ([f_0(t), ..., f_k(t)] as a read-only numpy array of dtype,
-# the |t| per-pass carries as an array of dtype)
+# the |t| per-pass carries as an array of dtype); `_blocks` stores what it
+# builds only while _keep_arrays is set
 _fpow_res: dict = {}
+_keep_arrays = True
+
+
+@contextmanager
+def arrays_unkept():
+    """A scope in which `fpow_residues` and `fpow_doubles` store no array
+    they build: a request returns an array its caller alone holds, so it is
+    freed when the caller drops it.  An entry stored before the scope is
+    still read.  For a process that reads each array once; a session that
+    re-reads them across campaigns keeps the memo."""
+    global _keep_arrays
+    kept, _keep_arrays = _keep_arrays, False
+    try:
+        yield
+    finally:
+        _keep_arrays = kept
+
 
 # entries per block of `fpow_residues` and per slice of the campaigns'
 # whole-array checks, so that a kernel request or a check holds its arrays
@@ -95,8 +118,9 @@ def chunks(size: int, per: int = 1):
 
 
 def fpow_residues(t: int, n: int):
-    """[f_0(t), ..., f_k(t)] mod 2^64 with k >= n, as a memoised read-only
-    numpy uint64 array (ImportError without numpy).
+    """[f_0(t), ..., f_k(t)] mod 2^64 with k >= n, as a read-only numpy
+    uint64 array (ImportError without numpy), memoised outside
+    `arrays_unkept()`.
 
     The blocks of `fpow_prefix` in wrapping uint64 arithmetic: the block
     [lo, hi), hi <= 2 lo, is the upsampled prefix, written straight into the
@@ -105,18 +129,21 @@ def fpow_residues(t: int, n: int):
     so every pass of a block runs in cache, and each index is computed once.
     A request allocates only its result, exactly n + 1 entries, and copies
     the memo into it when it grows one; the overlapping operand of a
-    difference is the only other copy, one block long.  numpy is imported
-    by the call, not at module import, so the CLI starts without it.
+    difference is the only other copy, one block long.  Outside
+    `arrays_unkept()` the memo keeps the result, so a session holds every
+    array it built; inside, the caller's reference is the only one.  numpy
+    is imported by the call, not at module import, so the CLI starts
+    without it.
     """
     return _blocks(t, n, "uint64")
 
 
 def fpow_doubles(t: int, n: int):
-    """[f_0(t), ..., f_k(t)] for t < 0 and k >= n, as a memoised read-only
-    float64 array: the blocks of `fpow_residues` run in doubles, memoised
-    apart, each double within a relative `fpow_doubles_eps(t, n)` of its
-    value (inf past 2^1024).  The request is taken up to the end of the
-    block that holds n (powers of two up to 2 _CHUNK, then multiples of
+    """[f_0(t), ..., f_k(t)] for t < 0 and k >= n, as a read-only float64
+    array: the blocks of `fpow_residues` run in doubles, memoised as those
+    are but apart, each double within a relative `fpow_doubles_eps(t, n)`
+    of its value (inf past 2^1024).  The request is taken up to the end of
+    the block that holds n (powers of two up to 2 _CHUNK, then multiples of
     _CHUNK), so the memo only ever grows by whole blocks and holds the
     blocks of one fresh build, which `fpow_doubles_eps` counts."""
     import numpy as np
@@ -156,7 +183,7 @@ def fpow_doubles_eps(t: int, n: int) -> float:
 
 def _blocks(t: int, n: int, dtype: str):
     """The block loop of `fpow_residues` and `fpow_doubles` in `dtype`, with
-    its memo."""
+    its memo, which it grows only outside `arrays_unkept()`."""
     import numpy as np
 
     memo = _fpow_res.get((t, dtype))
@@ -185,5 +212,6 @@ def _blocks(t: int, n: int, dtype: str):
             carry[p] = block[-1]
         lo = hi
     res.flags.writeable = False
-    _fpow_res[t, dtype] = res, carry
+    if _keep_arrays:
+        _fpow_res[t, dtype] = res, carry
     return res

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 import types
+import weakref
 from functools import partial
 from pathlib import Path
 
@@ -260,7 +261,7 @@ def test_int64_certificate_holds_at_the_cold_sizes():
     for m, bits in zip(range(2, 7), (16, 23, 33, 42, 53)):
         half = fpow.fpow_residues(m, size)[: size // 2 + 1].view("int64")
         assert max(int(half.max()), -int(half.min())).bit_length() == bits
-    assert campaigns._int64_values(range(2, 7), size) is not None
+    assert all(campaigns._int64_values(m, size) is not None for m in range(2, 7))
 
 
 class _Reads(list):
@@ -511,6 +512,80 @@ def test_a_residue_campaign_holds_its_array_and_one_chunk(monkeypatch):
         tracemalloc.stop()
     assert rep.backend == "residue"
     assert peak <= 1.25 * fpow.fpow_residues(9, 8 * n + 7).nbytes
+
+
+# the residue campaigns that make more than one kernel request
+MULTI_ARRAY_CAMPAIGNS = ("t2k1-valuation-table", "bm-valuation-unbounded",
+                         "b-pow2-congruence", "b-pow2m1-congruence", "b-congruence-growth",
+                         "t-sign-density", "t-missing-values", "t-threesigns-turan",
+                         "b-turan-m4plus", "t-zero-m4plus")
+
+
+def _record_requests(monkeypatch):
+    """Wrap the two array routes as the campaigns call them.  Each request
+    appends to `alive` how many arrays of earlier requests are still alive
+    when it starts, and to `arrays` a weak reference to its own."""
+    arrays, alive = [], []
+
+    def recording(route):
+        def request(t, n):
+            alive.append(sum(ref() is not None for ref in arrays))
+            array = route(t, n)
+            arrays.append(weakref.ref(array))
+            return array
+        return request
+
+    for name in ("fpow_residues", "fpow_doubles"):
+        monkeypatch.setattr(campaigns, name, recording(getattr(campaigns, name)))
+    return arrays, alive
+
+
+@pytest.mark.parametrize("name", RESIDUE_CAMPAIGNS)
+def test_a_verify_scope_holds_one_kernel_array_at_a_time(monkeypatch, name):
+    # inside the scope `ptmpow verify` enters, the memo keeps no array, and
+    # no runner holds an array into its next request
+    pytest.importorskip("numpy")
+    monkeypatch.setattr(fpow, "_fpow_res", {})
+    arrays, alive = _record_requests(monkeypatch)
+    with fpow.arrays_unkept():
+        rep = run_campaign(name, _bounds_for(name))
+    assert rep.backend == "residue"
+    assert (len(alive) > 1) == (name in MULTI_ARRAY_CAMPAIGNS), alive
+    assert alive == [0] * len(alive)
+    assert fpow._fpow_res == {} and fpow._keep_arrays
+    # outside it the memo keeps every array, so a second run builds none:
+    # each of its requests returns an array the first run left in the memo
+    first = run_campaign(name, _bounds_for(name))
+    kept = [array for array, _ in fpow._fpow_res.values()]
+    arrays.clear()
+    again = run_campaign(name, _bounds_for(name))
+    assert ((first.status, first.witness) == (again.status, again.witness)
+            == (rep.status, rep.witness))
+    now = [array for array, _ in fpow._fpow_res.values()]
+    assert len(now) == len(kept) and all(a is b for a, b in zip(now, kept))
+    assert arrays and all(any(ref() is array for array in kept) for ref in arrays)
+
+
+def test_cli_verify_keeps_no_kernel_array(monkeypatch, capsys):
+    # the process ends after its one campaign, so verify stores nothing, and
+    # the memo is back on for whatever the process runs next
+    pytest.importorskip("numpy")
+    monkeypatch.setattr(fpow, "_fpow_res", {})
+    rc, _, err = run_cli(capsys, "verify", "t2k1-valuation-table", "--bound", "200")
+    assert rc == 3 and err.endswith("(backend residue)\n")
+    assert fpow._fpow_res == {} and fpow._keep_arrays
+    fpow.fpow_residues(5, 10)
+    assert list(fpow._fpow_res) == [(5, "uint64")]
+
+
+def test_cli_verify_defaults_openblas_to_one_thread(monkeypatch, capsys):
+    # ptmpow calls no BLAS; a value the caller set stays
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    run_cli(capsys, "verify", "t5-valuation", "--bound", "64")
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    run_cli(capsys, "verify", "t5-valuation", "--bound", "64")
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
 
 
 def test_no_campaign_writes_to_a_shared_prefix(monkeypatch):
@@ -946,6 +1021,30 @@ def test_cli_verify_refuses_empty_ranges(capsys):
     for name in ("t5-valuation", "b-pow2-congruence"):
         with pytest.raises(ValueError):
             run_campaign(name, {CAMPAIGNS[name].size_key: -1})
+
+
+def test_run_campaign_refuses_bounds_it_does_not_read(monkeypatch):
+    # a key the campaign does not define, and a negative depth or span, are
+    # refused before any runner starts; zero is a bound like any other
+    def unreached(bounds):
+        raise AssertionError(f"a runner ran on {bounds}")
+
+    with monkeypatch.context() as patch:
+        for name, camp in CAMPAIGNS.items():
+            patch.setitem(CAMPAIGNS, name, dataclasses.replace(
+                camp, runner=unreached, residue_runner=camp.residue_runner and unreached))
+        for name, bounds, message in (
+                ("t5-valuation", {"N": 10}, "t5-valuation has no bound N; its bounds are n"),
+                ("t-regularity", {"n": 8, "width": 2}, "no bound width; its bounds are n, depth"),
+                ("b-pow2-congruence", {"n": 1024}, "no bound n; its bounds are index"),
+                ("t-missing-values", {"span": -5}, "requires span >= 0, got -5"),
+                ("t-regularity", {"depth": -1}, "requires depth >= 0, got -1")):
+            with pytest.raises(ValueError, match=message):
+                run_campaign(name, bounds)
+    rep = run_campaign("t-missing-values", {"n": 64, "span": 0})
+    assert rep.bounds == {"n": 64, "span": 0}
+    assert run_campaign("t-regularity", {"n": 8, "depth": 0}).witness[
+        "distinct_kernel_patterns"] == {f"m={m}": 1 for m in (2, 3, 5, 6)}
 
 
 def test_cli_verify_bound_sets_only_size_keys(capsys):
