@@ -408,15 +408,15 @@ def _all_verified(verdicts):
     return VERIFIED, out
 
 
-def _merged(parts):
-    """The witness parts merged, or None when one is None (a decline); as
-    `_all_verified`, for the observation runners."""
+def _observed(parts):
+    """OBSERVATION with the witness parts merged, or None when one is None
+    (a decline); as `_all_verified`, for the observation runners."""
     out = {}
     for part in parts:
         if part is None:
             return None
         out.update(part)
-    return out
+    return OBSERVATION, out
 
 
 def _res_t2k1_table(bounds):
@@ -459,8 +459,8 @@ def _congruence_reads(t, idx_max, ks, read):
     seq = fpow_residues(t, idx_max)
     out = []
     for k in ks:
-        hi, lo, end = 1 << (k + 1), 1 << (k - 1), (idx_max >> (k + 1)) + 1
-        out.append(read(k, seq[hi : end * hi : hi] - seq[lo : end * lo : lo]))
+        big, small, end = 1 << (k + 1), 1 << (k - 1), (idx_max >> (k + 1)) + 1
+        out.append(read(k, seq[big : end * big : big] - seq[small : end * small : small]))
     return out
 
 
@@ -502,8 +502,7 @@ def _res_b_pow2m1_congruence(bounds):
 
 
 def _res_bm_unbounded(bounds):
-    out = _merged(_res_bm_max_nu2(m, bounds["n"]) for m in (2, 4, 5, 6))
-    return None if out is None else (OBSERVATION, out)
+    return _observed(_res_bm_max_nu2(m, bounds["n"]) for m in (2, 4, 5, 6))
 
 
 def _res_bm_max_nu2(m, n_max):
@@ -620,8 +619,7 @@ def _b_turan_signs(m, n_max):
 
 
 def _res_sign_density(bounds):
-    out = _merged(_res_sign_exceptions(m, bounds["n"]) for m in (2, 3, 4, 5))
-    return None if out is None else (OBSERVATION, out)
+    return _observed(_res_sign_exceptions(m, bounds["n"]) for m in (2, 3, 4, 5))
 
 
 def _res_sign_exceptions(m, n_max):
@@ -646,8 +644,7 @@ def _res_sign_exceptions(m, n_max):
 
 
 def _res_t_missing_values(bounds):
-    out = _merged(_res_t_attained(m, bounds["n"], bounds["span"]) for m in (3, 4, 5))
-    return None if out is None else (OBSERVATION, out)
+    return _observed(_res_t_attained(m, bounds["n"], bounds["span"]) for m in (3, 4, 5))
 
 
 def _res_t_attained(m, n_max, span):
