@@ -21,14 +21,13 @@ negative value of a key other than its size, is refused before any work.
 
 from __future__ import annotations
 
-import math
-import sys
 import time
 from dataclasses import dataclass
 from functools import partial
 
 from .core_arith import nu2, nu2_or_none
-from .fpow import chunks, fpow_doubles, fpow_doubles_eps, fpow_prefix, fpow_residues
+from .fpow import (arrays_kept, chunks, fpow_doubles, fpow_doubles_eps, fpow_prefix,
+                   fpow_residues)
 
 VERIFIED = "verified-to-bound"
 COUNTEREXAMPLE = "counterexample"
@@ -46,6 +45,10 @@ class CampaignReport:
     wall_ms: int
     # "residue" when a whole-array runner settled the campaign, else "exact"
     backend: str = "exact"
+    # why a campaign with a residue runner ran exact: "no-numpy" (numpy does
+    # not import), "import" (a verify process below the campaign's cold_size)
+    # or "declined" (the residue runner returned None); else None
+    backend_reason: str | None = None
 
     def payload(self) -> dict:
         """Deterministic part (no wall time or backend), for golden
@@ -330,10 +333,12 @@ def _run_t2_symmetry(bounds):
 # and b_m from the kernel's blocks run in float64 (`fpow_doubles`, with
 # the error bound `fpow_doubles_eps`, both beside the blocks they count),
 # so the b_m runners build the exact prefix only up to the last index the
-# doubles leave unsure.  run_campaign calls one only when numpy imports and
-# its import pays (`Campaign.cold_size`), so a runner decides only the
-# mathematics.  Each returns the exact runner's (status, witness), or None,
-# in which case run_campaign runs the exact runner for the whole campaign:
+# doubles leave unsure.  run_campaign calls one only when numpy imports, in
+# a session at any size and in a `ptmpow verify` process (inside
+# `fpow.arrays_unkept()`) from the campaign's `cold_size`, so a runner
+# decides only the mathematics.  Each returns the exact runner's (status,
+# witness), or None, in which case run_campaign runs the exact runner for
+# the whole campaign (`backend_reason` "declined"):
 # when a residue whose nu2 is taken or that is tested for zero is 0 (a zero
 # value or nu2 >= 64), when the certificate of an int64 reading of t_m
 # fails, and when the double of a b_m value is not below 2^510.  Any exact
@@ -837,10 +842,10 @@ class Campaign:
     residue_runner: object = None
     # the least value of the size key at which the runner checks anything
     minimum: int = 0
-    # the least value of the size key at which a process that has not
-    # imported numpy imports it for the residue runner; below it the exact
-    # runner takes less time than the import
-    cold_size: float = 0
+    # the least value of the size key at which a `ptmpow verify` process
+    # runs the residue runner; below it the exact runner finishes before the
+    # residue runner and its numpy import would (a session runs it at any size)
+    cold_size: int = 0
 
     @property
     def size_key(self) -> str:
@@ -848,12 +853,13 @@ class Campaign:
         return "index" if "index" in self.defaults else "n"
 
 
-# A residue run of bm-valuation-unbounded, b-congruence-growth,
-# t-sign-density, t-missing-values, t-threesigns-turan and t2-symmetry is
-# mostly the numpy import, about 0.15 s.  In a fresh process the first
-# four's exact runners were faster up to a size of 2^16 and slower from
-# 2^17 (Python 3.11, numpy 2.4, 2 cores), so until then they run exact.
-_COLD_RESIDUE_SIZE = 1 << 17
+# cold_size: a `ptmpow verify` process runs one campaign and pays the numpy
+# import for it alone, about 0.08-0.10 s on one CPU, which is most of a
+# residue run at 2^16.  Each value is the first measured size at which the
+# residue runner with its import beat the exact runner: whole fresh
+# processes pinned to one CPU, medians of 9 or 11 interleaved runs per side
+# (Python 3.11, numpy 2.4).  Beside each value, exact vs residue in ms just
+# below it and at it.
 
 
 CAMPAIGNS: dict[str, Campaign] = {}
@@ -862,17 +868,23 @@ for _camp in (
         "t5-valuation", "conjecture",
         "nu2(t_5(4n+j)) = 4*ceil(nu2(n+1)/2) - (nu2(n+1) mod 2) for j in 0..3",
         {"n": 1 << 12}, partial(_run_valuation, *_T5_VALUATION),
-        partial(_res_valuation, *_T5_VALUATION)),
+        partial(_res_valuation, *_T5_VALUATION),
+        # 206 vs 214 ms at 24576, 220 vs 203 at 28672
+        cold_size=7 << 12),
     Campaign(
         "t9-valuation", "conjecture",
         "nu2(t_9(8n+j)) = 5*ceil(nu2(n+1)/2) - 2*(nu2(n+1) mod 2) for j in 0..7",
         {"n": 1 << 12}, partial(_run_valuation, *_T9_VALUATION),
-        partial(_res_valuation, *_T9_VALUATION)),
+        partial(_res_valuation, *_T9_VALUATION),
+        # 153 vs 160 ms at 10240, 221 vs 195 at 12288
+        cold_size=3 << 12),
     Campaign(
         "t2k1-valuation-table", "conjecture",
         "nu2(t_{2^k+1}(2^k n + j)) = A_{k, nu2(n+1)} for a strictly increasing "
         "integer table with A_{k,0} = 0",
-        {"n": 1 << 12}, _run_t2k1_table, _res_t2k1_table),
+        {"n": 1 << 12}, _run_t2k1_table, _res_t2k1_table,
+        # 155 vs 167 ms at 6144, 160 vs 150 at 8192
+        cold_size=1 << 13),
     Campaign(
         "t-regularity", "question",
         "is (nu2(t_m(n)))_n 2-regular?  (statistics only: count distinct dyadic "
@@ -882,64 +894,73 @@ for _camp in (
         "bm-valuation-unbounded", "conjecture",
         "for m not of the form 2^k - 1 the sequence nu2(b_m(n)) is unbounded "
         "(report the running maximum)",
-        {"n": 1 << 12}, _run_bm_unbounded, _res_bm_unbounded, cold_size=_COLD_RESIDUE_SIZE),
+        {"n": 1 << 12}, _run_bm_unbounded, _res_bm_unbounded,
+        # 176 vs 204 ms at 32768, 174 vs 156 at 49152
+        cold_size=3 << 14),
     Campaign(
         "b-pow2-congruence", "conjecture",
         "b_{2^m}(2^(k+1) n) = b_{2^m}(2^(k-1) n) (mod 2^k) for k >= m+2",
         {"index": 1 << 14}, _run_b_pow2_congruence, _res_b_pow2_congruence,
         # every (m, k) checks n >= 1 at index 2^(k+1), and k+1 reaches 8
-        minimum=1 << 8),
+        minimum=1 << 8,
+        # 153 vs 203 ms at 65536, 157 vs 154 at 81920
+        cold_size=5 << 14),
     Campaign(
         "b-pow2m1-congruence", "conjecture",
         "b_{2^m-1}(2^(k+1) n) = b_{2^m-1}(2^(k-1) n) "
         "(mod 2^(4*floor((k+1)/2)-2)) for k >= m+2",
         {"index": 1 << 14}, _run_b_pow2m1_congruence, _res_b_pow2m1_congruence,
         # every (m, k) checks n >= 1 at index 2^(k+1), and k+1 reaches 8
-        minimum=1 << 8),
+        minimum=1 << 8,
+        # 142 vs 152 ms at 98304, 232 vs 206 at 131072
+        cold_size=1 << 17),
     Campaign(
         "b-congruence-growth", "conjecture",
         "b_m(2^(k+1) n) = b_m(2^(k-1) n) (mod 2^f(k)) with nondecreasing "
         "f(k) = O(k) (empirical fit of f)",
         {"index": 1 << 14}, _run_b_congruence_growth, _res_b_congruence_growth,
-        cold_size=_COLD_RESIDUE_SIZE),
+        # 122 vs 134 ms at 49152, 221 vs 218 at 65536
+        cold_size=1 << 16),
     Campaign(
         "t-sign-density", "conjecture",
         "the exception sets {n : sgn t_m(3n+j) != (-1)^j} are infinite of "
         "density 0 (finite frequencies reported)",
-        {"n": 1 << 12}, _run_sign_density, _res_sign_density, cold_size=_COLD_RESIDUE_SIZE),
+        {"n": 1 << 12}, _run_sign_density, _res_sign_density,
+        # 133 vs 139 ms at 16384, 162 vs 144 at 24576
+        cold_size=3 << 13),
     Campaign(
         "t-threesigns-turan", "conjecture",
         "for m >= 2: no three consecutive t_m values share a sign and "
         "t_m(n)^2 > t_m(n-1) t_m(n+1)",
         {"n": 1 << 12}, _run_threesigns_turan, _res_threesigns_turan, minimum=2,
-        cold_size=_COLD_RESIDUE_SIZE),
+        # 151 vs 178 ms at 16384, 218 vs 216 at 32768
+        cold_size=1 << 15),
     Campaign(
         "b-turan-m4plus", "conjecture",
         "for m >= 4: b_m(n)^2 - b_m(n-1) b_m(n+1) > 0",
         {"n": 1 << 12}, _run_b_turan_m4plus, _res_b_turan_m4plus, minimum=2,
-        # whole fresh processes, best of 5, residue against exact (Python 3.11,
-        # numpy 2.4, 2 cores): 0.30 vs 0.13 s at 4096, 0.30 vs 0.23 s at 32768,
-        # 0.30 vs 0.29 s at 49152, 0.30 vs 0.33 s at 57344, 0.30 vs 0.37 s at 65510
+        # 227 vs 245 ms at 32768, 253 vs 206 at 49152
         cold_size=3 << 14),
     Campaign(
         "b3-turan-crossover", "conjecture",
         "for m = 3 the sign of b_3(n)^2 - b_3(n-1) b_3(n+1) alternates up to "
         "some n_0 and is positive afterwards (search for n_0)",
         {"n": 1 << 12}, _run_b3_crossover, _res_b3_crossover,
-        # as for b-turan-m4plus: 0.28 vs 0.11 s at 4096, 0.28 vs 0.17 s at 65536,
-        # 0.25 vs 0.20 s at 98304, 0.27 vs 0.20 s at 131046, where another set of
-        # runs read 0.22 vs 0.25 s: the two cross near 2^17
-        cold_size=3 << 15),
+        # 152 vs 172 ms at 114688, 167 vs 147 at 122880
+        cold_size=15 << 13),
     Campaign(
         "t-zero-m4plus", "conjecture",
         "t_m(n) = 0 has no solution for m >= 4",
-        {"n": 1 << 14}, _run_t_zero_m4plus, _res_t_zero_m4plus, minimum=1),
+        {"n": 1 << 14}, _run_t_zero_m4plus, _res_t_zero_m4plus, minimum=1,
+        # 144 vs 152 ms at 24576, 170 vs 158 at 28672
+        cold_size=7 << 12),
     Campaign(
         "t-missing-values", "conjecture",
         "for m >= 3 infinitely many integers are never attained by t_m "
         "(window histogram of attained values)",
         {"n": 1 << 14, "span": 50}, _run_t_missing_values, _res_t_missing_values,
-        cold_size=_COLD_RESIDUE_SIZE),
+        # 139 vs 149 ms at 65536, 159 vs 150 at 98304
+        cold_size=3 << 15),
     Campaign(
         "b2-valuation-list", "theorem",
         "the pinned table of exact values nu2(b_2(M n + i)) = a, with the polynomial "
@@ -947,15 +968,15 @@ for _camp in (
         {"n": 1 << 14}, _run_b2_valuation_list, _res_b2_valuation_list,
         # the first tabulated index is 4n + 3 at n = 0
         minimum=3,
-        # a whole exact process at 2^17 took 0.11-0.13 s, against 0.23 s for one
-        # that only imports numpy (Python 3.11, numpy 2.4, 2 cores), so it runs on
-        # residues only in a process that has imported numpy
-        cold_size=math.inf),
+        # 178 vs 187 ms at 262144, 203 vs 190 at 327680
+        cold_size=5 << 16),
     Campaign(
         "t2-symmetry", "theorem",
         "t_2(n') = -t_2(n) for n' = n + (-1)^e * 2^(nu2(m)+1), "
         "m = t_2(n), e = nu2(m) + (m - 2^nu2(m))/2^(nu2(m)+1)",
-        {"n": 1 << 14}, _run_t2_symmetry, _res_t2_symmetry, cold_size=_COLD_RESIDUE_SIZE),
+        {"n": 1 << 14}, _run_t2_symmetry, _res_t2_symmetry,
+        # 209 vs 224 ms at 65536, 244 vs 221 at 98304
+        cold_size=3 << 15),
 ):
     CAMPAIGNS[_camp.name] = _camp
 
@@ -982,17 +1003,21 @@ def run_campaign(name: str, bounds: dict | None = None) -> CampaignReport:
         # below it the range is empty, and nothing checked verifies nothing
         raise ValueError(f"{name} requires {camp.size_key} >= {camp.minimum}, got {size}")
     t0 = time.monotonic()
-    verdict = None
-    # the one place that decides whether numpy runs: where it is missing, or
-    # its cold import costs more than the exact runner, the exact runner runs
-    if camp.residue_runner and (sys.modules.get("numpy") is not None
-                                or size >= camp.cold_size):
+    # the one place that decides whether numpy runs.  A session pays its
+    # import once and runs every residue runner; a `ptmpow verify` process
+    # (inside fpow.arrays_unkept()) pays it for one campaign, so it runs the
+    # residue runner only from the campaign's cold_size
+    verdict = reason = None
+    if camp.residue_runner and size < camp.cold_size and not arrays_kept():
+        reason = "import"
+    elif camp.residue_runner:
         try:
             import numpy  # noqa: F401
         except ImportError:
-            pass
+            reason = "no-numpy"
         else:
             verdict = camp.residue_runner(eff)
+            reason = None if verdict else "declined"
     backend = "residue"
     if verdict is None:
         backend, verdict = "exact", camp.runner(eff)
@@ -1001,7 +1026,7 @@ def run_campaign(name: str, bounds: dict | None = None) -> CampaignReport:
     if camp.kind != "theorem" and status == COUNTEREXAMPLE:
         status = OBSERVATION  # conjecture campaigns never hard-fail
     return CampaignReport(name, camp.kind, camp.claim, eff, status, witness, wall_ms,
-                          backend)
+                          backend, reason)
 
 
 def exit_code_for(report: CampaignReport) -> int:

@@ -188,6 +188,7 @@ def _cmd_val(args) -> int:
 
 def _cmd_verify(args) -> int:
     import os
+    from contextlib import nullcontext
 
     # before numpy can load: ptmpow calls no BLAS, and OpenBLAS would start
     # one thread per CPU as numpy loads (about 60 ms of the import on 2 CPUs)
@@ -203,12 +204,15 @@ def _cmd_verify(args) -> int:
     if args.bound is not None:
         # override the size key only, never depth or span
         bounds = {CAMPAIGNS[args.campaign].size_key: args.bound}
+    # opened before any work, so a path that cannot be written to costs no run;
     # one campaign, which reads each kernel array once: keep none of them
-    with arrays_unkept():
+    with open(args.out, "a", encoding="utf-8") if args.out else nullcontext() as fh, \
+            arrays_unkept():
         report = run_campaign(args.campaign, bounds)
-    if args.out:
-        record = dict(report.payload(), wall_ms=report.wall_ms, backend=report.backend)
-        with open(args.out, "a", encoding="utf-8") as fh:
+        if fh:
+            record = dict(report.payload(), wall_ms=report.wall_ms, backend=report.backend)
+            if report.backend_reason:
+                record["backend_reason"] = report.backend_reason
             fh.write(_jdump(record) + "\n")
     print(_jdump(report.payload()))
     print(f"{report.name}: {report.status} in {report.wall_ms} ms "

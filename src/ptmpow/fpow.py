@@ -11,7 +11,8 @@ its result, plus one _CHUNK-entry block of scratch, and the campaigns'
 checks walk it in _CHUNK slices.  A session keeps every array it builds,
 since it re-reads them across campaigns; inside `arrays_unkept()`, which
 `ptmpow verify` enters around its one campaign, the arrays are not kept,
-so a runner that drops each before its next request holds one at a time.
+so a runner that drops each before its next request holds one at a time;
+`arrays_kept()` tells the campaigns which scope they run in.
 This module imports only the standard library (numpy is imported inside
 the array routes), so a process that needs only values pays for nothing
 else.
@@ -95,6 +96,12 @@ def arrays_unkept():
         yield
     finally:
         _keep_arrays = kept
+
+
+def arrays_kept() -> bool:
+    """False inside `arrays_unkept()`: the process runs one campaign, which
+    pays alone for whatever it imports, and True in a session."""
+    return _keep_arrays
 
 
 # entries per block of `fpow_residues` and per slice of the campaigns'

@@ -10,6 +10,7 @@ import tracemalloc
 import types
 import weakref
 from functools import partial
+from importlib.util import find_spec
 from pathlib import Path
 
 import pytest
@@ -133,11 +134,18 @@ def test_residue_campaigns_are_exactly_the_residue_set():
     assert sorted(n for n, c in CAMPAIGNS.items() if c.residue_runner) == sorted(RESIDUE_CAMPAIGNS)
 
 
+def _residues_in_verify(monkeypatch, name):
+    """Let a `ptmpow verify` process run the residue runner of `name` at any
+    size, as a session does, rather than from its cold_size on."""
+    monkeypatch.setitem(CAMPAIGNS, name, dataclasses.replace(CAMPAIGNS[name], cold_size=0))
+
+
 @pytest.mark.parametrize("name", RESIDUE_CAMPAIGNS)
 def test_residue_campaigns_print_the_exact_stdout(capsys, monkeypatch, name):
     # bounds that are not powers of two; b-pow2m1 fails at this bound, so its
     # witness lists are compared too
     pytest.importorskip("numpy")
+    _residues_in_verify(monkeypatch, name)
     bound = "1000" if "index" in CAMPAIGNS[name].defaults else "200"
     rc, fast, err = run_cli(capsys, "verify", name, "--bound", bound)
     assert err.endswith("(backend residue)\n")
@@ -545,6 +553,7 @@ def test_a_verify_scope_holds_one_kernel_array_at_a_time(monkeypatch, name):
     # inside the scope `ptmpow verify` enters, the memo keeps no array, and
     # no runner holds an array into its next request
     pytest.importorskip("numpy")
+    _residues_in_verify(monkeypatch, name)
     monkeypatch.setattr(fpow, "_fpow_res", {})
     arrays, alive = _record_requests(monkeypatch)
     with fpow.arrays_unkept():
@@ -570,6 +579,7 @@ def test_cli_verify_keeps_no_kernel_array(monkeypatch, capsys):
     # the process ends after its one campaign, so verify stores nothing, and
     # the memo is back on for whatever the process runs next
     pytest.importorskip("numpy")
+    _residues_in_verify(monkeypatch, "t2k1-valuation-table")
     monkeypatch.setattr(fpow, "_fpow_res", {})
     rc, _, err = run_cli(capsys, "verify", "t2k1-valuation-table", "--bound", "200")
     assert rc == 3 and err.endswith("(backend residue)\n")
@@ -605,22 +615,26 @@ def test_no_campaign_writes_to_a_shared_prefix(monkeypatch):
         assert fpow.fpow_prefix(t, len(vals) - 1) == vals, t
 
 
-# the six campaigns that a process which has not imported numpy runs on
-# residues only from a size of 2^17 on
-IMPORT_PAID_CAMPAIGNS = ("bm-valuation-unbounded", "b-congruence-growth",
-                         "t-sign-density", "t-missing-values", "t-threesigns-turan",
-                         "t2-symmetry")
-# the size from which such a process runs each campaign named here on
-# residues; the other residue campaigns do so at any size, except
-# b2-valuation-list, which waits for a process that has imported numpy
-COLD_SIZES = {**dict.fromkeys(IMPORT_PAID_CAMPAIGNS, 1 << 17),
-              "b-turan-m4plus": 3 << 14, "b3-turan-crossover": 3 << 15}
+# the size from which a `ptmpow verify` process runs each campaign on its
+# residue runner: below it the exact runner of a fresh process finishes
+# sooner than the residue runner with its numpy import (README, "Residue
+# backend")
+CROSSOVERS = {"t5-valuation": 7 << 12, "t9-valuation": 3 << 12,
+              "t2k1-valuation-table": 1 << 13, "b-pow2-congruence": 5 << 14,
+              "b-pow2m1-congruence": 1 << 17, "t-zero-m4plus": 7 << 12,
+              "bm-valuation-unbounded": 3 << 14, "b-congruence-growth": 1 << 16,
+              "t-sign-density": 3 << 13, "t-missing-values": 3 << 15,
+              "t-threesigns-turan": 1 << 15, "b-turan-m4plus": 3 << 14,
+              "b3-turan-crossover": 15 << 13, "b2-valuation-list": 5 << 16,
+              "t2-symmetry": 3 << 15}
 
 
-def test_runners_wait_for_the_numpy_import_below_the_cold_size(monkeypatch):
-    # every runner is a stub, and `import numpy` reads a stand-in module
-    # without entering it in sys.modules, so each run_campaign call starts
-    # like a fresh process and the backend is all the gate decided
+def _stub_backends(monkeypatch):
+    """Make every runner a stub and `import numpy` read a stand-in module
+    without entering it in sys.modules, so each run_campaign call starts
+    like a fresh process and the backend is all run_campaign decided.
+    Returns run(name, size) -> (backend, backend_reason, whether `import
+    numpy` ran)."""
     fake = types.ModuleType("numpy")
     imports = []
     real_import = builtins.__import__
@@ -643,39 +657,77 @@ def test_runners_wait_for_the_numpy_import_below_the_cold_size(monkeypatch):
     monkeypatch.delitem(sys.modules, "numpy", raising=False)
 
     def run(name, size):
-        """The backend at the given size, and whether numpy was imported."""
         imports.clear()
         rep = run_campaign(name, {CAMPAIGNS[name].size_key: size})
         assert rep.witness == {"backend": rep.backend}
-        return rep.backend, bool(imports)
+        return rep.backend, rep.backend_reason, bool(imports)
 
+    return run
+
+
+def test_a_verify_process_waits_for_the_crossover_and_a_session_does_not(monkeypatch):
+    run = _stub_backends(monkeypatch)
+    assert sorted(CROSSOVERS) == sorted(RESIDUE_CAMPAIGNS)
+    # a verify process pays the numpy import for its one campaign alone
+    with fpow.arrays_unkept():
+        for name, size in CROSSOVERS.items():
+            assert run(name, size - 1) == ("exact", "import", False), name
+            assert run(name, size) == ("residue", None, True), name
+        assert run("t-regularity", 1 << 20) == ("exact", None, False)
+    # a session pays it once, so it runs every residue runner at any size
     for name, camp in CAMPAIGNS.items():
-        if name in ("t-regularity", "b2-valuation-list"):
-            assert run(name, 1 << 20) == ("exact", False), name
-        elif name in COLD_SIZES:
-            assert run(name, COLD_SIZES[name] - 1) == ("exact", False), name
-            assert run(name, COLD_SIZES[name]) == ("residue", True), name
-        else:
-            assert run(name, camp.minimum) == ("residue", True), name
-    # a process that has imported numpy runs every residue runner at any size
-    monkeypatch.setitem(sys.modules, "numpy", fake)
-    for name, camp in CAMPAIGNS.items():
-        want = "residue" if camp.residue_runner else "exact"
-        assert run(name, camp.minimum)[0] == want, name
-    # and one where numpy cannot be imported runs every exact runner
+        want = ("residue", None, True) if camp.residue_runner else ("exact", None, False)
+        assert run(name, camp.minimum) == want, name
+    # where numpy cannot be imported, every exact runner runs
     monkeypatch.setitem(sys.modules, "numpy", None)
-    for name in CAMPAIGNS:
-        assert run(name, 1 << 20)[0] == "exact", name
+    for name in RESIDUE_CAMPAIGNS:
+        assert run(name, 1 << 20) == ("exact", "no-numpy", True), name
+        with fpow.arrays_unkept():
+            assert run(name, 1 << 20) == ("exact", "no-numpy", True), name
+    # a residue runner that declines hands the campaign to the exact runner
+    monkeypatch.setitem(CAMPAIGNS, "t5-valuation", dataclasses.replace(
+        CAMPAIGNS["t5-valuation"], residue_runner=lambda bounds: None))
+    monkeypatch.delitem(sys.modules, "numpy")
+    assert run("t5-valuation", 64) == ("exact", "declined", True)
+
+
+# the benchmark's verify-cold jobs (perfbench/workloads.py), one `ptmpow
+# verify NAME --bound B` process each, with B less 13 per input variant, and
+# the backend each runs on: its faster side in a fresh process
+COLD_JOBS = (("t5-valuation", 1 << 16, "residue"), ("t9-valuation", 1 << 16, "residue"),
+             ("t2k1-valuation-table", 1 << 16, "residue"),
+             ("b-pow2-congruence", 1 << 16, "exact"), ("b-pow2m1-congruence", 1 << 16, "exact"),
+             ("t-zero-m4plus", 1 << 16, "residue"), ("b-turan-m4plus", 1 << 16, "residue"),
+             ("t-threesigns-turan", 1 << 16, "residue"),
+             ("b3-turan-crossover", 1 << 17, "residue"),
+             ("b2-valuation-list", 1 << 17, "exact"), ("t2-symmetry", 1 << 18, "residue"))
+# the first item of each verify-warm variant, which its session runs before
+# anything has imported numpy
+WARM_FIRSTS = (("t5-valuation", 1 << 15), ("b-pow2-congruence", 65523),
+               ("b-turan-m4plus", 65510))
+
+
+def test_the_benchmark_jobs_run_on_their_faster_backend(monkeypatch):
+    run = _stub_backends(monkeypatch)
+    with fpow.arrays_unkept():
+        for name, bound, want in COLD_JOBS:
+            for variant in range(3):
+                assert run(name, bound - 13 * variant)[0] == want, (name, variant)
+    # every warm session stays on residues from its first item on
+    for name, size in WARM_FIRSTS:
+        assert run(name, size) == ("residue", None, True), name
 
 
 def test_b2_valuation_list_runs_exact_without_the_numpy_import(monkeypatch):
-    # a fresh process runs it exact in less time than the numpy import
-    # takes, so at any size the residue runner waits for a process with numpy
+    # a fresh process runs it exact up to 2^17 in less time than the numpy
+    # import takes, so a verify process runs it exact there, also where
+    # numpy happens to be loaded
     calls = []
     monkeypatch.setattr(campaigns, "fpow_residues", lambda *args: calls.append(args))
-    monkeypatch.delitem(sys.modules, "numpy", raising=False)
-    rep = run_campaign("b2-valuation-list", {"n": 1 << 17})
-    assert (rep.status, rep.backend) == ("verified-to-bound", "exact")
+    with fpow.arrays_unkept():
+        rep = run_campaign("b2-valuation-list", {"n": 1 << 17})
+    assert (rep.status, rep.backend, rep.backend_reason) == (
+        "verified-to-bound", "exact", "import")
     assert calls == []
 
 
@@ -1065,27 +1117,49 @@ def test_cli_verify_out_records_backend(monkeypatch, capsys, tmp_path):
     pytest.importorskip("numpy")
     path = str(tmp_path / "reports.jsonl")
 
-    def verify(name):
-        rc, out, _ = run_cli(capsys, "verify", name, "--bound", "32", "--out", path)
+    def verify(name, bound):
+        rc, out, _ = run_cli(capsys, "verify", name, "--bound", str(bound), "--out", path)
         payload = json.loads(out)
         assert rc == (0 if payload["kind"] == "theorem" else 3) and "backend" not in payload
+        assert "backend_reason" not in payload
         return payload
 
-    for name in ("t9-valuation", "b2-valuation-list"):
-        verify(name)
+    t9_from = CROSSOVERS["t9-valuation"]
+    verify("t9-valuation", 32)
+    verify("t9-valuation", t9_from)
+    verify("b2-valuation-list", 32)
+    verify("t-regularity", 8)
     with monkeypatch.context() as patch:
         _plant(patch, 4, 20, 2**70)
-        assert verify("t-zero-m4plus")["status"] == "verified-to-bound"
+        _residues_in_verify(patch, "t-zero-m4plus")
+        assert verify("t-zero-m4plus", 32)["status"] == "verified-to-bound"
     monkeypatch.setitem(sys.modules, "numpy", None)
-    verify("t9-valuation")
+    verify("t9-valuation", t9_from)
     records = [json.loads(line) for line in Path(path).read_text().splitlines()]
-    assert [(r["name"], r["backend"]) for r in records] == [
-        ("t9-valuation", "residue"),
-        ("b2-valuation-list", "residue"),
-        ("t-zero-m4plus", "exact"),
-        ("t9-valuation", "exact"),
+    assert [(r["name"], r["backend"], r.get("backend_reason")) for r in records] == [
+        ("t9-valuation", "exact", "import"),
+        ("t9-valuation", "residue", None),
+        ("b2-valuation-list", "exact", "import"),
+        # no residue runner, so nothing fell back
+        ("t-regularity", "exact", None),
+        ("t-zero-m4plus", "exact", "declined"),
+        ("t9-valuation", "exact", "no-numpy"),
     ]
     assert not any("fallbacks" in r for r in records)
+
+
+def test_cli_verify_opens_out_before_any_work(monkeypatch, capsys, tmp_path):
+    # a path that cannot be written to exits 2 before any runner starts
+    def unreached(bounds):
+        raise AssertionError(f"a runner ran on {bounds}")
+
+    camp = CAMPAIGNS["t5-valuation"]
+    monkeypatch.setitem(CAMPAIGNS, "t5-valuation", dataclasses.replace(
+        camp, runner=unreached, residue_runner=unreached))
+    out = str(tmp_path / "no-such-dir" / "x.jsonl")
+    rc, stdout, err = run_cli(capsys, "verify", "t5-valuation", "--bound", "65536", "--out", out)
+    assert rc == 2 and stdout == "" and "x.jsonl" in err
+    assert not (tmp_path / "no-such-dir").exists()
 
 
 def test_cli_cache_roundtrip(capsys, tmp_path):
@@ -1116,19 +1190,18 @@ def test_cli_cache_load_rejects_other_sequence(capsys, tmp_path):
 _FOOTPRINT = """
 import contextlib, io, json, sys
 import ptmpow.cli
-argv = json.loads(sys.argv[1])
-if argv:
+for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         ptmpow.cli.main(argv)
 print(json.dumps(sorted(sys.modules)))
 """
 
 
-def _modules_loaded_by(*argv):
+def _modules_loaded_by(*argvs):
     """The module names a fresh interpreter holds after `import ptmpow.cli`
-    and, with argv, one `main(argv)`."""
+    and one `main(argv)` for each argv in turn."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT, json.dumps(argv)],
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT, json.dumps(argvs)],
                           check=True, capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src})
     return set(json.loads(proc.stdout))
@@ -1143,22 +1216,25 @@ def test_cli_loads_only_what_its_command_runs():
     bare = _modules_loaded_by()
     assert package(bare) == {"ptmpow", "ptmpow.cli"}
     assert not bare & {"numpy", "fractions", "dataclasses"}
-    seq = _modules_loaded_by("seq", "t", "2", "0..8")
+    seq = _modules_loaded_by(("seq", "t", "2", "0..8"))
     assert package(seq) == {"ptmpow", "ptmpow.cli", "ptmpow.fpow"}
-    verify = _modules_loaded_by("verify", "t5-valuation", "--bound", "64")
+    verify = _modules_loaded_by(("verify", "t5-valuation", "--bound", "64"))
     assert "ptmpow.campaigns" in verify
-    assert not verify & {"ptmpow.bm_sequences", "ptmpow.tm_sequences"}
-    # below the cold size these run exact in a fresh process, without numpy
-    for name in COLD_SIZES:
-        assert "numpy" not in _modules_loaded_by("verify", name, "--bound", "64"), name
-    # the b_m side reads ptm from core_arith, so it loads no t_m or f_n code,
-    # and b2-valuation-list runs exact in a fresh process, without numpy
+    assert not verify & {"ptmpow.bm_sequences", "ptmpow.tm_sequences", "numpy"}
+    # below its crossover every campaign runs exact in a verify process,
+    # without numpy; from it on the residue runner imports numpy
+    below = [("verify", name, "--bound", str(max(CAMPAIGNS[name].minimum, 64)))
+             for name in CROSSOVERS]
+    assert "numpy" not in _modules_loaded_by(*below)
+    at = ("verify", "t2k1-valuation-table", "--bound", str(CROSSOVERS["t2k1-valuation-table"]))
+    assert ("numpy" in _modules_loaded_by(at)) == (find_spec("numpy") is not None)
+    # the b_m side reads ptm from core_arith, so it loads no t_m or f_n code
     for argv in (("verify", "b2-valuation-list", "--bound", "64"), ("poly", "h", "0", "2", "2")):
-        loaded = _modules_loaded_by(*argv)
+        loaded = _modules_loaded_by(argv)
         assert "ptmpow.bm_sequences" in loaded
         assert not loaded & {"ptmpow.tm_sequences", "ptmpow.f_polys", "fractions", "numpy"}, argv
     # one request per family walks the chain, so it never loads the packed family
-    assert "ptmpow.hfamily" not in _modules_loaded_by("poly", "h", "5", "4", "3")
+    assert "ptmpow.hfamily" not in _modules_loaded_by(("poly", "h", "5", "4", "3"))
 
 
 def test_cli_version(capsys):
