@@ -640,28 +640,6 @@ def b2_certificate_witness() -> dict | None:
     return None
 
 
-def b2_valuation_table_suite(n_max: int) -> CheckReport:
-    """Every tabulated equality nu2(b_2(M n + i)) = a for indices <= n_max,
-    after the polynomial certificates used to derive them
-    (`b2_certificate_witness`)."""
-    witness = b2_certificate_witness()
-    if witness:
-        return CheckReport("b2-valuations", False, witness=witness)
-    v = fpow_prefix(-2, n_max)
-    checked = 0
-    for modulus, residues, a in B2_VALUATION_TABLE:
-        for i in residues:
-            # nu2(x) == a exactly when the low a + 1 bits of x are 2^a
-            low_bits = list(map(((2 << a) - 1).__and__, v[i : n_max + 1 : modulus]))
-            if low_bits.count(1 << a) < len(low_bits):
-                n = next(n for n, b in enumerate(low_bits) if b != 1 << a)
-                return CheckReport("b2-valuations", False,
-                                   witness={"modulus": modulus, "i": i, "n": n,
-                                            "value_nu2": nu2(v[modulus * n + i])})
-            checked += len(low_bits)
-    return CheckReport("b2-valuations", True, checked)
-
-
 def check_formula_2k(k: int, n_max: int) -> CheckReport:
     """b_{2^k-1}(n) == sum_j t_{n-j} b_{2^k}(j), the convolution that drops
     one color.  At k = 0 the left side is F^0 = 1, and this is the inverse

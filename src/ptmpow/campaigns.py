@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from functools import partial
 
 from .core_arith import nu2, nu2_or_none
-from .fpow import (arrays_kept, chunks, fpow_doubles, fpow_doubles_eps, fpow_prefix,
-                   fpow_residues)
+from .fpow import (UNIT_ROUNDOFF, arrays_kept, chunks, fpow_doubles, fpow_doubles_eps,
+                   fpow_prefix, fpow_residues)
 
 VERIFIED = "verified-to-bound"
 COUNTEREXAMPLE = "counterexample"
@@ -69,28 +69,34 @@ def _ceil_half(v: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# runners
+# shapes: what the two backends of a campaign share
+#
+# A campaign with both backends is a shape plus one part per backend.  The
+# shape holds the m (and k) ranges, the order of the kernel requests, how
+# their results combine and the witness.  A part is one backend's check of
+# one kernel request: `_run_*_of` reads `fpow_prefix`, `_res_*_of` reads
+# residues or doubles (below).  It returns the values the shape needs, or
+# None when a residue part declines, and the shape then returns None at
+# once.  The registry binds a part into its shape with `partial`.  Each
+# exact part reads the values and decides each index itself, so the exact
+# runner stays an independent reference for the check; only the loop and
+# the witness are shared.
 
 
-def _valuation_verdict(m, width, extra, i, expect, got):
-    """The verdict of a valuation claim on f_i(m), i = width*n + j, from its
-    first failing index i, the expected and the actual valuation; `extra`
-    adds witness keys from i."""
-    return OBSERVATION, {"failing": {"m": m, "n": i // width, "j": i % width, **extra(i),
-                                     "expected": expect, "actual": got}}
-
-
-def _run_valuation(m, width, expect_of, extra, bounds):
-    """Check nu2(f_(width*n + j)(m)) = expect_of(nu2(n + 1)) for n <= bounds["n"]."""
-    n_max = bounds["n"]
-    vals = fpow_prefix(m, width * n_max + width - 1)
-    for n in range(n_max + 1):
-        expect = expect_of(nu2(n + 1))
-        for j in range(width):
-            got = nu2_or_none(vals[width * n + j])
-            if got != expect:
-                return _valuation_verdict(m, width, extra, width * n + j, expect, got)
-    return VERIFIED, {}
+def _valuation(first_failure, m, width, expect_of, extra, bounds):
+    """nu2(f_(width*n + j)(m)) = expect_of(nu2(n + 1)) for n <= bounds["n"]
+    and j < width.  first_failure(m, width, expect_of, n_max) gives the
+    first failing index i = width*n + j and the valuation there, (i, got),
+    or () when every index holds; `extra` adds witness keys from i."""
+    found = first_failure(m, width, expect_of, bounds["n"])
+    if found is None:
+        return None
+    if not found:
+        return VERIFIED, {}
+    i, got = found
+    n = i // width
+    return OBSERVATION, {"failing": {"m": m, "n": n, "j": i % width, **extra(i),
+                                     "expected": expect_of(nu2(n + 1)), "actual": got}}
 
 
 # (m, width, expect_of, extra) of t5-valuation and t9-valuation; expect_of
@@ -100,27 +106,185 @@ _T9_VALUATION = (9, 8, lambda v: 5 * _ceil_half(v) - 2 * (v % 2),
                  lambda i: {"residue_class": i % 64})
 
 
-def _run_t2k1_table(bounds):
-    # fit the strictly increasing table A_{k, nu2(n+1)} for m = 2^k + 1
-    n_max = bounds["n"]
+def _t2k1_table(fit, bounds):
+    """Fit the strictly increasing table A_{k, nu2(n+1)} for m = 2^k + 1.
+    fit(k, n_max) gives the table read so far, as a list by class, and the
+    first index that contradicts it, (n, j, class, nu2 there), or ()."""
     out = {}
     for k in (2, 3):
-        m = (1 << k) + 1
-        vals = fpow_prefix(m, (n_max << k) + (1 << k) - 1)
-        table: dict[int, int] = {}
-        for n in range(n_max + 1):
-            v = nu2(n + 1)
-            for j in range(1 << k):
-                got = nu2_or_none(vals[(n << k) + j])
-                if table.setdefault(v, got) != got:
-                    return OBSERVATION, {"k": k, "n": n, "j": j,
-                                         "conflict_class": v,
-                                         "values": [table[v], got]}
-        fitted = [table[v] for v in sorted(table)]
-        if fitted[0] != 0 or any(a >= b for a, b in zip(fitted, fitted[1:])):
-            return OBSERVATION, {"k": k, "table_not_strictly_increasing": fitted}
-        out[f"A_{k}"] = fitted
+        found = fit(k, bounds["n"])
+        if found is None:
+            return None
+        table, conflict = found
+        if conflict:
+            n, j, v, got = conflict
+            return OBSERVATION, {"k": k, "n": n, "j": j, "conflict_class": v,
+                                 "values": [table[v], got]}
+        if table[0] != 0 or any(a >= b for a, b in zip(table, table[1:])):
+            return OBSERVATION, {"k": k, "table_not_strictly_increasing": table}
+        out[f"A_{k}"] = table
     return VERIFIED, out
+
+
+def _bm_unbounded(max_nu2_of, bounds):
+    """The running maximum of nu2(b_m(n)) for n <= bounds["n"]: max_nu2_of(m,
+    n_max) gives the largest value and the first n at which it occurs."""
+    out = {}
+    for m in (2, 4, 5, 6):
+        found = max_nu2_of(m, bounds["n"])
+        if found is None:
+            return None
+        out[f"m={m}"] = {"max_nu2": found[0], "at": found[1]}
+    return OBSERVATION, out
+
+
+def _b_pow2_congruence(firsts, bounds):
+    """b_{2^m}(2^(k+1) n) == b_{2^m}(2^(k-1) n)  (mod 2^k) for k >= m+2.
+    firsts(t, idx_max, ks, mod_of) gives, per k in ks, the least n >= 1 with
+    f_(n << (k+1))(t) != f_(n << (k-1))(t) (mod mod_of(k)), or 0 when every n
+    up to idx_max >> (k+1) holds; it never declines."""
+    for m in (1, 2, 3):
+        ks = range(m + 2, m + 5)
+        for k, n in zip(ks, firsts(-(1 << m), bounds["index"], ks, lambda k: 1 << k)):
+            if n:
+                return OBSERVATION, {"failing": {"m": m, "k": k, "n": n}}
+    return VERIFIED, {}
+
+
+def _pow2m1_mod(k):
+    """The conjectured modulus of b-pow2m1-congruence at k."""
+    return 1 << (4 * ((k + 1) // 2) - 2)
+
+
+def _b_pow2m1_congruence(firsts, bounds):
+    """b_{2^m-1}(2^(k+1) n) == b_{2^m-1}(2^(k-1) n)
+    (mod 2^(4*floor((k+1)/2)-2)), with `firsts` as in `_b_pow2_congruence`.
+    The conjectured modulus is numerically too strong for some (m, k), so
+    failures are recorded per (m, k) instead of ending the campaign."""
+    failures = []
+    verified = []
+    for m in (1, 2, 3):
+        ks = range(m + 2, m + 5)
+        for k, n in zip(ks, firsts(1 - (1 << m), bounds["index"], ks, _pow2m1_mod)):
+            if n:
+                failures.append({"m": m, "k": k, "n": n, "mod": _pow2m1_mod(k)})
+            else:
+                verified.append({"m": m, "k": k})
+    if failures:
+        return OBSERVATION, {"failing": failures, "verified_for": verified}
+    return VERIFIED, {}
+
+
+def _b_congruence_growth(min_nu2s, bounds):
+    """Empirically fit f(k) = min_n nu2(b_m(2^(k+1) n) - b_m(2^(k-1) n)).
+    min_nu2s(t, idx_max, ks) gives, per k in ks, the least nu2 of the
+    nonzero differences f_(n << (k+1))(t) - f_(n << (k-1))(t), n up to
+    idx_max >> (k+1), or "exact" when there are none; None for a k declines."""
+    fit = {}
+    for m in (3, 5, 6):
+        per_k = min_nu2s(-m, bounds["index"], range(2, 8))
+        if None in per_k:
+            return None
+        fit[f"m={m}"] = per_k
+    return OBSERVATION, {"f(k) for k=2..7": fit}
+
+
+def _sign_density(exceptions_of, bounds):
+    """The exceptions to sgn t_m(3n + j) = (-1)^j for n <= bounds["n"] and
+    their frequency: exceptions_of(m, n_max) counts them for j = 0 and 1."""
+    from fractions import Fraction
+
+    n_max = bounds["n"]
+    out = {}
+    for m in (2, 3, 4, 5):
+        hits = exceptions_of(m, n_max)
+        if hits is None:
+            return None
+        for j in (0, 1):
+            out[f"m={m},j={j}"] = {
+                "exceptions": hits[j],
+                "frequency": str(Fraction(hits[j], n_max + 1)),
+            }
+    return OBSERVATION, out
+
+
+def _first_failing(ms, witness, first_failure, bounds):
+    """VERIFIED when first_failure(m, bounds["n"]) finds no failure (a falsy
+    value) for any m in ms, else OBSERVATION with witness(m, failure) for
+    the first m that has one."""
+    for m in ms:
+        found = first_failure(m, bounds["n"])
+        if found is None:
+            return None
+        if found:
+            return OBSERVATION, witness(m, found)
+    return VERIFIED, {}
+
+
+# no three consecutive t_m values share a sign, and t_m(n)^2 > t_m(n-1)
+# t_m(n+1), for 1 <= n < bounds["n"]: a part gives the first n that fails
+# either with its kind, "three-signs" where both fail, or ()
+_threesigns_turan = partial(_first_failing, (2, 3, 4, 5, 6), lambda m, found: {
+    "failing": {"m": m, "n": found[0], "kind": found[1]}})
+# b_m(n)^2 > b_m(n-1) b_m(n+1) for 1 <= n < bounds["n"]: a part gives the
+# first n that fails, or 0
+_b_turan_m4plus = partial(_first_failing, (4, 5, 6),
+                          lambda m, n: {"failing": {"m": m, "n": n}})
+# t_m(n) != 0 for 1 <= n <= bounds["n"]: a part gives the first n with
+# t_m(n) = 0, or 0
+_t_zero_m4plus = partial(_first_failing, range(4, 9),
+                         lambda m, n: {"zero_found": {"m": m, "n": n}})
+
+
+def _t_missing_values(attained_of, bounds):
+    """The values in [-span, span] that t_m(0..n) does not attain:
+    attained_of(m, n_max, span) gives the set of those it attains."""
+    span = bounds["span"]
+    out = {}
+    for m in (3, 4, 5):
+        attained = attained_of(m, bounds["n"], span)
+        if attained is None:
+            return None
+        missing = [v for v in range(-span, span + 1) if v not in attained]
+        out[f"m={m}"] = {"attained_in_window": len(attained), "missing": missing}
+    return OBSERVATION, out
+
+
+def _crossover_verdict(last, zeros, breaks):
+    """The verdict of b3-turan-crossover from the last n <= n_max - 1 at which
+    b_3(n)^2 - b_3(n-1) b_3(n+1) <= 0, the n at which it is 0 and the n up
+    to `last` that break the alternation."""
+    return OBSERVATION, {"crossover_candidate": last, "positive_beyond": True,
+                         "zero_differences_at": zeros, "alternation_breaks": breaks}
+
+
+# ---------------------------------------------------------------------------
+# exact runners and parts
+
+
+def _run_valuation_of(m, width, expect_of, n_max):
+    vals = fpow_prefix(m, width * n_max + width - 1)
+    for n in range(n_max + 1):
+        expect = expect_of(nu2(n + 1))
+        for j in range(width):
+            got = nu2_or_none(vals[width * n + j])
+            if got != expect:
+                return width * n + j, got
+    return ()
+
+
+def _run_t2k1_of(k, n_max):
+    vals = fpow_prefix((1 << k) + 1, (n_max << k) + (1 << k) - 1)
+    # class v first occurs at n = 2^v - 1, so the dict holds the classes in
+    # order
+    table: dict[int, int] = {}
+    for n in range(n_max + 1):
+        v = nu2(n + 1)
+        for j in range(1 << k):
+            got = nu2_or_none(vals[(n << k) + j])
+            if table.setdefault(v, got) != got:
+                return list(table.values()), (n, j, v, got)
+    return list(table.values()), ()
 
 
 def _run_t_regular(bounds):
@@ -141,125 +305,56 @@ def _run_t_regular(bounds):
                          "note": "-1 encodes an infinite valuation"}
 
 
-def _run_bm_unbounded(bounds):
-    n_max = bounds["n"]
-    out = {}
-    for m in (2, 4, 5, 6):
-        vals = fpow_prefix(-m, n_max)
-        best, arg = -1, 0
-        for n in range(n_max + 1):
-            v = nu2(vals[n]) if vals[n] else 0
-            if v > best:
-                best, arg = v, n
-        out[f"m={m}"] = {"max_nu2": best, "at": arg}
-    return OBSERVATION, out
+def _run_max_nu2_of(m, n_max):
+    vals = fpow_prefix(-m, n_max)
+    best, arg = -1, 0
+    for n in range(n_max + 1):
+        v = nu2(vals[n]) if vals[n] else 0
+        if v > best:
+            best, arg = v, n
+    return best, arg
 
 
-def _run_b_pow2_congruence(bounds):
-    # b_{2^m}(2^(k+1) n) == b_{2^m}(2^(k-1) n)  (mod 2^k) for k >= m+2
-    idx_max = bounds["index"]
-    for m in (1, 2, 3):
-        seq = fpow_prefix(-(1 << m), idx_max)
-        for k in range(m + 2, m + 5):
-            for n in range((idx_max >> (k + 1)) + 1):
-                if (seq[n << (k + 1)] - seq[n << (k - 1)]) % (1 << k):
-                    return OBSERVATION, {"failing": {"m": m, "k": k, "n": n}}
-    return VERIFIED, {}
+def _run_firsts(t, idx_max, ks, mod_of):
+    seq = fpow_prefix(t, idx_max)
+    return [next((n for n in range(1, (idx_max >> (k + 1)) + 1)
+                  if (seq[n << (k + 1)] - seq[n << (k - 1)]) % mod_of(k)), 0)
+            for k in ks]
 
 
-def _pow2m1_mod(k):
-    """The conjectured modulus of b-pow2m1-congruence at k."""
-    return 1 << (4 * ((k + 1) // 2) - 2)
+def _run_min_nu2s(t, idx_max, ks):
+    seq = fpow_prefix(t, idx_max)
+    out = []
+    for k in ks:
+        diffs = (seq[n << (k + 1)] - seq[n << (k - 1)] for n in range(1, (idx_max >> (k + 1)) + 1))
+        out.append(min((nu2(d) for d in diffs if d), default="exact"))
+    return out
 
 
-def _run_b_pow2m1_congruence(bounds):
-    # b_{2^m-1}(2^(k+1) n) == b_{2^m-1}(2^(k-1) n)  (mod 2^(4*floor((k+1)/2)-2))
-    # the conjectured modulus is numerically too strong for some (m, k),
-    # so failures are recorded per (m, k) instead of aborting the campaign
-    idx_max = bounds["index"]
-    failures = []
-    verified = []
-    for m in (1, 2, 3):
-        seq = fpow_prefix(1 - (1 << m), idx_max)
-        for k in range(m + 2, m + 5):
-            mod = _pow2m1_mod(k)
-            n = next((n for n in range(1, (idx_max >> (k + 1)) + 1)
-                      if (seq[n << (k + 1)] - seq[n << (k - 1)]) % mod), None)
-            if n is None:
-                verified.append({"m": m, "k": k})
-            else:
-                failures.append({"m": m, "k": k, "n": n, "mod": mod})
-    if failures:
-        return OBSERVATION, {"failing": failures, "verified_for": verified}
-    return VERIFIED, {}
+def _run_sign_exceptions_of(m, n_max):
+    vals = fpow_prefix(m, 3 * n_max + 1)
+    return [sum(1 for n in range(n_max + 1)
+                if (vals[3 * n + j] > 0) - (vals[3 * n + j] < 0) != (-1) ** j)
+            for j in (0, 1)]
 
 
-def _run_b_congruence_growth(bounds):
-    # empirically fit f(k) = min_n nu2(b_m(2^(k+1) n) - b_m(2^(k-1) n))
-    idx_max = bounds["index"]
-    fit = {}
-    for m in (3, 5, 6):
-        seq = fpow_prefix(-m, idx_max)
-        per_k = []
-        for k in range(2, 8):
-            best = None
-            for n in range(1, (idx_max >> (k + 1)) + 1):
-                d = seq[n << (k + 1)] - seq[n << (k - 1)]
-                if d == 0:
-                    continue
-                v = nu2(d)
-                best = v if best is None else min(best, v)
-            per_k.append(best if best is not None else "exact")
-        fit[f"m={m}"] = per_k
-    return OBSERVATION, {"f(k) for k=2..7": fit}
+def _run_threesigns_of(m, n_max):
+    vals = fpow_prefix(m, n_max + 1)
+    for n in range(1, n_max):
+        a, b, c = vals[n - 1], vals[n], vals[n + 1]
+        if (a > 0 and b > 0 and c > 0) or (a < 0 and b < 0 and c < 0):
+            return n, "three-signs"
+        if b * b <= a * c:
+            return n, "turan"
+    return ()
 
 
-def _run_sign_density(bounds):
-    from fractions import Fraction
-
-    n_max = bounds["n"]
-    out = {}
-    for m in (2, 3, 4, 5):
-        vals = fpow_prefix(m, 3 * n_max + 1)
-        for j in (0, 1):
-            want = 1 if j == 0 else -1
-            hits = sum(
-                1
-                for n in range(n_max + 1)
-                if (vals[3 * n + j] > 0) - (vals[3 * n + j] < 0) != want
-            )
-            out[f"m={m},j={j}"] = {
-                "exceptions": hits,
-                "frequency": str(Fraction(hits, n_max + 1)),
-            }
-    return OBSERVATION, out
-
-
-# the m of t-threesigns-turan
-_THREESIGNS_MS = (2, 3, 4, 5, 6)
-
-
-def _run_threesigns_turan(bounds):
-    n_max = bounds["n"]
-    for m in _THREESIGNS_MS:
-        vals = fpow_prefix(m, n_max + 1)
-        for n in range(1, n_max):
-            a, b, c = vals[n - 1], vals[n], vals[n + 1]
-            if (a > 0 and b > 0 and c > 0) or (a < 0 and b < 0 and c < 0):
-                return OBSERVATION, {"failing": {"m": m, "n": n, "kind": "three-signs"}}
-            if b * b <= a * c:
-                return OBSERVATION, {"failing": {"m": m, "n": n, "kind": "turan"}}
-    return VERIFIED, {}
-
-
-def _run_b_turan_m4plus(bounds):
-    n_max = bounds["n"]
-    for m in (4, 5, 6):
-        vals = fpow_prefix(-m, n_max + 1)
-        for n in range(1, n_max):
-            if vals[n] ** 2 <= vals[n - 1] * vals[n + 1]:
-                return OBSERVATION, {"failing": {"m": m, "n": n}}
-    return VERIFIED, {}
+def _run_b_turan_of(m, n_max):
+    vals = fpow_prefix(-m, n_max + 1)
+    for n in range(1, n_max):
+        if vals[n] ** 2 <= vals[n - 1] * vals[n + 1]:
+            return n
+    return 0
 
 
 def _run_b3_crossover(bounds):
@@ -273,43 +368,41 @@ def _run_b3_crossover(bounds):
     zeros = [n for n, sign in enumerate(signs, 1) if sign == 0]
     last = max((n for n, sign in enumerate(signs, 1) if sign <= 0), default=0)
     breaks = [n for n, sign in enumerate(signs[:last], 1) if sign == (1 if n & 1 else -1)]
-    return OBSERVATION, {
-        "crossover_candidate": last,
-        "positive_beyond": True,
-        "zero_differences_at": zeros,
-        "alternation_breaks": breaks,
-    }
+    return _crossover_verdict(last, zeros, breaks)
 
 
-def _run_t_zero_m4plus(bounds):
-    n_max = bounds["n"]
-    for m in range(4, 9):
-        vals = fpow_prefix(m, n_max)
-        for n in range(1, n_max + 1):
-            if vals[n] == 0:
-                return OBSERVATION, {"zero_found": {"m": m, "n": n}}
-    return VERIFIED, {}
+def _run_t_zero_of(m, n_max):
+    vals = fpow_prefix(m, n_max)
+    return next((n for n in range(1, n_max + 1) if vals[n] == 0), 0)
 
 
-def _run_t_missing_values(bounds):
-    n_max = bounds["n"]
-    span = bounds["span"]
-    out = {}
-    for m in (3, 4, 5):
-        vals = fpow_prefix(m, n_max)
-        attained = {v for v in vals[: n_max + 1] if -span <= v <= span}
-        missing = [v for v in range(-span, span + 1) if v not in attained]
-        out[f"m={m}"] = {"attained_in_window": len(attained), "missing": missing}
-    return OBSERVATION, out
+def _run_t_attained_of(m, n_max, span):
+    vals = fpow_prefix(m, n_max)
+    return {v for v in vals[: n_max + 1] if -span <= v <= span}
 
 
 def _run_b2_valuation_list(bounds):
-    from .bm_sequences import b2_valuation_table_suite
+    """Every tabulated equality nu2(b_2(M n + i)) = a for indices <= n, after
+    the polynomial certificates used to derive them
+    (`bm_sequences.b2_certificate_witness`)."""
+    from .bm_sequences import B2_VALUATION_TABLE, b2_certificate_witness
 
-    rep = b2_valuation_table_suite(bounds["n"])
-    if rep.ok:
-        return VERIFIED, {"checked": rep.checked}
-    return COUNTEREXAMPLE, rep.witness
+    witness = b2_certificate_witness()
+    if witness:
+        return COUNTEREXAMPLE, witness
+    n_max = bounds["n"]
+    v = fpow_prefix(-2, n_max)
+    checked = 0
+    for modulus, residues, a in B2_VALUATION_TABLE:
+        for i in residues:
+            # nu2(x) == a exactly when the low a + 1 bits of x are 2^a
+            low_bits = list(map(((2 << a) - 1).__and__, v[i : n_max + 1 : modulus]))
+            if low_bits.count(1 << a) < len(low_bits):
+                n = next(n for n, b in enumerate(low_bits) if b != 1 << a)
+                return COUNTEREXAMPLE, {"modulus": modulus, "i": i, "n": n,
+                                        "value_nu2": nu2(v[modulus * n + i])}
+            checked += len(low_bits)
+    return VERIFIED, {"checked": checked}
 
 
 def _run_t2_symmetry(bounds):
@@ -326,42 +419,40 @@ def _run_t2_symmetry(bounds):
 
 
 # ---------------------------------------------------------------------------
-# residue runners ("residue" in a report: a whole-array runner ran): the
-# same checks on values mod 2^64 (`fpow_residues`), on t_m read exactly from
-# its residues as int64 (`_int64_values`), or on doubles whose sign of
-# b^2 - ac is certified (`_turan_signs`): t_m's int64 readings converted,
-# and b_m from the kernel's blocks run in float64 (`fpow_doubles`, with
-# the error bound `fpow_doubles_eps`, both beside the blocks they count),
-# so the b_m runners build the exact prefix only up to the last index the
-# doubles leave unsure.  run_campaign calls one only when numpy imports, in
-# a session at any size and in a `ptmpow verify` process (inside
-# `fpow.arrays_unkept()`) from the campaign's `cold_size`, so a runner
-# decides only the mathematics.  Each returns the exact runner's (status,
-# witness), or None, in which case run_campaign runs the exact runner for
-# the whole campaign (`backend_reason` "declined"):
-# when a residue whose nu2 is taken or that is tested for zero is 0 (a zero
-# value or nu2 >= 64), when the certificate of an int64 reading of t_m
-# fails, and when the double of a b_m value is not below 2^510.  Any exact
-# settling of such an index would build the exact prefix up to it, so
-# declining costs no more.  A masked congruence difference is exact, so the
-# two congruence runners with a fixed modulus never decline;
-# b-congruence-growth takes nu2 of the whole difference and declines on a
-# difference of 0 mod 2^64.
+# residue runners and parts ("residue" in a report: a whole-array runner
+# ran): the same checks on values mod 2^64 (`fpow_residues`), on t_m read
+# exactly from its residues as int64 (`_int64_values`), or on doubles whose
+# sign of b^2 - ac is certified (`_turan_signs`): t_m's int64 readings
+# converted, and b_m from the kernel's blocks run in float64
+# (`fpow_doubles`, with the error bound `fpow_doubles_eps`, both beside the
+# blocks they count), so the b_m parts build the exact prefix only up to the
+# last index the doubles leave unsure.  run_campaign calls a residue runner
+# only when numpy imports, in a session at any size and in a `ptmpow
+# verify` process (inside `fpow.arrays_unkept()`) from the campaign's
+# `cold_size`, so a runner decides only the mathematics.  Each gives the
+# exact runner's (status, witness), or None, in which case run_campaign
+# runs the exact runner for the whole campaign (`backend_reason`
+# "declined"): when a residue whose nu2 is taken or that is tested for zero
+# is 0 (a zero value or nu2 >= 64), when the certificate of an int64
+# reading of t_m fails, and when the double of a b_m value is not below
+# 2^510.  Any exact settling of such an index would build the exact prefix
+# up to it, so declining costs no more.  A masked congruence difference is
+# exact, so `_res_firsts` never declines; `_res_min_nu2s` takes nu2 of the
+# whole difference and declines on a difference of 0 mod 2^64.
 #
-# Memory: one array per kernel request plus one chunk.  Every runner that
+# Memory: one array per kernel request plus one chunk.  Every part that
 # reads a whole index range walks it in `chunks` (the Turán checks with one
 # neighbour on either side) and stops at the first chunk that fails or
-# declines, so no temporary is as long as the range.  A
-# zero residue past the first failure is then never read; the exact runner
-# gives the same witness there, since it reads no index past the failure.
-# The congruence runners take their strided differences, at most an eighth
-# of the array, whole.  A runner that reads several arrays reads each in its
-# own call (`_res_t2k1_fit`, `_res_bm_max_nu2`, `_congruence_reads`, ...),
-# whose locals, views included, die when it returns, so no array outlives
-# its call into the next request; under `fpow.arrays_unkept()`, as in
-# `ptmpow verify`, the process then holds one array at a time.  The int64
-# certificate is taken per m, so a failure on one m is reported even where
-# a later m would have declined; the exact runner gives the same witness.
+# declines, so no temporary is as long as the range.  A zero residue past
+# the first failure is then never read; the exact part gives the same
+# result there, since it reads no index past the failure.  The congruence
+# parts take their strided differences, at most an eighth of the array,
+# whole.  Each part reads one array in its own call, whose locals, views
+# included, die when it returns, so no array outlives its call into the
+# next request; under `fpow.arrays_unkept()`, as in `ptmpow verify`, the
+# process then holds one array at a time.  The int64 certificate is taken
+# per m, so a failure on one m is reported even where a later m would have
+# declined; the exact runner gives the same witness.
 
 
 def _nu2_residues(r):
@@ -382,55 +473,24 @@ def _nu2_classes(lo, hi):
     return _nu2_residues(np.arange(lo + 1, hi + 1, dtype=np.uint64)).astype(np.int64)
 
 
-def _res_valuation(m, width, expect_of, extra, bounds):
-    """`_run_valuation` on residues, one chunk of indices at a time."""
-    n_max = bounds["n"]
+def _res_valuation_of(m, width, expect_of, n_max):
+    """`_run_valuation_of` on residues, one chunk of indices at a time."""
     res = fpow_residues(m, width * (n_max + 1) - 1)
     for lo, hi in chunks(n_max + 1, width):
         part = res[width * lo : width * hi]
         if not part.all():
             return None
-        expect = expect_of(_nu2_classes(lo, hi)).repeat(width)
         got = _nu2_residues(part)
-        bad = got != expect
+        bad = got != expect_of(_nu2_classes(lo, hi)).repeat(width)
         i = int(bad.argmax())
         if bad[i]:
-            return _valuation_verdict(m, width, extra, width * lo + i,
-                                      int(expect[i]), int(got[i]))
-    return VERIFIED, {}
+            return width * lo + i, int(got[i])
+    return ()
 
 
-def _all_verified(verdicts):
-    """The first of `verdicts` that is None or not VERIFIED, else VERIFIED
-    with their witnesses merged: a runner that reads one array per verdict
-    makes each in a call that drops its array on return, so the next
-    request starts with none alive."""
-    out = {}
-    for verdict in verdicts:
-        if verdict is None or verdict[0] != VERIFIED:
-            return verdict
-        out.update(verdict[1])
-    return VERIFIED, out
-
-
-def _observed(parts):
-    """OBSERVATION with the witness parts merged, or None when one is None
-    (a decline); as `_all_verified`, for the observation runners."""
-    out = {}
-    for part in parts:
-        if part is None:
-            return None
-        out.update(part)
-    return OBSERVATION, out
-
-
-def _res_t2k1_table(bounds):
-    return _all_verified(_res_t2k1_fit(k, bounds["n"]) for k in (2, 3))
-
-
-def _res_t2k1_fit(k, n_max):
-    """The verdict of `_res_t2k1_table` on m = 2^k + 1 alone, VERIFIED with
-    its fitted table A_k."""
+def _res_t2k1_of(k, n_max):
+    """`_run_t2k1_of` on residues: the table is read at the first index of
+    each class, and each chunk is compared with it."""
     width = 1 << k
     res = fpow_residues(width + 1, (n_max + 1) * width - 1)
     # class v first occurs at n = 2^v - 1, j = 0
@@ -447,14 +507,8 @@ def _res_t2k1_fit(k, n_max):
         bad = got != table[cls]
         i = int(bad.argmax())
         if bad[i]:
-            v = int(cls[i])
-            return OBSERVATION, {"k": k, "n": lo + (i >> k), "j": i & (width - 1),
-                                 "conflict_class": v,
-                                 "values": [int(table[v]), int(got[i])]}
-    fitted = table.tolist()
-    if fitted[0] != 0 or any(a >= b for a, b in zip(fitted, fitted[1:])):
-        return OBSERVATION, {"k": k, "table_not_strictly_increasing": fitted}
-    return VERIFIED, {f"A_{k}": fitted}
+            return table.tolist(), (lo + (i >> k), i & (width - 1), int(cls[i]), int(got[i]))
+    return table.tolist(), ()
 
 
 def _congruence_reads(t, idx_max, ks, read):
@@ -469,49 +523,28 @@ def _congruence_reads(t, idx_max, ks, read):
     return out
 
 
-def _first_failure(mod, d):
-    """The least n >= 1 whose difference d[n - 1] is not 0 mod `mod`, or
-    None; exact on residues mod 2^64 for `mod` a power of two."""
-    bad = (d & (mod - 1)) != 0
-    return int(bad.argmax()) + 1 if bad.any() else None
+def _res_firsts(t, idx_max, ks, mod_of):
+    """`_run_firsts` on residues, exact for mod_of(k) a power of two."""
+    def first(k, d):
+        bad = (d & (mod_of(k) - 1)) != 0
+        return int(bad.argmax()) + 1 if bad.any() else 0
+
+    return _congruence_reads(t, idx_max, ks, first)
 
 
-def _res_b_pow2_congruence(bounds):
-    idx_max = bounds["index"]
-    for m in (1, 2, 3):
-        ks = range(m + 2, m + 5)
-        firsts = _congruence_reads(-(1 << m), idx_max, ks,
-                                   lambda k, d: _first_failure(1 << k, d))
-        for k, n in zip(ks, firsts):
-            if n is not None:
-                return OBSERVATION, {"failing": {"m": m, "k": k, "n": n}}
-    return VERIFIED, {}
+def _res_min_nu2s(t, idx_max, ks):
+    """`_run_min_nu2s` on residues, with None at a k whose differences hold
+    one of 0 mod 2^64: an exact 0, which the exact part skips, or nu2 >= 64."""
+    def min_nu2(k, d):
+        if not d.all():
+            return None
+        return int(_nu2_residues(d).min()) if d.size else "exact"
+
+    return _congruence_reads(t, idx_max, ks, min_nu2)
 
 
-def _res_b_pow2m1_congruence(bounds):
-    idx_max = bounds["index"]
-    failures = []
-    verified = []
-    for m in (1, 2, 3):
-        ks = range(m + 2, m + 5)
-        firsts = _congruence_reads(1 - (1 << m), idx_max, ks,
-                                   lambda k, d: _first_failure(_pow2m1_mod(k), d))
-        for k, n in zip(ks, firsts):
-            if n is None:
-                verified.append({"m": m, "k": k})
-            else:
-                failures.append({"m": m, "k": k, "n": n, "mod": _pow2m1_mod(k)})
-    if failures:
-        return OBSERVATION, {"failing": failures, "verified_for": verified}
-    return VERIFIED, {}
-
-
-def _res_bm_unbounded(bounds):
-    return _observed(_res_bm_max_nu2(m, bounds["n"]) for m in (2, 4, 5, 6))
-
-
-def _res_bm_max_nu2(m, n_max):
-    """The witness part of `_res_bm_unbounded` for b_m alone, or None."""
+def _res_max_nu2_of(m, n_max):
+    """`_run_max_nu2_of` on residues, or None."""
     # argmax and a strict > across chunks take the first maximum, as the
     # exact loop's strict > does
     res = fpow_residues(-m, n_max)
@@ -524,26 +557,7 @@ def _res_bm_max_nu2(m, n_max):
         at = int(v.argmax())
         if int(v[at]) > best:
             best, arg = int(v[at]), lo + at
-    return {f"m={m}": {"max_nu2": best, "at": arg}}
-
-
-def _min_nu2(k, d):
-    """min nu2 over the differences d, "exact" when there are none, or None
-    on a difference of 0 mod 2^64: an exact 0, which the exact loop skips,
-    or nu2 >= 64."""
-    if not d.all():
-        return None
-    return int(_nu2_residues(d).min()) if d.size else "exact"
-
-
-def _res_b_congruence_growth(bounds):
-    fit = {}
-    for m in (3, 5, 6):
-        per_k = _congruence_reads(-m, bounds["index"], range(2, 8), _min_nu2)
-        if None in per_k:
-            return None
-        fit[f"m={m}"] = per_k
-    return OBSERVATION, {"f(k) for k=2..7": fit}
+    return best, arg
 
 
 def _int64_values(m, size):
@@ -568,19 +582,15 @@ def _certifies(half, m):
     return max(int(half.max()), -int(half.min())) < 1 << (64 - m)
 
 
-# the unit roundoff of a double
-_U = 2.0**-53
-
-
 def _turan_signs(f, prefix, lo=0, eps=0.0):
     """sgn(v(n)^2 - v(n-1) v(n+1)) for n = 1..len(f) - 2, as an int8 array,
     where v(n) = prefix(top)[lo + n] is an integer (prefix(top) holds the
     values up to index top at least) and f[n] its double: correctly rounded
     at eps = 0, else within a relative error eps of it.
 
-    With u = 2^-53, a = f[n-1], b = f[n], c = f[n+1], P = fl(b*b) and
-    Q = fl(a*c), each input is within a relative eps + u of its integer, so
-    the rounding of the inputs, of both products and of the difference
+    With u = UNIT_ROUNDOFF = 2^-53, a = f[n-1], b = f[n], c = f[n+1],
+    P = fl(b*b) and Q = fl(a*c), each input is within a relative eps + u of
+    its integer, so the rounding of the inputs, of both products and of the difference
     D = fl(P - Q) leaves D within (2 eps + 4u)(P + |Q|) of the exact value,
     plus terms of second order, below 0.1 eps for eps < 2^-10.  So where
     |D| > (2.1 eps + 8u)(P + |Q|) the sign of D is the sign of the exact
@@ -594,7 +604,7 @@ def _turan_signs(f, prefix, lo=0, eps=0.0):
         tol = np.abs(d)
         p = f[1:-1] * f[1:-1]
         tol += p
-        tol *= 2.1 * eps + 8 * _U
+        tol *= 2.1 * eps + 8 * UNIT_ROUNDOFF
         np.subtract(p, d, out=d)
         del p
         signs = (d > 0).view(np.int8) - (d < 0).view(np.int8)
@@ -623,37 +633,20 @@ def _b_turan_signs(m, n_max):
             for lo, hi in chunks(n_max - 1))
 
 
-def _res_sign_density(bounds):
-    return _observed(_res_sign_exceptions(m, bounds["n"]) for m in (2, 3, 4, 5))
-
-
-def _res_sign_exceptions(m, n_max):
-    """The witness part of `_res_sign_density` for t_m alone, or None."""
+def _res_sign_exceptions_of(m, n_max):
+    """`_run_sign_exceptions_of` on int64 values, or None."""
     vals = _int64_values(m, 3 * n_max + 2)
     if vals is None:
         return None
-    from fractions import Fraction
-
     import numpy as np
 
-    out = {}
-    for j in (0, 1):
-        want = 1 if j == 0 else -1
-        hits = sum(int(np.count_nonzero(np.sign(vals[3 * lo + j : 3 * hi : 3]) != want))
-                   for lo, hi in chunks(n_max + 1, 3))
-        out[f"m={m},j={j}"] = {
-            "exceptions": hits,
-            "frequency": str(Fraction(hits, n_max + 1)),
-        }
-    return out
+    return [sum(int(np.count_nonzero(np.sign(vals[3 * lo + j : 3 * hi : 3]) != (-1) ** j))
+                for lo, hi in chunks(n_max + 1, 3))
+            for j in (0, 1)]
 
 
-def _res_t_missing_values(bounds):
-    return _observed(_res_t_attained(m, bounds["n"], bounds["span"]) for m in (3, 4, 5))
-
-
-def _res_t_attained(m, n_max, span):
-    """The witness part of `_res_t_missing_values` for t_m alone, or None."""
+def _res_t_attained_of(m, n_max, span):
+    """`_run_t_attained_of` on int64 values, or None."""
     vals = _int64_values(m, n_max + 1)
     if vals is None:
         return None
@@ -664,16 +657,11 @@ def _res_t_attained(m, n_max, span):
     for lo, hi in chunks(n_max + 1):
         part = vals[lo:hi]
         seen[part[(part >= -span) & (part <= span)] + span] = True
-    return {f"m={m}": {"attained_in_window": int(np.count_nonzero(seen)),
-                       "missing": (np.flatnonzero(~seen) - span).tolist()}}
-
-
-def _res_threesigns_turan(bounds):
-    return _all_verified(_res_threesigns_of(m, bounds["n"]) for m in _THREESIGNS_MS)
+    return set((np.flatnonzero(seen) - span).tolist())
 
 
 def _res_threesigns_of(m, n_max):
-    """The verdict of `_res_threesigns_turan` on t_m alone."""
+    """`_run_threesigns_of` on int64 values, or None."""
     # a first index failing both properties reports three-signs, as the
     # exact loop, which tests that first, does
     vals = _int64_values(m, n_max + 1)
@@ -690,17 +678,12 @@ def _res_threesigns_of(m, n_max):
         bad |= three
         i = int(bad.argmax())
         if bad[i]:
-            kind = "three-signs" if three[i] else "turan"
-            return OBSERVATION, {"failing": {"m": m, "n": lo + i + 1, "kind": kind}}
-    return VERIFIED, {}
-
-
-def _res_b_turan_m4plus(bounds):
-    return _all_verified(_res_b_turan_of(m, bounds["n"]) for m in (4, 5, 6))
+            return lo + i + 1, "three-signs" if three[i] else "turan"
+    return ()
 
 
 def _res_b_turan_of(m, n_max):
-    """The verdict of `_res_b_turan_m4plus` on b_m alone."""
+    """`_run_b_turan_of` on the doubles of b_m, or None."""
     signs = _b_turan_signs(m, n_max)
     if signs is None:
         return None
@@ -708,8 +691,8 @@ def _res_b_turan_of(m, n_max):
         bad = part <= 0
         i = int(bad.argmax())
         if bad[i]:
-            return OBSERVATION, {"failing": {"m": m, "n": lo + i + 1}}
-    return VERIFIED, {}
+            return lo + i + 1
+    return 0
 
 
 def _res_b3_crossover(bounds):
@@ -734,12 +717,7 @@ def _res_b3_crossover(bounds):
             head, n = part[:top], n[:top]
             breaks += n[head == np.where(n & 1, 1, -1)].tolist()
             last = lo + top
-    return OBSERVATION, {
-        "crossover_candidate": last,
-        "positive_beyond": True,
-        "zero_differences_at": zeros,
-        "alternation_breaks": breaks,
-    }
+    return _crossover_verdict(last, zeros, breaks)
 
 
 def _res_t2_symmetry(bounds):
@@ -791,19 +769,16 @@ def _res_t2_symmetry(bounds):
     return VERIFIED, {}
 
 
-def _res_t_zero_m4plus(bounds):
-    # a nonzero residue proves a nonzero value
-    n_max = bounds["n"]
-    for m in range(4, 9):
-        if not fpow_residues(m, n_max)[1 : n_max + 1].all():
-            return None
-    return VERIFIED, {}
+def _res_t_zero_of(m, n_max):
+    """`_run_t_zero_of` on residues: a nonzero residue proves a nonzero
+    value, and a zero residue declines."""
+    return 0 if fpow_residues(m, n_max)[1 : n_max + 1].all() else None
 
 
 def _res_b2_valuation_list(bounds):
     # nu2(x) = a exactly when the low a + 1 bits of x are 2^a, and a + 1 <= 8,
     # so residues mod 2^64 decide every equality.  The polynomial
-    # certificates stay exact and come first, as in the exact suite
+    # certificates stay exact and come first, as in the exact runner
     from .bm_sequences import B2_VALUATION_TABLE, b2_certificate_witness
 
     witness = b2_certificate_witness()
@@ -867,22 +842,22 @@ for _camp in (
     Campaign(
         "t5-valuation", "conjecture",
         "nu2(t_5(4n+j)) = 4*ceil(nu2(n+1)/2) - (nu2(n+1) mod 2) for j in 0..3",
-        {"n": 1 << 12}, partial(_run_valuation, *_T5_VALUATION),
-        partial(_res_valuation, *_T5_VALUATION),
+        {"n": 1 << 12}, partial(_valuation, _run_valuation_of, *_T5_VALUATION),
+        partial(_valuation, _res_valuation_of, *_T5_VALUATION),
         # 206 vs 214 ms at 24576, 220 vs 203 at 28672
         cold_size=7 << 12),
     Campaign(
         "t9-valuation", "conjecture",
         "nu2(t_9(8n+j)) = 5*ceil(nu2(n+1)/2) - 2*(nu2(n+1) mod 2) for j in 0..7",
-        {"n": 1 << 12}, partial(_run_valuation, *_T9_VALUATION),
-        partial(_res_valuation, *_T9_VALUATION),
+        {"n": 1 << 12}, partial(_valuation, _run_valuation_of, *_T9_VALUATION),
+        partial(_valuation, _res_valuation_of, *_T9_VALUATION),
         # 153 vs 160 ms at 10240, 221 vs 195 at 12288
         cold_size=3 << 12),
     Campaign(
         "t2k1-valuation-table", "conjecture",
         "nu2(t_{2^k+1}(2^k n + j)) = A_{k, nu2(n+1)} for a strictly increasing "
         "integer table with A_{k,0} = 0",
-        {"n": 1 << 12}, _run_t2k1_table, _res_t2k1_table,
+        {"n": 1 << 12}, partial(_t2k1_table, _run_t2k1_of), partial(_t2k1_table, _res_t2k1_of),
         # 155 vs 167 ms at 6144, 160 vs 150 at 8192
         cold_size=1 << 13),
     Campaign(
@@ -894,13 +869,15 @@ for _camp in (
         "bm-valuation-unbounded", "conjecture",
         "for m not of the form 2^k - 1 the sequence nu2(b_m(n)) is unbounded "
         "(report the running maximum)",
-        {"n": 1 << 12}, _run_bm_unbounded, _res_bm_unbounded,
+        {"n": 1 << 12}, partial(_bm_unbounded, _run_max_nu2_of),
+        partial(_bm_unbounded, _res_max_nu2_of),
         # 176 vs 204 ms at 32768, 174 vs 156 at 49152
         cold_size=3 << 14),
     Campaign(
         "b-pow2-congruence", "conjecture",
         "b_{2^m}(2^(k+1) n) = b_{2^m}(2^(k-1) n) (mod 2^k) for k >= m+2",
-        {"index": 1 << 14}, _run_b_pow2_congruence, _res_b_pow2_congruence,
+        {"index": 1 << 14}, partial(_b_pow2_congruence, _run_firsts),
+        partial(_b_pow2_congruence, _res_firsts),
         # every (m, k) checks n >= 1 at index 2^(k+1), and k+1 reaches 8
         minimum=1 << 8,
         # 153 vs 203 ms at 65536, 157 vs 154 at 81920
@@ -909,7 +886,8 @@ for _camp in (
         "b-pow2m1-congruence", "conjecture",
         "b_{2^m-1}(2^(k+1) n) = b_{2^m-1}(2^(k-1) n) "
         "(mod 2^(4*floor((k+1)/2)-2)) for k >= m+2",
-        {"index": 1 << 14}, _run_b_pow2m1_congruence, _res_b_pow2m1_congruence,
+        {"index": 1 << 14}, partial(_b_pow2m1_congruence, _run_firsts),
+        partial(_b_pow2m1_congruence, _res_firsts),
         # every (m, k) checks n >= 1 at index 2^(k+1), and k+1 reaches 8
         minimum=1 << 8,
         # 142 vs 152 ms at 98304, 232 vs 206 at 131072
@@ -918,27 +896,31 @@ for _camp in (
         "b-congruence-growth", "conjecture",
         "b_m(2^(k+1) n) = b_m(2^(k-1) n) (mod 2^f(k)) with nondecreasing "
         "f(k) = O(k) (empirical fit of f)",
-        {"index": 1 << 14}, _run_b_congruence_growth, _res_b_congruence_growth,
+        {"index": 1 << 14}, partial(_b_congruence_growth, _run_min_nu2s),
+        partial(_b_congruence_growth, _res_min_nu2s),
         # 122 vs 134 ms at 49152, 221 vs 218 at 65536
         cold_size=1 << 16),
     Campaign(
         "t-sign-density", "conjecture",
         "the exception sets {n : sgn t_m(3n+j) != (-1)^j} are infinite of "
         "density 0 (finite frequencies reported)",
-        {"n": 1 << 12}, _run_sign_density, _res_sign_density,
+        {"n": 1 << 12}, partial(_sign_density, _run_sign_exceptions_of),
+        partial(_sign_density, _res_sign_exceptions_of),
         # 133 vs 139 ms at 16384, 162 vs 144 at 24576
         cold_size=3 << 13),
     Campaign(
         "t-threesigns-turan", "conjecture",
         "for m >= 2: no three consecutive t_m values share a sign and "
         "t_m(n)^2 > t_m(n-1) t_m(n+1)",
-        {"n": 1 << 12}, _run_threesigns_turan, _res_threesigns_turan, minimum=2,
+        {"n": 1 << 12}, partial(_threesigns_turan, _run_threesigns_of),
+        partial(_threesigns_turan, _res_threesigns_of), minimum=2,
         # 151 vs 178 ms at 16384, 218 vs 216 at 32768
         cold_size=1 << 15),
     Campaign(
         "b-turan-m4plus", "conjecture",
         "for m >= 4: b_m(n)^2 - b_m(n-1) b_m(n+1) > 0",
-        {"n": 1 << 12}, _run_b_turan_m4plus, _res_b_turan_m4plus, minimum=2,
+        {"n": 1 << 12}, partial(_b_turan_m4plus, _run_b_turan_of),
+        partial(_b_turan_m4plus, _res_b_turan_of), minimum=2,
         # 227 vs 245 ms at 32768, 253 vs 206 at 49152
         cold_size=3 << 14),
     Campaign(
@@ -951,14 +933,16 @@ for _camp in (
     Campaign(
         "t-zero-m4plus", "conjecture",
         "t_m(n) = 0 has no solution for m >= 4",
-        {"n": 1 << 14}, _run_t_zero_m4plus, _res_t_zero_m4plus, minimum=1,
+        {"n": 1 << 14}, partial(_t_zero_m4plus, _run_t_zero_of),
+        partial(_t_zero_m4plus, _res_t_zero_of), minimum=1,
         # 144 vs 152 ms at 24576, 170 vs 158 at 28672
         cold_size=7 << 12),
     Campaign(
         "t-missing-values", "conjecture",
         "for m >= 3 infinitely many integers are never attained by t_m "
         "(window histogram of attained values)",
-        {"n": 1 << 14, "span": 50}, _run_t_missing_values, _res_t_missing_values,
+        {"n": 1 << 14, "span": 50}, partial(_t_missing_values, _run_t_attained_of),
+        partial(_t_missing_values, _res_t_attained_of),
         # 139 vs 149 ms at 65536, 159 vs 150 at 98304
         cold_size=3 << 15),
     Campaign(

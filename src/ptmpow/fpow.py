@@ -89,7 +89,9 @@ def arrays_unkept():
     they build: a request returns an array its caller alone holds, so it is
     freed when the caller drops it.  An entry stored before the scope is
     still read.  For a process that reads each array once; a session that
-    re-reads them across campaigns keeps the memo."""
+    re-reads them across campaigns keeps the memo.  The exact lists of
+    `fpow_prefix` stay memoised inside the scope too, so an exact `ptmpow
+    verify` process holds every prefix its campaign built."""
     global _keep_arrays
     kept, _keep_arrays = _keep_arrays, False
     try:
@@ -145,6 +147,11 @@ def fpow_residues(t: int, n: int):
     return _blocks(t, n, "uint64")
 
 
+# the unit roundoff of a double, in the error bounds of `fpow_doubles_eps`
+# and of the campaigns' Turán signs
+UNIT_ROUNDOFF = 2.0**-53
+
+
 def fpow_doubles(t: int, n: int):
     """[f_0(t), ..., f_k(t)] for t < 0 and k >= n, as a read-only float64
     array: the blocks of `fpow_residues` run in doubles, memoised as those
@@ -174,10 +181,10 @@ def fpow_doubles_eps(t: int, n: int) -> float:
     block long, and one carry add per later block: k = longest block +
     blocks up to the index + 1 roundings bound it.  Every term is
     nonnegative, so a pass keeps its inputs' relative error e and adds at
-    most gamma_k = k u / (1 - k u), u = 2^-53:
+    most gamma_k = k u / (1 - k u), u = UNIT_ROUNDOFF:
     e <- (1 + e)(1 + gamma_k)^|t| - 1 per level, from 0 at f_0 = 1.  At
     t = -3..-6 this is 2^-35.4 .. 2^-33.8 from 2^16 to 2^19."""
-    u = 2.0**-53  # the unit roundoff of a double
+    u = UNIT_ROUNDOFF
     eps, blocks = 0.0, 0
     for j in range(n.bit_length()):
         longest = min(1 << j, _CHUNK)

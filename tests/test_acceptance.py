@@ -47,12 +47,11 @@ from ptmpow.bm_sequences import (
     check_g1_closed_forms,
     check_window_sum_congruences,
     h_poly,
-    b2_valuation_table_suite,
     v2_b1_churchhouse,
     v2_b2k1_closed,
     v_operator,
 )
-from ptmpow.campaigns import exit_code_for, run_campaign
+from ptmpow.campaigns import CAMPAIGNS, exit_code_for, run_campaign
 
 from oracles import (CoeffTable, bm_alt_prefix, bm_oracle, maxmin_scan, tm_oracle,
                      v2_t2k_piecewise, v2_t3_rec)
@@ -244,7 +243,7 @@ def test_criterion_12_operator_suite():
 
 def test_criterion_13_b2_valuation_table():
     with criterion(13, 120, "the full nu2(b_2) equality table to 2^14, with polynomial certificates"):
-        assert b2_valuation_table_suite(1 << 14).ok
+        assert CAMPAIGNS["b2-valuation-list"].runner({"n": 1 << 14})[0] == "verified-to-bound"
 
 
 def test_criterion_14_appendix():

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from ptmpow.core_arith import IntPoly, nu2
 from ptmpow.f_polys import shared_fseries
 from ptmpow.fpow import fpow_at, fpow_prefix
-from ptmpow import bm_sequences, hfamily, tm_sequences
+from ptmpow import bm_sequences, campaigns, hfamily, tm_sequences
+from ptmpow.campaigns import CAMPAIGNS
 from ptmpow.bm_sequences import (
     b2_certificate_witness,
     check_4div,
@@ -29,7 +30,6 @@ from ptmpow.bm_sequences import (
     check_turan_b,
     h_poly,
     palindromic_decompose,
-    b2_valuation_table_suite,
     v2_b1_churchhouse,
     v2_b2k1_closed,
     v_operator,
@@ -468,9 +468,10 @@ def test_b2_valuation_table():
     assert nu2(fpow_at(-2, 3)) == 3
     assert nu2(fpow_at(-2, 5)) == 3
     assert nu2(fpow_at(-2, 78)) == 7
-    assert b2_valuation_table_suite(1 << 12).ok
+    runner = CAMPAIGNS["b2-valuation-list"].runner
+    assert runner({"n": 1 << 12})[0] == "verified-to-bound"
     # one check per index of each tabulated class up to the bound
-    assert b2_valuation_table_suite(1 << 16).checked == 61696
+    assert runner({"n": 1 << 16}) == ("verified-to-bound", {"checked": 61696})
 
 
 def test_b2_valuation_table_reports_its_first_mismatch(monkeypatch):
@@ -483,9 +484,9 @@ def test_b2_valuation_table_reports_its_first_mismatch(monkeypatch):
         vals = list(exact)
         for idx in bad:
             vals[idx] *= 2
-        monkeypatch.setattr(bm_sequences, "fpow_prefix", lambda t, n: vals)
-        rep = b2_valuation_table_suite(n_max)
-        assert not rep.ok and rep.witness == {**witness, "value_nu2": 4}
+        monkeypatch.setattr(campaigns, "fpow_prefix", lambda t, n: vals)
+        assert CAMPAIGNS["b2-valuation-list"].runner({"n": n_max}) == (
+            "counterexample", {**witness, "value_nu2": 4})
 
 
 # (module, check, args, t, index, plant, checked, witness): f_index(t), as
@@ -540,8 +541,8 @@ def test_a_planted_value_fails_its_check_at_its_index(monkeypatch, module, check
 @pytest.mark.parametrize("stage, plant", [("divisibility", 1), ("certificate", 8)])
 def test_a_failed_b2_certificate_names_its_entry(monkeypatch, stage, plant):
     # h_{9,4,2} is 0 mod 2^3: + 1 breaks the divisibility, and + 8 keeps it
-    # but flips the constant term of h/2^3 mod 2; the suite checks the
-    # certificates before any value
+    # but flips the constant term of h/2^3 mod 2; the exact runner checks
+    # the certificates before any value
     exact = bm_sequences.h_poly
 
     def planted(i, k, m):
@@ -552,8 +553,7 @@ def test_a_failed_b2_certificate_names_its_entry(monkeypatch, stage, plant):
     monkeypatch.setattr(bm_sequences, "h_poly", planted)
     witness = {"modulus": 16, "i": 9, "stage": stage}
     assert b2_certificate_witness() == witness
-    rep = b2_valuation_table_suite(1 << 10)
-    assert (rep.ok, rep.checked, rep.witness) == (False, 0, witness)
+    assert CAMPAIGNS["b2-valuation-list"].runner({"n": 1 << 10}) == ("counterexample", witness)
 
 
 def test_inverse_and_color_drop_identities():

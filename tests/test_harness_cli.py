@@ -94,9 +94,8 @@ RESIDUE_CAMPAIGNS = ("t5-valuation", "t9-valuation", "t2k1-valuation-table",
 
 def _plant(monkeypatch, t, index, value):
     """Make every kernel, as the campaigns see it, hold `value` at f_index(t):
-    the exact prefix (also as bm_sequences reads it, for b2-valuation-list),
-    the residues mod 2^64 and the doubles, where a value of 2^1024 or more
-    in absolute value is an infinite double."""
+    the exact prefix, the residues mod 2^64 and the doubles, where a value
+    of 2^1024 or more in absolute value is an infinite double."""
     exact, residues, doubles = (campaigns.fpow_prefix, campaigns.fpow_residues,
                                 campaigns.fpow_doubles)
 
@@ -125,7 +124,6 @@ def _plant(monkeypatch, t, index, value):
         return f
 
     monkeypatch.setattr(campaigns, "fpow_prefix", planted_prefix)
-    monkeypatch.setattr(bm_sequences, "fpow_prefix", planted_prefix)
     monkeypatch.setattr(campaigns, "fpow_residues", planted_residues)
     monkeypatch.setattr(campaigns, "fpow_doubles", planted_doubles)
 
@@ -529,6 +527,42 @@ MULTI_ARRAY_CAMPAIGNS = ("t2k1-valuation-table", "bm-valuation-unbounded",
                          "b-turan-m4plus", "t-zero-m4plus")
 
 
+def test_both_backends_share_each_campaign_shape():
+    # a campaign's ranges, the order of its kernel requests and its witness
+    # are written once, in a shape that each backend binds its part into
+    shaped = {name for name, camp in CAMPAIGNS.items() if isinstance(camp.runner, partial)}
+    assert shaped == {*MULTI_ARRAY_CAMPAIGNS, "t5-valuation", "t9-valuation"}
+    for name in shaped:
+        camp = CAMPAIGNS[name]
+        assert camp.runner.func is camp.residue_runner.func, name
+
+
+@pytest.mark.parametrize("name", RESIDUE_CAMPAIGNS)
+def test_both_backends_request_the_same_kernels(monkeypatch, name):
+    # the t of each fpow_prefix call of the exact runner, and of each
+    # fpow_residues or fpow_doubles call of the residue runner, in order;
+    # the exact prefix on which `_turan_signs` settles an unsure sign is
+    # read while the residue runner runs, so it is not recorded
+    pytest.importorskip("numpy")
+    camp = CAMPAIGNS[name]
+    bounds = {**camp.defaults, **_bounds_for(name)}
+    requests = {"exact": [], "residue": []}
+
+    def recording(route, side):
+        def request(t, n):
+            requests[side].append(t)
+            return route(t, n)
+        return request
+
+    with monkeypatch.context() as patch:
+        patch.setattr(campaigns, "fpow_prefix", recording(campaigns.fpow_prefix, "exact"))
+        camp.runner(dict(bounds))
+    for route in ("fpow_residues", "fpow_doubles"):
+        monkeypatch.setattr(campaigns, route, recording(getattr(campaigns, route), "residue"))
+    assert camp.residue_runner(dict(bounds)) is not None
+    assert requests["exact"] and requests["exact"] == requests["residue"]
+
+
 def _record_requests(monkeypatch):
     """Wrap the two array routes as the campaigns call them.  Each request
     appends to `alive` how many arrays of earlier requests are still alive
@@ -744,7 +778,7 @@ def test_b2_valuation_list_on_residues_builds_no_exact_prefix(monkeypatch):
 
 def test_a_failed_b2_certificate_is_a_counterexample_on_either_backend(monkeypatch):
     # h_{9,4,2} + 1 is odd at x^0, so 2^3 no longer divides it; the residue
-    # runner reports that entry itself, as the exact suite does
+    # runner reports that entry itself, as the exact runner does
     pytest.importorskip("numpy")
     exact = bm_sequences.h_poly
     monkeypatch.setattr(bm_sequences, "h_poly", lambda i, k, m: exact(i, k, m) + (
