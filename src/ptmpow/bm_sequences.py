@@ -2,10 +2,9 @@
 and congruences, the generating-numerator polynomials h_{i,k,m}(x), and the
 annihilating shift operators V_k.
 
-Every value of b_m comes from `fpow.fpow_prefix(-m, n)`, or one at a time
-from `fpow.fpow_at(-m, n)`: the one production kernel for F(x)^t, where
-F(x)^(-m) = (1-x)^(-m) F(x^2)^(-m) is m running sums of the upsampled
-prefix.
+Every value of b_m comes from `fpow.fpow_prefix(-m, n)`: the one
+production kernel for F(x)^t, where F(x)^(-m) = (1-x)^(-m) F(x^2)^(-m) is
+m running sums of the upsampled prefix.
 
 The h family is pinned down by
 
@@ -38,7 +37,7 @@ from functools import partial
 from operator import neg
 
 from .core_arith import IntPoly, binom, convolve, kron_pack, kron_unpack, nu2, ptm
-from .fpow import fpow_at, fpow_prefix
+from .fpow import fpow_prefix
 from .reports import CheckReport
 
 
@@ -248,45 +247,44 @@ def check_h_identity(i: int, k: int, m: int) -> CheckReport:
                        witness={"i": i, "k": k, "m": m, "order": bad})
 
 
+def _h_forms(p: int, s: int, kk: int) -> list[tuple[int, list[IntPoly]]]:
+    """The expected reductions of h_{i,kk,m} mod p, m = p^s, for an odd prime
+    p and kk in {1, 2}: (i, forms) for each i < 2^kk.  They depend on m mod 4
+    (the parity of s decides it only when p == 3 (mod 4)).  For (i, kk) =
+    (1, 2) with m == 1 (mod 4) two readings are in circulation, exponent
+    (m-1)/4 (the proof's, listed first) versus (m-1)/2 on the low term."""
+    if p < 3 or _factorize(p) != {p: 1}:
+        raise ValueError(f"p must be an odd prime, got {p}")
+    if kk not in (1, 2):
+        raise ValueError("kk in {1, 2}")
+    m = p**s
+    one, mono = IntPoly.one(), IntPoly.monomial
+    if kk == 1:
+        return [(0, [one]), (1, [mono((m - 1) // 2)])]
+    if m % 4 == 1:
+        h1 = [mono((m - 1) // 4) + mono((5 * m - 1) // 4),
+              mono((m - 1) // 2) + mono((5 * m - 1) // 4)]
+        h3 = [mono(3 * (m - 1) // 4, 2)]
+    else:
+        h1 = [mono((3 * m - 1) // 4, 2)]
+        h3 = [mono((m - 3) // 4) + mono((5 * m - 3) // 4)]
+    return [(0, [one + mono(m)]), (1, h1), (2, [mono((m - 1) // 2, 2)]), (3, h3)]
+
+
 def check_h_mod_p(p: int, s: int, kk: int) -> CheckReport:
-    """Reductions of h_{i,kk,p^s} mod an odd prime p against the expected
-    monomial/binomial forms.  For (i, kk) = (1, 2) with m == 1 (mod 4) two
-    readings are in circulation (exponent (m-1)/2 versus (m-1)/4 on the low
-    term); the report records which one the exact polynomial matches."""
+    """Reductions of h_{i,kk,p^s} mod an odd prime p against the forms of
+    `_h_forms`.  Where two readings are in circulation the report records
+    which one the exact polynomial matches."""
+    cases = _h_forms(p, s, kk)
     m = p**s
     witness: dict = {"p": p, "s": s, "m": m}
-    if kk == 1:
-        cases = [(0, [IntPoly.one()]), (1, [IntPoly.monomial((m - 1) // 2)])]
-    elif kk == 2:
-        if m % 4 == 1:
-            h12_statement = IntPoly.monomial((m - 1) // 2) + IntPoly.monomial((5 * m - 1) // 4)
-            h12_proof = IntPoly.monomial((m - 1) // 4) + IntPoly.monomial((5 * m - 1) // 4)
-            cases = [
-                (0, [IntPoly.one() + IntPoly.monomial(m)]),
-                (1, [h12_proof, h12_statement]),
-                (2, [IntPoly.monomial((m - 1) // 2, 2)]),
-                (3, [IntPoly.monomial(3 * (m - 1) // 4, 2)]),
-            ]
-        else:
-            cases = [
-                (0, [IntPoly.one() + IntPoly.monomial(m)]),
-                (1, [IntPoly.monomial((3 * m - 1) // 4, 2)]),
-                (2, [IntPoly.monomial((m - 1) // 2, 2)]),
-                (3, [IntPoly.monomial((m - 3) // 4) + IntPoly.monomial((5 * m - 3) // 4)]),
-            ]
-    else:
-        raise ValueError("kk in {1, 2}")
-    for i, candidates in cases:
+    for i, forms in cases:
         got = h_poly(i, kk, m).mod(p)
-        matched = None
-        for idx, cand in enumerate(candidates):
-            if got == cand.mod(p):
-                matched = idx
-                break
+        matched = next((idx for idx, form in enumerate(forms) if got == form.mod(p)), None)
         if matched is None:
             witness.update({"i": i, "got": [str(c) for c in got.coeffs]})
             return CheckReport(f"h-mod-p p={p} s={s} k={kk}", False, witness=witness)
-        if i == 1 and kk == 2 and m % 4 == 1:
+        if len(forms) > 1:
             witness["h12_matches"] = "proof-form" if matched == 0 else "statement-form"
     return CheckReport(f"h-mod-p p={p} s={s} k={kk}", True,
                        checked=len(cases), witness=witness)
@@ -294,38 +292,30 @@ def check_h_mod_p(p: int, s: int, kk: int) -> CheckReport:
 
 def check_congrup(p: int, s: int, n_max: int) -> CheckReport:
     """The subsequence congruences that follow from the reduced h forms, for
-    m = p^s.  The case split is on m mod 4 (which is what the reductions
-    depend on; the parity of s decides it only when p == 3 (mod 4))."""
+    m = p^s.  Mod p, (1-x)^(km) == (1-x^m)^k, so the defining identity of
+    h_{i,k,m} with the proof form sum_d c_d x^d of `_h_forms` gives
+
+        sum_j (-1)^j C(k,j) b_m(2^k (n - jm) + i) == sum_d c_d b_m(n - d)  (mod p)
+
+    for k = 1, 2, with b_m = 0 below index 0."""
     m = p**s
-    v = partial(fpow_at, -m)  # reads below index 0 give 0
+    # (k, i, terms) per congruence, in the order checked; a term (sh, off, c)
+    # adds c * v[(n << sh) + off], where v holds b_m mod p from index -8m on,
+    # the lowest index read (4(n - 2m) at n = 0)
+    low = 8 * m
+    rows = [(k, i, [(k, low + i - (j * m << k), (-1) ** j * binom(k, j)) for j in range(k + 1)]
+             + [(0, low - d, -c) for d, c in enumerate(forms[0].coeffs) if c])
+            for k in (1, 2) for i, forms in _h_forms(p, s, k)]
+    v = [0] * low + [b % p for b in fpow_prefix(-m, 4 * n_max + 3)]
     checked = 0
     for n in range(n_max + 1):
-        for i in (0, 1):
-            lhs = v(2 * n + i) - v(2 * (n - m) + i)
-            rhs = v(n) if i == 0 else v(n - (m - 1) // 2)
-            if (lhs - rhs) % p:
+        for k, i, terms in rows:
+            total = 0
+            for sh, off, c in terms:
+                total += c * v[(n << sh) + off]
+            if total % p:
                 return CheckReport(f"congrup p={p} s={s}", False, checked,
-                                   witness={"k": 1, "i": i, "n": n})
-            checked += 1
-        for i in range(4):
-            lhs = v(4 * n + i) - 2 * v(4 * (n - m) + i) + v(4 * (n - 2 * m) + i)
-            if i == 0:
-                rhs = v(n) + v(n - m)
-            elif i == 1:
-                if m % 4 == 1:
-                    rhs = v(n - (m - 1) // 4) + v(n - (5 * m - 1) // 4)
-                else:
-                    rhs = 2 * v(n - (3 * m - 1) // 4)
-            elif i == 2:
-                rhs = 2 * v(n - (m - 1) // 2)
-            else:
-                if m % 4 == 1:
-                    rhs = 2 * v(n - 3 * (m - 1) // 4)
-                else:
-                    rhs = v(n - (m - 3) // 4) + v(n - (5 * m - 3) // 4)
-            if (lhs - rhs) % p:
-                return CheckReport(f"congrup p={p} s={s}", False, checked,
-                                   witness={"k": 2, "i": i, "n": n})
+                                   witness={"k": k, "i": i, "n": n})
             checked += 1
     return CheckReport(f"congrup p={p} s={s}", True, checked)
 

@@ -77,23 +77,25 @@ def _ceil_half(v: int) -> int:
 # one kernel request: `_run_*_of` reads `fpow_prefix`, `_res_*_of` reads
 # residues or doubles (below).  It returns the values the shape needs, or
 # None when a residue part declines, and the shape then returns None at
-# once.  The registry binds a part into its shape with `partial`.  Each
-# exact part reads the values and decides each index itself, so the exact
-# runner stays an independent reference for the check; only the loop and
-# the witness are shared.
+# once.  The registry binds a part into its shape with `partial`; the
+# three t_{2^k+1} campaigns bind one valuation part per backend, which
+# checks that nu2 depends only on the class nu2(n+1), against a closed form
+# or against the values at each class's first index.  Each exact part reads
+# the values and decides each index itself, so the exact runner stays an
+# independent reference for the check; only the loop and the witness are
+# shared.
 
 
-def _valuation(first_failure, m, width, expect_of, extra, bounds):
+def _valuation(part, m, width, expect_of, extra, bounds):
     """nu2(f_(width*n + j)(m)) = expect_of(nu2(n + 1)) for n <= bounds["n"]
-    and j < width.  first_failure(m, width, expect_of, n_max) gives the
-    first failing index i = width*n + j and the valuation there, (i, got),
-    or () when every index holds; `extra` adds witness keys from i."""
-    found = first_failure(m, width, expect_of, bounds["n"])
+    and j < width, with `part` a valuation part; `extra` adds witness keys
+    from the failing index i = width*n + j."""
+    found = part(m, width, expect_of, bounds["n"])
     if found is None:
         return None
-    if not found:
+    if not found[1]:
         return VERIFIED, {}
-    i, got = found
+    i, got = found[1]
     n = i // width
     return OBSERVATION, {"failing": {"m": m, "n": n, "j": i % width, **extra(i),
                                      "expected": expect_of(nu2(n + 1)), "actual": got}}
@@ -106,19 +108,21 @@ _T9_VALUATION = (9, 8, lambda v: 5 * _ceil_half(v) - 2 * (v % 2),
                  lambda i: {"residue_class": i % 64})
 
 
-def _t2k1_table(fit, bounds):
-    """Fit the strictly increasing table A_{k, nu2(n+1)} for m = 2^k + 1.
-    fit(k, n_max) gives the table read so far, as a list by class, and the
-    first index that contradicts it, (n, j, class, nu2 there), or ()."""
+def _t2k1_table(part, bounds):
+    """Fit the strictly increasing table A_{k, nu2(n+1)} for m = 2^k + 1: the
+    valuation part, with no closed form, reads it at the first index of each
+    class and gives the first index that contradicts it."""
     out = {}
     for k in (2, 3):
-        found = fit(k, bounds["n"])
+        found = part((1 << k) + 1, 1 << k, None, bounds["n"])
         if found is None:
             return None
         table, conflict = found
         if conflict:
-            n, j, v, got = conflict
-            return OBSERVATION, {"k": k, "n": n, "j": j, "conflict_class": v,
+            i, got = conflict
+            n = i >> k
+            v = nu2(n + 1)
+            return OBSERVATION, {"k": k, "n": n, "j": i & ((1 << k) - 1), "conflict_class": v,
                                  "values": [table[v], got]}
         if table[0] != 0 or any(a >= b for a, b in zip(table, table[1:])):
             return OBSERVATION, {"k": k, "table_not_strictly_increasing": table}
@@ -263,28 +267,21 @@ def _crossover_verdict(last, zeros, breaks):
 
 
 def _run_valuation_of(m, width, expect_of, n_max):
+    """The valuation part of the t_{2^k+1} campaigns, m = width + 1: the
+    table of nu2(f_(width*n)(m)) at n = 2^v - 1, the first n of each class
+    v = nu2(n + 1), and the first index i = width*n + j, n <= n_max, whose
+    valuation is not expect_of(v), or not the table's entry when expect_of
+    is None, as (i, got), or ().  nu2 of a zero is None."""
     vals = fpow_prefix(m, width * n_max + width - 1)
+    table = [nu2_or_none(vals[((1 << v) - 1) * width]) for v in range((n_max + 1).bit_length())]
+    expect = table if expect_of is None else [expect_of(v) for v in range(len(table))]
     for n in range(n_max + 1):
-        expect = expect_of(nu2(n + 1))
+        want = expect[nu2(n + 1)]
         for j in range(width):
             got = nu2_or_none(vals[width * n + j])
-            if got != expect:
-                return width * n + j, got
-    return ()
-
-
-def _run_t2k1_of(k, n_max):
-    vals = fpow_prefix((1 << k) + 1, (n_max << k) + (1 << k) - 1)
-    # class v first occurs at n = 2^v - 1, so the dict holds the classes in
-    # order
-    table: dict[int, int] = {}
-    for n in range(n_max + 1):
-        v = nu2(n + 1)
-        for j in range(1 << k):
-            got = nu2_or_none(vals[(n << k) + j])
-            if table.setdefault(v, got) != got:
-                return list(table.values()), (n, j, v, got)
-    return list(table.values()), ()
+            if got != want:
+                return table, (width * n + j, got)
+    return table, ()
 
 
 def _run_t_regular(bounds):
@@ -445,14 +442,16 @@ def _run_t2_symmetry(bounds):
 # neighbour on either side) and stops at the first chunk that fails or
 # declines, so no temporary is as long as the range.  A zero residue past
 # the first failure is then never read; the exact part gives the same
-# result there, since it reads no index past the failure.  The congruence
-# parts take their strided differences, at most an eighth of the array,
-# whole.  Each part reads one array in its own call, whose locals, views
-# included, die when it returns, so no array outlives its call into the
-# next request; under `fpow.arrays_unkept()`, as in `ptmpow verify`, the
-# process then holds one array at a time.  The int64 certificate is taken
-# per m, so a failure on one m is reported even where a later m would have
-# declined; the exact runner gives the same witness.
+# result there, since it reads no index past the failure.  Only the
+# valuation part reads some indices up front, its class firsts: a zero
+# there moves the run to the exact runner but never changes its verdict.
+# The congruence parts take their strided differences, at most an eighth
+# of the array, whole.  Each part reads one array in its own call, whose
+# locals, views included, die when it returns, so no array outlives its
+# call into the next request; under `fpow.arrays_unkept()`, as in `ptmpow
+# verify`, the process then holds one array at a time.  The int64
+# certificate is taken per m, so a failure on one m is reported even where
+# a later m would have declined; the exact runner gives the same witness.
 
 
 def _nu2_residues(r):
@@ -474,40 +473,25 @@ def _nu2_classes(lo, hi):
 
 
 def _res_valuation_of(m, width, expect_of, n_max):
-    """`_run_valuation_of` on residues, one chunk of indices at a time."""
+    """`_run_valuation_of` on residues, one chunk of indices at a time, or
+    None at a residue of 0."""
+    import numpy as np
+
     res = fpow_residues(m, width * (n_max + 1) - 1)
+    firsts = res[[((1 << v) - 1) * width for v in range((n_max + 1).bit_length())]]
+    if not firsts.all():
+        return None
+    table = _nu2_residues(firsts)
+    expect = table if expect_of is None else expect_of(np.arange(len(table)))
     for lo, hi in chunks(n_max + 1, width):
         part = res[width * lo : width * hi]
         if not part.all():
             return None
         got = _nu2_residues(part)
-        bad = got != expect_of(_nu2_classes(lo, hi)).repeat(width)
+        bad = got != expect[_nu2_classes(lo, hi)].repeat(width)
         i = int(bad.argmax())
         if bad[i]:
-            return width * lo + i, int(got[i])
-    return ()
-
-
-def _res_t2k1_of(k, n_max):
-    """`_run_t2k1_of` on residues: the table is read at the first index of
-    each class, and each chunk is compared with it."""
-    width = 1 << k
-    res = fpow_residues(width + 1, (n_max + 1) * width - 1)
-    # class v first occurs at n = 2^v - 1, j = 0
-    firsts = res[[((1 << v) - 1) << k for v in range((n_max + 1).bit_length())]]
-    if not firsts.all():
-        return None
-    table = _nu2_residues(firsts)
-    for lo, hi in chunks(n_max + 1, width):
-        part = res[lo << k : hi << k]
-        if not part.all():
-            return None
-        cls = _nu2_classes(lo, hi).repeat(width)
-        got = _nu2_residues(part)
-        bad = got != table[cls]
-        i = int(bad.argmax())
-        if bad[i]:
-            return table.tolist(), (lo + (i >> k), i & (width - 1), int(cls[i]), int(got[i]))
+            return table.tolist(), (width * lo + i, int(got[i]))
     return table.tolist(), ()
 
 
@@ -857,7 +841,8 @@ for _camp in (
         "t2k1-valuation-table", "conjecture",
         "nu2(t_{2^k+1}(2^k n + j)) = A_{k, nu2(n+1)} for a strictly increasing "
         "integer table with A_{k,0} = 0",
-        {"n": 1 << 12}, partial(_t2k1_table, _run_t2k1_of), partial(_t2k1_table, _res_t2k1_of),
+        {"n": 1 << 12}, partial(_t2k1_table, _run_valuation_of),
+        partial(_t2k1_table, _res_valuation_of),
         # 155 vs 167 ms at 6144, 160 vs 150 at 8192
         cold_size=1 << 13),
     Campaign(

@@ -149,14 +149,15 @@ class SolveResult:
     shifted_instance: int | None
 
 
-def _shift_family_member(n: int) -> int | None:
-    # one instance of the shifted families (the doubled-modulus member):
-    # t_2(8q+4)=t_2(16q+4), t_2(8q+6)=t_2(16q+6), t_2(8q)=t_2(16q+8),
-    # t_2(8q+2)=t_2(16q+10), valid for q >= 1
+def _shift_family_member(n: int, m: int = 4) -> int | None:
+    """The partner 2^m q + c' of n = 8q + r in the shifted families, q >= 1:
+    t_2(8q+4) = t_2(2^m q+4), t_2(8q+6) = t_2(2^m q+6),
+    t_2(8q) = t_2(2^m q+2^m-8), t_2(8q+2) = t_2(2^m q+2^m-6); None for odd r
+    or q = 0.  The default m = 4 is the doubled-modulus member."""
     q, r = divmod(n, 8)
-    if q < 1 or r not in (0, 2, 4, 6):
+    if q < 1 or r % 2:
         return None
-    return 16 * q + {4: 4, 6: 6, 0: 8, 2: 10}[r]
+    return (q << m) + (r if r >= 4 else (1 << m) - 8 + r)
 
 
 # t2_solve_many scans n < _T2_SCAN_CAP
@@ -206,19 +207,14 @@ _T2_SHIFT_MS = range(3, 9)
 
 
 def check_t2_shift_families(n_max: int) -> CheckReport:
-    """t_2(8n+c) = t_2(2^m n + c') for the four residue families,
-    all m in _T2_SHIFT_MS, 1 <= n <= n_max."""
+    """t_2(8n+r) = t_2(`_shift_family_member`(8n+r, m)) for the four residue
+    families, all m in _T2_SHIFT_MS, 1 <= n <= n_max."""
     checked = 0
     for m in _T2_SHIFT_MS:
-        big = 1 << m
         for n in range(1, n_max + 1):
-            cases = (
-                (8 * n + 4, big * n + 4),
-                (8 * n + 6, big * n + 6),
-                (8 * n, big * n + big - 8),
-                (8 * n + 2, big * n + big - 6),
-            )
-            for a, b in cases:
+            for r in (4, 6, 0, 2):
+                a = 8 * n + r
+                b = _shift_family_member(a, m)
                 if fpow_at(2, a) != fpow_at(2, b):
                     return CheckReport("t2-shift-families", False, checked,
                                        witness={"m": m, "n": n, "lhs_index": a, "rhs_index": b})

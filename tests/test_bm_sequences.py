@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from ptmpow.core_arith import IntPoly, nu2
 from ptmpow.f_polys import shared_fseries
 from ptmpow.fpow import fpow_at, fpow_prefix
-from ptmpow import bm_sequences, campaigns, hfamily, tm_sequences
+from ptmpow import bm_sequences, campaigns, fpow, hfamily, tm_sequences
 from ptmpow.campaigns import CAMPAIGNS
 from ptmpow.bm_sequences import (
     b2_certificate_witness,
@@ -167,6 +167,45 @@ def test_congruence_families_for_prime_powers():
     assert check_congrup(5, 1, 1 << 9).ok
     assert check_congrup(3, 2, 1 << 8).ok
     assert check_congrup(7, 1, 1 << 8).ok
+
+
+def test_h_mod_p_reports_its_first_mismatch(monkeypatch):
+    # h_{2,2,5} + 1 on a fresh memo: h_{1,2,5} has matched the proof form
+    # before h_{2,2,5} = 2x^2 (mod 5) fails
+    h_exact = bm_sequences.h_poly
+    monkeypatch.setattr(bm_sequences, "_h_memo", {})
+    monkeypatch.setattr(bm_sequences, "h_poly", lambda *ikm: (
+        h_exact(*ikm) + IntPoly.one() if ikm == (2, 2, 5) else h_exact(*ikm)))
+    rep = check_h_mod_p(5, 1, 2)
+    assert not rep.ok
+    assert rep.witness == {"p": 5, "s": 1, "m": 5, "h12_matches": "proof-form",
+                           "i": 2, "got": ["1", "0", "2"]}
+
+
+@pytest.mark.parametrize("p, index, checked, witness", [
+    (3, 1, 1, {"k": 1, "i": 1, "n": 0}),
+    (3, 100, 152, {"k": 2, "i": 0, "n": 25}),
+    (5, 211, 317, {"k": 2, "i": 3, "n": 52}),
+])
+def test_congrup_reports_its_first_failure(monkeypatch, p, index, checked, witness):
+    # b_p(index) + 1 on a copy of the kernel's memo entry that reaches the
+    # last index check_congrup(p, 1, 300) reads, 4 * 300 + 3, so no read
+    # grows the copy
+    planted = list(fpow_prefix(-p, 4 * 300 + 3))
+    planted[index] += 1
+    monkeypatch.setitem(fpow._fpow_vals, -p, planted)
+    rep = check_congrup(p, 1, 300)
+    assert (rep.ok, rep.checked, rep.witness) == (False, checked, witness)
+
+
+@pytest.mark.parametrize("p", [9, 2, 1, 0, -3])
+def test_h_forms_refuse_a_p_that_is_not_an_odd_prime(p):
+    # the congruences hold for odd primes only; outside that domain a
+    # failing report would read as a failing theorem
+    with pytest.raises(ValueError, match="odd prime"):
+        check_congrup(p, 1, 50)
+    with pytest.raises(ValueError, match="odd prime"):
+        check_h_mod_p(p, 1, 1)
 
 
 def test_derivative_identity_and_divisibility():

@@ -168,11 +168,15 @@ ALL = set(PLANTS)
 # and 2^70 has nu2 >= 64, and both read as 0 mod 2^64.  A fixed-modulus congruence
 # (a masked difference) never declines.  Index 36 of b_2 is 32 n + 4 at
 # n = 1, where the table has nu2 = 4; the exact runner takes nu2 of a
-# planted 0 there and raises, as no b_2 value is 0.
+# planted 0 there and raises, as no b_2 value is 0.  Index 16397 of t_5 is
+# 4n + 1 at n = 4099, in class 2 and past the first chunk, so the t2k1
+# table read at the class firsts is kept and the chunk walk finds the
+# conflict.
 PLANT_SITES = (
     ("t5-valuation", {"n": 64}, 5, 13, None, {"zero", "2^70"}, ALL, set()),
     ("t9-valuation", {"n": 64}, 9, 43, None, {"zero", "2^70"}, ALL, set()),
     ("t2k1-valuation-table", {"n": 64}, 5, 0, None, {"zero", "2^70"}, ALL, set()),
+    ("t2k1-valuation-table", {"n": 6000}, 5, 16397, None, {"zero", "2^70"}, ALL, set()),
     ("b-pow2-congruence", {"index": 1024}, -2, 64, None, set(), ALL, set()),
     ("b-pow2m1-congruence", {"index": 1024}, -1, 64, None, set(), ALL, set()),
     ("t-zero-m4plus", {"n": 256}, 4, 100, None, {"zero", "2^70"}, {"zero"}, set()),
@@ -183,8 +187,10 @@ PLANT_SITES = (
 
 
 @pytest.mark.parametrize("plant", PLANTS)
+# a campaign's later sites are named by their index too
 @pytest.mark.parametrize("name,bounds,t,index,base,declines,changes,raises", PLANT_SITES,
-                         ids=[site[0] for site in PLANT_SITES])
+                         ids=[s[0] + (f"@{s[3]}" if s[0] in [r[0] for r in PLANT_SITES[:k]] else "")
+                              for k, s in enumerate(PLANT_SITES)])
 def test_planted_values_give_the_exact_verdict(monkeypatch, name, bounds, t, index, base,
                                                declines, changes, raises, plant):
     pytest.importorskip("numpy")
@@ -535,6 +541,14 @@ def test_both_backends_share_each_campaign_shape():
     for name in shaped:
         camp = CAMPAIGNS[name]
         assert camp.runner.func is camp.residue_runner.func, name
+
+
+def test_the_t2k1_campaigns_share_one_valuation_part():
+    # all three check that nu2(t_{2^k+1}(2^k n + j)) depends only on the
+    # class nu2(n+1), so each backend binds one part into all three shapes
+    camps = [CAMPAIGNS[name] for name in ("t5-valuation", "t9-valuation", "t2k1-valuation-table")]
+    assert len({camp.runner.args[0] for camp in camps}) == 1
+    assert len({camp.residue_runner.args[0] for camp in camps}) == 1
 
 
 @pytest.mark.parametrize("name", RESIDUE_CAMPAIGNS)
