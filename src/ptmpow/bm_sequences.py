@@ -32,13 +32,13 @@ so this module loads neither `tm_sequences` nor `f_polys`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
 from operator import neg
 
 from .core_arith import IntPoly, binom, convolve, kron_pack, kron_unpack, nu2, ptm
 from .fpow import fpow_prefix
-from .reports import CheckReport
+from .reports import CheckReport, sweep
 
 
 # ---------------------------------------------------------------------------
@@ -57,32 +57,33 @@ def check_turan_b(m: int, n_max: int) -> CheckReport:
     if m not in (1, 2):
         raise ValueError("identities available for m in {1, 2}")
     v = fpow_prefix(-m, 2 * n_max + 2)
-    psum = v[0]  # sum of b_m(0..n) maintained incrementally
-    negativity_violations = 0
-    for n in range(1, n_max + 1):
-        psum_prev = psum  # sum 0..n-1
-        psum += v[n]
-        if m == 1:
-            i1 = v[2 * n] ** 2 - v[2 * n - 1] * v[2 * n + 1] - v[2 * n] * v[n]
-            i2 = v[2 * n - 1] ** 2 - v[2 * n - 2] * v[2 * n] + v[2 * n - 2] * v[n]
-            if i1 or i2:
-                return CheckReport("turan-b m=1", False, checked=n - 1,
-                                   witness={"n": n, "identity": 1 if i1 else 2})
-        else:
-            i3 = v[2 * n] ** 2 - v[2 * n - 1] * v[2 * n + 1] - psum * psum
-            odd_lhs = v[2 * n - 1] ** 2 - v[2 * n - 2] * v[2 * n]
-            i4 = odd_lhs - (psum_prev * psum_prev - v[2 * n - 2] * v[n])
-            if i3 or i4:
-                return CheckReport("turan-b m=2", False, checked=n - 1,
-                                   witness={"n": n, "identity": 3 if i3 else 4})
-            if odd_lhs >= 0:
-                negativity_violations += 1
-        sign = v[n] ** 2 - v[n - 1] * v[n + 1]
-        if (sign > 0) != (n % 2 == 0) or sign == 0:
-            return CheckReport(f"turan-b m={m}", False, checked=n - 1,
-                               witness={"n": n, "difference": sign})
-    return CheckReport(f"turan-b m={m}", True, checked=n_max,
-                       witness={"negativity_violations": negativity_violations} if m == 2 else {})
+    witness = {"negativity_violations": 0} if m == 2 else {}
+
+    def cases():
+        psum = v[0]  # sum of b_m(0..n) maintained incrementally
+        for n in range(1, n_max + 1):
+            psum_prev = psum  # sum 0..n-1
+            psum += v[n]
+            if m == 1:
+                i1 = v[2 * n] ** 2 - v[2 * n - 1] * v[2 * n + 1] - v[2 * n] * v[n]
+                i2 = v[2 * n - 1] ** 2 - v[2 * n - 2] * v[2 * n] + v[2 * n - 2] * v[n]
+                identity = 1 if i1 else 2 if i2 else None
+            else:
+                i3 = v[2 * n] ** 2 - v[2 * n - 1] * v[2 * n + 1] - psum * psum
+                odd_lhs = v[2 * n - 1] ** 2 - v[2 * n - 2] * v[2 * n]
+                i4 = odd_lhs - (psum_prev * psum_prev - v[2 * n - 2] * v[n])
+                identity = 3 if i3 else 4 if i4 else None
+                if odd_lhs >= 0:
+                    witness["negativity_violations"] += 1
+            sign = v[n] ** 2 - v[n - 1] * v[n + 1]
+            if identity:
+                yield {"n": n, "identity": identity}
+            elif (sign > 0) != (n % 2 == 0) or sign == 0:
+                yield {"n": n, "difference": sign}
+            else:
+                yield None
+
+    return sweep(f"turan-b m={m}", cases(), witness)
 
 
 def check_parity_b(m: int, n_max: int) -> CheckReport:
@@ -94,22 +95,20 @@ def check_parity_b(m: int, n_max: int) -> CheckReport:
     if m % 2 == 0:
         k = nu2(m)
         mod = 1 << (k + 2)
+        return sweep(f"parity-b m={m}", (
+            {"m": m, "n": n, "mod": mod}
+            if (v[n] - binom(m, n) - (1 << (k + 1)) * binom(m - 2, n - 2)) % mod else None
+            for n in range(n_max + 1)))
+    witness = {"nonzero_mod4_hits": 0}
+
+    def cases():
         for n in range(n_max + 1):
-            expect = binom(m, n) + (1 << (k + 1)) * binom(m - 2, n - 2)
-            if (v[n] - expect) % mod:
-                return CheckReport(f"parity-b m={m}", False, checked=n,
-                                   witness={"m": m, "n": n, "mod": mod})
-        return CheckReport(f"parity-b m={m}", True, checked=n_max + 1)
-    hits = 0
-    for n in range(n_max + 1):
-        if (v[n] - binom(m, n)) % 2:
-            return CheckReport(f"parity-b m={m}", False, checked=n,
-                               witness={"m": m, "n": n})
-        if v[n] % 4:
-            hits += 1
-    ok = hits >= n_max // 64
-    return CheckReport(f"parity-b m={m}", ok, checked=n_max + 1,
-                       witness={"nonzero_mod4_hits": hits})
+            if v[n] % 4:
+                witness["nonzero_mod4_hits"] += 1
+            yield {"m": m, "n": n} if (v[n] - binom(m, n)) % 2 else None
+
+    rep = sweep(f"parity-b m={m}", cases(), witness)
+    return rep._replace(ok=rep.ok and witness["nonzero_mod4_hits"] >= n_max // 64)
 
 
 # ---------------------------------------------------------------------------
@@ -240,11 +239,9 @@ def check_h_identity(i: int, k: int, m: int) -> CheckReport:
     sub = [vals[(n << k) + i] for n in range(order + 1)]
     lhs = IntPoly(convolve(_flip(_one_plus_y(k * m)).coeffs, sub)[: order + 1])
     rhs = IntPoly(convolve(h.coeffs, vals[: order + 1])[: order + 1])
-    if lhs == rhs:
-        return CheckReport(f"h-identity ({i},{k},{m})", True, checked=order + 1)
-    bad = next(n for n in range(order + 1) if lhs[n] != rhs[n])
-    return CheckReport(f"h-identity ({i},{k},{m})", False,
-                       witness={"i": i, "k": k, "m": m, "order": bad})
+    return sweep(f"h-identity ({i},{k},{m})", (None if lhs[n] == rhs[n]
+                                                else {"i": i, "k": k, "m": m, "order": n}
+                                                for n in range(order + 1)))
 
 
 def _h_forms(p: int, s: int, kk: int) -> list[tuple[int, list[IntPoly]]]:
@@ -255,6 +252,8 @@ def _h_forms(p: int, s: int, kk: int) -> list[tuple[int, list[IntPoly]]]:
     (m-1)/4 (the proof's, listed first) versus (m-1)/2 on the low term."""
     if p < 3 or _factorize(p) != {p: 1}:
         raise ValueError(f"p must be an odd prime, got {p}")
+    if s < 0:
+        raise ValueError(f"m = p^s needs s >= 0, got {s}")
     if kk not in (1, 2):
         raise ValueError("kk in {1, 2}")
     m = p**s
@@ -275,19 +274,20 @@ def check_h_mod_p(p: int, s: int, kk: int) -> CheckReport:
     """Reductions of h_{i,kk,p^s} mod an odd prime p against the forms of
     `_h_forms`.  Where two readings are in circulation the report records
     which one the exact polynomial matches."""
-    cases = _h_forms(p, s, kk)
+    table = _h_forms(p, s, kk)
     m = p**s
-    witness: dict = {"p": p, "s": s, "m": m}
-    for i, forms in cases:
-        got = h_poly(i, kk, m).mod(p)
-        matched = next((idx for idx, form in enumerate(forms) if got == form.mod(p)), None)
-        if matched is None:
-            witness.update({"i": i, "got": [str(c) for c in got.coeffs]})
-            return CheckReport(f"h-mod-p p={p} s={s} k={kk}", False, witness=witness)
-        if len(forms) > 1:
-            witness["h12_matches"] = "proof-form" if matched == 0 else "statement-form"
-    return CheckReport(f"h-mod-p p={p} s={s} k={kk}", True,
-                       checked=len(cases), witness=witness)
+    witness = {"p": p, "s": s, "m": m}
+
+    def cases():
+        for i, forms in table:
+            got = h_poly(i, kk, m).mod(p)
+            matched = next((idx for idx, form in enumerate(forms) if got == form.mod(p)), None)
+            if matched is not None and len(forms) > 1:
+                witness["h12_matches"] = "proof-form" if matched == 0 else "statement-form"
+            yield (None if matched is not None
+                   else {**witness, "i": i, "got": [str(c) for c in got.coeffs]})
+
+    return sweep(f"h-mod-p p={p} s={s} k={kk}", cases(), witness)
 
 
 def check_congrup(p: int, s: int, n_max: int) -> CheckReport:
@@ -298,6 +298,7 @@ def check_congrup(p: int, s: int, n_max: int) -> CheckReport:
         sum_j (-1)^j C(k,j) b_m(2^k (n - jm) + i) == sum_d c_d b_m(n - d)  (mod p)
 
     for k = 1, 2, with b_m = 0 below index 0."""
+    tables = [(k, _h_forms(p, s, k)) for k in (1, 2)]
     m = p**s
     # (k, i, terms) per congruence, in the order checked; a term (sh, off, c)
     # adds c * v[(n << sh) + off], where v holds b_m mod p from index -8m on,
@@ -305,19 +306,18 @@ def check_congrup(p: int, s: int, n_max: int) -> CheckReport:
     low = 8 * m
     rows = [(k, i, [(k, low + i - (j * m << k), (-1) ** j * binom(k, j)) for j in range(k + 1)]
              + [(0, low - d, -c) for d, c in enumerate(forms[0].coeffs) if c])
-            for k in (1, 2) for i, forms in _h_forms(p, s, k)]
+            for k, table in tables for i, forms in table]
     v = [0] * low + [b % p for b in fpow_prefix(-m, 4 * n_max + 3)]
-    checked = 0
-    for n in range(n_max + 1):
-        for k, i, terms in rows:
-            total = 0
-            for sh, off, c in terms:
-                total += c * v[(n << sh) + off]
-            if total % p:
-                return CheckReport(f"congrup p={p} s={s}", False, checked,
-                                   witness={"k": k, "i": i, "n": n})
-            checked += 1
-    return CheckReport(f"congrup p={p} s={s}", True, checked)
+
+    def cases():
+        for n in range(n_max + 1):
+            for k, i, terms in rows:
+                total = 0
+                for sh, off, c in terms:
+                    total += c * v[(n << sh) + off]
+                yield {"k": k, "i": i, "n": n} if total % p else None
+
+    return sweep(f"congrup p={p} s={s}", cases())
 
 
 # ---------------------------------------------------------------------------
@@ -332,15 +332,15 @@ def check_derivative_identity(m: int, n_max: int) -> CheckReport:
     bb = fpow_prefix(-1, n_max)
     prev = fpow_prefix(1 - m, n_max)
     cur = fpow_prefix(-m, n_max)
-    for n in range(n_max + 1):
-        rhs = m * sum((n - i) * bb[n - i] * prev[i] for i in range(n + 1))
-        if n * cur[n] != rhs:
-            return CheckReport(f"derivative-identity m={m}", False, checked=n,
-                               witness={"m": m, "n": n, "identity": "derivative"})
-        if math.gcd(m, n) == 1 and cur[n] % m:
-            return CheckReport(f"derivative-identity m={m}", False, checked=n,
-                               witness={"m": m, "n": n, "identity": "divisibility"})
-    return CheckReport(f"derivative-identity m={m}", True, checked=n_max + 1)
+
+    def cases():
+        for n in range(n_max + 1):
+            rhs = m * sum((n - i) * bb[n - i] * prev[i] for i in range(n + 1))
+            identity = ("derivative" if n * cur[n] != rhs
+                        else "divisibility" if math.gcd(m, n) == 1 and cur[n] % m else None)
+            yield {"m": m, "n": n, "identity": identity} if identity else None
+
+    return sweep(f"derivative-identity m={m}", cases())
 
 
 def check_rps(r: int, p: int, s: int, n_max: int) -> CheckReport:
@@ -351,23 +351,19 @@ def check_rps(r: int, p: int, s: int, n_max: int) -> CheckReport:
     m = r * q
     v = fpow_prefix(-m, n_max)
     vr = fpow_prefix(-r, n_max // q)
-    checked = 0
-    for n in range(n_max + 1):
-        if n % q:
-            if v[n] % p:
-                return CheckReport(f"rps r={r} p={p} s={s}", False, checked,
-                                   witness={"n": n, "family": "vanishing"})
-        elif (v[n] - vr[n // q]) % p:
-            return CheckReport(f"rps r={r} p={p} s={s}", False, checked,
-                               witness={"n": n, "family": "reduction"})
-        checked += 1
-    if r == 1:
-        for n in range(n_max // (2 * m)):
-            if (v[(2 * n + 1) * m] - v[2 * n * m]) % p:
-                return CheckReport(f"rps r={r} p={p} s={s}", False, checked,
-                                   witness={"n": n, "family": "odd-even"})
-            checked += 1
-    return CheckReport(f"rps r={r} p={p} s={s}", True, checked)
+
+    def cases():
+        for n in range(n_max + 1):
+            if n % q:
+                yield {"n": n, "family": "vanishing"} if v[n] % p else None
+            else:
+                yield {"n": n, "family": "reduction"} if (v[n] - vr[n // q]) % p else None
+        if r == 1:
+            for n in range(n_max // (2 * m)):
+                yield ({"n": n, "family": "odd-even"}
+                       if (v[(2 * n + 1) * m] - v[2 * n * m]) % p else None)
+
+    return sweep(f"rps r={r} p={p} s={s}", cases())
 
 
 def check_radical(m: int, n_max: int) -> CheckReport:
@@ -378,14 +374,9 @@ def check_radical(m: int, n_max: int) -> CheckReport:
     for p in fac:
         radical *= p
     v = fpow_prefix(-m, n_max)
-    checked = 0
-    for n in range(n_max + 1):
-        if all(n % p**e for p, e in fac.items()):
-            if v[n] % radical:
-                return CheckReport(f"radical m={m}", False, checked,
-                                   witness={"m": m, "n": n})
-            checked += 1
-    return CheckReport(f"radical m={m}", True, checked)
+    return sweep(f"radical m={m}", ({"m": m, "n": n} if v[n] % radical else None
+                                    for n in range(n_max + 1)
+                                    if all(n % p**e for p, e in fac.items())))
 
 
 def _factorize(m: int) -> dict[int, int]:
@@ -414,24 +405,23 @@ def check_window_sum_congruences(n_max: int) -> CheckReport:
         (h_poly(0, 2, 2), IntPoly((1, 10, 5)), 5, IntPoly.one()),
         (h_poly(2, 2, 2), IntPoly((5, 10, 1)), 5, IntPoly.monomial(2)),
     ]
-    for got, exact, p, reduced in anchors:
-        if got != exact or got.mod(p) != reduced.mod(p):
-            return CheckReport("window-sums", False,
-                               witness={"anchor": [str(c) for c in got.coeffs]})
-    v4 = fpow_prefix(-4, 4 * n_max + 1)
-    v2 = fpow_prefix(-2, 4 * n_max + 2)
-    for n in range(8, n_max + 1):
-        s = sum(v4[4 * (n - i) + 1] for i in range(9))
-        if (s - v4[n]) % 3:
-            return CheckReport("window-sums", False, witness={"congruence": 1, "n": n})
-    for n in range(4, n_max + 1):
-        s0 = sum(v2[4 * (n - i)] for i in range(5))
-        s2 = sum(v2[4 * (n - i) + 2] for i in range(5))
-        if (s0 - v2[n]) % 5:
-            return CheckReport("window-sums", False, witness={"congruence": 2, "n": n})
-        if (s2 - v2[n - 2]) % 5:
-            return CheckReport("window-sums", False, witness={"congruence": 3, "n": n})
-    return CheckReport("window-sums", True, checked=3 * n_max)
+
+    def cases():
+        for got, exact, p, reduced in anchors:
+            yield ({"anchor": [str(c) for c in got.coeffs]}
+                   if got != exact or got.mod(p) != reduced.mod(p) else None)
+        v4 = fpow_prefix(-4, 4 * n_max + 1)
+        v2 = fpow_prefix(-2, 4 * n_max + 2)
+        for n in range(8, n_max + 1):
+            s = sum(v4[4 * n - 31 : 4 * n + 2 : 4])  # b_4(4(n-i)+1), i <= 8
+            yield {"congruence": 1, "n": n} if (s - v4[n]) % 3 else None
+        for n in range(4, n_max + 1):
+            s0 = sum(v2[4 * n - 16 : 4 * n + 1 : 4])  # b_2(4(n-i)), i <= 4
+            s2 = sum(v2[4 * n - 14 : 4 * n + 3 : 4])  # b_2(4(n-i)+2), i <= 4
+            yield {"congruence": 2, "n": n} if (s0 - v2[n]) % 5 else None
+            yield {"congruence": 3, "n": n} if (s2 - v2[n - 2]) % 5 else None
+
+    return sweep("window-sums", cases())
 
 
 # ---------------------------------------------------------------------------
@@ -447,12 +437,15 @@ def check_8x1(k_max: int) -> CheckReport:
     """8(x+1) divides h_{2^k+1, k+1, 2} for k >= 1 and h_{2^k+2, k+1, 4} for
     k >= 2.  x+1 is monic, so by the factor theorem it divides h/8 over Z
     iff h(-1) = 0: the check is 8 | every coefficient and h(-1) = 0."""
-    for m, i0, _ in _H8_FAMILIES:
-        for k in range(i0, k_max + 1):
-            h = h_poly((1 << k) + i0, k + 1, m)
-            if any(c % 8 for c in h.coeffs) or h.evaluate(-1):
-                return CheckReport("8(x+1)", False, witness={"family": m, "k": k})
-    return CheckReport("8(x+1)", True, checked=2 * k_max - 1)
+
+    def cases():
+        for m, i0, _ in _H8_FAMILIES:
+            for k in range(i0, k_max + 1):
+                h = h_poly((1 << k) + i0, k + 1, m)
+                yield ({"family": m, "k": k}
+                       if any(c % 8 for c in h.coeffs) or h.evaluate(-1) else None)
+
+    return sweep("8(x+1)", cases())
 
 
 def palindromic_decompose(p: IntPoly) -> tuple[int, list[int]]:
@@ -482,33 +475,33 @@ def palindromic_decompose(p: IntPoly) -> tuple[int, list[int]]:
 def check_h12(k_max: int) -> CheckReport:
     """h_{1,k+1,2} = sum_j a_{j,k} x^j (1+x)^(2k-2j) with a_{0,k} = 2 and
     8 | a_{j,k} for j > 0; likewise h_{2,k+1,4} with leading 14."""
-    for m, i0, a0 in _H8_FAMILIES:
-        for k in range(i0 - 1, k_max + 1):
-            s, a = palindromic_decompose(h_poly(i0, k + 1, m))
-            if s != 0 or a[0] != a0 or any(c % 8 for c in a[1:]):
-                return CheckReport("h12", False, witness={"family": m, "k": k, "coeffs": a})
-    return CheckReport("h12", True, checked=2 * k_max + 1)
+
+    def cases():
+        for m, i0, a0 in _H8_FAMILIES:
+            for k in range(i0 - 1, k_max + 1):
+                s, a = palindromic_decompose(h_poly(i0, k + 1, m))
+                yield ({"family": m, "k": k, "coeffs": a}
+                       if s != 0 or a[0] != a0 or any(c % 8 for c in a[1:]) else None)
+
+    return sweep("h12", cases())
 
 
 def check_4div(n_max: int) -> CheckReport:
     """4 | C(4n, 2j) - C(2n, j) for all n, j <= n_max."""
-    for n in range(n_max + 1):
-        for j in range(n_max + 1):
-            if (binom(4 * n, 2 * j) - binom(2 * n, j)) % 4:
-                return CheckReport("4div", False, witness={"n": n, "j": j})
-    return CheckReport("4div", True, checked=(n_max + 1) ** 2)
+    return sweep("4div", ({"n": n, "j": j} if (binom(4 * n, 2 * j) - binom(2 * n, j)) % 4
+                          else None for n in range(n_max + 1) for j in range(n_max + 1)))
 
 
 # ---------------------------------------------------------------------------
 # annihilating operators
 
 
-@dataclass(frozen=True)
-class ShiftOperator:
+class ShiftOperator(namedtuple("ShiftOperator", "coeffs")):
     """sum_j c_j(x) theta^j acting on sequences indexed by m, where theta is
-    the backward shift: (V s)_m = sum_j c_j(x) s_{m-j}."""
+    the backward shift: (V s)_m = sum_j c_j(x) s_{m-j}.  `coeffs` is the
+    tuple of IntPoly c_j."""
 
-    coeffs: tuple[IntPoly, ...]
+    __slots__ = ()
 
     @property
     def order(self) -> int:
@@ -561,12 +554,9 @@ def v_operator(k: int) -> ShiftOperator:
 def check_annihilation(i: int, k: int, m_max: int) -> CheckReport:
     """V_k sends the sequence (h_{i,k,m})_m to zero for every m >= 2^k."""
     op = v_operator(k)
-    for m in range(op.order, m_max + 1):
-        img = op.apply(lambda mm: h_poly(i, k, mm), m)
-        if not img.is_zero():
-            return CheckReport(f"annihilation i={i} k={k}", False,
-                               witness={"i": i, "k": k, "m": m})
-    return CheckReport(f"annihilation i={i} k={k}", True, checked=m_max - op.order + 1)
+    return sweep(f"annihilation i={i} k={k}", (
+        None if op.apply(partial(h_poly, i, k), m).is_zero() else {"i": i, "k": k, "m": m}
+        for m in range(op.order, m_max + 1)))
 
 
 # check_g1_closed_forms compares the series through T^_G1_ORDER
@@ -580,11 +570,9 @@ def check_g1_closed_forms() -> CheckReport:
     op = v_operator(1)
     numerators = {0: {0: IntPoly((-1,)), 1: IntPoly.one()},
                   1: {1: IntPoly((-1,))}}
-    for i, pmap in numerators.items():
-        for m in range(_G1_ORDER + 1):
-            if op.apply(partial(h_poly, i, 1), m) != pmap.get(m, IntPoly.zero()):
-                return CheckReport("G-closed-forms", False, witness={"i": i, "m": m})
-    return CheckReport("G-closed-forms", True, checked=2 * (_G1_ORDER + 1))
+    return sweep("G-closed-forms", (
+        None if op.apply(partial(h_poly, i, 1), m) == pmap.get(m, IntPoly.zero())
+        else {"i": i, "m": m} for i, pmap in numerators.items() for m in range(_G1_ORDER + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -637,21 +625,21 @@ def check_formula_2k(k: int, n_max: int) -> CheckReport:
     lhs = fpow_prefix(1 - (1 << k), n_max)[: n_max + 1]
     big = fpow_prefix(-(1 << k), n_max)[: n_max + 1]
     conv = convolve([ptm(i) for i in range(n_max + 1)], big)
-    for n in range(n_max + 1):
-        if conv[n] != lhs[n]:
-            return CheckReport(f"formula-2^{k}", False, checked=n, witness={"k": k, "n": n})
-    return CheckReport(f"formula-2^{k}", True, checked=n_max + 1)
+    return sweep(f"formula-2^{k}", ({"k": k, "n": n} if conv[n] != lhs[n] else None
+                                    for n in range(n_max + 1)))
 
 
 def check_bm_monotone(m_max: int, n_max: int) -> CheckReport:
     """Artifact-level sanity (not a claim from the source material): more
-    colors can only create representations, so b_m(n) >= b_{m-1}(n) >= 1."""
-    prev = None
-    for m in range(1, m_max + 1):
-        cur = fpow_prefix(-m, n_max)
-        if any(c < 1 for c in cur[: n_max + 1]):
-            return CheckReport("bm-monotone", False, witness={"m": m})
-        if prev is not None and any(c < p for c, p in zip(cur, prev)):
-            return CheckReport("bm-monotone", False, witness={"m": m})
-        prev = cur[: n_max + 1]
-    return CheckReport("bm-monotone", True, checked=m_max * n_max)
+    colors can only create representations, so b_m(n) >= b_{m-1}(n) >= 1,
+    one case per value b_m(n), m <= m_max, n <= n_max."""
+
+    def cases():
+        prev = [1] * (n_max + 1)  # the floor 1 stands in for b_0
+        for m in range(1, m_max + 1):
+            cur = fpow_prefix(-m, n_max)
+            for n in range(n_max + 1):
+                yield {"m": m} if cur[n] < prev[n] else None
+            prev = cur
+
+    return sweep("bm-monotone", cases())

@@ -22,7 +22,7 @@ negative value of a key other than its size, is refused before any work.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
 
 from .core_arith import nu2, nu2_or_none
@@ -34,21 +34,15 @@ COUNTEREXAMPLE = "counterexample"
 OBSERVATION = "observation"
 
 
-@dataclass
-class CampaignReport:
-    name: str
-    kind: str
-    claim: str
-    bounds: dict[str, int]
-    status: str
-    witness: dict
-    wall_ms: int
-    # "residue" when a whole-array runner settled the campaign, else "exact"
-    backend: str = "exact"
-    # why a campaign with a residue runner ran exact: "no-numpy" (numpy does
-    # not import), "import" (a verify process below the campaign's cold_size)
-    # or "declined" (the residue runner returned None); else None
-    backend_reason: str | None = None
+class CampaignReport(namedtuple("CampaignReport", "name kind claim bounds status witness "
+                                "wall_ms backend backend_reason", defaults=("exact", None))):
+    """What `run_campaign` returns.  `backend` is "residue" when a
+    whole-array runner settled the campaign, else "exact".  `backend_reason`
+    says why a campaign with a residue runner ran exact: "no-numpy" (numpy
+    does not import), "import" (a verify process below the campaign's
+    cold_size) or "declined" (the residue runner returned None); else None."""
+
+    __slots__ = ()
 
     def payload(self) -> dict:
         """Deterministic part (no wall time or backend), for golden
@@ -791,20 +785,16 @@ def _res_b2_valuation_list(bounds):
 # registry (the traceability matrix)
 
 
-@dataclass(frozen=True)
-class Campaign:
-    name: str
-    kind: str  # theorem | conjecture | question
-    claim: str
-    defaults: dict
-    runner: object
-    residue_runner: object = None
-    # the least value of the size key at which the runner checks anything
-    minimum: int = 0
-    # the least value of the size key at which a `ptmpow verify` process
-    # runs the residue runner; below it the exact runner finishes before the
-    # residue runner and its numpy import would (a session runs it at any size)
-    cold_size: int = 0
+class Campaign(namedtuple("Campaign", "name kind claim defaults runner residue_runner "
+                          "minimum cold_size", defaults=(None, 0, 0))):
+    """One registered claim.  `kind` is theorem, conjecture or question.
+    `minimum` is the least value of the size key at which the runner checks
+    anything.  `cold_size` is the least value of the size key at which a
+    `ptmpow verify` process runs the residue runner; below it the exact
+    runner finishes before the residue runner and its numpy import would (a
+    session runs it at any size)."""
+
+    __slots__ = ()
 
     @property
     def size_key(self) -> str:

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .core_arith import IntPoly, kron_pack, kron_unpack
 from .fpow import fpow_at
-from .reports import CheckReport
+from .reports import CheckReport, sweep
 
 
 class FSeries:
@@ -171,28 +171,27 @@ def w_poly(k: int) -> IntPoly:
 
 
 def check_g_factorization(n: int, p: int) -> CheckReport:
-    """g_n(t) == g_{n mod p}(t) * (t - t^p)^(n//p)  (mod p), coefficientwise."""
+    """g_n(t) == g_{n mod p}(t) * (t - t^p)^(n//p)  (mod p), coefficientwise,
+    as one case: the polynomial identity."""
     lhs = _shared.g(n).mod(p)
     base = (IntPoly.x() - IntPoly.monomial(p)).mod(p)
     rhs = _shared.g(n % p).mod(p)
     for _ in range(n // p):
         rhs = (rhs * base).mod(p)
-    if lhs == rhs:
-        return CheckReport(f"g-factorization n={n} p={p}", True, checked=1)
-    bad = next(i for i in range(max(len(lhs.coeffs), len(rhs.coeffs))) if lhs[i] != rhs[i])
-    return CheckReport(
-        f"g-factorization n={n} p={p}", False,
-        witness={"n": n, "p": p, "coeff_index": bad, "lhs": lhs[bad], "rhs": rhs[bad]},
-    )
+    bad = next((i for i in range(max(len(lhs.coeffs), len(rhs.coeffs))) if lhs[i] != rhs[i]),
+               None)
+    return sweep(f"g-factorization n={n} p={p}", [
+        None if bad is None
+        else {"n": n, "p": p, "coeff_index": bad, "lhs": lhs[bad], "rhs": rhs[bad]}])
 
 
 def check_addition_formula(n: int, t1: int, t2: int) -> CheckReport:
-    """f_n(t1+t2) == sum_k f_k(t1) f_{n-k}(t2), evaluated over exact rationals."""
+    """f_n(t1+t2) == sum_k f_k(t1) f_{n-k}(t2), evaluated over exact
+    rationals, as one case."""
     lhs = _shared.f_value(n, t1 + t2)
     rhs = sum(_shared.f_value(k, t1) * _shared.f_value(n - k, t2) for k in range(n + 1))
-    ok = lhs == rhs
-    w = {} if ok else {"n": n, "t1": t1, "t2": t2, "lhs": str(lhs), "rhs": str(rhs)}
-    return CheckReport(f"addition-formula n={n}", ok, checked=1, witness=w)
+    return sweep(f"addition-formula n={n}", [
+        None if lhs == rhs else {"n": n, "t1": t1, "t2": t2, "lhs": str(lhs), "rhs": str(rhs)}])
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,13 @@ halving identity F(x)^m = (1-x)^m F(x^2)^m.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .core_arith import base4_digits_0136, nu2, nu2_binom
 from .f_polys import shared_fseries
 from .fpow import fpow_at, fpow_prefix
-from .reports import CheckReport
+from .reports import CheckReport, sweep
 
 
 # ---------------------------------------------------------------------------
@@ -28,11 +28,9 @@ from .reports import CheckReport
 def check_parity_t(m: int, n_max: int) -> CheckReport:
     """t_m(n) == C(n+m-1, m-1) (mod 2) for all n <= n_max."""
     vals = fpow_prefix(m, n_max)
-    for n in range(n_max + 1):
-        if (vals[n] - math.comb(n + m - 1, m - 1)) % 2:
-            return CheckReport(f"parity-t m={m}", False, checked=n,
-                               witness={"m": m, "n": n, "value": vals[n]})
-    return CheckReport(f"parity-t m={m}", True, checked=n_max + 1)
+    return sweep(f"parity-t m={m}", ({"m": m, "n": n, "value": vals[n]}
+                                     if (vals[n] - math.comb(n + m - 1, m - 1)) % 2 else None
+                                     for n in range(n_max + 1)))
 
 
 def v2_t2k_closed(k: int, n: int) -> int:
@@ -106,13 +104,11 @@ def t2_symmetry_partner(n: int) -> int:
     return n2
 
 
-@dataclass(frozen=True)
-class PairTreeNode:
+class PairTreeNode(namedtuple("PairTreeNode", "x y")):
     """Node of the pair tree on coprime pairs with exactly one even entry;
     the row-major walk of the tree rooted at (-2, 1) lists (t_2(n+1), t_2(n))."""
 
-    x: int
-    y: int
+    __slots__ = ()
 
     def left(self) -> "PairTreeNode":
         return PairTreeNode(self.x + self.y, -2 * self.y)
@@ -142,11 +138,8 @@ def pair_tree_rowmajor(count: int):
         q.append(node.right())
 
 
-@dataclass
-class SolveResult:
-    target: int
-    n: int
-    shifted_instance: int | None
+# shifted_instance is None when n has no shifted-family partner
+SolveResult = namedtuple("SolveResult", "target n shifted_instance")
 
 
 def _shift_family_member(n: int, m: int = 4) -> int | None:
@@ -209,29 +202,24 @@ _T2_SHIFT_MS = range(3, 9)
 def check_t2_shift_families(n_max: int) -> CheckReport:
     """t_2(8n+r) = t_2(`_shift_family_member`(8n+r, m)) for the four residue
     families, all m in _T2_SHIFT_MS, 1 <= n <= n_max."""
-    checked = 0
-    for m in _T2_SHIFT_MS:
-        for n in range(1, n_max + 1):
-            for r in (4, 6, 0, 2):
-                a = 8 * n + r
-                b = _shift_family_member(a, m)
-                if fpow_at(2, a) != fpow_at(2, b):
-                    return CheckReport("t2-shift-families", False, checked,
-                                       witness={"m": m, "n": n, "lhs_index": a, "rhs_index": b})
-                checked += 1
-    return CheckReport("t2-shift-families", True, checked)
+
+    def cases():
+        for m in _T2_SHIFT_MS:
+            for n in range(1, n_max + 1):
+                for r in (4, 6, 0, 2):
+                    a = 8 * n + r
+                    b = _shift_family_member(a, m)
+                    yield ({"m": m, "n": n, "lhs_index": a, "rhs_index": b}
+                           if fpow_at(2, a) != fpow_at(2, b) else None)
+
+    return sweep("t2-shift-families", cases())
 
 
 # ---------------------------------------------------------------------------
 # extrema over dyadic ranges
 
 
-@dataclass
-class Extrema:
-    max: int
-    min: int
-    argmax: int
-    argmin: int
+Extrema = namedtuple("Extrema", "max min argmax argmin")
 
 
 def maxmin_closed(m: int, k: int) -> Extrema:
@@ -272,77 +260,74 @@ def check_growth(m: int, n_max: int) -> CheckReport:
     """|t_m(n)|^2 <= m^2 n^m for 1 <= n <= n_max (squared to stay integral)."""
     vals = fpow_prefix(m, n_max)
     m2 = m * m
-    for n in range(1, n_max + 1):
-        if vals[n] * vals[n] > m2 * n**m:
-            return CheckReport(f"growth m={m}", False, checked=n - 1,
-                               witness={"m": m, "n": n, "value": vals[n]})
-    return CheckReport(f"growth m={m}", True, checked=n_max)
+    return sweep(f"growth m={m}", ({"m": m, "n": n, "value": vals[n]}
+                                   if vals[n] * vals[n] > m2 * n**m else None
+                                   for n in range(1, n_max + 1)))
 
 
 def check_mean(n_max: int) -> CheckReport:
     """2|t_2(n)| >= |t_2(n-1) + t_2(n+1)| for n >= 1, with equality at even n."""
     vals = fpow_prefix(2, n_max + 1)
-    odd_equalities = 0
-    for n in range(1, n_max + 1):
-        lhs = 2 * abs(vals[n])
-        rhs = abs(vals[n - 1] + vals[n + 1])
-        if lhs < rhs or (n % 2 == 0 and lhs != rhs):
-            return CheckReport("mean", False, checked=n - 1,
-                               witness={"n": n, "lhs": lhs, "rhs": rhs})
-        if n % 2 and lhs == rhs:
-            odd_equalities += 1
-    return CheckReport("mean", True, checked=n_max,
-                       witness={"odd_equalities": odd_equalities})
+    witness = {"odd_equalities": 0}
+
+    def cases():
+        for n in range(1, n_max + 1):
+            lhs = 2 * abs(vals[n])
+            rhs = abs(vals[n - 1] + vals[n + 1])
+            if n % 2 and lhs == rhs:
+                witness["odd_equalities"] += 1
+            yield ({"n": n, "lhs": lhs, "rhs": rhs}
+                   if lhs < rhs or (n % 2 == 0 and lhs != rhs) else None)
+
+    return sweep("mean", cases(), witness)
 
 
 def check_logconcave(n_max: int) -> CheckReport:
     """t_2(n)^2 > t_2(n-1) t_2(n+1) for 1 <= n <= n_max, which is
-    check_turan_t at m = 2; the margin is exactly 1 at n = 2^k - 4 for every
-    k >= 3 with 2^k - 4 <= n_max."""
-    turan = check_turan_t(2, n_max + 1)
-    if not turan.ok:
-        return CheckReport("log-concave", False, checked=turan.checked,
-                           witness={"n": turan.witness["n"]})
+    check_turan_t at m = 2, and the margin is exactly 1 at n = 2^k - 4 for
+    every k >= 3: one case per n."""
     vals = fpow_prefix(2, n_max + 1)
-    for k in range(3, (n_max + 4).bit_length()):
-        n = (1 << k) - 4
-        d = vals[n] ** 2 - vals[n - 1] * vals[n + 1]
-        if d != 1:
-            return CheckReport("log-concave", False, checked=n_max,
-                               witness={"equality_at": n, "difference": d})
-    return CheckReport("log-concave", True, checked=n_max)
+
+    def cases():
+        for n in range(1, n_max + 1):
+            d = vals[n] ** 2 - vals[n - 1] * vals[n + 1]
+            if d <= 0:
+                yield {"n": n}
+            elif d != 1 and n >= 4 and not (n + 4) & (n + 3):
+                yield {"equality_at": n, "difference": d}
+            else:
+                yield None
+
+    return sweep("log-concave", cases())
 
 
 def check_signs(m: int, n_max: int) -> CheckReport:
     """No three consecutive t_m values share a strict sign (zero is its own
     sign class).  A theorem for m in {1, 2}; a monitored statement otherwise."""
     vals = fpow_prefix(m, n_max + 1)
-    for n in range(1, n_max):
-        a, b, c = vals[n - 1], vals[n], vals[n + 1]
-        if (a > 0 and b > 0 and c > 0) or (a < 0 and b < 0 and c < 0):
-            return CheckReport(f"three-signs m={m}", False, checked=n - 1,
-                               witness={"m": m, "n": n, "triple": [a, b, c]})
-    return CheckReport(f"three-signs m={m}", True, checked=max(n_max - 1, 0))
+
+    def cases():
+        for n in range(1, n_max):
+            a, b, c = vals[n - 1], vals[n], vals[n + 1]
+            yield ({"m": m, "n": n, "triple": [a, b, c]}
+                   if (a > 0 and b > 0 and c > 0) or (a < 0 and b < 0 and c < 0) else None)
+
+    return sweep(f"three-signs m={m}", cases())
 
 
 def check_turan_t(m: int, n_max: int) -> CheckReport:
     """t_m(n)^2 > t_m(n-1) t_m(n+1); proved for m = 2, monitored for m > 2."""
     vals = fpow_prefix(m, n_max + 1)
-    for n in range(1, n_max):
-        if vals[n] ** 2 <= vals[n - 1] * vals[n + 1]:
-            return CheckReport(f"turan-t m={m}", False, checked=n - 1,
-                               witness={"m": m, "n": n})
-    return CheckReport(f"turan-t m={m}", True, checked=max(n_max - 1, 0))
+    return sweep(f"turan-t m={m}", ({"m": m, "n": n}
+                                    if vals[n] ** 2 <= vals[n - 1] * vals[n + 1] else None
+                                    for n in range(1, n_max)))
 
 
 def check_t2_mod4(n_max: int) -> CheckReport:
     """t_2(2n) == 1 + 2n (mod 4) for 0 <= n <= n_max."""
     vals = fpow_prefix(2, 2 * n_max)
-    for n in range(n_max + 1):
-        if (vals[2 * n] - (1 + 2 * n)) % 4:
-            return CheckReport("t2-mod4", False, checked=n,
-                               witness={"n": n, "value": vals[2 * n]})
-    return CheckReport("t2-mod4", True, checked=n_max + 1)
+    return sweep("t2-mod4", ({"n": n, "value": vals[2 * n]} if (vals[2 * n] - (1 + 2 * n)) % 4
+                             else None for n in range(n_max + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -386,21 +371,18 @@ def check_nonvanishing(n_max: int) -> CheckReport:
     """For n <= n_max and m in a window just above n^2/log 2: t_m(n) != 0;
     plus the multinomial identity S_1 = C(n+m-1, m-1) for n, m <= 8."""
     series = shared_fseries()
-    checked = 0
-    for n in range(1, n_max + 1):
-        start = nonvanishing_threshold(n)
-        for m in range(start, start + _NONVANISHING_WINDOW + 1):
-            if series.f_value(n, m) == 0:
-                return CheckReport("non-vanishing", False, checked,
-                                   witness={"n": n, "m": m})
-            checked += 1
-    for n in range(1, 9):
-        for m in range(1, 9):
-            if multinomial_s1_enumerate(n, m) != math.comb(n + m - 1, m - 1):
-                return CheckReport("non-vanishing", False, checked,
-                                   witness={"s1_at": [n, m]})
-            checked += 1
-    return CheckReport("non-vanishing", True, checked)
+
+    def cases():
+        for n in range(1, n_max + 1):
+            start = nonvanishing_threshold(n)
+            for m in range(start, start + _NONVANISHING_WINDOW + 1):
+                yield {"n": n, "m": m} if series.f_value(n, m) == 0 else None
+        for n in range(1, 9):
+            for m in range(1, 9):
+                yield ({"s1_at": [n, m]}
+                       if multinomial_s1_enumerate(n, m) != math.comb(n + m - 1, m - 1) else None)
+
+    return sweep("non-vanishing", cases())
 
 
 def check_t3_reducibility_witness(count: int) -> CheckReport:
@@ -408,9 +390,10 @@ def check_t3_reducibility_witness(count: int) -> CheckReport:
 
     Evaluates the polynomial family itself (not the t_3 recurrence), so the
     vanishing is witnessed on the f side."""
-    for a in t3_zero_seq(count):
-        v = shared_fseries().f_value(a, 3)
-        if v != 0:
-            return CheckReport("t3-reducibility", False,
-                               witness={"index": a, "value": str(v)})
-    return CheckReport("t3-reducibility", True, checked=count)
+
+    def cases():
+        for a in t3_zero_seq(count):
+            v = shared_fseries().f_value(a, 3)
+            yield {"index": a, "value": str(v)} if v else None
+
+    return sweep("t3-reducibility", cases())

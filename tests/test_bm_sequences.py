@@ -208,6 +208,16 @@ def test_h_forms_refuse_a_p_that_is_not_an_odd_prime(p):
         check_h_mod_p(p, 1, 1)
 
 
+@pytest.mark.parametrize("p, s", [(3, -1), (5, -2), (0, -1)])
+def test_h_forms_refuse_a_negative_s(p, s):
+    # m = p^s must be an integer; s = 0 (m = 1) stays valid
+    with pytest.raises(ValueError, match="odd prime" if p < 3 else "s >= 0"):
+        check_congrup(p, s, 5)
+    with pytest.raises(ValueError, match="odd prime" if p < 3 else "s >= 0"):
+        check_h_mod_p(p, s, 1)
+    assert check_congrup(3, 0, 5).ok and check_h_mod_p(3, 0, 2).ok
+
+
 def test_derivative_identity_and_divisibility():
     b1 = partial(fpow_at, -1)
     assert 2 * fpow_at(-2, 2) == 2 * (2 * b1(2) * 1 + 1 * b1(1) * b1(1))
@@ -531,11 +541,15 @@ def test_b2_valuation_table_reports_its_first_mismatch(monkeypatch):
 # (module, check, args, t, index, plant, checked, witness): f_index(t), as
 # the module's check reads it, becomes plant(f_index(t)), and the check
 # fails with a witness that holds these items, having counted as checked
-# only the indices that held.  t_2(27) = 12 sits between -1 and -11, so a 0
+# only the cases that held.  t_2(27) = 12 sits between -1 and -11, so a 0
 # there breaks Turán's inequality at 27; t_2(28) = -11 sits between 12 and
 # 10, after -1, so a 1 there gives the first positive triple at 28; a large
 # t_2(40) breaks the mean inequality at 39; b_3(77) and b_3(78) are 0 mod 3,
-# and 78 is a multiple of 3
+# and 78 is a multiple of 3.  check_bm_monotone has one case per value, so
+# b_3(90) = 0 fails after the 2 * 201 values of b_1, b_2 and the 90 of b_3
+# below it; check_radical tests only the n prime to 6, and 77 is the 26th;
+# b_2(40) sits in the window of congruence 2 from n = 10 on, after the 3
+# anchors, the 57 cases of congruence 1 and 2 * 6 of congruences 2 and 3
 PLANTED_CHECKS = (
     (tm_sequences, "check_parity_t", (3, 200), 3, 77, lambda v: v + 1, 77, {"m": 3, "n": 77}),
     (tm_sequences, "check_turan_t", (2, 200), 2, 27, lambda v: 0, 26, {"m": 2, "n": 27}),
@@ -553,7 +567,13 @@ PLANTED_CHECKS = (
     (bm_sequences, "check_rps", (1, 3, 1, 200), -3, 78, lambda v: v + 1, 78,
      {"n": 78, "family": "reduction"}),
     (bm_sequences, "check_turan_b", (1, 100), -1, 60, lambda v: v + 1, 29, {"n": 30}),
-    (bm_sequences, "check_bm_monotone", (4, 200), -3, 90, lambda v: 0, 0, {"m": 3}),
+    (bm_sequences, "check_bm_monotone", (4, 200), -3, 90, lambda v: 0, 492, {"m": 3}),
+    (bm_sequences, "check_derivative_identity", (3, 200), -3, 77, lambda v: v + 1, 77,
+     {"m": 3, "n": 77, "identity": "derivative"}),
+    (bm_sequences, "check_radical", (6, 200), -6, 77, lambda v: v + 1, 25, {"m": 6, "n": 77}),
+    (bm_sequences, "check_window_sum_congruences", (64,), -2, 40, lambda v: v + 1, 72,
+     {"congruence": 2, "n": 10}),
+    (bm_sequences, "check_formula_2k", (1, 200), -2, 77, lambda v: v + 1, 77, {"k": 1, "n": 77}),
 )
 
 
@@ -604,3 +624,21 @@ def test_inverse_and_color_drop_identities():
 
 def test_bm_monotone_in_colors():
     assert check_bm_monotone(6, 1 << 10).ok
+    # one case per value b_m(n), m <= m_max, n <= n_max
+    assert [check_bm_monotone(m, n).checked for m, n in ((0, 5), (1, 0), (1, 5), (6, 1024))] == [
+        0, 1, 6, 6 * 1025]
+
+
+@pytest.mark.parametrize("n_max, congruences", [(0, 0), (3, 0), (8, 1 + 2 * 5),
+                                                 (64, 57 + 2 * 61)])
+def test_window_sums_count_their_anchors_and_congruences(n_max, congruences):
+    # the 3 exact h anchors, then congruence 1 for 8 <= n <= n_max and
+    # congruences 2 and 3 for 4 <= n <= n_max
+    assert check_window_sum_congruences(n_max).checked == 3 + congruences
+
+
+def test_h8_checks_count_the_polynomials_they_read():
+    # check_8x1 reads h_{2^k+1,k+1,2} from k = 1 and h_{2^k+2,k+1,4} from
+    # k = 2; check_h12 reads h_{1,k+1,2} from k = 0 and h_{2,k+1,4} from k = 1
+    assert [check_8x1(k).checked for k in (0, 1, 2, 5)] == [0, 1, 3, 9]
+    assert [check_h12(k).checked for k in (0, 1, 5)] == [1, 3, 11]

@@ -1,5 +1,4 @@
 import builtins
-import dataclasses
 import io
 import json
 import math
@@ -135,7 +134,7 @@ def test_residue_campaigns_are_exactly_the_residue_set():
 def _residues_in_verify(monkeypatch, name):
     """Let a `ptmpow verify` process run the residue runner of `name` at any
     size, as a session does, rather than from its cold_size on."""
-    monkeypatch.setitem(CAMPAIGNS, name, dataclasses.replace(CAMPAIGNS[name], cold_size=0))
+    monkeypatch.setitem(CAMPAIGNS, name, CAMPAIGNS[name]._replace(cold_size=0))
 
 
 @pytest.mark.parametrize("name", RESIDUE_CAMPAIGNS)
@@ -698,8 +697,8 @@ def _stub_backends(monkeypatch):
         return "observation", {"backend": backend}
 
     for name, camp in CAMPAIGNS.items():
-        monkeypatch.setitem(CAMPAIGNS, name, dataclasses.replace(
-            camp, runner=partial(stub, "exact"),
+        monkeypatch.setitem(CAMPAIGNS, name, camp._replace(
+            runner=partial(stub, "exact"),
             residue_runner=camp.residue_runner and partial(stub, "residue")))
     monkeypatch.setattr(builtins, "__import__", recording_import)
     monkeypatch.delitem(sys.modules, "numpy", raising=False)
@@ -733,8 +732,8 @@ def test_a_verify_process_waits_for_the_crossover_and_a_session_does_not(monkeyp
         with fpow.arrays_unkept():
             assert run(name, 1 << 20) == ("exact", "no-numpy", True), name
     # a residue runner that declines hands the campaign to the exact runner
-    monkeypatch.setitem(CAMPAIGNS, "t5-valuation", dataclasses.replace(
-        CAMPAIGNS["t5-valuation"], residue_runner=lambda bounds: None))
+    monkeypatch.setitem(CAMPAIGNS, "t5-valuation", CAMPAIGNS["t5-valuation"]._replace(
+        residue_runner=lambda bounds: None))
     monkeypatch.delitem(sys.modules, "numpy")
     assert run("t5-valuation", 64) == ("exact", "declined", True)
 
@@ -808,8 +807,8 @@ def test_a_failed_b2_certificate_is_a_counterexample_on_either_backend(monkeypat
 def test_a_conjecture_counterexample_is_reported_as_an_observation(monkeypatch):
     # conjecture campaigns never hard-fail: run_campaign downgrades the status
     camp = CAMPAIGNS["t5-valuation"]
-    stub = dataclasses.replace(camp, runner=lambda bounds: (campaigns.COUNTEREXAMPLE, {"n": 7}),
-                               residue_runner=None)
+    stub = camp._replace(runner=lambda bounds: (campaigns.COUNTEREXAMPLE, {"n": 7}),
+                         residue_runner=None)
     monkeypatch.setitem(CAMPAIGNS, "t5-valuation", stub)
     rep = run_campaign("t5-valuation", {"n": 64})
     assert (rep.kind, rep.status, rep.witness, rep.backend) == (
@@ -1131,8 +1130,8 @@ def test_run_campaign_refuses_bounds_it_does_not_read(monkeypatch):
 
     with monkeypatch.context() as patch:
         for name, camp in CAMPAIGNS.items():
-            patch.setitem(CAMPAIGNS, name, dataclasses.replace(
-                camp, runner=unreached, residue_runner=camp.residue_runner and unreached))
+            patch.setitem(CAMPAIGNS, name, camp._replace(
+                runner=unreached, residue_runner=camp.residue_runner and unreached))
         for name, bounds, message in (
                 ("t5-valuation", {"N": 10}, "t5-valuation has no bound N; its bounds are n"),
                 ("t-regularity", {"n": 8, "width": 2}, "no bound width; its bounds are n, depth"),
@@ -1202,8 +1201,8 @@ def test_cli_verify_opens_out_before_any_work(monkeypatch, capsys, tmp_path):
         raise AssertionError(f"a runner ran on {bounds}")
 
     camp = CAMPAIGNS["t5-valuation"]
-    monkeypatch.setitem(CAMPAIGNS, "t5-valuation", dataclasses.replace(
-        camp, runner=unreached, residue_runner=unreached))
+    monkeypatch.setitem(CAMPAIGNS, "t5-valuation", camp._replace(
+        runner=unreached, residue_runner=unreached))
     out = str(tmp_path / "no-such-dir" / "x.jsonl")
     rc, stdout, err = run_cli(capsys, "verify", "t5-valuation", "--bound", "65536", "--out", out)
     assert rc == 2 and stdout == "" and "x.jsonl" in err

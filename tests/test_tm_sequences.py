@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from ptmpow.core_arith import nu2, nu2_or_none, ptm
 from ptmpow.f_polys import shared_fseries
 from ptmpow.fpow import fpow_at, fpow_prefix
+from ptmpow.reports import sweep
 from ptmpow.tm_sequences import (
     PairTreeNode,
     check_growth,
@@ -217,6 +218,21 @@ def test_sign_and_turan_checks_count_the_indices_they_test():
         assert [rep.checked for rep in reports] == [0, 0, 1, 2, 63]
     # check_logconcave(n) tests n = 1..n
     assert check_logconcave(64).checked == 64
+
+
+def test_sweep_counts_the_cases_that_held_before_the_first_failure():
+    ran = []
+
+    def cases():
+        for n in range(10):
+            ran.append(n)
+            yield {"n": n} if n == 3 else None
+
+    assert sweep("s", cases(), {"unused": 1}) == ("s", False, 3, {"n": 3})
+    assert ran == [0, 1, 2, 3]  # no case after the first failure runs
+    witness = {}
+    assert sweep("s", [None] * 4, witness) == ("s", True, 4, witness)
+    assert sweep("s", []) == ("s", True, 0, {})
 
 
 def test_multinomial_count():
