@@ -12,6 +12,9 @@ Each line is one call and what it returned, as JSON `[call, verdict]`:
   size of SIZES that is at least its `minimum`.
 - `["check", module, function, args]`: a `check_*` of that module, and its
   `[name, ok, checked, witness]`.
+- `["cli", argv, ...]`: each argv through `ptmpow.cli.main` in turn, in one
+  fresh working directory, and `{"runs": [[exit code, sha256 of stdout],
+  ...], "files": {name: sha256}}` of every file they left there.
 
 The test re-runs every line and compares bytes.  Record with numpy
 installed, so that the residue lines are written; re-record only for a
@@ -20,8 +23,14 @@ verdict that is meant to change, and name the change in CHANGES.md.
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import json
+import os
+import tempfile
 from importlib import import_module
+from pathlib import Path
 
 # the size bounds every campaign runs at besides its defaults
 SIZES = (3, 300, 1000, 4099)
@@ -81,6 +90,46 @@ CHECKS = (
       for t1, t2 in ((1, -1), (2, 3))),
 )
 
+# the argv runs of the command line: seq windows that cross a 4096-value
+# batch, in csv and json; each val family at a small bound; poly f, g, W and
+# h in text and json; search; and cache store then load on one file, whose
+# bytes are recorded
+_SEQ_WINDOWS = ("0..0", "0..4095", "0..4096", "4095..4096", "100..9000")
+CLI = (
+    *((("seq", "t", "3", window, "--format", fmt),) for window in _SEQ_WINDOWS
+      for fmt in ("csv", "json")),
+    *((("seq", "t", "2", "0..8", "--format", fmt),) for fmt in ("csv", "json")),
+    *((("seq", "b", m, window, "--format", fmt),) for m, window in (("1", "0..9000"),
+                                                                    ("6", "4000..4200"))
+      for fmt in ("csv", "json")),
+    *((("seq", "f-eval", m, window, "--format", fmt),) for m, window in (("-2", "0..6"),
+                                                                         ("0", "0..5"),
+                                                                         ("3", "0..300"))
+      for fmt in ("csv", "json")),
+    (("seq", "t", "2", "8..2"),),
+    (("seq", "b", "0", "0..3"),),
+    *((("val", *argv),) for argv in (("t-pow2", "--k", "2", "--bound", "64"),
+                                     ("t3", "--bound", "64"),
+                                     ("b-pow2m1", "--k", "2", "--bound", "64"),
+                                     ("b1", "--bound", "64"), ("b1", "--bound", "1"))),
+    *((("poly", *params, "--format", fmt),) for params in (("f", "3"), ("f", "10"), ("g", "5"),
+                                                           ("g", "20"), ("W", "3"), ("W", "4"),
+                                                           ("h", "0", "2", "2"),
+                                                           ("h", "1", "2", "4"),
+                                                           ("h", "7", "3", "3"),
+                                                           ("h", "5", "4", "3"))
+      for fmt in ("text", "json")),
+    *((("search", target),) for target in ("-7", "100", "-1000", "0")),
+    *((("cache", "store", family, m, "--bound", bound, "--path", "c.seq"),
+       ("cache", "load", family, m, "--path", "c.seq"))
+      for family, m, bound in (("b", "6", "300"), ("t", "2", "9000"), ("t", "3", "0"),
+                               ("b", "1", "4095"), ("b", "1", "4096"))),
+    (("cache", "store", "b", "6", "--bound", "64", "--path", "c.seq"),
+     ("cache", "load", "t", "6", "--path", "c.seq")),
+    (("cache", "load", "t", "2", "--path", "missing.seq"),),
+    (("cache", "store", "t", "2", "--path", "c.seq"),),
+)
+
 
 def calls():
     """Every recorded call, in file order."""
@@ -95,6 +144,35 @@ def calls():
                 yield ["campaign", name, backend, bounds]
     for module, function, args in CHECKS:
         yield ["check", module, function, list(args)]
+    for argvs in CLI:
+        yield ["cli", *map(list, argvs)]
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _cli_verdict(argvs) -> dict:
+    """Each argv through the command line in one fresh working directory,
+    so that a relative --path, which stdout prints, is the same each time."""
+    from ptmpow.cli import main
+
+    runs, cwd = [], os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for argv in argvs:
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                    try:
+                        rc = main(argv)
+                    except SystemExit as exc:  # an argparse usage error
+                        rc = exc.code
+                runs.append([rc, _sha256(out.getvalue().encode())])
+            files = {name: _sha256(Path(name).read_bytes()) for name in sorted(os.listdir())}
+        finally:
+            os.chdir(cwd)
+    return {"runs": runs, "files": files}
 
 
 def verdict_line(call) -> str:
@@ -103,6 +181,8 @@ def verdict_line(call) -> str:
         _, module, function, args = call
         rep = getattr(import_module(f"ptmpow.{module}"), function)(*args)
         verdict = [rep.name, rep.ok, rep.checked, rep.witness]
+    elif call[0] == "cli":
+        verdict = _cli_verdict(call[1:])
     else:
         from ptmpow.campaigns import CAMPAIGNS
 

@@ -1,7 +1,8 @@
 """Every verdict in verdicts.jsonl, re-run and compared byte for byte: each
-campaign's claim text, each campaign runner on both backends and each
-`check_*`, at the calls record_verdicts.py lists.  A residue line is
-skipped without numpy."""
+campaign's claim text, each campaign runner on both backends, each
+`check_*` and the exit code, stdout and files of each command-line run, at
+the calls record_verdicts.py lists.  A residue line is skipped without
+numpy."""
 
 import json
 from importlib.util import find_spec
@@ -16,6 +17,8 @@ RECORDED = Path(__file__).with_name("verdicts.jsonl").read_text().splitlines()
 
 def _id(line: str) -> str:
     kind, *call = json.loads(line)[0]
+    if kind == "cli":
+        return " ; ".join("ptmpow " + " ".join(argv) for argv in call)
     if kind == "claim":
         return f"{call[0]}-claim"
     if kind == "campaign":
