@@ -8,3 +8,8 @@ every other index with exact integers.
 """
 
 __version__ = "0.1.0"
+
+# values formatted per write by seq (csv and json) and cache store: a b_m
+# window is a large decimal text (b_6 to 2^16 is 7 MB), so the writers hold
+# one batch of it, not the whole, and make one write call per batch
+TEXT_BATCH = 4096

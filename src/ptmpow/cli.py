@@ -31,7 +31,7 @@ import argparse
 import json
 import sys
 
-from . import __version__
+from . import TEXT_BATCH, __version__
 
 
 def _jdump(obj) -> str:
@@ -91,16 +91,23 @@ def _family_prefix(family: str, m: int, n: int) -> list[int]:
 def _cmd_seq(args) -> int:
     lo, hi = _parse_range(args.range)
     vals = _family_prefix(args.family, args.m, hi)
+    # one write per TEXT_BATCH values: a print per line is a system call each
+    # when stdout is unbuffered, and one string of the whole window (seq b 6
+    # 0..65536 is 7 MB) would raise the peak memory
+    write = sys.stdout.write
     if args.format == "json":
-        print(_jdump({"family": args.family, "m": args.m, "from": lo, "to": hi,
-                      "values": [str(v) for v in vals[lo : hi + 1]]}))
+        # _jdump of the whole record, written as its head, the quoted values
+        # in batches and its tail: "values" is the last of the sorted keys
+        write(_jdump({"family": args.family, "m": args.m, "from": lo, "to": hi,
+                      "values": []})[:-2])
+        for at in range(lo, hi + 1, TEXT_BATCH):
+            write(("," if at > lo else "")
+                  + ",".join(f'"{vals[n]}"' for n in range(at, min(at + TEXT_BATCH, hi + 1))))
+        write("]}\n")
     else:
-        # one write per 4096 lines: a print per line is a system call each
-        # when stdout is unbuffered, and one string of the whole window
-        # (seq b 6 0..65536 is 7 MB) would raise the peak memory
-        for at in range(lo, hi + 1, 4096):
-            sys.stdout.write("".join(f"{n},{vals[n]}\n"
-                                     for n in range(at, min(at + 4096, hi + 1))))
+        for at in range(lo, hi + 1, TEXT_BATCH):
+            write("".join(f"{n},{vals[n]}\n"
+                          for n in range(at, min(at + TEXT_BATCH, hi + 1))))
     return 0
 
 
@@ -234,7 +241,11 @@ def _cmd_cache(args) -> int:
 
     path = args.path or f"./{args.family}_{args.m}.seq"
     if args.action == "store":
-        values = _family_prefix(args.family, args.m, args.bound)[: args.bound + 1]
+        values = _family_prefix(args.family, args.m, args.bound)
+        if len(values) > args.bound + 1:
+            # a fresh process's prefix ends at the bound, so this copy of
+            # its item list (8 bytes a value) is made only for a longer one
+            values = values[: args.bound + 1]
         cache_store(args.family, args.m, values, path)
         print(_jdump({"path": path, "family": args.family, "m": args.m,
                       "count": len(values)}))
@@ -309,8 +320,10 @@ def main(argv=None) -> int:
     if k_range and not k_range[0] <= args.k <= k_range[1]:
         parser.error(f"val {args.family} requires --k >= {k_range[0]} and "
                      f"--k <= {k_range[1]}, got {args.k}")
-    if args.command == "cache" and args.action == "store" and args.bound is None:
-        print("cache store requires --bound", file=sys.stderr)
+    if args.command == "cache" and (args.bound is None) == (args.action == "store"):
+        # a load reads the file's own count, so a --bound there would be ignored
+        print("cache store requires --bound" if args.action == "store"
+              else "cache load takes no --bound", file=sys.stderr)
         return 2
     try:
         return args.fn(args)

@@ -8,6 +8,8 @@ import sys
 import tracemalloc
 import types
 import weakref
+import zlib
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from importlib.util import find_spec
 from pathlib import Path
@@ -16,7 +18,7 @@ import pytest
 
 from ptmpow import bm_sequences, campaigns, fpow, tm_sequences
 from ptmpow.campaigns import CAMPAIGNS, exit_code_for, run_campaign
-from ptmpow.cli import main
+from ptmpow.cli import _jdump, main
 from ptmpow.seqcache import CacheError, cache_load, cache_store
 from ptmpow.fpow import fpow_at
 
@@ -837,6 +839,74 @@ def test_cache_rejects_corruption(tmp_path):
         cache_load(path)
 
 
+def _seq_bytes(family, m, values):
+    """A cache file's bytes, formatted whole."""
+    body = "".join(f"{v}\n" for v in values).encode()
+    return f"ptmpow v1 {family} {m} {len(values)} {zlib.crc32(body):08x}\n".encode() + body
+
+
+@pytest.mark.parametrize("count", [0, 1, 4096, 4097, 9000])
+def test_cache_store_writes_the_whole_file_format_in_batches(tmp_path, count):
+    # the crc is filled in after the batches are written, and equals the
+    # whole body's
+    path = tmp_path / "b_2.seq"
+    values = fpow.fpow_prefix(-2, 9000)[:count]
+    cache_store("b", 2, values, str(path))
+    assert path.read_bytes() == _seq_bytes("b", 2, values)
+    assert cache_load(str(path)) == ("b", 2, values)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a named pipe")
+def test_cache_store_through_a_path_that_cannot_seek(tmp_path):
+    values = fpow.fpow_prefix(3, 9000)
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    with ThreadPoolExecutor(1) as pool:
+        read = pool.submit(fifo.read_bytes)
+        cache_store("t", 3, values, str(fifo))
+        piped = read.result(timeout=60)
+    cache_store("t", 3, values, str(tmp_path / "t_3.seq"))
+    assert piped == (tmp_path / "t_3.seq").read_bytes() == _seq_bytes("t", 3, values)
+
+
+def test_cache_load_rejects_a_letter_or_a_truncated_body(tmp_path):
+    # a body line that is no integer is reported as corruption, since the
+    # checksum is known before it is reported
+    path = tmp_path / "b_1.seq"
+    cache_store("b", 1, fpow.fpow_prefix(-1, 9000), str(path))
+    raw = path.read_bytes()
+    at = raw.index(b"\n", len(raw) // 2) - 3
+    path.write_bytes(raw[:at] + b"x" + raw[at + 1 :])
+    with pytest.raises(CacheError, match="checksum mismatch"):
+        cache_load(str(path))
+    for cut in (len(raw) - 1, len(raw) // 2, raw.index(b"\n") + 1):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(CacheError):
+            cache_load(str(path))
+    # a body that matches its crc but is no integer is still refused
+    body = b"1\n2x\n"
+    path.write_bytes(f"ptmpow v1 b 1 2 {zlib.crc32(body):08x}\n".encode() + body)
+    with pytest.raises(CacheError, match="not an integer"):
+        cache_load(str(path))
+
+
+def test_cache_store_and_load_hold_one_batch_of_text(tmp_path):
+    # b_6 to 2^16 is 6.8 MB of text; the values as ints are about 0.77 of
+    # it, so a load peaks at its result plus one read, and a store at one
+    # formatted batch
+    path = tmp_path / "b_6.seq"
+    values = fpow.fpow_prefix(-6, 1 << 16)
+    peaks = []
+    for call in (partial(cache_store, "b", 6, values, str(path)), partial(cache_load, str(path))):
+        tracemalloc.start()
+        try:
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1] / path.stat().st_size)
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 0.5 and peaks[1] < 1.2, peaks
+
+
 def test_cache_rejects_wrong_version(tmp_path):
     path = str(tmp_path / "x.seq")
     Path(path).write_text("ptmpow v9 t 2 1 00000000\n1\n")
@@ -892,6 +962,25 @@ def test_cli_seq_json_and_determinism(capsys):
     assert out1 == out2
     doc = json.loads(out1)
     assert doc["values"] == ["1", "1", "2", "2", "4", "4", "6", "6", "10"]
+
+
+@pytest.mark.parametrize("lo", [0, 5000])
+@pytest.mark.parametrize("width", [1, 4096, 4097])
+def test_cli_seq_json_is_the_whole_record_written_in_batches(monkeypatch, lo, width):
+    class Stdout(io.StringIO):
+        def write(self, text):
+            writes.append(len(text))
+            return super().write(text)
+
+    writes, out = [], Stdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    hi = lo + width - 1
+    assert main(["seq", "t", "3", f"{lo}..{hi}", "--format", "json"]) == 0
+    vals = fpow.fpow_prefix(3, hi)
+    assert out.getvalue() == _jdump({"family": "t", "m": 3, "from": lo, "to": hi,
+                                     "values": [str(v) for v in vals[lo : hi + 1]]}) + "\n"
+    # the head, one write per 4096 values and the tail
+    assert len(writes) == 2 + -(-width // 4096)
 
 
 def test_cli_seq_t3(capsys):
@@ -1221,6 +1310,20 @@ def test_cli_cache_roundtrip(capsys, tmp_path):
     path = tmp_path / "negative.seq"
     assert_usage_error("cache", "store", "t", "2", "--bound", "-1", "--path", str(path))
     assert not path.exists()
+
+
+def test_cli_cache_load_refuses_a_bound(capsys, tmp_path):
+    # a load reads the file's own count: a --bound is refused before the
+    # file is read, not ignored
+    path = str(tmp_path / "t_2.seq")
+    assert run_cli(capsys, "cache", "store", "t", "2", "--bound", "9", "--path", path)[0] == 0
+    for bound in ("5", "9", "0"):
+        rc, out, err = run_cli(capsys, "cache", "load", "t", "2", "--bound", bound,
+                               "--path", path)
+        assert rc == 2 and out == "" and "cache load takes no --bound" in err
+    rc, out, err = run_cli(capsys, "cache", "load", "t", "2", "--bound", "5",
+                           "--path", str(tmp_path / "missing.seq"))
+    assert rc == 2 and out == "" and "--bound" in err
 
 
 def test_cli_cache_load_rejects_other_sequence(capsys, tmp_path):
