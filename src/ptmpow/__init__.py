@@ -9,7 +9,7 @@ every other index with exact integers.
 
 __version__ = "0.1.0"
 
-# values formatted per write by seq (csv and json) and cache store: a b_m
-# window is a large decimal text (b_6 to 2^16 is 7 MB), so the writers hold
-# one batch of it, not the whole, and make one write call per batch
+# values per batch of text that seq (csv and json) and cache store format
+# and write: a b_m window is a large decimal text (b_6 to 2^16 is 7 MB), and
+# each writer holds one batch of it
 TEXT_BATCH = 4096

@@ -11,9 +11,14 @@ Exit codes: 0 all-pass, 1 theorem counterexample, 2 usage/data error,
 3 campaign finished in observation-only mode.  seq and cache take
 |M| <= 2^20, seq, cache store and val refuse a kernel cost (|M|+1)(B+1)
 above 2^24, val refuses a bound below its family's first index, poly
-refuses to build a polynomial of more than 2^20 bits, and search exits 2
-on a target past its scan cap.  Output on stdout is byte-deterministic for
-fixed (version, arguments); timing goes to stderr.
+refuses to build a polynomial of more than 2^20 bits, search exits 2
+on a target past its scan cap, and cache load, which reads the file's own
+count, refuses a --bound.  Output on stdout is byte-deterministic for fixed
+(version, arguments); timing goes to stderr.
+
+seq (csv and json) and cache store write their text TEXT_BATCH values at a
+time, and cache load reads it in batches too, so a request holds its values
+and one batch of text: a b_m window's text is larger than its values.
 
 The handlers format the library's values themselves: poly f prints g_n
 over n!, and val prints the valuation of zero, None in the library, as
