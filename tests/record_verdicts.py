@@ -13,8 +13,9 @@ Each line is one call and what it returned, as JSON `[call, verdict]`:
 - `["check", module, function, args]`: a `check_*` of that module, and its
   `[name, ok, checked, witness]`.
 - `["cli", argv, ...]`: each argv through `ptmpow.cli.main` in turn, in one
-  fresh working directory, and `{"runs": [[exit code, sha256 of stdout],
-  ...], "files": {name: sha256}}` of every file they left there.
+  fresh working directory and from empty kernel memos, as a fresh process
+  starts, and `{"runs": [[exit code, sha256 of stdout], ...], "files":
+  {name: sha256}}` of every file they left there.
 
 The test re-runs every line and compares bytes.  Record with numpy
 installed, so that the residue lines are written; re-record only for a
@@ -92,8 +93,17 @@ CHECKS = (
 
 # the argv runs of the command line: seq windows that cross a 4096-value
 # batch, in csv and json; each val family at a small bound; poly f, g, W and
-# h in text and json; search; and cache store then load on one file, whose
-# bytes are recorded
+# h in text and json; search; cache store then load on one file, whose
+# bytes are recorded; and the verify runs above
+# verify runs, each as a `ptmpow verify` process makes it (inside
+# fpow.arrays_unkept()): the campaigns whose residue parts read their kernel
+# in order, and t2-symmetry, at their cold_size and 4099 past it, where the
+# top level of each request spans at least two fpow._CHUNK blocks and ends
+# in a partial one; and b-pow2-congruence at 2^16, below its cold_size, so
+# exact, on three values of t
+_STREAMED = (("t5-valuation", 7 << 12), ("t9-valuation", 3 << 12),
+             ("t2k1-valuation-table", 1 << 13), ("bm-valuation-unbounded", 3 << 14),
+             ("t-zero-m4plus", 7 << 12), ("t2-symmetry", 3 << 15))
 _SEQ_WINDOWS = ("0..0", "0..4095", "0..4096", "4095..4096", "100..9000")
 CLI = (
     *((("seq", "t", "3", window, "--format", fmt),) for window in _SEQ_WINDOWS
@@ -128,6 +138,9 @@ CLI = (
      ("cache", "load", "t", "6", "--path", "c.seq")),
     (("cache", "load", "t", "2", "--path", "missing.seq"),),
     (("cache", "store", "t", "2", "--path", "c.seq"),),
+    *((("verify", name, "--bound", str(bound)),) for name, cold in _STREAMED
+      for bound in (cold, cold + 4099)),
+    (("verify", "b-pow2-congruence", "--bound", "65536"),),
 )
 
 
@@ -152,15 +165,24 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+# the kernel memos of ptmpow.fpow, which a command-line run starts without
+_MEMOS = ("_fpow_vals", "_fpow_carries", "_fpow_res")
+
+
 def _cli_verdict(argvs) -> dict:
     """Each argv through the command line in one fresh working directory,
-    so that a relative --path, which stdout prints, is the same each time."""
+    so that a relative --path, which stdout prints, is the same each time,
+    and from empty kernel memos, so that a run builds what a process would."""
+    from ptmpow import fpow
     from ptmpow.cli import main
 
     runs, cwd = [], os.getcwd()
+    memos = {name: getattr(fpow, name) for name in _MEMOS}
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
+            for name in _MEMOS:
+                setattr(fpow, name, {})
             for argv in argvs:
                 out = io.StringIO()
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
@@ -172,6 +194,8 @@ def _cli_verdict(argvs) -> dict:
             files = {name: _sha256(Path(name).read_bytes()) for name in sorted(os.listdir())}
         finally:
             os.chdir(cwd)
+            for name, memo in memos.items():
+                setattr(fpow, name, memo)
     return {"runs": runs, "files": files}
 
 
