@@ -22,12 +22,13 @@ negative value of a key other than its size, is refused before any work.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from functools import partial
 
 from .core_arith import nu2, nu2_or_none
 from .fpow import (UNIT_ROUNDOFF, arrays_kept, chunks, fpow_doubles, fpow_doubles_eps,
-                   fpow_prefix, fpow_residues)
+                   fpow_prefix, fpow_residues, fpow_stream)
 
 VERIFIED = "verified-to-bound"
 COUNTEREXAMPLE = "counterexample"
@@ -432,20 +433,27 @@ def _run_t2_symmetry(bounds):
 # whole difference and declines on a difference of 0 mod 2^64.
 #
 # Memory: one array per kernel request plus one chunk.  Every part that
-# reads a whole index range walks it in `chunks` (the Turán checks with one
-# neighbour on either side) and stops at the first chunk that fails or
-# declines, so no temporary is as long as the range.  A zero residue past
-# the first failure is then never read; the exact part gives the same
-# result there, since it reads no index past the failure.  Only the
-# valuation part reads some indices up front, its class firsts: a zero
-# there moves the run to the exact runner but never changes its verdict.
-# The congruence parts take their strided differences, at most an eighth
-# of the array, whole.  Each part reads one array in its own call, whose
-# locals, views included, die when it returns, so no array outlives its
-# call into the next request; under `fpow.arrays_unkept()`, as in `ptmpow
-# verify`, the process then holds one array at a time.  The int64
-# certificate is taken per m, so a failure on one m is reported even where
-# a later m would have declined; the exact runner gives the same witness.
+# reads a whole index range walks it in `chunks` or in the blocks of
+# `fpow_stream` (the Turán checks with one neighbour on either side) and
+# stops at the first one that fails or declines, so no temporary is as long
+# as the range.  A zero residue past the first failure is then never read;
+# the exact part gives the same result there, since it reads no index past
+# the failure.  The valuation, zero and max-nu2 parts read their kernel in
+# order (`_in_order`), and t2-symmetry reads t_2 up to n in order: in a
+# session the blocks are slices of the kept array, and under
+# `fpow.arrays_unkept()`, as in `ptmpow verify`, the request ends at half
+# the range (for t2-symmetry at (3n + 2) // 4, which `_t2_at` reads its
+# partners from) and the blocks above it are built as they are read.  The
+# valuation part fills its table of class firsts as the blocks pass, since
+# a class's first index precedes the rest of its class.  The congruence
+# parts take their strided differences, at most an eighth of the array,
+# whole.  Each part reads one array in its own call, whose locals, views
+# included, die when it returns, so no array outlives its call into the
+# next request; a verify process then holds one array, or the half of one
+# that a stream starts from, at a time, and, when it runs exact, one exact
+# prefix (`fpow.fpow_prefix`).  The int64 certificate is taken per m, so a
+# failure on one m is reported even where a later m would have declined;
+# the exact runner gives the same witness.
 
 
 def _nu2_residues(r):
@@ -459,33 +467,45 @@ def _nu2_residues(r):
     return np.bitwise_count(low)
 
 
-def _nu2_classes(lo, hi):
-    """nu2(n + 1) for n = lo..hi - 1, as int64."""
+def _by_class(table, lo, hi, width):
+    """table[nu2(i // width + 1)] for i = lo..hi - 1: looked up once per n
+    and repeated, so only the result is as long as the range."""
     import numpy as np
 
-    return _nu2_residues(np.arange(lo + 1, hi + 1, dtype=np.uint64)).astype(np.int64)
+    n = np.arange(lo // width + 1, (hi - 1) // width + 2, dtype=np.uint64)
+    return table[_nu2_residues(n)].repeat(width)[lo % width : lo % width + hi - lo]
+
+
+def _in_order(t, n):
+    """The blocks of `fpow_stream` over f_0(t), ..., f_n(t) mod 2^64: slices
+    of fpow_residues(t, n) in a session, which keeps that array for later
+    campaigns; inside `fpow.arrays_unkept()` the request stops at n // 2,
+    and the blocks above it are built as they are read."""
+    return fpow_stream(t, n, fpow_residues(t, n if arrays_kept() else n // 2))
 
 
 def _res_valuation_of(m, width, expect_of, n_max):
-    """`_run_valuation_of` on residues, one chunk of indices at a time, or
-    None at a residue of 0."""
+    """`_run_valuation_of` on residues, one block of indices at a time, or
+    None at a residue of 0.  A class's first index precedes the rest of its
+    class, so the table fills as the blocks pass; with a failing index it
+    holds the classes whose first index is not after it."""
     import numpy as np
 
-    res = fpow_residues(m, width * (n_max + 1) - 1)
-    firsts = res[[((1 << v) - 1) * width for v in range((n_max + 1).bit_length())]]
-    if not firsts.all():
-        return None
-    table = _nu2_residues(firsts)
-    expect = table if expect_of is None else expect_of(np.arange(len(table)))
-    for lo, hi in chunks(n_max + 1, width):
-        part = res[width * lo : width * hi]
-        if not part.all():
+    firsts = [((1 << v) - 1) * width for v in range((n_max + 1).bit_length())]
+    table = np.zeros(len(firsts), np.uint8)
+    # uint8, as the nu2 of the residues are
+    expect = table if expect_of is None else expect_of(np.arange(len(firsts))).astype(np.uint8)
+    for lo, block in _in_order(m, width * (n_max + 1) - 1):
+        if not block.all():
             return None
-        got = _nu2_residues(part)
-        bad = got != expect[_nu2_classes(lo, hi)].repeat(width)
+        got = _nu2_residues(block)
+        hi = lo + block.size
+        for v in range(bisect_left(firsts, lo), bisect_left(firsts, hi)):
+            table[v] = got[firsts[v] - lo]
+        bad = got != _by_class(expect, lo, hi, width)
         i = int(bad.argmax())
         if bad[i]:
-            return table.tolist(), (width * lo + i, int(got[i]))
+            return table[: bisect_right(firsts, lo + i)].tolist(), (lo + i, int(got[i]))
     return table.tolist(), ()
 
 
@@ -522,16 +542,14 @@ def _res_min_nu2s(t, idx_max, ks):
 
 
 def _res_max_nu2_of(m, n_max):
-    """`_run_max_nu2_of` on residues, or None."""
-    # argmax and a strict > across chunks take the first maximum, as the
+    """`_run_max_nu2_of` on residues, one block at a time, or None."""
+    # argmax and a strict > across blocks take the first maximum, as the
     # exact loop's strict > does
-    res = fpow_residues(-m, n_max)
     best, arg = -1, 0
-    for lo, hi in chunks(n_max + 1):
-        part = res[lo:hi]
-        if not part.all():
+    for lo, block in _in_order(-m, n_max):
+        if not block.all():
             return None
-        v = _nu2_residues(part)
+        v = _nu2_residues(block)
         at = int(v.argmax())
         if int(v[at]) > best:
             best, arg = int(v[at]), lo + at
@@ -549,15 +567,15 @@ def _int64_values(m, size):
     [2^j, 2^(j+1)) from t_m(0) = 1, each of those readings is exact, and so
     every |t_m(i)|, i < size, is below 2^63 and read exactly too."""
     vals = fpow_residues(m, size - 1)[:size].view("int64")
-    return vals if _certifies(vals[: (size - 1) // 2 + 1], m) else None
+    return vals if _certifies(vals[: (size - 1) // 2 + 1], 64 - m) else None
 
 
-def _certifies(half, m):
-    """True when the int64 readings `half` of t_m(0..k) are all below
-    2^(64-m) in absolute value, which proves every int64 reading of t_m up
-    to 2k + 1 exact (see `_int64_values`)."""
+def _certifies(vals, bits):
+    """True when every int64 reading in `vals` is below 2^bits in absolute
+    value.  At bits = 64 - m on the readings of t_m(0..k) this proves every
+    int64 reading of t_m up to 2k + 1 exact (see `_int64_values`)."""
     # not np.abs, which leaves -2^63 negative
-    return max(int(half.max()), -int(half.min())) < 1 << (64 - m)
+    return max(int(vals.max()), -int(vals.min())) < 1 << bits
 
 
 def _turan_signs(f, prefix, lo=0, eps=0.0):
@@ -698,49 +716,85 @@ def _res_b3_crossover(bounds):
     return _crossover_verdict(last, zeros, breaks)
 
 
-def _res_t2_symmetry(bounds):
-    # m = t_2(n) has the partner p = n + (-1)^e 2^w, w = nu2(m) + 1, where
-    # e = w - 1 + (m - 2^(w-1)) / 2^w = w - 1 + (m >> w).  p <= 3n + 2, and
-    # F^2 = (1-x)^2 F(x^2)^2 gives t_2(2k) = t_2(k) + t_2(k-1) and
-    # t_2(2k+1) = -2 t_2(k), so t_2 is built only up to (3n + 2) // 2, and
-    # three int64 buffers of one chunk hold every step
+# (a_r, b_r) for r = 0..3: F^2 = (1-x)^2 F(x^2)^2 gives t_2(2k) = t_2(k) +
+# t_2(k-1) and t_2(2k+1) = -2 t_2(k), and so, halving twice,
+# t_2(4q + r) = a_r t_2(q) + b_r t_2(q-1), with t_2(-1) = 0
+_T2_TWO_HALVINGS = ((1, -1), (-2, -2), (-1, 1), (4, 0))
+
+
+def _t2_at(quarter, p):
+    """t_2(p) for an int64 array p of indices 0 <= p < 4 len(quarter), read
+    with two halvings from the int64 readings quarter = t_2(0), t_2(1), ...;
+    p is overwritten.  Exact when every reading in quarter is exact and
+    below 2^61, since |a_r| + |b_r| <= 4."""
     import numpy as np
 
-    n_max = bounds["n"]
-    top = (3 * n_max + 2) // 2
-    half = fpow_residues(2, top)[: top + 1].view("int64")
-    if not _certifies(half, 2):
+    a, b = np.array(_T2_TWO_HALVINGS).T
+    r = np.bitwise_and(p, 3, out=np.empty(p.size, np.uint8), casting="unsafe")
+    q = np.right_shift(p, 2, out=p)
+    got = np.take(quarter, q)
+    q -= 1
+    prev = np.take(quarter, q, mode="wrap")
+    prev[q < 0] = 0
+    # q is read; its buffer takes a_r, then b_r
+    got *= np.take(a, r, out=q)
+    prev *= np.take(b, r, out=q)
+    got += prev
+    return got
+
+
+def _t2_partner_misses(m, lo, quarter):
+    """Where t_2(p) != -m for the nonzero m = t_2(lo), t_2(lo + 1), ... and
+    p the partner index of each, as a bool array, or None when a partner
+    lies past what `_t2_at` reads from quarter."""
+    # m = t_2(n) has the partner p = n + (-1)^e 2^w, w = nu2(m) + 1, where
+    # e = w - 1 + (m - 2^(w-1)) / 2^w = w - 1 + (m >> w)
+    import numpy as np
+
+    w = np.negative(m)
+    w &= m
+    w -= 1
+    np.add(np.bitwise_count(w), 1, out=w)
+    # +1 where e is even, else -1, times 2^w, plus n
+    p = np.right_shift(m, w)
+    p ^= w
+    p &= 1
+    p *= 2
+    p -= 1
+    np.left_shift(p, w, out=p)
+    del w  # so that `_t2_at` holds three buffers, not four
+    p += np.arange(lo, lo + m.size)
+    if p.max() >= 4 * quarter.size:
         return None
-    for lo, hi in chunks(n_max + 1):
-        m = half[lo:hi]
-        if not m.all():
+    bad = p < 0
+    np.maximum(p, 0, out=p)
+    got = _t2_at(quarter, p)
+    got += m  # 0 exactly where t_2(p) = -m, also when the sum wraps
+    bad |= got != 0
+    return bad
+
+
+def _res_t2_symmetry(bounds):
+    # the m = t_2(n) come in blocks of t_2 up to n in order, and their
+    # partners p <= 3n + 2 are read with `_t2_at` from t_2 up to
+    # top = (3n + 2) // 4 >= n // 2, the prefix the blocks start from.  The
+    # certificate: every reading up to top is below 2^61, so the first half
+    # of them proves every reading up to 2 top + 1 >= n exact
+    # (`_int64_values`); each m is also read below 2^62, as those values
+    # are, which keeps 2^(nu2(m) + 1) within int64.  Each block's check
+    # holds at most three int64 buffers of one block, which die with
+    # `_t2_partner_misses`
+    n_max = bounds["n"]
+    top = (3 * n_max + 2) // 4
+    res = fpow_residues(2, n_max if arrays_kept() else top)
+    quarter = res[: top + 1].view("int64")
+    if not _certifies(quarter, 61):
+        return None
+    for lo, block in fpow_stream(2, n_max, res):
+        m = block.view("int64")
+        bad = _t2_partner_misses(m, lo, quarter) if m.all() and _certifies(m, 62) else None
+        if bad is None:
             return None
-        w = np.negative(m)
-        w &= m
-        w -= 1
-        np.add(np.bitwise_count(w), 1, out=w)
-        # +1 where e is even, else -1, times 2^w, plus n
-        p = np.right_shift(m, w)
-        p ^= w
-        p &= 1
-        p *= 2
-        p -= 1
-        np.left_shift(p, w, out=p)
-        p += np.arange(lo, hi)
-        if p.max() >= 2 * half.size:
-            return None
-        bad = p < 0
-        np.maximum(p, 0, out=p)
-        odd = (p & 1).astype(bool)
-        k = np.right_shift(p, 1, out=w)
-        got = np.take(half, k)
-        k -= 1
-        np.take(half, k, out=p, mode="wrap")
-        p[odd | (k < 0)] = 0
-        got += p
-        np.multiply(got, -2, out=got, where=odd)
-        got += m  # 0 exactly where t_2(p) = -m, also when the sum wraps
-        bad |= got != 0
         n = int(bad.argmax())
         if bad[n]:
             return COUNTEREXAMPLE, {"n": lo + n, "value": int(m[n])}
@@ -748,9 +802,10 @@ def _res_t2_symmetry(bounds):
 
 
 def _res_t_zero_of(m, n_max):
-    """`_run_t_zero_of` on residues: a nonzero residue proves a nonzero
-    value, and a zero residue declines."""
-    return 0 if fpow_residues(m, n_max)[1 : n_max + 1].all() else None
+    """`_run_t_zero_of` on residues, one block at a time: a nonzero residue
+    proves a nonzero value, and a zero residue declines."""
+    blocks = _in_order(m, n_max)
+    return 0 if all((block[1:] if lo == 0 else block).all() for lo, block in blocks) else None
 
 
 def _res_b2_valuation_list(bounds):

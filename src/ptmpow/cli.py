@@ -13,7 +13,8 @@ Exit codes: 0 all-pass, 1 theorem counterexample, 2 usage/data error,
 above 2^24, val refuses a bound below its family's first index, poly
 refuses to build a polynomial of more than 2^20 bits, search exits 2
 on a target past its scan cap, and cache load, which reads the file's own
-count, refuses a --bound.  Output on stdout is byte-deterministic for fixed
+count, refuses a --bound, and cache store refuses a --path that is the
+regular file stdout writes to.  Output on stdout is byte-deterministic for fixed
 (version, arguments); timing goes to stderr.
 
 seq (csv and json) and cache store write their text TEXT_BATCH values at a
@@ -241,11 +242,31 @@ def _cmd_search(args) -> int:
     return 0
 
 
+def _is_stdout_file(path: str) -> bool:
+    """True when `path` is the regular file that stdout writes to.  A pipe
+    or FIFO is not one: what cache store writes there goes out before the
+    report does."""
+    import os
+    import stat
+
+    try:
+        st, out = os.stat(path), os.fstat(sys.stdout.fileno())
+    except (OSError, ValueError):  # no such file, or a stdout without a descriptor
+        return False
+    return stat.S_ISREG(st.st_mode) and (st.st_dev, st.st_ino) == (out.st_dev, out.st_ino)
+
+
 def _cmd_cache(args) -> int:
     from .seqcache import cache_load, cache_store
 
     path = args.path or f"./{args.family}_{args.m}.seq"
     if args.action == "store":
+        if _is_stdout_file(path):
+            # the report, printed through stdout's own offset, would
+            # overwrite the head of the file that cache_store wrote
+            print(f"error: {path} is the file stdout writes to; cache store "
+                  f"would write its report over it", file=sys.stderr)
+            return 2
         values = _family_prefix(args.family, args.m, args.bound)
         if len(values) > args.bound + 1:
             # a fresh process's prefix ends at the bound, so this copy of

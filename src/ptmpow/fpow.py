@@ -8,20 +8,26 @@ for t < 0, `fpow_doubles` as doubles from the same blocks: every pass then
 adds nonnegative terms, so the doubles keep the relative-error bound of
 `fpow_doubles_eps`, which counts those blocks.  A request holds one array,
 its result, plus one _CHUNK-entry block of scratch, and the campaigns'
-checks walk it in _CHUNK slices.  A session keeps every array it builds,
-since it re-reads them across campaigns; inside `arrays_unkept()`, which
-`ptmpow verify` enters around its one campaign, the arrays are not kept,
-so a runner that drops each before its next request holds one at a time;
-`arrays_kept()` tells the campaigns which scope they run in.
-This module imports only the standard library (numpy is imported inside
-the array routes), so a process that needs only values pays for nothing
-else.
+checks walk it in _CHUNK slices.  `fpow_stream` walks f_0..f_n in order
+from residues that reach n // 2, building the blocks above them into one
+buffer as they are read, so a check that reads its kernel in order need
+hold only half the array.
+
+A session keeps every prefix and array it builds, since it re-reads them
+across campaigns.  Inside `arrays_unkept()`, which `ptmpow verify` enters
+around its one campaign, the arrays are not kept and the exact prefixes
+are kept one t at a time, so a runner that drops each before its next
+request holds one at a time; `arrays_kept()` tells the campaigns which
+scope they run in.  This module imports only the standard library (numpy
+is imported inside the array routes), so a process that needs only values
+pays for nothing else.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from itertools import accumulate, chain
+from math import comb
 from operator import sub
 
 # values of F(x)^t at integer t: t -> [f_0(t), f_1(t), ...] and t -> the
@@ -44,11 +50,18 @@ def fpow_prefix(t: int, n: int) -> list[int]:
 
     The returned list is the memo itself, shared by every caller: treat it
     as read-only.  Indices are >= 0; a negative index would wrap silently.
+    Inside `arrays_unkept()` a request for a t the memo lacks first drops
+    the prefix of every other t, so the memo holds one prefix; a caller
+    keeps reading a list it still holds, and a later request for its t
+    builds that prefix again.
     """
     vals = _fpow_vals.get(t)
     if vals is not None and n < len(vals):
         return vals
     if vals is None:
+        if not _keep_arrays:
+            _fpow_vals.clear()
+            _fpow_carries.clear()
         # f_0(t) = 1, and index 0 holds 1 before and after every pass
         vals = _fpow_vals[t] = [1]
         _fpow_carries[t] = [1] * abs(t)
@@ -85,13 +98,18 @@ _keep_arrays = True
 
 @contextmanager
 def arrays_unkept():
-    """A scope in which `fpow_residues` and `fpow_doubles` store no array
-    they build: a request returns an array its caller alone holds, so it is
-    freed when the caller drops it.  An entry stored before the scope is
-    still read.  For a process that reads each array once; a session that
-    re-reads them across campaigns keeps the memo.  The exact lists of
-    `fpow_prefix` stay memoised inside the scope too, so an exact `ptmpow
-    verify` process holds every prefix its campaign built."""
+    """A scope for a process that reads each kernel request once, as
+    `ptmpow verify` does: `fpow_residues` and `fpow_doubles` store no array
+    they build, so a request returns an array its caller alone holds, freed
+    when the caller drops it, and `fpow_prefix` keeps the prefix of one t,
+    dropping the others' when it builds a new one.  An array stored before
+    the scope is still read.  A campaign's parts request one t at a time,
+    and `_turan_signs` grows the settling prefix of its one t chunk by
+    chunk, so the scope holds one array or one exact prefix at a time.  The
+    campaigns' in-order checks request their residues only to half their
+    range and read the rest from `fpow_stream`, in quarter blocks.  A
+    session that re-reads its requests across campaigns keeps every one of
+    them."""
     global _keep_arrays
     kept, _keep_arrays = _keep_arrays, False
     try:
@@ -211,21 +229,90 @@ def _blocks(t: int, n: int, dtype: str):
     lo = len(done)
     while lo <= n:
         hi = min(lo + min(lo, _CHUNK), n + 1)
-        block = res[lo:hi]
-        block[lo & 1 :: 2] = res[(lo + 1) // 2 : (hi + 1) // 2]
-        block[1 - (lo & 1) :: 2] = 0
-        for p in range(t):
-            last = block[-1]
-            # numpy copies the overlapping operand, one block long
-            np.subtract(block[1:], block[:-1], out=block[1:])
-            block[:1] -= carry[p : p + 1]
-            carry[p] = last
-        for p in range(-t):
-            np.cumsum(block, out=block)
-            block += carry[p]
-            carry[p] = block[-1]
+        _fill(res[lo:hi], lo, res, carry, t)
         lo = hi
     res.flags.writeable = False
     if _keep_arrays:
         _fpow_res[t, dtype] = res, carry
     return res
+
+
+def _fill(block, lo, src, carry, t):
+    """Write f_lo(t), f_(lo+1)(t), ... into `block`, one block of the loop
+    of `_blocks` in the dtype of `block` and `carry`: the upsampled values
+    of `src`, which holds f_i(t) at every i below (lo + len(block) + 1) // 2,
+    after t first differences (t > 0) or |t| running sums (t < 0), each pass
+    in place with one carry, which it advances."""
+    import numpy as np
+
+    hi = lo + len(block)
+    block[lo & 1 :: 2] = src[(lo + 1) // 2 : (hi + 1) // 2]
+    block[1 - (lo & 1) :: 2] = 0
+    for p in range(t):
+        last = block[-1]
+        # numpy copies the overlapping operand, one block long
+        np.subtract(block[1:], block[:-1], out=block[1:])
+        block[:1] -= carry[p : p + 1]
+        carry[p] = last
+    for p in range(-t):
+        np.cumsum(block, out=block)
+        block += carry[p]
+        carry[p] = block[-1]
+
+
+def fpow_stream(t: int, n: int, prefix):
+    """(lo, block) pairs that cover f_0(t), ..., f_n(t) mod 2^64 in order,
+    each block a read-only uint64 array starting at index lo, given
+    `prefix`, the residues of f_0(t), ..., f_k(t) for some k >= n // 2 as
+    `fpow_residues` returns them.  Up to index k the blocks are slices of
+    the prefix; above it `_fill` builds _CHUNK entries at a time from the
+    prefix into one reused buffer, so such a block is valid only until the
+    next is drawn, and a caller that reads each as it comes holds the prefix
+    and one buffer.  `fpow_residues(t, n)` as the prefix makes every block
+    a slice of it.
+
+    Blocks hold at most _CHUNK entries in a session and a quarter of that
+    inside `arrays_unkept()`.  A check holds a few temporaries as long as
+    its block, and a verify process holds little else besides the prefix:
+    at 2^14 entries (128 KiB) they are served from glibc's heap, which keeps
+    its high-water mark, and `verify t2-symmetry --bound 262144` peaked at
+    31.2 MiB against 30.5 MiB with quarter blocks, `verify t9-valuation
+    --bound 65536` at 31.0 against 30.8 (medians of 9 fresh processes each,
+    Python 3.11, numpy 2.4, 2 cores).  A session keeps its arrays and reads
+    whole blocks, which take a quarter of the numpy calls.
+
+    The loop continues above k from carries taken at index k.  After p
+    passes it holds the coefficients of (1-x)^p F(x^2)^t for t > 0, and of
+    (1-x)^(-p) F(x^2)^t = (1-x)^(|t|-p) F(x)^t for t < 0, so, with u the
+    upsampled prefix, the carry of pass p (its input for t > 0, its output
+    for t < 0) is sum_j (-1)^j C(p, j) u(k - j), j <= p, or
+    sum_j (-1)^j C(|t|-p-1, j) f_(k-j)(t), j <= |t| - p - 1."""
+    import numpy as np
+
+    per = 1 if _keep_arrays else 4
+    top = min(len(prefix), n + 1)
+    for lo, hi in chunks(top, per):
+        yield lo, prefix[lo:hi]
+    if top > n:
+        return
+    if 2 * top <= n:
+        raise ValueError(f"fpow_stream to {n} needs a prefix to {n // 2}, got one to {top - 1}")
+    k = top - 1
+    # u(k - j) (t > 0) or f_(k-j)(t) (t < 0) for j < |t|, 0 below index 0,
+    # and the binomials of each pass's carry
+    if t > 0:
+        last = [int(prefix[(k - j) // 2]) if j <= k and (k - j) % 2 == 0 else 0
+                for j in range(t)]
+        weights = [[comb(p, j) for j in range(p + 1)] for p in range(t)]
+    else:
+        last = [int(prefix[k - j]) if j <= k else 0 for j in range(-t)]
+        weights = [[comb(-t - p - 1, j) for j in range(-t - p)] for p in range(-t)]
+    carry = np.array([sum((-1) ** j * c * v for j, (c, v) in enumerate(zip(cs, last))) % (1 << 64)
+                      for cs in weights], np.uint64)
+    buf = np.empty(min(_CHUNK, n - k), np.uint64)
+    for lo, hi in chunks(n + 1 - top):
+        block = buf[: hi - lo]
+        _fill(block, top + lo, prefix, carry, t)
+        block.flags.writeable = False
+        for at, end in chunks(hi - lo, per):
+            yield top + lo + at, block[at:end]

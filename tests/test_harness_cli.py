@@ -1337,6 +1337,38 @@ def test_cli_cache_load_rejects_other_sequence(capsys, tmp_path):
     assert rc == 0 and json.loads(out)["count"] == 65
 
 
+def _cache_store_to(path, stdout):
+    """`ptmpow cache store t 2 --bound 3 --path path` in a fresh interpreter
+    with `stdout` as its stdout, stderr captured as text."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.run([sys.executable, "-m", "ptmpow.cli", "cache", "store", "t", "2",
+                           "--bound", "3", "--path", str(path)], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env={**os.environ, "PYTHONPATH": src})
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_cli_cache_store_refuses_the_file_stdout_writes_to(tmp_path):
+    # the report, printed after the store, would land over the head of the
+    # file the store wrote: refused before any work, by name or by the
+    # same file under another name, in write and append mode
+    out = tmp_path / "out.txt"
+    for path in ("/dev/stdout", out):
+        for mode in ("w", "a"):
+            out.write_text("kept\n")
+            with open(out, mode) as fh:
+                proc = _cache_store_to(path, fh)
+            assert proc.returncode == 2 and "stdout" in proc.stderr
+            assert out.read_text() == ("" if mode == "w" else "kept\n")
+    # another regular file, and a pipe, take the cache and then the report
+    assert _cache_store_to(tmp_path / "t_2.seq", subprocess.DEVNULL).returncode == 0
+    assert cache_load(str(tmp_path / "t_2.seq")) == ("t", 2, [1, -2, -1, 4])
+    proc = _cache_store_to("/dev/stdout", subprocess.PIPE)
+    body = "".join(f"{v}\n" for v in (1, -2, -1, 4))
+    head = f"ptmpow v1 t 2 4 {zlib.crc32(body.encode()):08x}\n"
+    report = '{"count":4,"family":"t","m":2,"path":"/dev/stdout"}\n'
+    assert proc.returncode == 0 and proc.stdout == head + body + report
+
+
 _FOOTPRINT = """
 import contextlib, io, json, sys
 import ptmpow.cli
