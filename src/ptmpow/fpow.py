@@ -51,17 +51,16 @@ def fpow_prefix(t: int, n: int) -> list[int]:
     The returned list is the memo itself, shared by every caller: treat it
     as read-only.  Indices are >= 0; a negative index would wrap silently.
     Inside `arrays_unkept()` a request for a t the memo lacks first drops
-    the prefix of every other t, so the memo holds one prefix; a caller
-    keeps reading a list it still holds, and a later request for its t
-    builds that prefix again.
+    the prefix of every other t built in the scope, so the scope holds one
+    prefix besides those kept before it; a caller keeps reading a list it
+    still holds, and a later request for its t builds that prefix again.
     """
     vals = _fpow_vals.get(t)
     if vals is not None and n < len(vals):
         return vals
     if vals is None:
         if not _keep_arrays:
-            _fpow_vals.clear()
-            _fpow_carries.clear()
+            _drop_prefixes_built_in_scope()
         # f_0(t) = 1, and index 0 holds 1 before and after every pass
         vals = _fpow_vals[t] = [1]
         _fpow_carries[t] = [1] * abs(t)
@@ -94,6 +93,13 @@ def fpow_at(t: int, n: int) -> int:
 # builds only while _keep_arrays is set
 _fpow_res: dict = {}
 _keep_arrays = True
+# the t whose exact prefixes were kept when `arrays_unkept()` was entered
+_prefixes_before: frozenset = frozenset()
+
+
+def _drop_prefixes_built_in_scope():
+    for t in _fpow_vals.keys() - _prefixes_before:
+        del _fpow_vals[t], _fpow_carries[t]
 
 
 @contextmanager
@@ -101,21 +107,23 @@ def arrays_unkept():
     """A scope for a process that reads each kernel request once, as
     `ptmpow verify` does: `fpow_residues` and `fpow_doubles` store no array
     they build, so a request returns an array its caller alone holds, freed
-    when the caller drops it, and `fpow_prefix` keeps the prefix of one t,
-    dropping the others' when it builds a new one.  An array stored before
-    the scope is still read.  A campaign's parts request one t at a time,
-    and `_turan_signs` grows the settling prefix of its one t chunk by
-    chunk, so the scope holds one array or one exact prefix at a time.  The
-    campaigns' in-order checks request their residues only to half their
-    range and read the rest from `fpow_stream`, in quarter blocks.  A
-    session that re-reads its requests across campaigns keeps every one of
-    them."""
-    global _keep_arrays
-    kept, _keep_arrays = _keep_arrays, False
+    when the caller drops it, and `fpow_prefix` keeps the prefix of one t
+    built in the scope, dropping the other one when it builds a new one and
+    the last one when the scope ends.  An array or prefix stored before the
+    scope is still read, and kept.  A campaign's parts request one t at a
+    time, and `_turan_signs` grows the settling prefix of its one t chunk
+    by chunk, so the scope holds one array or one exact prefix at a time.
+    The campaigns' in-order checks request their residues only to half
+    their range and read the rest from `fpow_stream`.  A session that
+    re-reads its requests across campaigns keeps every one of them."""
+    global _keep_arrays, _prefixes_before
+    kept, before = _keep_arrays, _prefixes_before
+    _keep_arrays, _prefixes_before = False, frozenset(_fpow_vals)
     try:
         yield
     finally:
-        _keep_arrays = kept
+        _drop_prefixes_built_in_scope()
+        _keep_arrays, _prefixes_before = kept, before
 
 
 def arrays_kept() -> bool:
@@ -271,15 +279,13 @@ def fpow_stream(t: int, n: int, prefix):
     and one buffer.  `fpow_residues(t, n)` as the prefix makes every block
     a slice of it.
 
-    Blocks hold at most _CHUNK entries in a session and a quarter of that
-    inside `arrays_unkept()`.  A check holds a few temporaries as long as
-    its block, and a verify process holds little else besides the prefix:
-    at 2^14 entries (128 KiB) they are served from glibc's heap, which keeps
-    its high-water mark, and `verify t2-symmetry --bound 262144` peaked at
-    31.2 MiB against 30.5 MiB with quarter blocks, `verify t9-valuation
-    --bound 65536` at 31.0 against 30.8 (medians of 9 fresh processes each,
-    Python 3.11, numpy 2.4, 2 cores).  A session keeps its arrays and reads
-    whole blocks, which take a quarter of the numpy calls.
+    Blocks hold _CHUNK // 4 entries.  A check holds a few temporaries as
+    long as its block, and a verify process holds little else besides the
+    prefix: at 2^14 entries (128 KiB) they are served from glibc's heap,
+    which keeps its high-water mark, and `verify t2-symmetry --bound
+    262144` peaked at 31.2 MiB against 30.5 MiB with quarter blocks,
+    `verify t9-valuation --bound 65536` at 31.0 against 30.8 (medians of 9
+    fresh processes each, Python 3.11, numpy 2.4, 2 cores).
 
     The loop continues above k from carries taken at index k.  After p
     passes it holds the coefficients of (1-x)^p F(x^2)^t for t > 0, and of
@@ -289,9 +295,8 @@ def fpow_stream(t: int, n: int, prefix):
     sum_j (-1)^j C(|t|-p-1, j) f_(k-j)(t), j <= |t| - p - 1."""
     import numpy as np
 
-    per = 1 if _keep_arrays else 4
     top = min(len(prefix), n + 1)
-    for lo, hi in chunks(top, per):
+    for lo, hi in chunks(top, 4):
         yield lo, prefix[lo:hi]
     if top > n:
         return
@@ -314,5 +319,5 @@ def fpow_stream(t: int, n: int, prefix):
         block = buf[: hi - lo]
         _fill(block, top + lo, prefix, carry, t)
         block.flags.writeable = False
-        for at, end in chunks(hi - lo, per):
+        for at, end in chunks(hi - lo, 4):
             yield top + lo + at, block[at:end]

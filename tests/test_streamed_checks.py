@@ -195,6 +195,18 @@ def test_a_verify_scope_keeps_one_exact_prefix(monkeypatch):
     assert set(fpow._fpow_vals) == {-2, -4, -8}
 
 
+def test_a_verify_scope_keeps_the_prefixes_stored_before_it():
+    # an in-process caller of a verify keeps its session's prefixes: the
+    # scope drops only those it built, the last one when it ends
+    session = fpow.fpow_prefix(3, 100)
+    with fpow.arrays_unkept():
+        fpow.fpow_prefix(-2, 50)
+        fpow.fpow_prefix(5, 50)
+        assert set(fpow._fpow_vals) == {3, 5}
+        assert fpow.fpow_prefix(3, 300) is session
+    assert set(fpow._fpow_vals) == {3} and len(session) > 300
+
+
 def test_turan_signs_build_their_settling_prefix_once_per_part(monkeypatch):
     # with a loose error bound every index of b_m past the first few is
     # unsure, so each 64-entry chunk settles on a longer exact prefix of the
