@@ -114,8 +114,9 @@ def arrays_unkept():
     time, and `_turan_signs` grows the settling prefix of its one t chunk
     by chunk, so the scope holds one array or one exact prefix at a time.
     The campaigns' in-order checks request their residues only to half
-    their range and read the rest from `fpow_stream`.  A session that
-    re-reads its requests across campaigns keeps every one of them."""
+    their range and read the rest from `fpow_stream`, in quarter blocks.
+    A session that re-reads its requests across campaigns keeps every one
+    of them."""
     global _keep_arrays, _prefixes_before
     kept, before = _keep_arrays, _prefixes_before
     _keep_arrays, _prefixes_before = False, frozenset(_fpow_vals)
@@ -279,13 +280,18 @@ def fpow_stream(t: int, n: int, prefix):
     and one buffer.  `fpow_residues(t, n)` as the prefix makes every block
     a slice of it.
 
-    Blocks hold _CHUNK // 4 entries.  A check holds a few temporaries as
-    long as its block, and a verify process holds little else besides the
-    prefix: at 2^14 entries (128 KiB) they are served from glibc's heap,
-    which keeps its high-water mark, and `verify t2-symmetry --bound
-    262144` peaked at 31.2 MiB against 30.5 MiB with quarter blocks,
-    `verify t9-valuation --bound 65536` at 31.0 against 30.8 (medians of 9
-    fresh processes each, Python 3.11, numpy 2.4, 2 cores).
+    Blocks hold _CHUNK entries in a session and a quarter of that inside
+    `arrays_unkept()`, each side measured against the other (Python 3.11,
+    numpy 2.4, 2 cores).  A check holds a few temporaries as long as its
+    block, and a verify process holds little else besides the prefix: at
+    2^14 entries (128 KiB) they are served from glibc's heap, which keeps
+    its high-water mark, and `verify t2-symmetry --bound 262144` peaked at
+    31.2 MiB against 30.5 MiB with quarter blocks, `verify t9-valuation
+    --bound 65536` at 31.0 against 30.8 (medians of 9 fresh processes
+    each).  A session keeps its arrays, so the temporaries add nothing to
+    its peak, and whole blocks take a quarter of the numpy calls: a
+    verify-warm pass of `perfbench/run.py` took 0.0173 s against 0.0195 s
+    with quarter blocks (medians of 10 alternating pairs, lower in 10).
 
     The loop continues above k from carries taken at index k.  After p
     passes it holds the coefficients of (1-x)^p F(x^2)^t for t > 0, and of
@@ -295,8 +301,9 @@ def fpow_stream(t: int, n: int, prefix):
     sum_j (-1)^j C(|t|-p-1, j) f_(k-j)(t), j <= |t| - p - 1."""
     import numpy as np
 
+    per = 1 if _keep_arrays else 4
     top = min(len(prefix), n + 1)
-    for lo, hi in chunks(top, 4):
+    for lo, hi in chunks(top, per):
         yield lo, prefix[lo:hi]
     if top > n:
         return
@@ -319,5 +326,5 @@ def fpow_stream(t: int, n: int, prefix):
         block = buf[: hi - lo]
         _fill(block, top + lo, prefix, carry, t)
         block.flags.writeable = False
-        for at, end in chunks(hi - lo, 4):
+        for at, end in chunks(hi - lo, per):
             yield top + lo + at, block[at:end]
