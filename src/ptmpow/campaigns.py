@@ -782,9 +782,10 @@ def _res_t2_symmetry(bounds):
     # of them proves every reading up to 2 top + 1 >= n exact
     # (`_int64_values`).  Every m, n <= 2 top + 1, is t_2(k) + t_2(k - 1)
     # or -2 t_2(k) with k <= top, so it is below 2^62, which keeps
-    # 2^(nu2(m) + 1) within int64.  The blocks above top are built, not
-    # certified, so each is still checked below 2^62: a wrong value there
-    # declines instead of overflowing the shift.  Each block's check
+    # 2^(nu2(m) + 1) within int64.  That bound holds for a correct kernel;
+    # the readings above top are outside the certificate, so each block is
+    # still checked below 2^62, and a wrong value there declines instead of
+    # overflowing the shift.  Each block's check
     # holds at most three int64 buffers of one block, which die with
     # `_t2_partner_misses`
     n_max = bounds["n"]
