@@ -438,14 +438,11 @@ def _run_t2_symmetry(bounds):
 # stops at the first one that fails or declines, so no temporary is as long
 # as the range.  A zero residue past the first failure is then never read;
 # the exact part gives the same result there, since it reads no index past
-# the failure.  The valuation, zero and max-nu2 parts read their kernel in
-# order (`_in_order`), and t2-symmetry reads t_2 up to n in order: in a
-# session the blocks are slices of the kept array, and under
-# `fpow.arrays_unkept()`, as in `ptmpow verify`, the request ends at half
-# the range (for t2-symmetry at (3n + 2) // 4, which `_t2_at` reads its
-# partners from) and the blocks above it are built as they are read.  The
-# valuation part fills its table of class firsts as the blocks pass, since
-# a class's first index precedes the rest of its class.  The congruence
+# the failure.  The valuation, zero and max-nu2 parts and t2-symmetry read
+# their kernel in order from `fpow_stream`, t2-symmetry its partners from
+# the prefix the stream starts from.  The valuation part fills its table of
+# class firsts as the blocks pass, since a class's first index precedes the
+# rest of its class.  The congruence
 # parts take their strided differences, at most an eighth of the array,
 # whole.  Each part reads one array in its own call, whose locals, views
 # included, die when it returns, so no array outlives its call into the
@@ -476,14 +473,6 @@ def _by_class(table, lo, hi, width):
     return table[_nu2_residues(n)].repeat(width)[lo % width : lo % width + hi - lo]
 
 
-def _in_order(t, n):
-    """The blocks of `fpow_stream` over f_0(t), ..., f_n(t) mod 2^64: slices
-    of fpow_residues(t, n) in a session, which keeps that array for later
-    campaigns; inside `fpow.arrays_unkept()` the request stops at n // 2,
-    and the blocks above it are built as they are read."""
-    return fpow_stream(t, n, fpow_residues(t, n if arrays_kept() else n // 2))
-
-
 def _res_valuation_of(m, width, expect_of, n_max):
     """`_run_valuation_of` on residues, one block of indices at a time, or
     None at a residue of 0.  A class's first index precedes the rest of its
@@ -495,7 +484,7 @@ def _res_valuation_of(m, width, expect_of, n_max):
     table = np.zeros(len(firsts), np.uint8)
     # uint8, as the nu2 of the residues are
     expect = table if expect_of is None else expect_of(np.arange(len(firsts))).astype(np.uint8)
-    for lo, block in _in_order(m, width * (n_max + 1) - 1):
+    for lo, block in fpow_stream(m, width * (n_max + 1) - 1)[1]:
         if not block.all():
             return None
         got = _nu2_residues(block)
@@ -546,7 +535,7 @@ def _res_max_nu2_of(m, n_max):
     # argmax and a strict > across blocks take the first maximum, as the
     # exact loop's strict > does
     best, arg = -1, 0
-    for lo, block in _in_order(-m, n_max):
+    for lo, block in fpow_stream(-m, n_max)[1]:
         if not block.all():
             return None
         v = _nu2_residues(block)
@@ -777,7 +766,7 @@ def _t2_partner_misses(m, lo, quarter):
 def _res_t2_symmetry(bounds):
     # the m = t_2(n) come in blocks of t_2 up to n in order, and their
     # partners p <= 3n + 2 are read with `_t2_at` from t_2 up to
-    # top = (3n + 2) // 4 >= n // 2, the prefix the blocks start from.  The
+    # top = (3n + 2) // 4 >= n // 2, the prefix the stream starts from.  The
     # certificate: every reading up to top is below 2^61, so the first half
     # of them proves every reading up to 2 top + 1 >= n exact
     # (`_int64_values`).  Every m, n <= 2 top + 1, is t_2(k) + t_2(k - 1)
@@ -790,11 +779,11 @@ def _res_t2_symmetry(bounds):
     # `_t2_partner_misses`
     n_max = bounds["n"]
     top = (3 * n_max + 2) // 4
-    res = fpow_residues(2, n_max if arrays_kept() else top)
+    res, blocks = fpow_stream(2, n_max, top)
     quarter = res[: top + 1].view("int64")
     if not _certifies(quarter, 61):
         return None
-    for lo, block in fpow_stream(2, n_max, res):
+    for lo, block in blocks:
         m = block.view("int64")
         bad = _t2_partner_misses(m, lo, quarter) if m.all() and _certifies(m, 62) else None
         if bad is None:
@@ -808,7 +797,7 @@ def _res_t2_symmetry(bounds):
 def _res_t_zero_of(m, n_max):
     """`_run_t_zero_of` on residues, one block at a time: a nonzero residue
     proves a nonzero value, and a zero residue declines."""
-    blocks = _in_order(m, n_max)
+    blocks = fpow_stream(m, n_max)[1]
     return 0 if all((block[1:] if lo == 0 else block).all() for lo, block in blocks) else None
 
 
@@ -932,6 +921,8 @@ for _camp in (
         "f(k) = O(k) (empirical fit of f)",
         {"index": 1 << 14}, partial(_b_congruence_growth, _run_min_nu2s),
         partial(_b_congruence_growth, _res_min_nu2s),
+        # every k takes a difference at n = 1, index 2^(k+1), and k+1 reaches 8
+        minimum=1 << 8,
         # 122 vs 134 ms at 49152, 221 vs 218 at 65536
         cold_size=1 << 16),
     Campaign(
@@ -961,7 +952,7 @@ for _camp in (
         "b3-turan-crossover", "conjecture",
         "for m = 3 the sign of b_3(n)^2 - b_3(n-1) b_3(n+1) alternates up to "
         "some n_0 and is positive afterwards (search for n_0)",
-        {"n": 1 << 12}, _run_b3_crossover, _res_b3_crossover,
+        {"n": 1 << 12}, _run_b3_crossover, _res_b3_crossover, minimum=2,
         # 152 vs 172 ms at 114688, 167 vs 147 at 122880
         cold_size=15 << 13),
     Campaign(

@@ -353,8 +353,9 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.fn(args)
-    # seqcache.CacheError is a ValueError
-    except (ValueError, OSError) as exc:
+    # seqcache.CacheError is a ValueError; a MemoryError is a bound the
+    # machine cannot allocate, not a counterexample
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,10 +8,11 @@ for t < 0, `fpow_doubles` as doubles from the same blocks: every pass then
 adds nonnegative terms, so the doubles keep the relative-error bound of
 `fpow_doubles_eps`, which counts those blocks.  A request holds one array,
 its result, plus one _CHUNK-entry block of scratch, and the campaigns'
-checks walk it in _CHUNK slices.  `fpow_stream` walks f_0..f_n in order
-from residues that reach n // 2, building the blocks above them into one
-buffer as they are read, so a check that reads its kernel in order need
-hold only half the array.
+checks walk it in _CHUNK slices.  `fpow_stream` walks f_0..f_n in order:
+in a session as slices of the kept array, and inside `arrays_unkept()`
+from residues it requests to n // 2, continuing the kernel's own carries
+into one buffer as the blocks are read, so a check that reads its kernel
+in order holds only half the array.
 
 A session keeps every prefix and array it builds, since it re-reads them
 across campaigns.  Inside `arrays_unkept()`, which `ptmpow verify` enters
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from itertools import accumulate, chain
-from math import comb
 from operator import sub
 
 # values of F(x)^t at integer t: t -> [f_0(t), f_1(t), ...] and t -> the
@@ -113,8 +113,8 @@ def arrays_unkept():
     scope is still read, and kept.  A campaign's parts request one t at a
     time, and `_turan_signs` grows the settling prefix of its one t chunk
     by chunk, so the scope holds one array or one exact prefix at a time.
-    The campaigns' in-order checks request their residues only to half
-    their range and read the rest from `fpow_stream`, in quarter blocks.
+    `fpow_stream` requests its residues only to half the range it
+    streams and builds the rest as it is read, in quarter blocks.
     A session that re-reads its requests across campaigns keeps every one
     of them."""
     global _keep_arrays, _prefixes_before
@@ -171,7 +171,7 @@ def fpow_residues(t: int, n: int):
     is imported by the call, not at module import, so the CLI starts
     without it.
     """
-    return _blocks(t, n, "uint64")
+    return _blocks(t, n, "uint64")[0]
 
 
 # the unit roundoff of a double, in the error bounds of `fpow_doubles_eps`
@@ -194,7 +194,7 @@ def fpow_doubles(t: int, n: int):
                          f"nonnegative terms; got t = {t}")
     end = min(1 << n.bit_length(), -(-(n + 1) // _CHUNK) * _CHUNK)
     with np.errstate(over="ignore"):  # past 2^1024 a double is inf
-        return _blocks(t, end - 1, "float64")
+        return _blocks(t, end - 1, "float64")[0]
 
 
 def fpow_doubles_eps(t: int, n: int) -> float:
@@ -224,12 +224,14 @@ def fpow_doubles_eps(t: int, n: int) -> float:
 
 def _blocks(t: int, n: int, dtype: str):
     """The block loop of `fpow_residues` and `fpow_doubles` in `dtype`, with
-    its memo, which it grows only outside `arrays_unkept()`."""
+    its memo, which it grows only outside `arrays_unkept()`: the array of
+    f_0(t), ..., f_k(t), k >= n, and the |t| carries it ended with, which
+    are the memo's own when it kept them."""
     import numpy as np
 
     memo = _fpow_res.get((t, dtype))
     if memo is not None and n < len(memo[0]):
-        return memo[0]
+        return memo
     # f_0(t) = 1, and index 0 holds 1 before and after every pass
     done, carry = memo or (np.ones(1, dtype), np.ones(abs(t), dtype))
     res = np.empty(n + 1, dtype)
@@ -243,7 +245,7 @@ def _blocks(t: int, n: int, dtype: str):
     res.flags.writeable = False
     if _keep_arrays:
         _fpow_res[t, dtype] = res, carry
-    return res
+    return res, carry
 
 
 def _fill(block, lo, src, carry, t):
@@ -269,16 +271,18 @@ def _fill(block, lo, src, carry, t):
         carry[p] = block[-1]
 
 
-def fpow_stream(t: int, n: int, prefix):
-    """(lo, block) pairs that cover f_0(t), ..., f_n(t) mod 2^64 in order,
-    each block a read-only uint64 array starting at index lo, given
-    `prefix`, the residues of f_0(t), ..., f_k(t) for some k >= n // 2 as
-    `fpow_residues` returns them.  Up to index k the blocks are slices of
-    the prefix; above it `_fill` builds _CHUNK entries at a time from the
-    prefix into one reused buffer, so such a block is valid only until the
-    next is drawn, and a caller that reads each as it comes holds the prefix
-    and one buffer.  `fpow_residues(t, n)` as the prefix makes every block
-    a slice of it.
+def fpow_stream(t: int, n: int, k: int | None = None):
+    """(prefix, blocks): `prefix` the residues of f_0(t), f_1(t), ... as
+    `fpow_residues` returns them, at least to index k (default n // 2, and
+    k < n // 2 raises ValueError), and `blocks` (lo, block) pairs that cover
+    f_0(t), ..., f_n(t) mod 2^64 in order, each block a read-only uint64
+    array starting at index lo.  In a session the prefix also reaches n, so
+    every block is a slice of the kept array.  Inside `arrays_unkept()` the
+    request ends at k, and `_fill` builds the blocks above the prefix _CHUNK
+    entries at a time into one reused buffer, continuing from a copy of the
+    carries the kernel ended the prefix with: such a block is valid only
+    until the next is drawn, and a caller that reads each as it comes holds
+    the prefix and one buffer.
 
     Blocks hold _CHUNK entries in a session and a quarter of that inside
     `arrays_unkept()`, each side measured against the other (Python 3.11,
@@ -291,37 +295,23 @@ def fpow_stream(t: int, n: int, prefix):
     each).  A session keeps its arrays, so the temporaries add nothing to
     its peak, and whole blocks take a quarter of the numpy calls: a
     verify-warm pass of `perfbench/run.py` took 0.0173 s against 0.0195 s
-    with quarter blocks (medians of 10 alternating pairs, lower in 10).
+    with quarter blocks (medians of 10 alternating pairs, lower in 10)."""
+    k = n // 2 if k is None else k
+    if k < n // 2:
+        raise ValueError(f"fpow_stream to {n} needs a prefix to {n // 2}, got one to {k}")
+    prefix, carry = _blocks(t, max(n, k) if _keep_arrays else k, "uint64")
+    return prefix, _stream(t, n, prefix, carry.copy())
 
-    The loop continues above k from carries taken at index k.  After p
-    passes it holds the coefficients of (1-x)^p F(x^2)^t for t > 0, and of
-    (1-x)^(-p) F(x^2)^t = (1-x)^(|t|-p) F(x)^t for t < 0, so, with u the
-    upsampled prefix, the carry of pass p (its input for t > 0, its output
-    for t < 0) is sum_j (-1)^j C(p, j) u(k - j), j <= p, or
-    sum_j (-1)^j C(|t|-p-1, j) f_(k-j)(t), j <= |t| - p - 1."""
+
+def _stream(t, n, prefix, carry):
+    """The blocks of `fpow_stream`, which advance `carry`."""
     import numpy as np
 
     per = 1 if _keep_arrays else 4
     top = min(len(prefix), n + 1)
     for lo, hi in chunks(top, per):
         yield lo, prefix[lo:hi]
-    if top > n:
-        return
-    if 2 * top <= n:
-        raise ValueError(f"fpow_stream to {n} needs a prefix to {n // 2}, got one to {top - 1}")
-    k = top - 1
-    # u(k - j) (t > 0) or f_(k-j)(t) (t < 0) for j < |t|, 0 below index 0,
-    # and the binomials of each pass's carry
-    if t > 0:
-        last = [int(prefix[(k - j) // 2]) if j <= k and (k - j) % 2 == 0 else 0
-                for j in range(t)]
-        weights = [[comb(p, j) for j in range(p + 1)] for p in range(t)]
-    else:
-        last = [int(prefix[k - j]) if j <= k else 0 for j in range(-t)]
-        weights = [[comb(-t - p - 1, j) for j in range(-t - p)] for p in range(-t)]
-    carry = np.array([sum((-1) ** j * c * v for j, (c, v) in enumerate(zip(cs, last))) % (1 << 64)
-                      for cs in weights], np.uint64)
-    buf = np.empty(min(_CHUNK, n - k), np.uint64)
+    buf = np.empty(min(_CHUNK, n + 1 - top), np.uint64)
     for lo, hi in chunks(n + 1 - top):
         block = buf[: hi - lo]
         _fill(block, top + lo, prefix, carry, t)

@@ -95,10 +95,11 @@ RESIDUE_CAMPAIGNS = ("t5-valuation", "t9-valuation", "t2k1-valuation-table",
 
 def _plant(monkeypatch, t, index, value):
     """Make every kernel, as the campaigns see it, hold `value` at f_index(t):
-    the exact prefix, the residues mod 2^64 and the doubles, where a value
-    of 2^1024 or more in absolute value is an infinite double."""
-    exact, residues, doubles = (campaigns.fpow_prefix, campaigns.fpow_residues,
-                                campaigns.fpow_doubles)
+    the exact prefix, the residues mod 2^64, a stream's prefix and its
+    blocks, and the doubles, where a value of 2^1024 or more in absolute
+    value is an infinite double."""
+    exact, residues, stream, doubles = (campaigns.fpow_prefix, campaigns.fpow_residues,
+                                        campaigns.fpow_stream, campaigns.fpow_doubles)
 
     def planted_prefix(s, n):
         vals = exact(s, max(n, index))
@@ -114,6 +115,22 @@ def _plant(monkeypatch, t, index, value):
             res[index] = value % 2**64
         return res
 
+    def planted_blocks(blocks):
+        for lo, block in blocks:
+            if lo <= index < lo + block.size:
+                block = block.copy()
+                block[index - lo] = value % 2**64
+            yield lo, block
+
+    def planted_stream(s, n, k=None):
+        res, blocks = stream(s, n, k)
+        if s != t:
+            return res, blocks
+        if index < res.size:
+            res = res.copy()
+            res[index] = value % 2**64
+        return res, planted_blocks(blocks)
+
     def planted_doubles(s, n):
         f = doubles(s, max(n, index))
         if s == t:
@@ -126,6 +143,7 @@ def _plant(monkeypatch, t, index, value):
 
     monkeypatch.setattr(campaigns, "fpow_prefix", planted_prefix)
     monkeypatch.setattr(campaigns, "fpow_residues", planted_residues)
+    monkeypatch.setattr(campaigns, "fpow_stream", planted_stream)
     monkeypatch.setattr(campaigns, "fpow_doubles", planted_doubles)
 
 
@@ -555,7 +573,8 @@ def test_the_t2k1_campaigns_share_one_valuation_part():
 @pytest.mark.parametrize("name", RESIDUE_CAMPAIGNS)
 def test_both_backends_request_the_same_kernels(monkeypatch, name):
     # the t of each fpow_prefix call of the exact runner, and of each
-    # fpow_residues or fpow_doubles call of the residue runner, in order;
+    # fpow_residues, fpow_stream or fpow_doubles call of the residue runner,
+    # in order;
     # the exact prefix on which `_turan_signs` settles an unsure sign is
     # read while the residue runner runs, so it is not recorded
     pytest.importorskip("numpy")
@@ -564,35 +583,36 @@ def test_both_backends_request_the_same_kernels(monkeypatch, name):
     requests = {"exact": [], "residue": []}
 
     def recording(route, side):
-        def request(t, n):
+        def request(t, n, *k):
             requests[side].append(t)
-            return route(t, n)
+            return route(t, n, *k)
         return request
 
     with monkeypatch.context() as patch:
         patch.setattr(campaigns, "fpow_prefix", recording(campaigns.fpow_prefix, "exact"))
         camp.runner(dict(bounds))
-    for route in ("fpow_residues", "fpow_doubles"):
+    for route in ("fpow_residues", "fpow_stream", "fpow_doubles"):
         monkeypatch.setattr(campaigns, route, recording(getattr(campaigns, route), "residue"))
     assert camp.residue_runner(dict(bounds)) is not None
     assert requests["exact"] and requests["exact"] == requests["residue"]
 
 
 def _record_requests(monkeypatch):
-    """Wrap the two array routes as the campaigns call them.  Each request
+    """Wrap the three array routes as the campaigns call them.  Each request
     appends to `alive` how many arrays of earlier requests are still alive
-    when it starts, and to `arrays` a weak reference to its own."""
+    when it starts, and to `arrays` a weak reference to its own, for a
+    stream its prefix."""
     arrays, alive = [], []
 
     def recording(route):
-        def request(t, n):
+        def request(t, n, *k):
             alive.append(sum(ref() is not None for ref in arrays))
-            array = route(t, n)
-            arrays.append(weakref.ref(array))
-            return array
+            got = route(t, n, *k)
+            arrays.append(weakref.ref(got[0] if isinstance(got, tuple) else got))
+            return got
         return request
 
-    for name in ("fpow_residues", "fpow_doubles"):
+    for name in ("fpow_residues", "fpow_stream", "fpow_doubles"):
         monkeypatch.setattr(campaigns, name, recording(getattr(campaigns, name)))
     return arrays, alive
 
@@ -1174,6 +1194,23 @@ def test_cli_verify_exit_codes(capsys, tmp_path):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("route", ["fpow_prefix", "fpow_stream"])
+def test_cli_verify_exits_2_on_a_bound_it_cannot_allocate(monkeypatch, capsys, route):
+    # exit 1 is a theorem counterexample, so a failed allocation must not
+    # reach it; the exact route runs at this bound, the stream once the
+    # residue runner does
+    if route == "fpow_stream":
+        pytest.importorskip("numpy")
+        _residues_in_verify(monkeypatch, "t2-symmetry")
+
+    def unallocated(*args):
+        raise MemoryError("Unable to allocate 2.00 PiB")
+
+    monkeypatch.setattr(campaigns, route, unallocated)
+    rc, out, err = run_cli(capsys, "verify", "t2-symmetry", "--bound", "64")
+    assert (rc, out, err) == (2, "", "error: Unable to allocate 2.00 PiB\n")
+
+
 def test_cli_verify_lets_a_runner_bug_raise(monkeypatch, capsys):
     # no handler raises KeyError by design, so one from a runner is a bug,
     # not a usage error; an unknown campaign still exits 2
@@ -1189,7 +1226,8 @@ def test_cli_verify_lets_a_runner_bug_raise(monkeypatch, capsys):
 
 # the least size bound at which each campaign checks anything
 MINIMUMS = {"t-zero-m4plus": 1, "t-threesigns-turan": 2, "b-turan-m4plus": 2,
-            "b-pow2m1-congruence": 256, "b-pow2-congruence": 256, "b2-valuation-list": 3}
+            "b3-turan-crossover": 2, "b-pow2m1-congruence": 256, "b-pow2-congruence": 256,
+            "b-congruence-growth": 256, "b2-valuation-list": 3}
 
 
 def test_cli_verify_refuses_empty_ranges(capsys):
@@ -1206,6 +1244,11 @@ def test_cli_verify_refuses_empty_ranges(capsys):
     # at index 256 every (m, k) of b-pow2m1-congruence checks n = 1
     witness = run_campaign("b-pow2m1-congruence", {"index": 256}).witness
     assert len(witness["failing"]) + len(witness["verified_for"]) == 9
+    # at index 256 b-congruence-growth takes a difference at every k, and
+    # b3-turan-crossover at n = 2 reads its first sign, b_3(1)^2 = b_3(0) b_3(2)
+    fit = run_campaign("b-congruence-growth", {"index": 256}).witness["f(k) for k=2..7"]
+    assert all(len(per_k) == 6 and "exact" not in per_k for per_k in fit.values())
+    assert run_campaign("b3-turan-crossover", {"n": 2}).witness["zero_differences_at"] == [1]
     for name in ("t5-valuation", "b-pow2-congruence"):
         with pytest.raises(ValueError):
             run_campaign(name, {CAMPAIGNS[name].size_key: -1})

@@ -4,6 +4,8 @@ streamed residue parts against the same parts on a session's arrays and
 against the exact parts, with planted values; the one exact prefix of
 `fpow.arrays_unkept()`; and the two-halving reads of t_2."""
 
+from contextlib import nullcontext
+
 import pytest
 
 from ptmpow import bm_sequences, campaigns, fpow, tm_sequences
@@ -34,7 +36,9 @@ def test_fpow_stream_continues_any_prefix_from_its_half(monkeypatch, t):
     with fpow.arrays_unkept():  # each request is exactly k + 1 long
         for n in (0, 1, 2, 63, 64, 129, 1000, 2999):
             for k in sorted({n // 2, n // 2 + 1, (n + 1) * 3 // 4, n, n + 5}):
-                blocks = list(fpow.fpow_stream(t, n, fpow.fpow_residues(t, k)))
+                prefix, blocks = fpow.fpow_stream(t, n, k)
+                assert prefix.size == k + 1
+                blocks = list(blocks)
                 los = [lo for lo, _ in blocks]
                 ends = [lo + block.size for lo, block in blocks]
                 assert los == [0, *ends[:-1]] and ends[-1] == n + 1, (n, k)
@@ -42,38 +46,73 @@ def test_fpow_stream_continues_any_prefix_from_its_half(monkeypatch, t):
                 assert not any(block.flags.writeable for _, block in blocks)
                 assert len({id(block.base) for lo, block in blocks if lo > k}) <= 1
                 # a built block is valid until the next is drawn
-                got = [int(v) for _, block in fpow.fpow_stream(t, n, fpow.fpow_residues(t, k))
-                       for v in block]
+                got = [int(v) for _, block in fpow.fpow_stream(t, n, k)[1] for v in block]
                 assert got == exact[: n + 1], (n, k)
         with pytest.raises(ValueError):
-            list(fpow.fpow_stream(t, 1000, fpow.fpow_residues(t, 498)))
+            fpow.fpow_stream(t, 1000, 499)
 
 
 @pytest.mark.parametrize("t", [-6, -1, 2, 9])
 def test_fpow_stream_builds_whole_blocks_above_the_prefix(t):
     # at the production block size: two blocks above the prefix, the last
-    # one partial
+    # one partial, built in a verify scope, since a session builds none
     n = 3 * fpow._CHUNK + 100
-    stream = fpow.fpow_stream(t, n, fpow.fpow_residues(t, n // 2))
-    got = np.concatenate([block.copy() for _, block in stream])
+    with fpow.arrays_unkept():
+        got = np.concatenate([block.copy() for _, block in fpow.fpow_stream(t, n)[1]])
     assert got.tolist() == _residues(t, n)
+
+
+@pytest.mark.parametrize("t", [-6, -1, 2, 9])
+def test_a_session_stream_builds_nothing(t):
+    # the prefix is the kept array, and every block a slice of it
+    n = 3 * fpow._CHUNK + 100
+    prefix, blocks = fpow.fpow_stream(t, n, n // 2)
+    assert prefix is fpow.fpow_residues(t, n) and prefix.size == n + 1
+    assert all(np.shares_memory(block, prefix) for _, block in blocks)
+
+
+def test_a_stream_advances_a_copy_of_the_kept_carries():
+    # a verify scope reads a session's array and streams past its end from
+    # the carries the memo ended it with; the memo grows later from its own,
+    # unmoved by the stream
+    fpow.fpow_residues(9, 2000)
+    with fpow.arrays_unkept():
+        prefix, blocks = fpow.fpow_stream(9, 3000, 1500)
+        assert prefix.size == 2001
+        got = [int(v) for _, block in blocks for v in block]
+    assert got == _residues(9, 3000)
+    assert fpow.fpow_residues(9, 5000).tolist() == _residues(9, 5000)
+
+
+@pytest.mark.parametrize("scope", ["session", "verify"])
+def test_a_stream_refuses_a_prefix_below_half_its_range(scope):
+    with fpow.arrays_unkept() if scope == "verify" else nullcontext():
+        for n, k in ((1000, 499), (1001, 499), (1, -1)):
+            with pytest.raises(ValueError, match="needs a prefix"):
+                fpow.fpow_stream(5, n, k)
+        fpow.fpow_stream(5, 1001, 500)
 
 
 def _plant(monkeypatch, plants):
     """Make every exact prefix and every streamed block the campaigns read
     hold plants[i] at index i (mod 2^64 in a block), without the kernel
-    building on it.  Returns the n of each `fpow_residues` request."""
-    stream, prefix, residues = campaigns.fpow_stream, campaigns.fpow_prefix, campaigns.fpow_residues
+    building on it.  Returns the last index of each stream's prefix."""
+    stream, prefix = campaigns.fpow_stream, campaigns.fpow_prefix
     requests = []
 
-    def planted_stream(t, n, res):
-        for lo, block in stream(t, n, res):
+    def planted_blocks(blocks):
+        for lo, block in blocks:
             hits = {i: v for i, v in plants.items() if lo <= i < lo + block.size}
             if hits:
                 block = block.copy()
                 for i, v in hits.items():
                     block[i - lo] = v % 2**64
             yield lo, block
+
+    def planted_stream(t, n, k=None):
+        res, blocks = stream(t, n, k)
+        requests.append(res.size - 1)
+        return res, planted_blocks(blocks)
 
     def planted_prefix(t, n):
         vals = list(prefix(t, n))
@@ -82,13 +121,8 @@ def _plant(monkeypatch, plants):
                 vals[i] = v
         return vals
 
-    def recorded_residues(t, n):
-        requests.append(n)
-        return residues(t, n)
-
     monkeypatch.setattr(campaigns, "fpow_stream", planted_stream)
     monkeypatch.setattr(campaigns, "fpow_prefix", planted_prefix)
-    monkeypatch.setattr(campaigns, "fpow_residues", recorded_residues)
     return requests
 
 
@@ -122,8 +156,8 @@ def test_streamed_valuation_part_reads_what_the_exact_part_reads(monkeypatch, si
     requests = _plant(monkeypatch, VALUATION_PLANTS[site])
     args = (5, 4, expect_of, T5_N)
     cold, warm = _scope_and_session(campaigns._res_valuation_of, *args)
-    # the verify process requests the kernel to half the range, the
-    # session to all of it
+    # the verify process streams from a prefix to half the range, the
+    # session from all of it
     assert requests == [T5_TOP // 2, T5_TOP]
     assert cold == warm
     table, failure = campaigns._run_valuation_of(*args)
@@ -245,14 +279,15 @@ def test_a_planted_t2_array_value_is_caught(monkeypatch, index):
     # reads each partner straight from its prefix
     monkeypatch.setattr(fpow, "_CHUNK", 64)
     value = -fpow.fpow_at(2, index)
-    residues = campaigns.fpow_residues
+    blocks = fpow._blocks
 
-    def planted(t, n):
-        res = residues(t, n).copy()
+    def planted(t, n, dtype):
+        res, carry = blocks(t, n, dtype)
+        res = res.copy()
         res[index] = value % 2**64
-        return res
+        return res, carry
 
-    monkeypatch.setattr(campaigns, "fpow_residues", planted)
+    monkeypatch.setattr(fpow, "_blocks", planted)
     cold, warm = _scope_and_session(campaigns._res_t2_symmetry, {"n": 4000})
     assert cold == warm and cold[0] == COUNTEREXAMPLE and cold[1]["n"] <= index
     _plant(monkeypatch, {index: value})
