@@ -13,9 +13,9 @@ campaign's `minimum` is refused before any work, since it would check
 nothing.  The runners read values from `fpow`; those that need
 `tm_sequences` or `bm_sequences` import them themselves, so a process that
 runs another campaign does not load them.  A whole-array runner holds one
-`fpow_residues` or `fpow_doubles` array at a time plus one slice of
-`fpow.chunks` of scratch: it checks the range slice by slice and stops at
-the first failing slice.  A bound key the campaign does not define, or a
+`fpow_residues`, `fpow_stream` or `fpow_doubles` array at a time plus one
+slice of `fpow.chunks` of scratch: it checks the range slice by slice and
+stops at the first failing slice.  A bound key the campaign does not define, or a
 negative value of a key other than its size, is refused before any work.
 """
 

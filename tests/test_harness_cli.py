@@ -574,9 +574,8 @@ def test_the_t2k1_campaigns_share_one_valuation_part():
 def test_both_backends_request_the_same_kernels(monkeypatch, name):
     # the t of each fpow_prefix call of the exact runner, and of each
     # fpow_residues, fpow_stream or fpow_doubles call of the residue runner,
-    # in order;
-    # the exact prefix on which `_turan_signs` settles an unsure sign is
-    # read while the residue runner runs, so it is not recorded
+    # in order; the exact prefix on which `_turan_signs` settles an unsure
+    # sign is read while the residue runner runs, so it is not recorded
     pytest.importorskip("numpy")
     camp = CAMPAIGNS[name]
     bounds = {**camp.defaults, **_bounds_for(name)}
