@@ -25,6 +25,7 @@ import time
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from functools import partial
+from math import gcd
 
 from .core_arith import nu2, nu2_or_none
 from .fpow import (UNIT_ROUNDOFF, arrays_kept, chunks, fpow_doubles, fpow_doubles_eps,
@@ -125,6 +126,24 @@ def _t2k1_table(part, bounds):
     return VERIFIED, out
 
 
+def _t_regular(valuations_of, bounds):
+    """Kernel-of-subsequences statistics: how many distinct valuation
+    patterns (nu2(t_m(2^l n + j)))_(n <= bounds["n"]), l <= depth, j < 2^l,
+    there are per m.  valuations_of(m, size) gives nu2 of t_m(0..size - 1),
+    with one mark for a zero, as a sequence whose slices compare by value,
+    or None; each pattern is a strided slice of it."""
+    n_max, depth = bounds["n"], bounds["depth"]
+    stats = {}
+    for m in (2, 3, 5, 6):
+        v2 = valuations_of(m, (n_max + 1) << depth)
+        if v2 is None:
+            return None
+        stats[f"m={m}"] = len({v2[j : (n_max << l) + j + 1 : 1 << l]
+                               for l in range(depth + 1) for j in range(1 << l)})
+    return OBSERVATION, {"distinct_kernel_patterns": stats,
+                         "note": "-1 encodes an infinite valuation"}
+
+
 def _bm_unbounded(max_nu2_of, bounds):
     """The running maximum of nu2(b_m(n)) for n <= bounds["n"]: max_nu2_of(m,
     n_max) gives the largest value and the first n at which it occurs."""
@@ -188,11 +207,17 @@ def _b_congruence_growth(min_nu2s, bounds):
     return OBSERVATION, {"f(k) for k=2..7": fit}
 
 
+def _ratio_text(a, b):
+    """a/b in lowest terms, for a >= 0 and b > 0, as str(Fraction(a, b))
+    prints it: "0" and whole numbers without "/1".  The fractions module
+    would load decimal too."""
+    g = gcd(a, b)
+    return f"{a // g}" if g == b else f"{a // g}/{b // g}"
+
+
 def _sign_density(exceptions_of, bounds):
     """The exceptions to sgn t_m(3n + j) = (-1)^j for n <= bounds["n"] and
     their frequency: exceptions_of(m, n_max) counts them for j = 0 and 1."""
-    from fractions import Fraction
-
     n_max = bounds["n"]
     out = {}
     for m in (2, 3, 4, 5):
@@ -202,7 +227,7 @@ def _sign_density(exceptions_of, bounds):
         for j in (0, 1):
             out[f"m={m},j={j}"] = {
                 "exceptions": hits[j],
-                "frequency": str(Fraction(hits[j], n_max + 1)),
+                "frequency": _ratio_text(hits[j], n_max + 1),
             }
     return OBSERVATION, out
 
@@ -279,22 +304,9 @@ def _run_valuation_of(m, width, expect_of, n_max):
     return table, ()
 
 
-def _run_t_regular(bounds):
-    # kernel-of-subsequences statistics: how many distinct valuation patterns
-    # the dyadic subsequences nu2(t_m(2^l n + j)) show, per m; each pattern
-    # is a strided slice of one valuation list
-    n_max = bounds["n"]
-    depth = bounds["depth"]
-    stats = {}
-    for m in (2, 3, 5, 6):
-        vals = fpow_prefix(m, (n_max << depth) + (1 << depth))
-        # nu2 of each value, and -1 at a zero, where v & -v is 0
-        v2 = [(v & -v).bit_length() - 1 for v in vals[: (n_max + 1) << depth]]
-        patterns = {tuple(v2[j : (n_max << l) + j + 1 : 1 << l])
-                    for l in range(depth + 1) for j in range(1 << l)}
-        stats[f"m={m}"] = len(patterns)
-    return OBSERVATION, {"distinct_kernel_patterns": stats,
-                         "note": "-1 encodes an infinite valuation"}
+def _run_valuations_of(m, size):
+    """nu2 of t_m(0..size - 1) as a tuple, -1 at a zero, where v & -v is 0."""
+    return tuple((v & -v).bit_length() - 1 for v in fpow_prefix(m, size - 1)[:size])
 
 
 def _run_max_nu2_of(m, n_max):
@@ -448,9 +460,11 @@ def _run_t2_symmetry(bounds):
 # included, die when it returns, so no array outlives its call into the
 # next request; a verify process then holds one array, or the half of one
 # that a stream starts from, at a time, and, when it runs exact, one exact
-# prefix (`fpow.fpow_prefix`).  The int64 certificate is taken per m, so a
-# failure on one m is reported even where a later m would have declined;
-# the exact runner gives the same witness.
+# prefix (`fpow.fpow_prefix`).  The valuation-pattern part of t-regularity
+# also writes nu2 of its int64 readings, chunk by chunk, into one uint8
+# buffer, an eighth of its array, whose bytes the shape slices.  The int64
+# certificate is taken per m, so a failure on one m is reported even where
+# a later m would have declined; the exact runner gives the same witness.
 
 
 def _nu2_residues(r):
@@ -528,6 +542,21 @@ def _res_min_nu2s(t, idx_max, ks):
         return int(_nu2_residues(d).min()) if d.size else "exact"
 
     return _congruence_reads(t, idx_max, ks, min_nu2)
+
+
+def _res_valuations_of(m, size):
+    """`_run_valuations_of` on int64 values, as bytes with 64 at a zero, or
+    None.  A certified reading is below 2^63, so a nonzero one has nu2 <= 62
+    and 64 marks a zero alone, as -1 does in the exact part."""
+    vals = _int64_values(m, size)
+    if vals is None:
+        return None
+    import numpy as np
+
+    v2 = np.empty(size, np.uint8)
+    for lo, hi in chunks(size):
+        v2[lo:hi] = _nu2_residues(vals[lo:hi].view(np.uint64))
+    return v2.tobytes()
 
 
 def _res_max_nu2_of(m, n_max):
@@ -887,7 +916,12 @@ for _camp in (
         "t-regularity", "question",
         "is (nu2(t_m(n)))_n 2-regular?  (statistics only: count distinct dyadic "
         "subsequence patterns)",
-        {"n": 64, "depth": 5}, _run_t_regular),
+        {"n": 64, "depth": 5}, partial(_t_regular, _run_valuations_of),
+        partial(_t_regular, _res_valuations_of),
+        # the gate reads n alone, while both parts read (n + 1) 2^depth values
+        # of each t_m; at the default depth 5, 165 vs 175 ms at 1792, 196 vs
+        # 170 at 2048
+        cold_size=1 << 11),
     Campaign(
         "bm-valuation-unbounded", "conjecture",
         "for m not of the form 2^k - 1 the sequence nu2(b_m(n)) is unbounded "

@@ -228,8 +228,9 @@ def _cmd_verify(args) -> int:
                 record["backend_reason"] = report.backend_reason
             fh.write(_jdump(record) + "\n")
     print(_jdump(report.payload()))
+    reason = f": {report.backend_reason}" if report.backend_reason else ""
     print(f"{report.name}: {report.status} in {report.wall_ms} ms "
-          f"(backend {report.backend})", file=sys.stderr)
+          f"(backend {report.backend}{reason})", file=sys.stderr)
     return exit_code_for(report)
 
 

@@ -27,6 +27,7 @@ pays for nothing else.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from functools import lru_cache
 from itertools import accumulate, chain
 from operator import sub
 
@@ -199,7 +200,7 @@ def fpow_doubles(t: int, n: int):
 
 def fpow_doubles_eps(t: int, n: int) -> float:
     """A relative-error bound for every double of f_0(t), ..., f_n(t) from
-    `fpow_doubles`, t < 0.
+    `fpow_doubles`, t < 0, memoised per (t, n, _CHUNK).
 
     The blocks build the indices [2^j, 2^(j+1)) of level j + 1 from the
     upsampled values below 2^j, min(2^j, _CHUNK) entries each, by |t|
@@ -211,10 +212,15 @@ def fpow_doubles_eps(t: int, n: int) -> float:
     most gamma_k = k u / (1 - k u), u = UNIT_ROUNDOFF:
     e <- (1 + e)(1 + gamma_k)^|t| - 1 per level, from 0 at f_0 = 1.  At
     t = -3..-6 this is 2^-35.4 .. 2^-33.8 from 2^16 to 2^19."""
+    return _doubles_eps(t, n, _CHUNK)
+
+
+@lru_cache
+def _doubles_eps(t, n, chunk):
     u = UNIT_ROUNDOFF
     eps, blocks = 0.0, 0
     for j in range(n.bit_length()):
-        longest = min(1 << j, _CHUNK)
+        longest = min(1 << j, chunk)
         # the blocks of level j + 1 up to index n
         blocks += (min(n, (2 << j) - 1) - (1 << j)) // longest + 1
         k = longest + blocks + 1

@@ -71,15 +71,43 @@ def test_t5_witness_would_replay():
     assert rep.bounds == {"n": 1 << 9}
 
 
-@pytest.mark.parametrize("n,depth", [(0, 0), (2, 5), (4, 3), (8, 3), (64, 5), (115, 5), (300, 7)])
+@pytest.mark.parametrize("n,depth", [(0, 0), (2, 5), (4, 3), (8, 3), (64, 5), (115, 5), (300, 7),
+                                     (1000, 5)])
 def test_t_regularity_counts_the_reference_patterns(n, depth):
     # every range from n = 2 holds zeros of t_3 (t_3(2) = t_3(11) = 0),
-    # which both routes encode as -1; at n = 2 and 4 a pattern one entry
-    # short gives other counts
-    status, witness = CAMPAIGNS["t-regularity"].runner({"n": n, "depth": depth})
+    # which the oracle and the exact part encode as -1 and the residue part
+    # as 64; at n = 2 and 4 a pattern one entry short gives other counts
+    camp = CAMPAIGNS["t-regularity"]
+    status, witness = camp.runner({"n": n, "depth": depth})
     want = {f"m={m}": kernel_pattern_count(fpow.fpow_prefix(m, (n + 1) << depth), n, depth)
             for m in (2, 3, 5, 6)}
     assert (status, witness["distinct_kernel_patterns"]) == ("observation", want)
+    if find_spec("numpy") is not None:
+        assert camp.residue_runner({"n": n, "depth": depth}) == (status, witness)
+
+
+@pytest.mark.parametrize("t,index", [(5, 13), (6, 2079)])
+def test_t_regularity_counts_a_planted_zero_alike_on_both_parts(monkeypatch, t, index):
+    # t_5(13) = -400, and t_6(2079) is the last value read at n = 64; a zero
+    # there is a new mark in its patterns, -1 in one part and 64 in the other
+    pytest.importorskip("numpy")
+    camp = CAMPAIGNS["t-regularity"]
+    clean = camp.runner({"n": 64, "depth": 5})
+    _plant(monkeypatch, t, index, 0)
+    want = camp.runner({"n": 64, "depth": 5})
+    assert want != clean
+    assert camp.residue_runner({"n": 64, "depth": 5}) == want
+
+
+def test_t_regularity_declines_where_t6_passes_its_int64_limit():
+    # at n = 64 and depth 12 the part reads t_6 to 266239, and the half of
+    # that prefix holds readings of 61 bits, past the 58 that certify them
+    pytest.importorskip("numpy")
+    camp = CAMPAIGNS["t-regularity"]
+    assert camp.residue_runner({"n": 64, "depth": 12}) is None
+    half = fpow.fpow_residues(6, 65 << 12)[: (65 << 11)].view("int64")
+    assert max(int(half.max()), -int(half.min())).bit_length() == 61
+    assert campaigns._int64_values(5, 65 << 12) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +118,7 @@ RESIDUE_CAMPAIGNS = ("t5-valuation", "t9-valuation", "t2k1-valuation-table",
                      "bm-valuation-unbounded", "b-congruence-growth",
                      "t-sign-density", "t-missing-values", "t-threesigns-turan",
                      "b-turan-m4plus", "b3-turan-crossover", "t2-symmetry",
-                     "b2-valuation-list")
+                     "b2-valuation-list", "t-regularity")
 
 
 def _plant(monkeypatch, t, index, value):
@@ -168,7 +196,7 @@ def test_residue_campaigns_print_the_exact_stdout(capsys, monkeypatch, name):
     assert err.endswith("(backend residue)\n")
     monkeypatch.setitem(sys.modules, "numpy", None)
     rc_exact, exact, err = run_cli(capsys, "verify", name, "--bound", bound)
-    assert err.endswith("(backend exact)\n")
+    assert err.endswith("(backend exact: no-numpy)\n")
     assert (rc, fast) == (rc_exact, exact)
 
 
@@ -267,6 +295,7 @@ def test_int64_runners_read_planted_values_exactly(monkeypatch, name, bounds, t,
 CERTIFIED_SITES = INT64_SITES + (
     ("t-threesigns-turan", {"n": 64}, 6, 20),
     ("t2-symmetry", {"n": 64}, 2, 50),
+    ("t-regularity", {"n": 64, "depth": 5}, 6, 1000),
 )
 
 
@@ -351,6 +380,16 @@ def test_kernel_doubles_of_b_m_are_within_their_bound(monkeypatch, chunk):
     for t in (0, 2):
         with pytest.raises(ValueError):
             fpow.fpow_doubles(t, 100)
+
+
+def test_doubles_eps_is_memoised_per_block_size(monkeypatch):
+    # the bound counts the kernel's blocks, so a memo keyed by (t, n) alone
+    # would hand the bound of one block size to another; at n = 2^16 the
+    # cumsum chain of the longest block dominates it
+    wide = fpow.fpow_doubles_eps(-3, 1 << 16)
+    assert fpow.fpow_doubles_eps(-3, 1 << 16) == wide
+    monkeypatch.setattr(fpow, "_CHUNK", 64)
+    assert fpow.fpow_doubles_eps(-3, 1 << 16) < wide
 
 
 def test_b_turan_m4plus_holds_only_its_doubles(monkeypatch):
@@ -549,7 +588,7 @@ def test_a_residue_campaign_holds_its_array_and_one_chunk(monkeypatch):
 MULTI_ARRAY_CAMPAIGNS = ("t2k1-valuation-table", "bm-valuation-unbounded",
                          "b-pow2-congruence", "b-pow2m1-congruence", "b-congruence-growth",
                          "t-sign-density", "t-missing-values", "t-threesigns-turan",
-                         "b-turan-m4plus", "t-zero-m4plus")
+                         "b-turan-m4plus", "t-zero-m4plus", "t-regularity")
 
 
 def test_both_backends_share_each_campaign_shape():
@@ -694,7 +733,7 @@ CROSSOVERS = {"t5-valuation": 7 << 12, "t9-valuation": 3 << 12,
               "t-sign-density": 3 << 13, "t-missing-values": 3 << 15,
               "t-threesigns-turan": 1 << 15, "b-turan-m4plus": 3 << 14,
               "b3-turan-crossover": 15 << 13, "b2-valuation-list": 5 << 16,
-              "t2-symmetry": 3 << 15}
+              "t2-symmetry": 3 << 15, "t-regularity": 1 << 11}
 
 
 def _stub_backends(monkeypatch):
@@ -741,7 +780,6 @@ def test_a_verify_process_waits_for_the_crossover_and_a_session_does_not(monkeyp
         for name, size in CROSSOVERS.items():
             assert run(name, size - 1) == ("exact", "import", False), name
             assert run(name, size) == ("residue", None, True), name
-        assert run("t-regularity", 1 << 20) == ("exact", None, False)
     # a session pays it once, so it runs every residue runner at any size
     for name, camp in CAMPAIGNS.items():
         want = ("residue", None, True) if camp.residue_runner else ("exact", None, False)
@@ -1318,12 +1356,33 @@ def test_cli_verify_out_records_backend(monkeypatch, capsys, tmp_path):
         ("t9-valuation", "exact", "import"),
         ("t9-valuation", "residue", None),
         ("b2-valuation-list", "exact", "import"),
-        # no residue runner, so nothing fell back
-        ("t-regularity", "exact", None),
+        ("t-regularity", "exact", "import"),
         ("t-zero-m4plus", "exact", "declined"),
         ("t9-valuation", "exact", "no-numpy"),
     ]
     assert not any("fallbacks" in r for r in records)
+
+
+def test_cli_verify_names_the_backend_reason_on_stderr(monkeypatch, capsys):
+    # the stderr line adds backend_reason where it is set, and stdout does
+    # not change with it
+    pytest.importorskip("numpy")
+
+    def verify(name, bound):
+        rc, out, err = run_cli(capsys, "verify", name, "--bound", str(bound))
+        assert rc == 3 and err.count("\n") == 1
+        return out, err[err.index("(backend") :]
+
+    t9_from = CROSSOVERS["t9-valuation"]
+    assert verify("t9-valuation", 32)[1] == "(backend exact: import)\n"
+    residue, err = verify("t9-valuation", t9_from)
+    assert err == "(backend residue)\n"
+    with monkeypatch.context() as patch:
+        _plant(patch, 4, 20, 2**70)
+        _residues_in_verify(patch, "t-zero-m4plus")
+        assert verify("t-zero-m4plus", 32)[1] == "(backend exact: declined)\n"
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    assert verify("t9-valuation", t9_from) == (residue, "(backend exact: no-numpy)\n")
 
 
 def test_cli_verify_opens_out_before_any_work(monkeypatch, capsys, tmp_path):
@@ -1452,6 +1511,10 @@ def test_cli_loads_only_what_its_command_runs():
     assert "numpy" not in _modules_loaded_by(*below)
     at = ("verify", "t2k1-valuation-table", "--bound", str(CROSSOVERS["t2k1-valuation-table"]))
     assert ("numpy" in _modules_loaded_by(at)) == (find_spec("numpy") is not None)
+    # an exact t-sign-density prints its frequencies without the fractions
+    # module, which would load decimal too
+    density = _modules_loaded_by(("verify", "t-sign-density", "--bound", "64"))
+    assert not density & {"fractions", "decimal", "numpy"}
     # the b_m side reads ptm from core_arith, so it loads no t_m or f_n code
     for argv in (("verify", "b2-valuation-list", "--bound", "64"), ("poly", "h", "0", "2", "2")):
         loaded = _modules_loaded_by(argv)
