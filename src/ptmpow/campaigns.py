@@ -555,6 +555,7 @@ def _res_valuations_of(m, size):
 
     v2 = np.empty(size, np.uint8)
     for lo, hi in chunks(size):
+        # as uint64: bitwise_count of a signed value counts its absolute value
         v2[lo:hi] = _nu2_residues(vals[lo:hi].view(np.uint64))
     return v2.tobytes()
 
