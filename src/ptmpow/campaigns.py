@@ -134,13 +134,15 @@ def _t_regular(valuations_of, bounds):
     or None; each pattern is a strided slice of it."""
     n_max, depth = bounds["n"], bounds["depth"]
     stats = {}
-    for m in (2, 3, 5, 6):
+    # t_6 first: its int64 certificate is the first to fail (at depth 5 from
+    # n = 5631), so a residue part declines before it builds the others
+    for m in (6, 2, 3, 5):
         v2 = valuations_of(m, (n_max + 1) << depth)
         if v2 is None:
             return None
-        stats[f"m={m}"] = len({v2[j : (n_max << l) + j + 1 : 1 << l]
-                               for l in range(depth + 1) for j in range(1 << l)})
-    return OBSERVATION, {"distinct_kernel_patterns": stats,
+        stats[m] = len({v2[j : (n_max << l) + j + 1 : 1 << l]
+                        for l in range(depth + 1) for j in range(1 << l)})
+    return OBSERVATION, {"distinct_kernel_patterns": {f"m={m}": stats[m] for m in sorted(stats)},
                          "note": "-1 encodes an infinite valuation"}
 
 
@@ -426,23 +428,25 @@ def _run_t2_symmetry(bounds):
 # residue runners and parts ("residue" in a report: a whole-array runner
 # ran): the same checks on values mod 2^64 (`fpow_residues`), on t_m read
 # exactly from its residues as int64 (`_int64_values`), or on doubles whose
-# sign of b^2 - ac is certified (`_turan_signs`): t_m's int64 readings
-# converted, and b_m from the kernel's blocks run in float64
-# (`fpow_doubles`, with the error bound `fpow_doubles_eps`, both beside the
-# blocks they count), so the b_m parts build the exact prefix only up to the
-# last index the doubles leave unsure.  run_campaign calls a residue runner
-# only when numpy imports, in a session at any size and in a `ptmpow
-# verify` process (inside `fpow.arrays_unkept()`) from the campaign's
-# `cold_size`, so a runner decides only the mathematics.  Each gives the
-# exact runner's (status, witness), or None, in which case run_campaign
-# runs the exact runner for the whole campaign (`backend_reason`
-# "declined"): when a residue whose nu2 is taken or that is tested for zero
-# is 0 (a zero value or nu2 >= 64), when the certificate of an int64
-# reading of t_m fails, and when the double of a b_m value is not below
-# 2^510.  Any exact settling of such an index would build the exact prefix
-# up to it, so declining costs no more.  A masked congruence difference is
-# exact, so `_res_firsts` never declines; `_res_min_nu2s` takes nu2 of the
-# whole difference and declines on a difference of 0 mod 2^64.
+# sign of b^2 - ac the ratio test fl(b*b) > fl(fl(a*c) * K) certifies
+# (`_turan_signs`, or `_turan_failure` where only the first failure counts):
+# t_m's int64 readings converted, and b_m from the kernel's blocks run in
+# float64 (`fpow_doubles`, with the error bound `fpow_doubles_eps`, both
+# beside the blocks they count), so the b_m parts build the exact prefix
+# only up to the last index the doubles leave unsure.  run_campaign calls a
+# residue runner only when numpy imports, in a session at any size and in a
+# `ptmpow verify` process (inside `fpow.arrays_unkept()`) from the
+# campaign's `cold_size`, so a runner decides only the mathematics.  Each
+# gives the exact runner's (status, witness), or None, in which case
+# run_campaign runs the exact runner for the whole campaign
+# (`backend_reason` "declined"): when a residue whose nu2 is taken or that
+# is tested for zero is 0 (a zero value or nu2 >= 64), when the certificate
+# of an int64 reading of t_m fails, and when the double of a b_m value is
+# not below 2^510.  Any exact settling of such an index would build the exact
+# prefix up to it, so declining costs no more.  A masked congruence
+# difference is exact, so `_res_firsts` never declines; `_res_min_nu2s`
+# takes nu2 of the whole difference and declines on a difference of 0 mod
+# 2^64.
 #
 # Memory: one array per kernel request plus one chunk.  Every part that
 # reads a whole index range walks it in `chunks` or in the blocks of
@@ -597,33 +601,44 @@ def _certifies(vals, bits):
     return max(int(vals.max()), -int(vals.min())) < 1 << bits
 
 
+def _turan_margin(eps):
+    """K = 1 + 4.05 (eps + u) + 4u of the ratio test (`_turan_signs`).  The
+    small terms are summed first, so K takes one rounding, at most u."""
+    return 1 + (4.05 * (eps + UNIT_ROUNDOFF) + 4 * UNIT_ROUNDOFF)
+
+
 def _turan_signs(f, prefix, lo=0, eps=0.0):
     """sgn(v(n)^2 - v(n-1) v(n+1)) for n = 1..len(f) - 2, as an int8 array,
     where v(n) = prefix(top)[lo + n] is an integer (prefix(top) holds the
     values up to index top at least) and f[n] its double: correctly rounded
-    at eps = 0, else within a relative error eps of it.
+    at eps = 0, else within a relative error eps < 2^-10 of it.
 
-    With u = UNIT_ROUNDOFF = 2^-53, a = f[n-1], b = f[n], c = f[n+1],
-    P = fl(b*b) and Q = fl(a*c), each input is within a relative eps + u of
-    its integer, so the rounding of the inputs, of both products and of the difference
-    D = fl(P - Q) leaves D within (2 eps + 4u)(P + |Q|) of the exact value,
-    plus terms of second order, below 0.1 eps for eps < 2^-10.  So where
-    |D| > (2.1 eps + 8u)(P + |Q|) the sign of D is the sign of the exact
-    value; every other index (ties, zeros, inf and nan among them) is
+    The ratio test: with u = UNIT_ROUNDOFF = 2^-53, e = eps + u,
+    a = f[n-1], b = f[n], c = f[n+1], K = `_turan_margin(eps)`, P = fl(b*b)
+    and Q = fl(fl(a*c) * K), P > Q proves b^2 > ac, and fl(a*c) > fl(P*K)
+    proves b^2 < ac.  Each input is within a relative e of its integer, so
+    P > Q with ac > 0 gives b^2 > ac K (1-e)^2 (1-u)^2 / ((1+e)^2 (1+u)),
+    which is at least ac once K >= 1 + 4e + 3u plus terms of second order;
+    the other test is the same with the roles of P and fl(a*c) swapped.
+    The spare 0.05e of K covers the second-order terms for eps < 2^-10, and
+    the spare u the rounding of K.  ac <= 0 needs no margin, since P >= 0:
+    the doubles of integers keep their signs and no product of nonzero ones
+    underflows, so ac = 0 makes Q = 0, and P > 0 holds exactly when b != 0.
+    An index where a product is inf or nan, or where fl(a*c) - P overflows
+    (which takes ac < 0 past 2^1023), is never decided by the doubles; it
+    and every index neither test decides (ties and zeros among them) are
     settled with exact Python ints, read in increasing order of n from one
     prefix up to the last such index."""
     import numpy as np
 
+    k = _turan_margin(eps)
     with np.errstate(invalid="ignore", over="ignore"):
-        d = f[:-2] * f[2:]
-        tol = np.abs(d)
+        q = f[:-2] * f[2:]
         p = f[1:-1] * f[1:-1]
-        tol += p
-        tol *= 2.1 * eps + 8 * UNIT_ROUNDOFF
-        np.subtract(p, d, out=d)
-        del p
-        signs = (d > 0).view(np.int8) - (d < 0).view(np.int8)
-        unsure = np.flatnonzero(~(np.abs(d, out=d) > tol)).tolist()
+        signs = (p > q * k).view(np.int8) - (q > p * k).view(np.int8)
+        q -= p  # inf or nan where a product is (p >= 0)
+    signs *= np.isfinite(q).view(np.int8)
+    unsure = np.flatnonzero(signs == 0).tolist()
     vals = prefix(lo + unsure[-1] + 2) if unsure else None
     for i in unsure:
         a, b, c = (int(vals[j]) for j in range(lo + i, lo + i + 3))
@@ -632,19 +647,54 @@ def _turan_signs(f, prefix, lo=0, eps=0.0):
     return signs
 
 
-def _b_turan_signs(m, n_max):
-    """The `_turan_signs` of b_m(0..n_max) as an iterator of (lo, signs at
-    n = lo + 1..hi) over the chunks (lo, hi) of its n_max - 1 indices, each
-    chunk read with one neighbour on either side from `fpow_doubles`; or
-    None when the double of b_m(n_max) is not below 2^510.  b_m is positive
-    and nondecreasing, so below that every product of two values is a
-    finite double.  An index the doubles leave unsure is settled on
-    fpow_prefix(-m, ·), built only up to the last such index."""
+def _turan_failure(f, prefix, lo=0, eps=0.0, three=False):
+    """The first n in 1..len(f) - 2 with v(n)^2 <= v(n-1) v(n+1), as
+    (n, "turan"), with v, prefix, lo and eps as in `_turan_signs`; with
+    `three`, an n where v(n-1), v(n), v(n+1) share a nonzero sign fails
+    first, as (n, "three-signs"), as in the exact loop that tests it first;
+    None when no n fails.
+
+    The precondition: every double in f is finite and below 2^511 in
+    absolute value, so no product overflows.  The ratio test of
+    `_turan_signs` proves b^2 > ac at an index where P > Q; that is the
+    whole chunk at one all() in the common case.  The other indices, and
+    every index where the doubles share a sign (exact for doubles of
+    integers), are read in order, settled with exact ints on one prefix up
+    to the last of them."""
+    import numpy as np
+
+    q = f[:-2] * f[2:]
+    same = (q > 0) & (f[:-2] * f[1:-1] > 0) if three else None
+    q *= _turan_margin(eps)
+    sure = f[1:-1] * f[1:-1] > q
+    if three:
+        sure[same] = False
+    if sure.all():
+        return None
+    unsure = np.flatnonzero(~sure).tolist()
+    vals = prefix(lo + unsure[-1] + 2)
+    for i in unsure:
+        if three and same[i]:
+            return i + 1, "three-signs"
+        a, b, c = (int(vals[j]) for j in range(lo + i, lo + i + 3))
+        if b * b <= a * c:
+            return i + 1, "turan"
+    return None
+
+
+def _b_turan_reads(m, n_max, read):
+    """read(f, prefix, lo, eps) over the chunks (lo, hi) of the n_max - 1
+    Turán indices of b_m, as an iterator of (lo, result), with f the doubles
+    of b_m(lo..hi + 1) from `fpow_doubles`, prefix = fpow_prefix(-m, ·) and
+    eps the error bound at hi + 1; or None when the double of b_m(n_max) is
+    not below 2^510.  b_m is positive and nondecreasing, so below that every
+    double read is below 2^511 and every product of two is finite.  The
+    exact prefix is built only as far as a chunk's unsure indices need."""
     f = fpow_doubles(-m, n_max)
     if not f[n_max] < 2.0**510:
         return None
     prefix = partial(fpow_prefix, -m)
-    return ((lo, _turan_signs(f[lo : hi + 2], prefix, lo, fpow_doubles_eps(-m, hi + 1)))
+    return ((lo, read(f[lo : hi + 2], prefix, lo, fpow_doubles_eps(-m, hi + 1)))
             for lo, hi in chunks(n_max - 1))
 
 
@@ -655,9 +705,11 @@ def _res_sign_exceptions_of(m, n_max):
         return None
     import numpy as np
 
-    return [sum(int(np.count_nonzero(np.sign(vals[3 * lo + j : 3 * hi : 3]) != (-1) ** j))
+    # sgn v != (-1)^j: one comparison per slice, v <= 0 at j = 0 and v >= 0
+    # at j = 1
+    return [sum(int(np.count_nonzero(off(vals[3 * lo + j : 3 * hi : 3], 0)))
                 for lo, hi in chunks(n_max + 1, 3))
-            for j in (0, 1)]
+            for j, off in enumerate((np.less_equal, np.greater_equal))]
 
 
 def _res_t_attained_of(m, n_max, span):
@@ -676,9 +728,8 @@ def _res_t_attained_of(m, n_max, span):
 
 
 def _res_threesigns_of(m, n_max):
-    """`_run_threesigns_of` on int64 values, or None."""
-    # a first index failing both properties reports three-signs, as the
-    # exact loop, which tests that first, does
+    """`_run_threesigns_of` on int64 values, or None.  Their doubles are
+    correctly rounded and below 2^63, as `_turan_failure` needs."""
     vals = _int64_values(m, n_max + 1)
     if vals is None:
         return None
@@ -687,32 +738,23 @@ def _res_threesigns_of(m, n_max):
     # n = lo + 1..hi, with one neighbour on either side
     for lo, hi in chunks(n_max - 1):
         part = vals[lo : hi + 2]
-        s = np.sign(part)
-        three = (s[:-2] == s[1:-1]) & (s[1:-1] == s[2:]) & (s[1:-1] != 0)
-        bad = _turan_signs(part.astype(np.float64), lambda top: part) <= 0
-        bad |= three
-        i = int(bad.argmax())
-        if bad[i]:
-            return lo + i + 1, "three-signs" if three[i] else "turan"
+        found = _turan_failure(part.astype(np.float64), lambda top: part, three=True)
+        if found:
+            return lo + found[0], found[1]
     return ()
 
 
 def _res_b_turan_of(m, n_max):
     """`_run_b_turan_of` on the doubles of b_m, or None."""
-    signs = _b_turan_signs(m, n_max)
-    if signs is None:
+    reads = _b_turan_reads(m, n_max, _turan_failure)
+    if reads is None:
         return None
-    for lo, part in signs:
-        bad = part <= 0
-        i = int(bad.argmax())
-        if bad[i]:
-            return lo + i + 1
-    return 0
+    return next((lo + found[0] for lo, found in reads if found), 0)
 
 
 def _res_b3_crossover(bounds):
     n_max = bounds["n"]
-    signs = _b_turan_signs(3, n_max)
+    signs = _b_turan_reads(3, n_max, _turan_signs)
     if signs is None:
         return None
     import numpy as np

@@ -10,11 +10,14 @@ import types
 import weakref
 import zlib
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from functools import partial
 from importlib.util import find_spec
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptmpow import bm_sequences, campaigns, fpow, tm_sequences
 from ptmpow.campaigns import CAMPAIGNS, exit_code_for, run_campaign
@@ -108,6 +111,26 @@ def test_t_regularity_declines_where_t6_passes_its_int64_limit():
     half = fpow.fpow_residues(6, 65 << 12)[: (65 << 11)].view("int64")
     assert max(int(half.max()), -int(half.min())).bit_length() == 61
     assert campaigns._int64_values(5, 65 << 12) is not None
+
+
+def test_t_regularity_declines_on_its_first_request_past_t6s_limit(monkeypatch):
+    # at depth 5 t_6's int64 certificate holds to n = 5630 and fails from
+    # 5631, before those of t_2, t_3 and t_5; the part requests t_6 first,
+    # so a verify process declines there before it builds any other array
+    pytest.importorskip("numpy")
+    assert campaigns._int64_values(6, 5631 << 5) is not None
+    assert all(campaigns._int64_values(m, 5632 << 5) is not None for m in (2, 3, 5))
+    monkeypatch.setattr(fpow, "_fpow_res", {})
+    requests, route = [], campaigns.fpow_residues
+
+    def request(t, n):
+        requests.append(t)
+        return route(t, n)
+
+    monkeypatch.setattr(campaigns, "fpow_residues", request)
+    with fpow.arrays_unkept():
+        assert CAMPAIGNS["t-regularity"].residue_runner({"n": 5631, "depth": 5}) is None
+    assert requests == [6]
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +381,103 @@ def test_turan_signs_settle_every_unsure_index_exactly():
     assert _signs_and_reads([7]) == ([], [])
 
 
+def _failure_and_reads(values, three=False):
+    import numpy as np
+
+    exact = _Reads(values)
+    exact.reads = []
+    f = np.array([float(v) for v in values])
+    return campaigns._turan_failure(f, lambda top: exact, three=three), exact.reads
+
+
+def test_turan_failure_settles_every_unsure_index_exactly():
+    pytest.importorskip("numpy")
+    # the near-ties of the sign test: b^2 - ac = +1 is unsure and holds,
+    # -1 is unsure and fails; every product stays finite
+    for b in (2**53 + 1, 2**62 + 1, 2**509 + 1):
+        assert _failure_and_reads([b - 1, b, b + 1]) == (None, [0, 1, 2])
+        assert _failure_and_reads([2, b, (b * b + 1) // 2]) == ((1, "turan"), [0, 1, 2])
+    # a tie and a zero fail; clear signs are read from the doubles alone;
+    # the exact reads stop at the first failure
+    assert _failure_and_reads([1, 2, 4, 8, 16]) == ((1, "turan"), [0, 1, 2])
+    assert _failure_and_reads([5, 0, 0, 5]) == ((1, "turan"), [0, 1, 2])
+    assert _failure_and_reads([1, 5, 1, -3, 2**62]) == ((3, "turan"), [2, 3, 4])
+    assert _failure_and_reads([1, 5, 1, -3, 2]) == (None, [])
+    assert _failure_and_reads([7]) == (None, [])
+
+
+def test_turan_failure_reports_three_signs_where_both_fail():
+    pytest.importorskip("numpy")
+    # 1, 1, 2 share a sign and 1 <= 2: the exact loop tests three-signs
+    # first; a shared sign is read from the doubles, so nothing is read
+    assert _failure_and_reads([1, 1, 2], three=True) == ((1, "three-signs"), [])
+    assert _failure_and_reads([-3, 2, -1, -1, -2], three=True) == ((3, "three-signs"), [])
+    assert _failure_and_reads([1, 1, 2]) == ((1, "turan"), [0, 1, 2])
+    # a Turán failure before a shared sign comes first
+    assert _failure_and_reads([2, -1, 3, 5, 7], three=True) == ((1, "turan"), [0, 1, 2])
+    assert _failure_and_reads([2, -3, 3, 5, 7], three=True) == ((3, "three-signs"), [])
+
+
+@st.composite
+def _turan_triples(draw):
+    """(a, b, c) below 2^510 in absolute value and a relative tilt: with
+    |a| and |b| of one bit length, c is either drawn alike, or b^2 (1 +
+    tilt e) / a rounded, e = eps + u, which puts b^2 - ac about where the
+    ratio test's margin ends."""
+    bits = draw(st.integers(1, 508))
+    big = st.integers(1 << (bits - 1), 1 << bits)
+    a, b = draw(big) * draw(st.sampled_from((1, -1))), draw(big) * draw(st.sampled_from((1, -1)))
+    if draw(st.booleans()):
+        return a, b, draw(big) * draw(st.sampled_from((1, -1, 0))), None
+    return a, b, None, draw(st.floats(-6, 6))
+
+
+@pytest.mark.parametrize("eps", [0.0, fpow.fpow_doubles_eps(-6, 1 << 19)])
+@settings(max_examples=500, deadline=None)
+@given(drawn=_turan_triples(), shifts=st.lists(st.floats(-1, 1), min_size=3, max_size=3))
+def test_every_turan_sign_the_doubles_decide_is_exact(eps, drawn, shifts):
+    # the ratio test decides, from doubles within a relative eps of the
+    # integers, only signs equal to the exact ones: correctly rounded at
+    # eps = 0, and perturbed within the largest bound a b_m chunk takes
+    # (4u of it spared for the two roundings of float(v) * (1 + d))
+    np = pytest.importorskip("numpy")
+    a, b, c, tilt = drawn
+    if c is None:
+        e = Fraction(eps + fpow.UNIT_ROUNDOFF)
+        c = round(Fraction(b * b) * (1 + Fraction(tilt) * e) / a)
+    room = max(eps - 4 * fpow.UNIT_ROUNDOFF, 0.0)
+    f = np.array([float(v) * (1 + room * d) for v, d in zip((a, b, c), shifts)])
+    x = b * b - a * c
+    sign = (x > 0) - (x < 0)
+    exact = [a, b, c]
+    assert campaigns._turan_signs(f, lambda top: exact, 0, eps).tolist() == [sign]
+    want = (1, "turan") if sign <= 0 else None
+    assert campaigns._turan_failure(f, lambda top: exact, 0, eps) == want
+    if a * b > 0 and b * c > 0:
+        want = (1, "three-signs")
+    assert campaigns._turan_failure(f, lambda top: exact, 0, eps, three=True) == want
+
+
+def test_ratio_test_leaves_fewer_b_m_indices_unsure(monkeypatch):
+    # every index of b_3..b_6 to 2^19 that the doubles leave unsure, chunk
+    # by chunk as the campaigns read them (the prefix of zeros settles each
+    # to 0, which the doubles never decide): at most what a tolerance test
+    # |fl(P - Q)| > (2.1 eps + 8u)(P + |Q|) left, 16384, 16383, 127896 and
+    # 348286; b_5 and b_6 pass 2^1024 there, where no index is decided
+    pytest.importorskip("numpy")
+    monkeypatch.setattr(fpow, "_fpow_res", {})
+    n = 1 << 19
+    zeros = [0] * (n + 1)
+    unsure = []
+    for m in (3, 4, 5, 6):
+        f = fpow.fpow_doubles(-m, n)
+        unsure.append(sum(int((campaigns._turan_signs(f[lo : hi + 2], lambda top: zeros, lo,
+                                                      fpow.fpow_doubles_eps(-m, hi + 1)) == 0).sum())
+                          for lo, hi in fpow.chunks(n - 1)))
+    assert unsure == [16384, 16383, 125757, 347410]
+    assert all(got <= was for got, was in zip(unsure, (16384, 16383, 127896, 348286)))
+
+
 @pytest.mark.parametrize("chunk", [fpow._CHUNK, 64])
 def test_kernel_doubles_of_b_m_are_within_their_bound(monkeypatch, chunk):
     # the float64 kernel against the exact prefix: every double up to n is
@@ -430,7 +550,8 @@ def test_unsure_b_m_signs_are_settled_on_a_prefix_to_the_last_one(monkeypatch, e
     monkeypatch.setattr(fpow, "_fpow_carries", {})
     monkeypatch.setattr(campaigns, "fpow_doubles_eps", lambda t, k: eps)
     monkeypatch.setattr(campaigns, "fpow_prefix", prefix)
-    signs = [s for _, part in campaigns._b_turan_signs(3, n) for s in part.tolist()]
+    signs = [s for _, part in campaigns._b_turan_reads(3, n, campaigns._turan_signs)
+             for s in part.tolist()]
     assert len(fpow._fpow_vals[-3]) == max(tops) + 1 == top + 1
     assert len(tops) <= len(list(fpow.chunks(n - 1)))
     b3 = fpow.fpow_prefix(-3, n)
