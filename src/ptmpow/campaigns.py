@@ -40,9 +40,9 @@ class CampaignReport(namedtuple("CampaignReport", "name kind claim bounds status
                                 "wall_ms backend backend_reason", defaults=("exact", None))):
     """What `run_campaign` returns.  `backend` is "residue" when a
     whole-array runner settled the campaign, else "exact".  `backend_reason`
-    says why a campaign with a residue runner ran exact: "no-numpy" (numpy
-    does not import), "import" (a verify process below the campaign's
-    cold_size) or "declined" (the residue runner returned None); else None."""
+    says why the campaign ran exact: "no-numpy" (numpy does not import),
+    "import" (a verify process below the campaign's cold_size) or "declined"
+    (the residue runner raised `Declined`); else None."""
 
     __slots__ = ()
 
@@ -60,6 +60,11 @@ class CampaignReport(namedtuple("CampaignReport", "name kind claim bounds status
         }
 
 
+class Declined(Exception):
+    """A residue part's reading cannot decide an index; `run_campaign`, the
+    only place that catches it, runs the exact runner instead."""
+
+
 def _ceil_half(v: int) -> int:
     return (v + 1) // 2
 
@@ -71,12 +76,13 @@ def _ceil_half(v: int) -> int:
 # shape holds the m (and k) ranges, the order of the kernel requests, how
 # their results combine and the witness.  A part is one backend's check of
 # one kernel request: `_run_*_of` reads `fpow_prefix`, `_res_*_of` reads
-# residues or doubles (below).  It returns the values the shape needs, or
-# None when a residue part declines, and the shape then returns None at
-# once.  The registry binds a part into its shape with `partial`; the
-# three t_{2^k+1} campaigns bind one valuation part per backend, which
-# checks that nu2 depends only on the class nu2(n+1), against a closed form
-# or against the values at each class's first index.  Each exact part reads
+# residues or doubles (below).  It returns the values the shape needs; a
+# residue part that cannot decide an index raises `Declined` instead, which
+# passes through the shape to `run_campaign`.  The registry binds a part
+# into its shape with `partial`; the three t_{2^k+1} campaigns bind one
+# valuation part per backend, which checks that nu2 depends only on the
+# class nu2(n+1), against a closed form or against the values at each
+# class's first index.  Each exact part reads
 # the values and decides each index itself, so the exact runner stays an
 # independent reference for the check; only the loop and the witness are
 # shared.
@@ -86,12 +92,10 @@ def _valuation(part, m, width, expect_of, extra, bounds):
     """nu2(f_(width*n + j)(m)) = expect_of(nu2(n + 1)) for n <= bounds["n"]
     and j < width, with `part` a valuation part; `extra` adds witness keys
     from the failing index i = width*n + j."""
-    found = part(m, width, expect_of, bounds["n"])
-    if found is None:
-        return None
-    if not found[1]:
+    _, failing = part(m, width, expect_of, bounds["n"])
+    if not failing:
         return VERIFIED, {}
-    i, got = found[1]
+    i, got = failing
     n = i // width
     return OBSERVATION, {"failing": {"m": m, "n": n, "j": i % width, **extra(i),
                                      "expected": expect_of(nu2(n + 1)), "actual": got}}
@@ -110,10 +114,7 @@ def _t2k1_table(part, bounds):
     class and gives the first index that contradicts it."""
     out = {}
     for k in (2, 3):
-        found = part((1 << k) + 1, 1 << k, None, bounds["n"])
-        if found is None:
-            return None
-        table, conflict = found
+        table, conflict = part((1 << k) + 1, 1 << k, None, bounds["n"])
         if conflict:
             i, got = conflict
             n = i >> k
@@ -130,16 +131,14 @@ def _t_regular(valuations_of, bounds):
     """Kernel-of-subsequences statistics: how many distinct valuation
     patterns (nu2(t_m(2^l n + j)))_(n <= bounds["n"]), l <= depth, j < 2^l,
     there are per m.  valuations_of(m, size) gives nu2 of t_m(0..size - 1),
-    with one mark for a zero, as a sequence whose slices compare by value,
-    or None; each pattern is a strided slice of it."""
+    with one mark for a zero, as a sequence whose slices compare by value;
+    each pattern is a strided slice of it."""
     n_max, depth = bounds["n"], bounds["depth"]
     stats = {}
     # t_6 first: its int64 certificate is the first to fail (at depth 5 from
     # n = 5631), so a residue part declines before it builds the others
     for m in (6, 2, 3, 5):
         v2 = valuations_of(m, (n_max + 1) << depth)
-        if v2 is None:
-            return None
         stats[m] = len({v2[j : (n_max << l) + j + 1 : 1 << l]
                         for l in range(depth + 1) for j in range(1 << l)})
     return OBSERVATION, {"distinct_kernel_patterns": {f"m={m}": stats[m] for m in sorted(stats)},
@@ -151,10 +150,8 @@ def _bm_unbounded(max_nu2_of, bounds):
     n_max) gives the largest value and the first n at which it occurs."""
     out = {}
     for m in (2, 4, 5, 6):
-        found = max_nu2_of(m, bounds["n"])
-        if found is None:
-            return None
-        out[f"m={m}"] = {"max_nu2": found[0], "at": found[1]}
+        best, at = max_nu2_of(m, bounds["n"])
+        out[f"m={m}"] = {"max_nu2": best, "at": at}
     return OBSERVATION, out
 
 
@@ -162,7 +159,7 @@ def _b_pow2_congruence(firsts, bounds):
     """b_{2^m}(2^(k+1) n) == b_{2^m}(2^(k-1) n)  (mod 2^k) for k >= m+2.
     firsts(t, idx_max, ks, mod_of) gives, per k in ks, the least n >= 1 with
     f_(n << (k+1))(t) != f_(n << (k-1))(t) (mod mod_of(k)), or 0 when every n
-    up to idx_max >> (k+1) holds; it never declines."""
+    up to idx_max >> (k+1) holds."""
     for m in (1, 2, 3):
         ks = range(m + 2, m + 5)
         for k, n in zip(ks, firsts(-(1 << m), bounds["index"], ks, lambda k: 1 << k)):
@@ -199,14 +196,9 @@ def _b_congruence_growth(min_nu2s, bounds):
     """Empirically fit f(k) = min_n nu2(b_m(2^(k+1) n) - b_m(2^(k-1) n)).
     min_nu2s(t, idx_max, ks) gives, per k in ks, the least nu2 of the
     nonzero differences f_(n << (k+1))(t) - f_(n << (k-1))(t), n up to
-    idx_max >> (k+1), or "exact" when there are none; None for a k declines."""
-    fit = {}
-    for m in (3, 5, 6):
-        per_k = min_nu2s(-m, bounds["index"], range(2, 8))
-        if None in per_k:
-            return None
-        fit[f"m={m}"] = per_k
-    return OBSERVATION, {"f(k) for k=2..7": fit}
+    idx_max >> (k+1), or "exact" when there are none."""
+    return OBSERVATION, {"f(k) for k=2..7": {f"m={m}": min_nu2s(-m, bounds["index"], range(2, 8))
+                                             for m in (3, 5, 6)}}
 
 
 def _ratio_text(a, b):
@@ -224,8 +216,6 @@ def _sign_density(exceptions_of, bounds):
     out = {}
     for m in (2, 3, 4, 5):
         hits = exceptions_of(m, n_max)
-        if hits is None:
-            return None
         for j in (0, 1):
             out[f"m={m},j={j}"] = {
                 "exceptions": hits[j],
@@ -240,8 +230,6 @@ def _first_failing(ms, witness, first_failure, bounds):
     the first m that has one."""
     for m in ms:
         found = first_failure(m, bounds["n"])
-        if found is None:
-            return None
         if found:
             return OBSERVATION, witness(m, found)
     return VERIFIED, {}
@@ -269,8 +257,6 @@ def _t_missing_values(attained_of, bounds):
     out = {}
     for m in (3, 4, 5):
         attained = attained_of(m, bounds["n"], span)
-        if attained is None:
-            return None
         missing = [v for v in range(-span, span + 1) if v not in attained]
         out[f"m={m}"] = {"attained_in_window": len(attained), "missing": missing}
     return OBSERVATION, out
@@ -437,16 +423,16 @@ def _run_t2_symmetry(bounds):
 # residue runner only when numpy imports, in a session at any size and in a
 # `ptmpow verify` process (inside `fpow.arrays_unkept()`) from the
 # campaign's `cold_size`, so a runner decides only the mathematics.  Each
-# gives the exact runner's (status, witness), or None, in which case
-# run_campaign runs the exact runner for the whole campaign
-# (`backend_reason` "declined"): when a residue whose nu2 is taken or that
-# is tested for zero is 0 (a zero value or nu2 >= 64), when the certificate
-# of an int64 reading of t_m fails, and when the double of a b_m value is
-# not below 2^510.  Any exact settling of such an index would build the exact
-# prefix up to it, so declining costs no more.  A masked congruence
-# difference is exact, so `_res_firsts` never declines; `_res_min_nu2s`
-# takes nu2 of the whole difference and declines on a difference of 0 mod
-# 2^64.
+# gives the exact runner's (status, witness), or raises `Declined`, and
+# run_campaign then runs the exact runner for the whole campaign
+# (`backend_reason` "declined"): at a residue of 0 whose nu2 is taken or
+# that is tested for zero (a zero value or nu2 >= 64, `_nonzero`), when the
+# certificate of an int64 reading of t_m fails (`_certify`), and when the
+# double of a b_m value is not below 2^510.  Any exact settling of such an
+# index would build the exact prefix up to it, so declining costs no more.
+# A masked congruence difference is exact, so `_res_firsts` never declines;
+# `_res_min_nu2s` takes nu2 of the whole difference and declines on a
+# difference of 0 mod 2^64.
 #
 # Memory: one array per kernel request plus one chunk.  Every part that
 # reads a whole index range walks it in `chunks` or in the blocks of
@@ -482,6 +468,14 @@ def _nu2_residues(r):
     return np.bitwise_count(low)
 
 
+def _nonzero(r):
+    """r itself when no residue in it is 0 (a zero value or nu2 >= 64);
+    else `Declined`."""
+    if not r.all():
+        raise Declined
+    return r
+
+
 def _by_class(table, lo, hi, width):
     """table[nu2(i // width + 1)] for i = lo..hi - 1: looked up once per n
     and repeated, so only the result is as long as the range."""
@@ -492,10 +486,10 @@ def _by_class(table, lo, hi, width):
 
 
 def _res_valuation_of(m, width, expect_of, n_max):
-    """`_run_valuation_of` on residues, one block of indices at a time, or
-    None at a residue of 0.  A class's first index precedes the rest of its
-    class, so the table fills as the blocks pass; with a failing index it
-    holds the classes whose first index is not after it."""
+    """`_run_valuation_of` on residues, one block of indices at a time.  A
+    class's first index precedes the rest of its class, so the table fills
+    as the blocks pass; with a failing index it holds the classes whose
+    first index is not after it."""
     import numpy as np
 
     firsts = [((1 << v) - 1) * width for v in range((n_max + 1).bit_length())]
@@ -503,9 +497,7 @@ def _res_valuation_of(m, width, expect_of, n_max):
     # uint8, as the nu2 of the residues are
     expect = table if expect_of is None else expect_of(np.arange(len(firsts))).astype(np.uint8)
     for lo, block in fpow_stream(m, width * (n_max + 1) - 1)[1]:
-        if not block.all():
-            return None
-        got = _nu2_residues(block)
+        got = _nu2_residues(_nonzero(block))
         hi = lo + block.size
         for v in range(bisect_left(firsts, lo), bisect_left(firsts, hi)):
             table[v] = got[firsts[v] - lo]
@@ -538,25 +530,21 @@ def _res_firsts(t, idx_max, ks, mod_of):
 
 
 def _res_min_nu2s(t, idx_max, ks):
-    """`_run_min_nu2s` on residues, with None at a k whose differences hold
-    one of 0 mod 2^64: an exact 0, which the exact part skips, or nu2 >= 64."""
+    """`_run_min_nu2s` on residues; a difference of 0 mod 2^64 declines: an
+    exact 0, which the exact part skips, or nu2 >= 64."""
     def min_nu2(k, d):
-        if not d.all():
-            return None
-        return int(_nu2_residues(d).min()) if d.size else "exact"
+        return int(_nu2_residues(_nonzero(d)).min()) if d.size else "exact"
 
     return _congruence_reads(t, idx_max, ks, min_nu2)
 
 
 def _res_valuations_of(m, size):
-    """`_run_valuations_of` on int64 values, as bytes with 64 at a zero, or
-    None.  A certified reading is below 2^63, so a nonzero one has nu2 <= 62
-    and 64 marks a zero alone, as -1 does in the exact part."""
-    vals = _int64_values(m, size)
-    if vals is None:
-        return None
+    """`_run_valuations_of` on int64 values, as bytes with 64 at a zero.  A
+    certified reading is below 2^63, so a nonzero one has nu2 <= 62 and 64
+    marks a zero alone, as -1 does in the exact part."""
     import numpy as np
 
+    vals = _int64_values(m, size)
     v2 = np.empty(size, np.uint8)
     for lo, hi in chunks(size):
         # as uint64: bitwise_count of a signed value counts its absolute value
@@ -565,14 +553,12 @@ def _res_valuations_of(m, size):
 
 
 def _res_max_nu2_of(m, n_max):
-    """`_run_max_nu2_of` on residues, one block at a time, or None."""
+    """`_run_max_nu2_of` on residues, one block at a time."""
     # argmax and a strict > across blocks take the first maximum, as the
     # exact loop's strict > does
     best, arg = -1, 0
     for lo, block in fpow_stream(-m, n_max)[1]:
-        if not block.all():
-            return None
-        v = _nu2_residues(block)
+        v = _nu2_residues(_nonzero(block))
         at = int(v.argmax())
         if int(v[at]) > best:
             best, arg = int(v[at]), lo + at
@@ -580,7 +566,7 @@ def _res_max_nu2_of(m, n_max):
 
 
 def _int64_values(m, size):
-    """[t_m(0), ..., t_m(size - 1)] as an exact int64 array, or None when
+    """[t_m(0), ..., t_m(size - 1)] as an exact int64 array; `Declined` when
     the certificate fails.
 
     F^m = (1-x)^m F(x^2)^m makes t_m(i) a sum of values t_m(k), k <= i/2,
@@ -590,15 +576,18 @@ def _int64_values(m, size):
     [2^j, 2^(j+1)) from t_m(0) = 1, each of those readings is exact, and so
     every |t_m(i)|, i < size, is below 2^63 and read exactly too."""
     vals = fpow_residues(m, size - 1)[:size].view("int64")
-    return vals if _certifies(vals[: (size - 1) // 2 + 1], 64 - m) else None
+    _certify(vals[: (size - 1) // 2 + 1], 64 - m)
+    return vals
 
 
-def _certifies(vals, bits):
-    """True when every int64 reading in `vals` is below 2^bits in absolute
-    value.  At bits = 64 - m on the readings of t_m(0..k) this proves every
-    int64 reading of t_m up to 2k + 1 exact (see `_int64_values`)."""
+def _certify(vals, bits):
+    """`Declined` unless every int64 reading in `vals` is below 2^bits in
+    absolute value.  At bits = 64 - m on the readings of t_m(0..k) this
+    proves every int64 reading of t_m up to 2k + 1 exact (see
+    `_int64_values`)."""
     # not np.abs, which leaves -2^63 negative
-    return max(int(vals.max()), -int(vals.min())) < 1 << bits
+    if max(int(vals.max()), -int(vals.min())) >= 1 << bits:
+        raise Declined
 
 
 def _turan_margin(eps):
@@ -686,25 +675,23 @@ def _b_turan_reads(m, n_max, read):
     """read(f, prefix, lo, eps) over the chunks (lo, hi) of the n_max - 1
     Turán indices of b_m, as an iterator of (lo, result), with f the doubles
     of b_m(lo..hi + 1) from `fpow_doubles`, prefix = fpow_prefix(-m, ·) and
-    eps the error bound at hi + 1; or None when the double of b_m(n_max) is
-    not below 2^510.  b_m is positive and nondecreasing, so below that every
-    double read is below 2^511 and every product of two is finite.  The
-    exact prefix is built only as far as a chunk's unsure indices need."""
+    eps the error bound at hi + 1; `Declined` when the double of b_m(n_max)
+    is not below 2^510.  b_m is positive and nondecreasing, so below that
+    every double read is below 2^511 and every product of two is finite.
+    The exact prefix is built only as far as a chunk's unsure indices need."""
     f = fpow_doubles(-m, n_max)
     if not f[n_max] < 2.0**510:
-        return None
+        raise Declined
     prefix = partial(fpow_prefix, -m)
     return ((lo, read(f[lo : hi + 2], prefix, lo, fpow_doubles_eps(-m, hi + 1)))
             for lo, hi in chunks(n_max - 1))
 
 
 def _res_sign_exceptions_of(m, n_max):
-    """`_run_sign_exceptions_of` on int64 values, or None."""
-    vals = _int64_values(m, 3 * n_max + 2)
-    if vals is None:
-        return None
+    """`_run_sign_exceptions_of` on int64 values."""
     import numpy as np
 
+    vals = _int64_values(m, 3 * n_max + 2)
     # sgn v != (-1)^j: one comparison per slice, v <= 0 at j = 0 and v >= 0
     # at j = 1
     return [sum(int(np.count_nonzero(off(vals[3 * lo + j : 3 * hi : 3], 0)))
@@ -713,12 +700,10 @@ def _res_sign_exceptions_of(m, n_max):
 
 
 def _res_t_attained_of(m, n_max, span):
-    """`_run_t_attained_of` on int64 values, or None."""
-    vals = _int64_values(m, n_max + 1)
-    if vals is None:
-        return None
+    """`_run_t_attained_of` on int64 values."""
     import numpy as np
 
+    vals = _int64_values(m, n_max + 1)
     # seen[v + span]: whether v in [-span, span] is attained
     seen = np.zeros(2 * span + 1, dtype=bool)
     for lo, hi in chunks(n_max + 1):
@@ -728,13 +713,11 @@ def _res_t_attained_of(m, n_max, span):
 
 
 def _res_threesigns_of(m, n_max):
-    """`_run_threesigns_of` on int64 values, or None.  Their doubles are
-    correctly rounded and below 2^63, as `_turan_failure` needs."""
-    vals = _int64_values(m, n_max + 1)
-    if vals is None:
-        return None
+    """`_run_threesigns_of` on int64 values.  Their doubles are correctly
+    rounded and below 2^63, as `_turan_failure` needs."""
     import numpy as np
 
+    vals = _int64_values(m, n_max + 1)
     # n = lo + 1..hi, with one neighbour on either side
     for lo, hi in chunks(n_max - 1):
         part = vals[lo : hi + 2]
@@ -745,18 +728,12 @@ def _res_threesigns_of(m, n_max):
 
 
 def _res_b_turan_of(m, n_max):
-    """`_run_b_turan_of` on the doubles of b_m, or None."""
+    """`_run_b_turan_of` on the doubles of b_m."""
     reads = _b_turan_reads(m, n_max, _turan_failure)
-    if reads is None:
-        return None
     return next((lo + found[0] for lo, found in reads if found), 0)
 
 
 def _res_b3_crossover(bounds):
-    n_max = bounds["n"]
-    signs = _b_turan_reads(3, n_max, _turan_signs)
-    if signs is None:
-        return None
     import numpy as np
 
     # the alternation wants -1 at odd n and +1 at even n up to the last
@@ -764,7 +741,7 @@ def _res_b3_crossover(bounds):
     # nonpositive sign, the odd n between the last one before and the chunk
     # break the alternation, and so do the chunk's own up to its last one
     last, zeros, breaks = 0, [], []
-    for lo, part in signs:
+    for lo, part in _b_turan_reads(3, bounds["n"], _turan_signs):
         n = np.arange(lo + 1, lo + 1 + part.size)
         zeros += n[part == 0].tolist()
         nonpositive = np.flatnonzero(part <= 0)
@@ -806,7 +783,7 @@ def _t2_at(quarter, p):
 
 def _t2_partner_misses(m, lo, quarter):
     """Where t_2(p) != -m for the nonzero m = t_2(lo), t_2(lo + 1), ... and
-    p the partner index of each, as a bool array, or None when a partner
+    p the partner index of each, as a bool array; `Declined` when a partner
     lies past what `_t2_at` reads from quarter."""
     # m = t_2(n) has the partner p = n + (-1)^e 2^w, w = nu2(m) + 1, where
     # e = w - 1 + (m - 2^(w-1)) / 2^w = w - 1 + (m >> w)
@@ -826,7 +803,7 @@ def _t2_partner_misses(m, lo, quarter):
     del w  # so that `_t2_at` holds three buffers, not four
     p += np.arange(lo, lo + m.size)
     if p.max() >= 4 * quarter.size:
-        return None
+        raise Declined
     bad = p < 0
     np.maximum(p, 0, out=p)
     got = _t2_at(quarter, p)
@@ -853,13 +830,11 @@ def _res_t2_symmetry(bounds):
     top = (3 * n_max + 2) // 4
     res, blocks = fpow_stream(2, n_max, top)
     quarter = res[: top + 1].view("int64")
-    if not _certifies(quarter, 61):
-        return None
+    _certify(quarter, 61)
     for lo, block in blocks:
-        m = block.view("int64")
-        bad = _t2_partner_misses(m, lo, quarter) if m.all() and _certifies(m, 62) else None
-        if bad is None:
-            return None
+        m = _nonzero(block.view("int64"))
+        _certify(m, 62)
+        bad = _t2_partner_misses(m, lo, quarter)
         n = int(bad.argmax())
         if bad[n]:
             return COUNTEREXAMPLE, {"n": lo + n, "value": int(m[n])}
@@ -869,8 +844,9 @@ def _res_t2_symmetry(bounds):
 def _res_t_zero_of(m, n_max):
     """`_run_t_zero_of` on residues, one block at a time: a nonzero residue
     proves a nonzero value, and a zero residue declines."""
-    blocks = fpow_stream(m, n_max)[1]
-    return 0 if all((block[1:] if lo == 0 else block).all() for lo, block in blocks) else None
+    for lo, block in fpow_stream(m, n_max)[1]:
+        _nonzero(block[1:] if lo == 0 else block)
+    return 0
 
 
 def _res_b2_valuation_list(bounds):
@@ -894,7 +870,7 @@ def _res_b2_valuation_list(bounds):
                 if bad[n]:
                     value = int(line[lo + n])
                     if not value:  # nu2 >= 64
-                        return None
+                        raise Declined
                     return COUNTEREXAMPLE, {"modulus": modulus, "i": i, "n": lo + n,
                                             "value_nu2": nu2(value)}
             checked += line.size
@@ -906,13 +882,15 @@ def _res_b2_valuation_list(bounds):
 
 
 class Campaign(namedtuple("Campaign", "name kind claim defaults runner residue_runner "
-                          "minimum cold_size", defaults=(None, 0, 0))):
+                          "minimum cold_size", defaults=(0, 0))):
     """One registered claim.  `kind` is theorem, conjecture or question.
-    `minimum` is the least value of the size key at which the runner checks
-    anything.  `cold_size` is the least value of the size key at which a
-    `ptmpow verify` process runs the residue runner; below it the exact
-    runner finishes before the residue runner and its numpy import would (a
-    session runs it at any size)."""
+    `runner` is the exact runner and `residue_runner` the whole-array one,
+    each giving (status, witness); the residue runner raises `Declined`
+    where its readings cannot decide an index.  `minimum` is the least value
+    of the size key at which the runners check anything.  `cold_size` is the
+    least value of the size key at which a `ptmpow verify` process runs the
+    residue runner; below it the exact runner finishes before the residue
+    runner and its numpy import would (a session runs it at any size)."""
 
     __slots__ = ()
 
@@ -1093,19 +1071,23 @@ def run_campaign(name: str, bounds: dict | None = None) -> CampaignReport:
     # import once and runs every residue runner; a `ptmpow verify` process
     # (inside fpow.arrays_unkept()) pays it for one campaign, so it runs the
     # residue runner only from the campaign's cold_size
-    verdict = reason = None
-    if camp.residue_runner and size < camp.cold_size and not arrays_kept():
+    reason = None
+    if size < camp.cold_size and not arrays_kept():
         reason = "import"
-    elif camp.residue_runner:
+    else:
         try:
             import numpy  # noqa: F401
         except ImportError:
             reason = "no-numpy"
         else:
-            verdict = camp.residue_runner(eff)
-            reason = None if verdict else "declined"
+            try:
+                verdict = camp.residue_runner(eff)
+            except Declined:
+                reason = "declined"
+    # the exact runner runs after the except clause, whose exception holds
+    # the declining part's frames, and so its arrays, until the clause ends
     backend = "residue"
-    if verdict is None:
+    if reason:
         backend, verdict = "exact", camp.runner(eff)
     status, witness = verdict
     wall_ms = int((time.monotonic() - t0) * 1000)

@@ -46,18 +46,10 @@ class FSeries:
     Since c(j) < 0, S_m / m! runs the log-derivative recurrence at t = -1,
     so S_m = m! b_1(m), with the binary partition count b_1(m) = f_m(-1)
     read from the production kernel (`fpow.fpow_at`).
-
-    A call that adds fewer rows than the table holds, as in a walk one row
-    at a time, keeps its packed rows for the next call, at digits sized for
-    twice the table, so such a walk repacks O(log n) times.  A call that at
-    least doubles the table keeps only the IntPoly rows: a packed copy, all
-    at the widest row's digits, would be about 1.5 times their size.
     """
 
     def __init__(self):
         self._g: list[IntPoly] = [IntPoly.one()]
-        self._nb = 1  # digit bytes of _packed
-        self._packed: list[int] | None = None  # g_0, g_1, ... packed, after a short call
 
     def _bound(self, m: int) -> int:
         """S_m = m! b_1(m)."""
@@ -68,22 +60,15 @@ class FSeries:
         m0 = len(g)
         if n < m0:
             return
-        short = n < 2 * m0
-        packed = self._packed
-        if packed is None or self._bound(n).bit_length() >= 8 * self._nb:
-            self._nb = self._bound(max(n, 2 * m0) if short else n).bit_length() // 8 + 1
-            packed = [kron_pack(p.coeffs, self._nb) for p in g] if short else None
-        nb = self._nb
+        nb = self._bound(n).bit_length() // 8 + 1
         acc = [0] * (n + 1 - m0)  # H_m for m = m0..n
         for k in range(n + 1):
             if k < m0:
-                row = kron_pack(g[k].coeffs, nb) if packed is None else packed[k]
+                row = kron_pack(g[k].coeffs, nb)
             else:
                 row = acc[k - m0] << (8 * nb)  # g_k = t * H_k
                 acc[k - m0] = None  # H_k is done; free it
                 g.append(IntPoly(kron_unpack(row, k + 1, nb)))
-                if packed is not None:
-                    packed.append(row)
             # the open H_m with m - k = d * odd, d a power of 2, share the
             # term c(m - k) row = (1 - 2d) row, built once and dropped after
             by_d: dict[int, list[int]] = {}
@@ -93,7 +78,6 @@ class FSeries:
                 term = (1 - 2 * d) * row
                 for j in open_:
                     acc[j] = acc[j] * k + term
-        self._packed = packed if short else None
 
     def g(self, n: int) -> IntPoly:
         if n < 0:

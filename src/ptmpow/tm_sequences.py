@@ -153,45 +153,34 @@ def _shift_family_member(n: int, m: int = 4) -> int | None:
     return (q << m) + (r if r >= 4 else (1 << m) - 8 + r)
 
 
-# t2_solve_many scans n < _T2_SCAN_CAP
+# t2_solve scans n < _T2_SCAN_CAP
 _T2_SCAN_CAP = 1 << 23
 
 
-def t2_solve_many(targets) -> dict[int, SolveResult]:
-    """Least n with t_2(n) = target for each target, by scanning the kernel
-    prefix fpow_prefix(2, N) with N doubling up to _T2_SCAN_CAP.
+def t2_solve(target: int) -> SolveResult:
+    """The least n with t_2(n) = target, by scanning the kernel prefix
+    fpow_prefix(2, N) with N doubling up to _T2_SCAN_CAP, and its shifted
+    instance, checked to hold the same value.
 
     Empirically every |target| <= 500 is hit by n <= 21698, so the cap is a
     safety valve, not a working limit.  Since |t_2(n)| <= n+1, a target
     above the cap in absolute value is refused before the scan; one not
     found below the cap is a ValueError too.
     """
-    want = set(targets)
-    if 0 in want:
+    if target == 0:
         raise ValueError("t_2 never vanishes; target 0 is unsolvable")
-    beyond = sorted(v for v in want if abs(v) > _T2_SCAN_CAP)
-    if beyond:
-        raise ValueError(f"|t_2(n)| <= n+1, so targets {beyond} lie past the "
+    if abs(target) > _T2_SCAN_CAP:
+        raise ValueError(f"|t_2(n)| <= n+1, so target {target} lies past the "
                          f"scan cap n < {_T2_SCAN_CAP}")
-    found: dict[int, SolveResult] = {}
     lo, hi = 0, 1 << 12
-    while True:
-        vals = fpow_prefix(2, hi - 1)
-        for n in range(lo, hi):
-            v = vals[n]
-            if v in want and v not in found:
-                found[v] = SolveResult(v, n, _shift_family_member(n))
-                if len(found) == len(want):
-                    return found
+    while target not in (vals := fpow_prefix(2, hi - 1))[lo:hi]:
         if hi >= _T2_SCAN_CAP:
-            raise ValueError(f"targets {sorted(want - set(found))} not found below {hi}")
+            raise ValueError(f"target {target} not found below {hi}")
         lo, hi = hi, 2 * hi
-
-
-def t2_solve(target: int) -> SolveResult:
-    res = t2_solve_many([target])[target]
+    n = vals.index(target, lo, hi)
+    res = SolveResult(target, n, _shift_family_member(n))
     if res.shifted_instance is not None and fpow_at(2, res.shifted_instance) != target:
-        raise ArithmeticError(f"shifted instance failed for n={res.n}")
+        raise ArithmeticError(f"shifted instance failed for n={n}")
     return res
 
 

@@ -7,9 +7,10 @@ Each line is one call and what it returned, as JSON `[call, verdict]`:
 - `["claim", name]`: the campaign's kind, claim text and default bounds,
   which its stdout prints beside the verdict.
 - `["campaign", name, backend, bounds]`: the campaign's exact or residue
-  runner at those bounds, and its `(status, witness)` (null when a residue
-  runner declines).  Every campaign runs at its default bounds and at each
-  size of SIZES that is at least its `minimum`.
+  runner at those bounds, and its `(status, witness)`; no recorded call
+  declines, and one that did would raise `campaigns.Declined` here.  Every
+  campaign runs at its default bounds and at each size of SIZES that is at
+  least its `minimum`.
 - `["check", module, function, args]`: a `check_*` of that module, and its
   `[name, ok, checked, witness]`.
 - `["cli", argv, ...]`: each argv through `ptmpow.cli.main` in turn, in one
@@ -152,7 +153,7 @@ def calls():
         yield ["claim", name]
         sizes = [camp.defaults] + [{**camp.defaults, camp.size_key: size} for size in SIZES
                                    if size >= camp.minimum]
-        for backend in ("exact", "residue") if camp.residue_runner else ("exact",):
+        for backend in ("exact", "residue"):
             for bounds in sizes:
                 yield ["campaign", name, backend, bounds]
     for module, function, args in CHECKS:

@@ -34,7 +34,7 @@ from ptmpow.tm_sequences import (
     check_t3_reducibility_witness,
     maxmin_closed,
     multinomial_s1_enumerate,
-    t2_solve_many,
+    t2_solve,
     t2_symmetry_partner,
     t3_zero_seq,
     t3_zero_set_upto,
@@ -169,7 +169,7 @@ def test_criterion_06_t3_zero_prefix_and_reducibility():
 def test_criterion_07_t2_coverage():
     with criterion(7, 60, "t_2 hits every target in [-50,50]; symmetry on n <= 10^5; mod-4 rule to 2^16"):
         targets = [v for v in range(-50, 51) if v]
-        found = t2_solve_many(targets)
+        found = {v: t2_solve(v) for v in targets}
         for v in targets:
             assert fpow_at(2, found[v].n) == v
             if found[v].shifted_instance is not None:

@@ -67,9 +67,6 @@ def test_fseries_matches_the_row_recurrence_in_any_steps(g_reference):
         fs = FSeries()
         fs.extend(n)
         assert [fs.g(m) for m in range(n + 1)] == g_reference[: n + 1], n
-    # a call that doubles the table keeps no packed copy of it; a walk does
-    assert one_shot._packed is None and uneven._packed is None
-    assert len(walk._packed) == 201
 
 
 def test_fseries_bound_covers_every_coefficient(g_reference):

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptmpow import bm_sequences, campaigns, fpow, tm_sequences
-from ptmpow.campaigns import CAMPAIGNS, exit_code_for, run_campaign
+from ptmpow.campaigns import CAMPAIGNS, Declined, exit_code_for, run_campaign
 from ptmpow.cli import _jdump, main
 from ptmpow.seqcache import CacheError, cache_load, cache_store
 from ptmpow.fpow import fpow_at
@@ -33,6 +33,18 @@ SMALL = {"n": 1 << 8, "index": 1 << 10, "depth": 4}
 
 def _bounds_for(name):
     return {k: SMALL[k] for k in CAMPAIGNS[name].defaults if k in SMALL}
+
+
+def _or_none(part, *args):
+    """part(*args), or None where it raises `Declined`."""
+    try:
+        return part(*args)
+    except Declined:
+        return None
+
+
+def _declines(bounds):
+    raise Declined
 
 
 def test_registry_shape():
@@ -107,7 +119,8 @@ def test_t_regularity_declines_where_t6_passes_its_int64_limit():
     # that prefix holds readings of 61 bits, past the 58 that certify them
     pytest.importorskip("numpy")
     camp = CAMPAIGNS["t-regularity"]
-    assert camp.residue_runner({"n": 64, "depth": 12}) is None
+    with pytest.raises(Declined):
+        camp.residue_runner({"n": 64, "depth": 12})
     half = fpow.fpow_residues(6, 65 << 12)[: (65 << 11)].view("int64")
     assert max(int(half.max()), -int(half.min())).bit_length() == 61
     assert campaigns._int64_values(5, 65 << 12) is not None
@@ -128,8 +141,8 @@ def test_t_regularity_declines_on_its_first_request_past_t6s_limit(monkeypatch):
         return route(t, n)
 
     monkeypatch.setattr(campaigns, "fpow_residues", request)
-    with fpow.arrays_unkept():
-        assert CAMPAIGNS["t-regularity"].residue_runner({"n": 5631, "depth": 5}) is None
+    with fpow.arrays_unkept(), pytest.raises(Declined):
+        CAMPAIGNS["t-regularity"].residue_runner({"n": 5631, "depth": 5})
     assert requests == [6]
 
 
@@ -199,7 +212,7 @@ def _plant(monkeypatch, t, index, value):
 
 
 def test_residue_campaigns_are_exactly_the_residue_set():
-    assert sorted(n for n, c in CAMPAIGNS.items() if c.residue_runner) == sorted(RESIDUE_CAMPAIGNS)
+    assert sorted(CAMPAIGNS) == sorted(RESIDUE_CAMPAIGNS)
 
 
 def _residues_in_verify(monkeypatch, name):
@@ -274,7 +287,7 @@ def test_planted_values_give_the_exact_verdict(monkeypatch, name, bounds, t, ind
         want = ValueError
     else:
         want = camp.runner(dict(bounds))
-    fast = camp.residue_runner(dict(bounds))
+    fast = _or_none(camp.residue_runner, dict(bounds))
     assert fast == (None if plant in declines else want)
     if want is ValueError:
         # only a runner that declines leaves the campaign to one that raises
@@ -333,7 +346,7 @@ def test_int64_runners_decline_past_the_proved_bound(monkeypatch, name, bounds, 
                             (2 ** (64 - m) - 1, False), (1 - 2 ** (64 - m), False)):
         with monkeypatch.context() as patch:
             _plant(patch, m, index, value)
-            assert (camp.residue_runner(dict(bounds)) is None) == declines, value
+            assert (_or_none(camp.residue_runner, dict(bounds)) is None) == declines, value
 
 
 def test_int64_certificate_holds_at_the_cold_sizes():
@@ -603,7 +616,7 @@ def test_whole_array_runners_give_the_exact_verdict(monkeypatch, name, bounds, t
     want = camp.runner(dict(bounds))
     assert want != clean
     assert verdict in (None, want)
-    assert camp.residue_runner(dict(bounds)) == (None if declines else want)
+    assert _or_none(camp.residue_runner, dict(bounds)) == (None if declines else want)
     rep = run_campaign(name, dict(bounds))
     assert (rep.status, rep.witness, rep.backend) == (
         *want, "exact" if declines else "residue")
@@ -614,7 +627,8 @@ def test_t2_symmetry_declines_on_a_zero(monkeypatch):
     pytest.importorskip("numpy")
     _plant(monkeypatch, 2, 9, 0)
     camp = CAMPAIGNS["t2-symmetry"]
-    assert camp.residue_runner({"n": 64}) is None
+    with pytest.raises(Declined):
+        camp.residue_runner({"n": 64})
     with pytest.raises(ValueError):
         camp.runner({"n": 64})
 
@@ -833,7 +847,7 @@ def test_no_campaign_writes_to_a_shared_prefix(monkeypatch):
     monkeypatch.setattr(fpow, "_fpow_vals", {})
     monkeypatch.setattr(fpow, "_fpow_carries", {})
     for name, camp in CAMPAIGNS.items():
-        for runner in filter(None, (camp.runner, camp.residue_runner)):
+        for runner in (camp.runner, camp.residue_runner):
             runner({**camp.defaults, **_bounds_for(name)})
     built = fpow._fpow_vals
     assert len(built) > 10
@@ -880,7 +894,7 @@ def _stub_backends(monkeypatch):
     for name, camp in CAMPAIGNS.items():
         monkeypatch.setitem(CAMPAIGNS, name, camp._replace(
             runner=partial(stub, "exact"),
-            residue_runner=camp.residue_runner and partial(stub, "residue")))
+            residue_runner=partial(stub, "residue")))
     monkeypatch.setattr(builtins, "__import__", recording_import)
     monkeypatch.delitem(sys.modules, "numpy", raising=False)
 
@@ -903,8 +917,7 @@ def test_a_verify_process_waits_for_the_crossover_and_a_session_does_not(monkeyp
             assert run(name, size) == ("residue", None, True), name
     # a session pays it once, so it runs every residue runner at any size
     for name, camp in CAMPAIGNS.items():
-        want = ("residue", None, True) if camp.residue_runner else ("exact", None, False)
-        assert run(name, camp.minimum) == want, name
+        assert run(name, camp.minimum) == ("residue", None, True), name
     # where numpy cannot be imported, every exact runner runs
     monkeypatch.setitem(sys.modules, "numpy", None)
     for name in RESIDUE_CAMPAIGNS:
@@ -913,9 +926,30 @@ def test_a_verify_process_waits_for_the_crossover_and_a_session_does_not(monkeyp
             assert run(name, 1 << 20) == ("exact", "no-numpy", True), name
     # a residue runner that declines hands the campaign to the exact runner
     monkeypatch.setitem(CAMPAIGNS, "t5-valuation", CAMPAIGNS["t5-valuation"]._replace(
-        residue_runner=lambda bounds: None))
+        residue_runner=_declines))
     monkeypatch.delitem(sys.modules, "numpy")
     assert run("t5-valuation", 64) == ("exact", "declined", True)
+
+
+def test_the_exact_fallback_runs_once_the_declining_parts_arrays_are_released(monkeypatch):
+    # a raised exception holds the frames it passed through, and so their
+    # arrays, until the except clause that catches it ends
+    np = pytest.importorskip("numpy")
+    held = []
+
+    def declining(bounds):
+        array = np.zeros(1 << 10)
+        held.append(weakref.ref(array))
+        raise Declined
+
+    def exact(bounds):
+        assert held and held[0]() is None
+        return campaigns.OBSERVATION, {}
+
+    monkeypatch.setitem(CAMPAIGNS, "t5-valuation", CAMPAIGNS["t5-valuation"]._replace(
+        runner=exact, residue_runner=declining))
+    rep = run_campaign("t5-valuation", {"n": 64})
+    assert (rep.backend, rep.backend_reason) == ("exact", "declined")
 
 
 # the benchmark's verify-cold jobs (perfbench/workloads.py), one `ptmpow
@@ -988,7 +1022,7 @@ def test_a_conjecture_counterexample_is_reported_as_an_observation(monkeypatch):
     # conjecture campaigns never hard-fail: run_campaign downgrades the status
     camp = CAMPAIGNS["t5-valuation"]
     stub = camp._replace(runner=lambda bounds: (campaigns.COUNTEREXAMPLE, {"n": 7}),
-                         residue_runner=None)
+                         residue_runner=_declines)
     monkeypatch.setitem(CAMPAIGNS, "t5-valuation", stub)
     rep = run_campaign("t5-valuation", {"n": 64})
     assert (rep.kind, rep.status, rep.witness, rep.backend) == (
@@ -1421,7 +1455,7 @@ def test_run_campaign_refuses_bounds_it_does_not_read(monkeypatch):
     with monkeypatch.context() as patch:
         for name, camp in CAMPAIGNS.items():
             patch.setitem(CAMPAIGNS, name, camp._replace(
-                runner=unreached, residue_runner=camp.residue_runner and unreached))
+                runner=unreached, residue_runner=unreached))
         for name, bounds, message in (
                 ("t5-valuation", {"N": 10}, "t5-valuation has no bound N; its bounds are n"),
                 ("t-regularity", {"n": 8, "width": 2}, "no bound width; its bounds are n, depth"),
