@@ -10,9 +10,10 @@ conjecture and question campaigns only ever report `verified-to-bound` or
 `run_campaign` runs one campaign and returns its `CampaignReport`; the CLI
 prints it and appends the `--out` record.  A size bound below the
 campaign's `minimum` is refused before any work, since it would check
-nothing.  The runners read values from `fpow`; those that need
-`tm_sequences` or `bm_sequences` import them themselves, so a process that
-runs another campaign does not load them.  A whole-array runner holds one
+nothing.  Every campaign is a shape with one part per backend (see
+"shapes" below).  The parts read values from `fpow`; a shape or part that
+needs `tm_sequences` or `bm_sequences` imports it itself, so a process that
+runs another campaign does not load them.  A residue part holds one
 `fpow_residues`, `fpow_stream` or `fpow_doubles` array at a time plus one
 slice of `fpow.chunks` of scratch: it checks the range slice by slice and
 stops at the first failing slice.  A bound key the campaign does not define, or a
@@ -37,7 +38,7 @@ OBSERVATION = "observation"
 
 
 class CampaignReport(namedtuple("CampaignReport", "name kind claim bounds status witness "
-                                "wall_ms backend backend_reason", defaults=("exact", None))):
+                                "wall_ms backend backend_reason")):
     """What `run_campaign` returns.  `backend` is "residue" when a
     whole-array runner settled the campaign, else "exact".  `backend_reason`
     says why the campaign ran exact: "no-numpy" (numpy does not import),
@@ -72,23 +73,22 @@ def _ceil_half(v: int) -> int:
 # ---------------------------------------------------------------------------
 # shapes: what the two backends of a campaign share
 #
-# A campaign with both backends is a shape plus one part per backend.  The
-# shape holds the m (and k) ranges, the order of the kernel requests, how
-# their results combine and the witness.  A part is one backend's check of
-# one kernel request: `_run_*_of` reads `fpow_prefix`, `_res_*_of` reads
-# residues or doubles (below).  It returns the values the shape needs; a
-# residue part that cannot decide an index raises `Declined` instead, which
-# passes through the shape to `run_campaign`.  The registry binds a part
-# into its shape with `partial`; the three t_{2^k+1} campaigns bind one
+# Every campaign is a shape plus one part per backend, registered as
+# (shape, exact, residue) and run as shape(part, bounds).  The shape holds
+# the m (and k) ranges, the order of the kernel requests, how their results
+# combine and the witness.  A part is one backend's check of the kernel
+# requests: `_run_*` reads `fpow_prefix`, `_res_*` reads residues or doubles
+# (below).  It returns the values the shape needs; a residue part that
+# cannot decide an index raises `Declined` instead, which passes through the
+# shape to `run_campaign`.  The three t_{2^k+1} campaigns share one
 # valuation part per backend, which checks that nu2 depends only on the
 # class nu2(n+1), against a closed form or against the values at each
-# class's first index.  Each exact part reads
-# the values and decides each index itself, so the exact runner stays an
-# independent reference for the check; only the loop and the witness are
-# shared.
+# class's first index.  Each exact part reads the values and decides each
+# index itself, so the exact runner stays an independent reference for the
+# check; only the loop and the witness are shared.
 
 
-def _valuation(part, m, width, expect_of, extra, bounds):
+def _valuation(m, width, expect_of, extra, part, bounds):
     """nu2(f_(width*n + j)(m)) = expect_of(nu2(n + 1)) for n <= bounds["n"]
     and j < width, with `part` a valuation part; `extra` adds witness keys
     from the failing index i = width*n + j."""
@@ -262,16 +262,46 @@ def _t_missing_values(attained_of, bounds):
     return OBSERVATION, out
 
 
-def _crossover_verdict(last, zeros, breaks):
-    """The verdict of b3-turan-crossover from the last n <= n_max - 1 at which
-    b_3(n)^2 - b_3(n-1) b_3(n+1) <= 0, the n at which it is 0 and the n up
-    to `last` that break the alternation."""
+def _b3_crossover(crossover_of, bounds):
+    """Where the sign of b_3(n)^2 - b_3(n-1) b_3(n+1) stops alternating:
+    crossover_of(n_max) gives the last n <= n_max - 1 at which it is <= 0,
+    the n at which it is 0 and the n up to that last one that break the
+    alternation."""
+    last, zeros, breaks = crossover_of(bounds["n"])
     return OBSERVATION, {"crossover_candidate": last, "positive_beyond": True,
                          "zero_differences_at": zeros, "alternation_breaks": breaks}
 
 
+def _b2_valuation_list(first_misses, bounds):
+    """Every tabulated equality nu2(b_2(M n + i)) = a for indices <= n, after
+    the polynomial certificates used to derive them
+    (`bm_sequences.b2_certificate_witness`).  first_misses(lines, n_max)
+    yields, for each line (M, i, a) in turn, its first failing (n, nu2), or
+    (); no line after the first miss is read."""
+    from .bm_sequences import B2_VALUATION_TABLE, b2_certificate_witness
+
+    if witness := b2_certificate_witness():
+        return COUNTEREXAMPLE, witness
+    n_max = bounds["n"]
+    lines = [(modulus, i, a) for modulus, residues, a in B2_VALUATION_TABLE for i in residues]
+    checked = 0
+    for (modulus, i, _), miss in zip(lines, first_misses(lines, n_max)):
+        if miss:
+            return COUNTEREXAMPLE, {"modulus": modulus, "i": i, "n": miss[0], "value_nu2": miss[1]}
+        checked += len(range(i, n_max + 1, modulus))
+    return VERIFIED, {"checked": checked}
+
+
+def _t2_symmetry(first_miss, bounds):
+    """t_2(n') = -t_2(n) for n <= bounds["n"]: first_miss(n_max) gives the
+    first n whose partner n' (`tm_sequences.t2_partner_index`) is negative
+    or holds another value, as (n, t_2(n)), or ()."""
+    miss = first_miss(bounds["n"])
+    return (COUNTEREXAMPLE, {"n": miss[0], "value": miss[1]}) if miss else (VERIFIED, {})
+
+
 # ---------------------------------------------------------------------------
-# exact runners and parts
+# exact parts
 
 
 def _run_valuation_of(m, width, expect_of, n_max):
@@ -349,8 +379,7 @@ def _run_b_turan_of(m, n_max):
     return 0
 
 
-def _run_b3_crossover(bounds):
-    n_max = bounds["n"]
+def _run_crossover_of(n_max):
     vals = fpow_prefix(-3, n_max + 1)
     # the sign of b^2 - ac at n = 1 .. n_max - 1, each difference taken once;
     # the alternation wants -1 at odd n and +1 at even n up to the last
@@ -360,7 +389,7 @@ def _run_b3_crossover(bounds):
     zeros = [n for n, sign in enumerate(signs, 1) if sign == 0]
     last = max((n for n, sign in enumerate(signs, 1) if sign <= 0), default=0)
     breaks = [n for n, sign in enumerate(signs[:last], 1) if sign == (1 if n & 1 else -1)]
-    return _crossover_verdict(last, zeros, breaks)
+    return last, zeros, breaks
 
 
 def _run_t_zero_of(m, n_max):
@@ -373,46 +402,33 @@ def _run_t_attained_of(m, n_max, span):
     return {v for v in vals[: n_max + 1] if -span <= v <= span}
 
 
-def _run_b2_valuation_list(bounds):
-    """Every tabulated equality nu2(b_2(M n + i)) = a for indices <= n, after
-    the polynomial certificates used to derive them
-    (`bm_sequences.b2_certificate_witness`)."""
-    from .bm_sequences import B2_VALUATION_TABLE, b2_certificate_witness
-
-    witness = b2_certificate_witness()
-    if witness:
-        return COUNTEREXAMPLE, witness
-    n_max = bounds["n"]
+def _run_b2_misses(lines, n_max):
     v = fpow_prefix(-2, n_max)
-    checked = 0
-    for modulus, residues, a in B2_VALUATION_TABLE:
-        for i in residues:
-            # nu2(x) == a exactly when the low a + 1 bits of x are 2^a
-            low_bits = list(map(((2 << a) - 1).__and__, v[i : n_max + 1 : modulus]))
-            if low_bits.count(1 << a) < len(low_bits):
-                n = next(n for n, b in enumerate(low_bits) if b != 1 << a)
-                return COUNTEREXAMPLE, {"modulus": modulus, "i": i, "n": n,
-                                        "value_nu2": nu2(v[modulus * n + i])}
-            checked += len(low_bits)
-    return VERIFIED, {"checked": checked}
+    for modulus, i, a in lines:
+        # nu2(x) == a exactly when the low a + 1 bits of x are 2^a
+        low_bits = list(map(((2 << a) - 1).__and__, v[i : n_max + 1 : modulus]))
+        if low_bits.count(1 << a) < len(low_bits):
+            n = next(n for n, b in enumerate(low_bits) if b != 1 << a)
+            yield n, nu2(v[modulus * n + i])
+        else:
+            yield ()
 
 
-def _run_t2_symmetry(bounds):
+def _run_t2_miss(n_max):
     from .tm_sequences import t2_partner_index
 
-    n_max = bounds["n"]
     # |t_2(n)| <= n+1, so the partner shift 2^(nu2+1) stays below 2(n+1)
     vals = fpow_prefix(2, 3 * n_max + 4)
     for n in range(n_max + 1):
         n2 = t2_partner_index(n, vals[n])
         if n2 < 0 or vals[n2] != -vals[n]:
-            return COUNTEREXAMPLE, {"n": n, "value": vals[n]}
-    return VERIFIED, {}
+            return n, vals[n]
+    return ()
 
 
 # ---------------------------------------------------------------------------
-# residue runners and parts ("residue" in a report: a whole-array runner
-# ran): the same checks on values mod 2^64 (`fpow_residues`), on t_m read
+# residue parts ("residue" in a report: a shape ran on its residue part):
+# the same checks on values mod 2^64 (`fpow_residues`), on t_m read
 # exactly from its residues as int64 (`_int64_values`), or on doubles whose
 # sign of b^2 - ac the ratio test fl(b*b) > fl(fl(a*c) * K) certifies
 # (`_turan_signs`, or `_turan_failure` where only the first failure counts):
@@ -422,11 +438,12 @@ def _run_t2_symmetry(bounds):
 # only up to the last index the doubles leave unsure.  run_campaign calls a
 # residue runner only when numpy imports, in a session at any size and in a
 # `ptmpow verify` process (inside `fpow.arrays_unkept()`) from the
-# campaign's `cold_size`, so a runner decides only the mathematics.  Each
-# gives the exact runner's (status, witness), or raises `Declined`, and
-# run_campaign then runs the exact runner for the whole campaign
-# (`backend_reason` "declined"): at a residue of 0 whose nu2 is taken or
-# that is tested for zero (a zero value or nu2 >= 64, `_nonzero`), when the
+# campaign's `cold_size`, so a part decides only the mathematics.  A
+# residue runner gives the exact runner's (status, witness), or raises
+# `Declined`, and run_campaign then runs the exact runner for the whole
+# campaign (`backend_reason` "declined"): at a residue of 0 whose nu2 is
+# taken or that is tested for zero (a zero value or nu2 >= 64, `_nonzero`,
+# or the first miss of a b2-valuation-list line), when the
 # certificate of an int64 reading of t_m fails (`_certify`), and when the
 # double of a b_m value is not below 2^510.  Any exact settling of such an
 # index would build the exact prefix up to it, so declining costs no more.
@@ -447,8 +464,9 @@ def _run_t2_symmetry(bounds):
 # rest of its class.  The congruence
 # parts take their strided differences, at most an eighth of the array,
 # whole.  Each part reads one array in its own call, whose locals, views
-# included, die when it returns, so no array outlives its call into the
-# next request; a verify process then holds one array, or the half of one
+# included, die when it returns (the b2-valuation-list parts, generators,
+# when their shape returns), so no array outlives its call into the next
+# request; a verify process then holds one array, or the half of one
 # that a stream starts from, at a time, and, when it runs exact, one exact
 # prefix (`fpow.fpow_prefix`).  The valuation-pattern part of t-regularity
 # also writes nu2 of its int64 readings, chunk by chunk, into one uint8
@@ -733,7 +751,7 @@ def _res_b_turan_of(m, n_max):
     return next((lo + found[0] for lo, found in reads if found), 0)
 
 
-def _res_b3_crossover(bounds):
+def _res_crossover_of(n_max):
     import numpy as np
 
     # the alternation wants -1 at odd n and +1 at even n up to the last
@@ -741,7 +759,7 @@ def _res_b3_crossover(bounds):
     # nonpositive sign, the odd n between the last one before and the chunk
     # break the alternation, and so do the chunk's own up to its last one
     last, zeros, breaks = 0, [], []
-    for lo, part in _b_turan_reads(3, bounds["n"], _turan_signs):
+    for lo, part in _b_turan_reads(3, n_max, _turan_signs):
         n = np.arange(lo + 1, lo + 1 + part.size)
         zeros += n[part == 0].tolist()
         nonpositive = np.flatnonzero(part <= 0)
@@ -751,7 +769,7 @@ def _res_b3_crossover(bounds):
             head, n = part[:top], n[:top]
             breaks += n[head == np.where(n & 1, 1, -1)].tolist()
             last = lo + top
-    return _crossover_verdict(last, zeros, breaks)
+    return last, zeros, breaks
 
 
 # (a_r, b_r) for r = 0..3: F^2 = (1-x)^2 F(x^2)^2 gives t_2(2k) = t_2(k) +
@@ -812,7 +830,7 @@ def _t2_partner_misses(m, lo, quarter):
     return bad
 
 
-def _res_t2_symmetry(bounds):
+def _res_t2_miss(n_max):
     # the m = t_2(n) come in blocks of t_2 up to n in order, and their
     # partners p <= 3n + 2 are read with `_t2_at` from t_2 up to
     # top = (3n + 2) // 4 >= n // 2, the prefix the stream starts from.  The
@@ -826,7 +844,6 @@ def _res_t2_symmetry(bounds):
     # overflowing the shift.  Each block's check
     # holds at most three int64 buffers of one block, which die with
     # `_t2_partner_misses`
-    n_max = bounds["n"]
     top = (3 * n_max + 2) // 4
     res, blocks = fpow_stream(2, n_max, top)
     quarter = res[: top + 1].view("int64")
@@ -837,8 +854,8 @@ def _res_t2_symmetry(bounds):
         bad = _t2_partner_misses(m, lo, quarter)
         n = int(bad.argmax())
         if bad[n]:
-            return COUNTEREXAMPLE, {"n": lo + n, "value": int(m[n])}
-    return VERIFIED, {}
+            return lo + n, int(m[n])
+    return ()
 
 
 def _res_t_zero_of(m, n_max):
@@ -849,50 +866,55 @@ def _res_t_zero_of(m, n_max):
     return 0
 
 
-def _res_b2_valuation_list(bounds):
-    # nu2(x) = a exactly when the low a + 1 bits of x are 2^a, and a + 1 <= 8,
-    # so residues mod 2^64 decide every equality.  The polynomial
-    # certificates stay exact and come first, as in the exact runner
-    from .bm_sequences import B2_VALUATION_TABLE, b2_certificate_witness
-
-    witness = b2_certificate_witness()
-    if witness:
-        return COUNTEREXAMPLE, witness
-    n_max = bounds["n"]
+def _res_b2_misses(lines, n_max):
+    """`_run_b2_misses` on residues, each line a chunk at a time.  nu2(x) = a
+    exactly when the low a + 1 bits of x are 2^a, and a + 1 <= 8, so
+    residues mod 2^64 decide every equality; a miss that reads 0 (nu2 >= 64)
+    declines."""
     res = fpow_residues(-2, n_max)
-    checked = 0
-    for modulus, residues, a in B2_VALUATION_TABLE:
-        for i in residues:
-            line = res[i : n_max + 1 : modulus]
-            for lo, hi in chunks(line.size):
-                bad = (line[lo:hi] & ((2 << a) - 1)) != 1 << a
-                n = int(bad.argmax())
-                if bad[n]:
-                    value = int(line[lo + n])
-                    if not value:  # nu2 >= 64
-                        raise Declined
-                    return COUNTEREXAMPLE, {"modulus": modulus, "i": i, "n": lo + n,
-                                            "value_nu2": nu2(value)}
-            checked += line.size
-    return VERIFIED, {"checked": checked}
+    for modulus, i, a in lines:
+        line = res[i : n_max + 1 : modulus]
+        miss = ()
+        for lo, hi in chunks(line.size):
+            bad = (line[lo:hi] & ((2 << a) - 1)) != 1 << a
+            n = int(bad.argmax())
+            if bad[n]:
+                value = int(line[lo + n])
+                if not value:
+                    raise Declined
+                miss = lo + n, nu2(value)
+                break
+        yield miss
 
 
 # ---------------------------------------------------------------------------
 # registry (the traceability matrix)
 
 
-class Campaign(namedtuple("Campaign", "name kind claim defaults runner residue_runner "
+class Campaign(namedtuple("Campaign", "name kind claim defaults shape exact residue "
                           "minimum cold_size", defaults=(0, 0))):
     """One registered claim.  `kind` is theorem, conjecture or question.
-    `runner` is the exact runner and `residue_runner` the whole-array one,
-    each giving (status, witness); the residue runner raises `Declined`
-    where its readings cannot decide an index.  `minimum` is the least value
-    of the size key at which the runners check anything.  `cold_size` is the
-    least value of the size key at which a `ptmpow verify` process runs the
-    residue runner; below it the exact runner finishes before the residue
-    runner and its numpy import would (a session runs it at any size)."""
+    Every campaign is a shape with one part per backend: `shape(part,
+    bounds)` gives (status, witness), with `exact` the part on exact ints
+    and `residue` the whole-array one, which raises `Declined` where its
+    readings cannot decide an index.  `runner` and `residue_runner` bind the
+    shape to each part.  `minimum` is the least value of the size key at
+    which the runners check anything.  `cold_size` is the least value of the
+    size key at which a `ptmpow verify` process runs the residue runner;
+    below it the exact runner finishes before the residue runner and its
+    numpy import would (a session runs it at any size)."""
 
     __slots__ = ()
+
+    @property
+    def runner(self):
+        """The exact runner: bounds -> (status, witness)."""
+        return partial(self.shape, self.exact)
+
+    @property
+    def residue_runner(self):
+        """The whole-array runner, which may raise `Declined`."""
+        return partial(self.shape, self.residue)
 
     @property
     def size_key(self) -> str:
@@ -914,31 +936,27 @@ for _camp in (
     Campaign(
         "t5-valuation", "conjecture",
         "nu2(t_5(4n+j)) = 4*ceil(nu2(n+1)/2) - (nu2(n+1) mod 2) for j in 0..3",
-        {"n": 1 << 12}, partial(_valuation, _run_valuation_of, *_T5_VALUATION),
-        partial(_valuation, _res_valuation_of, *_T5_VALUATION),
+        {"n": 1 << 12}, partial(_valuation, *_T5_VALUATION), _run_valuation_of, _res_valuation_of,
         # 206 vs 214 ms at 24576, 220 vs 203 at 28672
         cold_size=7 << 12),
     Campaign(
         "t9-valuation", "conjecture",
         "nu2(t_9(8n+j)) = 5*ceil(nu2(n+1)/2) - 2*(nu2(n+1) mod 2) for j in 0..7",
-        {"n": 1 << 12}, partial(_valuation, _run_valuation_of, *_T9_VALUATION),
-        partial(_valuation, _res_valuation_of, *_T9_VALUATION),
+        {"n": 1 << 12}, partial(_valuation, *_T9_VALUATION), _run_valuation_of, _res_valuation_of,
         # 153 vs 160 ms at 10240, 221 vs 195 at 12288
         cold_size=3 << 12),
     Campaign(
         "t2k1-valuation-table", "conjecture",
         "nu2(t_{2^k+1}(2^k n + j)) = A_{k, nu2(n+1)} for a strictly increasing "
         "integer table with A_{k,0} = 0",
-        {"n": 1 << 12}, partial(_t2k1_table, _run_valuation_of),
-        partial(_t2k1_table, _res_valuation_of),
+        {"n": 1 << 12}, _t2k1_table, _run_valuation_of, _res_valuation_of,
         # 155 vs 167 ms at 6144, 160 vs 150 at 8192
         cold_size=1 << 13),
     Campaign(
         "t-regularity", "question",
         "is (nu2(t_m(n)))_n 2-regular?  (statistics only: count distinct dyadic "
         "subsequence patterns)",
-        {"n": 64, "depth": 5}, partial(_t_regular, _run_valuations_of),
-        partial(_t_regular, _res_valuations_of),
+        {"n": 64, "depth": 5}, _t_regular, _run_valuations_of, _res_valuations_of,
         # the gate reads n alone, while both parts read (n + 1) 2^depth values
         # of each t_m; at the default depth 5, 165 vs 175 ms at 1792, 196 vs
         # 170 at 2048
@@ -947,15 +965,13 @@ for _camp in (
         "bm-valuation-unbounded", "conjecture",
         "for m not of the form 2^k - 1 the sequence nu2(b_m(n)) is unbounded "
         "(report the running maximum)",
-        {"n": 1 << 12}, partial(_bm_unbounded, _run_max_nu2_of),
-        partial(_bm_unbounded, _res_max_nu2_of),
+        {"n": 1 << 12}, _bm_unbounded, _run_max_nu2_of, _res_max_nu2_of,
         # 176 vs 204 ms at 32768, 174 vs 156 at 49152
         cold_size=3 << 14),
     Campaign(
         "b-pow2-congruence", "conjecture",
         "b_{2^m}(2^(k+1) n) = b_{2^m}(2^(k-1) n) (mod 2^k) for k >= m+2",
-        {"index": 1 << 14}, partial(_b_pow2_congruence, _run_firsts),
-        partial(_b_pow2_congruence, _res_firsts),
+        {"index": 1 << 14}, _b_pow2_congruence, _run_firsts, _res_firsts,
         # every (m, k) checks n >= 1 at index 2^(k+1), and k+1 reaches 8
         minimum=1 << 8,
         # 153 vs 203 ms at 65536, 157 vs 154 at 81920
@@ -964,8 +980,7 @@ for _camp in (
         "b-pow2m1-congruence", "conjecture",
         "b_{2^m-1}(2^(k+1) n) = b_{2^m-1}(2^(k-1) n) "
         "(mod 2^(4*floor((k+1)/2)-2)) for k >= m+2",
-        {"index": 1 << 14}, partial(_b_pow2m1_congruence, _run_firsts),
-        partial(_b_pow2m1_congruence, _res_firsts),
+        {"index": 1 << 14}, _b_pow2m1_congruence, _run_firsts, _res_firsts,
         # every (m, k) checks n >= 1 at index 2^(k+1), and k+1 reaches 8
         minimum=1 << 8,
         # 142 vs 152 ms at 98304, 232 vs 206 at 131072
@@ -974,8 +989,7 @@ for _camp in (
         "b-congruence-growth", "conjecture",
         "b_m(2^(k+1) n) = b_m(2^(k-1) n) (mod 2^f(k)) with nondecreasing "
         "f(k) = O(k) (empirical fit of f)",
-        {"index": 1 << 14}, partial(_b_congruence_growth, _run_min_nu2s),
-        partial(_b_congruence_growth, _res_min_nu2s),
+        {"index": 1 << 14}, _b_congruence_growth, _run_min_nu2s, _res_min_nu2s,
         # every k takes a difference at n = 1, index 2^(k+1), and k+1 reaches 8
         minimum=1 << 8,
         # 122 vs 134 ms at 49152, 221 vs 218 at 65536
@@ -984,52 +998,47 @@ for _camp in (
         "t-sign-density", "conjecture",
         "the exception sets {n : sgn t_m(3n+j) != (-1)^j} are infinite of "
         "density 0 (finite frequencies reported)",
-        {"n": 1 << 12}, partial(_sign_density, _run_sign_exceptions_of),
-        partial(_sign_density, _res_sign_exceptions_of),
+        {"n": 1 << 12}, _sign_density, _run_sign_exceptions_of, _res_sign_exceptions_of,
         # 133 vs 139 ms at 16384, 162 vs 144 at 24576
         cold_size=3 << 13),
     Campaign(
         "t-threesigns-turan", "conjecture",
         "for m >= 2: no three consecutive t_m values share a sign and "
         "t_m(n)^2 > t_m(n-1) t_m(n+1)",
-        {"n": 1 << 12}, partial(_threesigns_turan, _run_threesigns_of),
-        partial(_threesigns_turan, _res_threesigns_of), minimum=2,
+        {"n": 1 << 12}, _threesigns_turan, _run_threesigns_of, _res_threesigns_of, minimum=2,
         # 151 vs 178 ms at 16384, 218 vs 216 at 32768
         cold_size=1 << 15),
     Campaign(
         "b-turan-m4plus", "conjecture",
         "for m >= 4: b_m(n)^2 - b_m(n-1) b_m(n+1) > 0",
-        {"n": 1 << 12}, partial(_b_turan_m4plus, _run_b_turan_of),
-        partial(_b_turan_m4plus, _res_b_turan_of), minimum=2,
+        {"n": 1 << 12}, _b_turan_m4plus, _run_b_turan_of, _res_b_turan_of, minimum=2,
         # 227 vs 245 ms at 32768, 253 vs 206 at 49152
         cold_size=3 << 14),
     Campaign(
         "b3-turan-crossover", "conjecture",
         "for m = 3 the sign of b_3(n)^2 - b_3(n-1) b_3(n+1) alternates up to "
         "some n_0 and is positive afterwards (search for n_0)",
-        {"n": 1 << 12}, _run_b3_crossover, _res_b3_crossover, minimum=2,
+        {"n": 1 << 12}, _b3_crossover, _run_crossover_of, _res_crossover_of, minimum=2,
         # 152 vs 172 ms at 114688, 167 vs 147 at 122880
         cold_size=15 << 13),
     Campaign(
         "t-zero-m4plus", "conjecture",
         "t_m(n) = 0 has no solution for m >= 4",
-        {"n": 1 << 14}, partial(_t_zero_m4plus, _run_t_zero_of),
-        partial(_t_zero_m4plus, _res_t_zero_of), minimum=1,
+        {"n": 1 << 14}, _t_zero_m4plus, _run_t_zero_of, _res_t_zero_of, minimum=1,
         # 144 vs 152 ms at 24576, 170 vs 158 at 28672
         cold_size=7 << 12),
     Campaign(
         "t-missing-values", "conjecture",
         "for m >= 3 infinitely many integers are never attained by t_m "
         "(window histogram of attained values)",
-        {"n": 1 << 14, "span": 50}, partial(_t_missing_values, _run_t_attained_of),
-        partial(_t_missing_values, _res_t_attained_of),
+        {"n": 1 << 14, "span": 50}, _t_missing_values, _run_t_attained_of, _res_t_attained_of,
         # 139 vs 149 ms at 65536, 159 vs 150 at 98304
         cold_size=3 << 15),
     Campaign(
         "b2-valuation-list", "theorem",
         "the pinned table of exact values nu2(b_2(M n + i)) = a, with the polynomial "
         "certificates h_{i,k,2} = 0 (mod 2^a) and h/2^a = (1-x)^(2k-3) (mod 2)",
-        {"n": 1 << 14}, _run_b2_valuation_list, _res_b2_valuation_list,
+        {"n": 1 << 14}, _b2_valuation_list, _run_b2_misses, _res_b2_misses,
         # the first tabulated index is 4n + 3 at n = 0
         minimum=3,
         # 178 vs 187 ms at 262144, 203 vs 190 at 327680
@@ -1038,7 +1047,7 @@ for _camp in (
         "t2-symmetry", "theorem",
         "t_2(n') = -t_2(n) for n' = n + (-1)^e * 2^(nu2(m)+1), "
         "m = t_2(n), e = nu2(m) + (m - 2^nu2(m))/2^(nu2(m)+1)",
-        {"n": 1 << 14}, _run_t2_symmetry, _res_t2_symmetry,
+        {"n": 1 << 14}, _t2_symmetry, _run_t2_miss, _res_t2_miss,
         # 209 vs 224 ms at 65536, 244 vs 221 at 98304
         cold_size=3 << 15),
 ):

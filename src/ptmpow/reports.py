@@ -19,18 +19,15 @@ class CheckReport(namedtuple("CheckReport", "name ok checked witness")):
 
     __slots__ = ()
 
-    def __new__(cls, name: str, ok: bool, checked: int = 0, witness: dict | None = None):
-        return super().__new__(cls, name, ok, checked, {} if witness is None else witness)
-
 
 def sweep(name: str, cases, witness: dict | None = None) -> CheckReport:
     """Run `cases`, which yields None for a case that holds and a failure
     witness dict for one that fails, and stop at the first failure.  When
     every case holds, the report's witness is `witness`, read only after
-    the last case, so a case stream may fill it as it runs."""
+    the last case, so a case stream may fill it as it runs; {} for None."""
     checked = 0
     for failure in cases:
         if failure is not None:
             return CheckReport(name, False, checked, failure)
         checked += 1
-    return CheckReport(name, True, checked, witness)
+    return CheckReport(name, True, checked, {} if witness is None else witness)

@@ -13,10 +13,8 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from fractions import Fraction
 
 from .core_arith import base4_digits_0136, nu2, nu2_binom
-from .f_polys import shared_fseries
 from .fpow import fpow_at, fpow_prefix
 from .reports import CheckReport, sweep
 
@@ -224,20 +222,16 @@ def maxmin_closed(m: int, k: int) -> Extrema:
     if m == 3:
         if k < 0:
             raise ValueError("k >= 0")
+        # 8 = 1 (mod 7), so 7 divides 2^(3j+1) + 5 and 2^(3j) - 1
+        j = k // 2
         if k % 2 == 0:
-            j = k // 2
-            mx = Fraction(1 << (3 * j))
-            mn = -Fraction(3, 7) * ((1 << (3 * j + 1)) + 5)
+            mx, mn = 1 << (3 * j), -3 * ((1 << (3 * j + 1)) + 5) // 7
         else:
-            j = (k - 1) // 2
-            mx = Fraction(15, 7) * ((1 << (3 * j)) - 1) + (1 if j == 0 else 0)
-            mn = -Fraction(3) * (1 << (3 * j))
-        if mx.denominator != 1 or mn.denominator != 1:
-            raise ArithmeticError(f"closed extrema not integral at k={k}")
+            mx, mn = 15 * ((1 << (3 * j)) - 1) // 7 + (j == 0), -3 << (3 * j)
         sgn = 1 if k % 2 == 0 else -1
         amax = (1 << k) - (1 + sgn) // 2
         amin = (1 << k) - (1 - sgn) // 2
-        return Extrema(int(mx), int(mn), amax, amin)
+        return Extrema(mx, mn, amax, amin)
     raise ValueError("closed extrema available for m in {2, 3}")
 
 
@@ -322,14 +316,11 @@ def check_t2_mod4(n_max: int) -> CheckReport:
 # ---------------------------------------------------------------------------
 # non-vanishing window and the multinomial count
 
-# rational upper bound on 1/log(2); keeps the threshold computation exact
-_INV_LOG2_UPPER = Fraction(14427, 10000)
-
-
 def nonvanishing_threshold(n: int) -> int:
     """Smallest integer strictly above n^2/log 2 that our rational bound can
     certify; t_m(n) != 0 is guaranteed for every m >= this value."""
-    return int(n * n * _INV_LOG2_UPPER) + 1
+    # 14427/10000 is a rational upper bound on 1/log 2
+    return n * n * 14427 // 10000 + 1
 
 
 def multinomial_s1_enumerate(n: int, m: int) -> int:
@@ -359,6 +350,8 @@ _NONVANISHING_WINDOW = 16
 def check_nonvanishing(n_max: int) -> CheckReport:
     """For n <= n_max and m in a window just above n^2/log 2: t_m(n) != 0;
     plus the multinomial identity S_1 = C(n+m-1, m-1) for n, m <= 8."""
+    from .f_polys import shared_fseries
+
     series = shared_fseries()
 
     def cases():
@@ -379,6 +372,7 @@ def check_t3_reducibility_witness(count: int) -> CheckReport:
 
     Evaluates the polynomial family itself (not the t_3 recurrence), so the
     vanishing is witnessed on the f side."""
+    from .f_polys import shared_fseries
 
     def cases():
         for a in t3_zero_seq(count):

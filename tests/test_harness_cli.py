@@ -43,8 +43,14 @@ def _or_none(part, *args):
         return None
 
 
-def _declines(bounds):
+def _declines(*args):
     raise Declined
+
+
+def _whole_runners(camp, exact, residue):
+    """camp with a shape that hands the bounds to `exact` or `residue`, each
+    then a whole runner: bounds -> (status, witness)."""
+    return camp._replace(shape=lambda part, bounds: part(bounds), exact=exact, residue=residue)
 
 
 def test_registry_shape():
@@ -729,19 +735,18 @@ MULTI_ARRAY_CAMPAIGNS = ("t2k1-valuation-table", "bm-valuation-unbounded",
 def test_both_backends_share_each_campaign_shape():
     # a campaign's ranges, the order of its kernel requests and its witness
     # are written once, in a shape that each backend binds its part into
-    shaped = {name for name, camp in CAMPAIGNS.items() if isinstance(camp.runner, partial)}
-    assert shaped == {*MULTI_ARRAY_CAMPAIGNS, "t5-valuation", "t9-valuation"}
-    for name in shaped:
-        camp = CAMPAIGNS[name]
+    for name, camp in CAMPAIGNS.items():
         assert camp.runner.func is camp.residue_runner.func, name
+        assert camp.runner.args[-1] is camp.exact and camp.residue_runner.args[-1] is camp.residue
+        assert camp.exact is not camp.residue, name
 
 
 def test_the_t2k1_campaigns_share_one_valuation_part():
     # all three check that nu2(t_{2^k+1}(2^k n + j)) depends only on the
     # class nu2(n+1), so each backend binds one part into all three shapes
     camps = [CAMPAIGNS[name] for name in ("t5-valuation", "t9-valuation", "t2k1-valuation-table")]
-    assert len({camp.runner.args[0] for camp in camps}) == 1
-    assert len({camp.residue_runner.args[0] for camp in camps}) == 1
+    assert len({camp.exact for camp in camps}) == 1
+    assert len({camp.residue for camp in camps}) == 1
 
 
 @pytest.mark.parametrize("name", RESIDUE_CAMPAIGNS)
@@ -893,8 +898,7 @@ def _stub_backends(monkeypatch):
 
     for name, camp in CAMPAIGNS.items():
         monkeypatch.setitem(CAMPAIGNS, name, camp._replace(
-            runner=partial(stub, "exact"),
-            residue_runner=partial(stub, "residue")))
+            shape=stub, exact="exact", residue="residue"))
     monkeypatch.setattr(builtins, "__import__", recording_import)
     monkeypatch.delitem(sys.modules, "numpy", raising=False)
 
@@ -925,8 +929,9 @@ def test_a_verify_process_waits_for_the_crossover_and_a_session_does_not(monkeyp
         with fpow.arrays_unkept():
             assert run(name, 1 << 20) == ("exact", "no-numpy", True), name
     # a residue runner that declines hands the campaign to the exact runner
-    monkeypatch.setitem(CAMPAIGNS, "t5-valuation", CAMPAIGNS["t5-valuation"]._replace(
-        residue_runner=_declines))
+    monkeypatch.setitem(CAMPAIGNS, "t5-valuation", _whole_runners(
+        CAMPAIGNS["t5-valuation"], lambda bounds: ("observation", {"backend": "exact"}),
+        _declines))
     monkeypatch.delitem(sys.modules, "numpy")
     assert run("t5-valuation", 64) == ("exact", "declined", True)
 
@@ -946,8 +951,8 @@ def test_the_exact_fallback_runs_once_the_declining_parts_arrays_are_released(mo
         assert held and held[0]() is None
         return campaigns.OBSERVATION, {}
 
-    monkeypatch.setitem(CAMPAIGNS, "t5-valuation", CAMPAIGNS["t5-valuation"]._replace(
-        runner=exact, residue_runner=declining))
+    monkeypatch.setitem(CAMPAIGNS, "t5-valuation", _whole_runners(
+        CAMPAIGNS["t5-valuation"], exact, declining))
     rep = run_campaign("t5-valuation", {"n": 64})
     assert (rep.backend, rep.backend_reason) == ("exact", "declined")
 
@@ -1018,11 +1023,28 @@ def test_a_failed_b2_certificate_is_a_counterexample_on_either_backend(monkeypat
     assert exit_code_for(rep) == 1
 
 
+def test_b2_valuation_list_reads_no_line_past_its_first_miss(monkeypatch):
+    # 2^70 at b_2(36), n = 1 of the line (32, 4), reads 0 mod 2^64, so the
+    # residue part declines there; a wrong b_2(41), n = 2 of the earlier line
+    # (16, 9), is the first miss on both backends, and the line (32, 4) is
+    # then never read
+    pytest.importorskip("numpy")
+    camp = CAMPAIGNS["b2-valuation-list"]
+    _plant(monkeypatch, -2, 36, 2**70)
+    with pytest.raises(Declined):
+        camp.residue_runner({"n": 64})
+    _plant(monkeypatch, -2, 41, 6)
+    want = ("counterexample", {"modulus": 16, "i": 9, "n": 2, "value_nu2": 1})
+    assert camp.runner({"n": 64}) == want
+    assert camp.residue_runner({"n": 64}) == want
+    rep = run_campaign("b2-valuation-list", {"n": 64})
+    assert (rep.status, rep.witness, rep.backend) == (*want, "residue")
+
+
 def test_a_conjecture_counterexample_is_reported_as_an_observation(monkeypatch):
     # conjecture campaigns never hard-fail: run_campaign downgrades the status
     camp = CAMPAIGNS["t5-valuation"]
-    stub = camp._replace(runner=lambda bounds: (campaigns.COUNTEREXAMPLE, {"n": 7}),
-                         residue_runner=_declines)
+    stub = _whole_runners(camp, lambda bounds: (campaigns.COUNTEREXAMPLE, {"n": 7}), _declines)
     monkeypatch.setitem(CAMPAIGNS, "t5-valuation", stub)
     rep = run_campaign("t5-valuation", {"n": 64})
     assert (rep.kind, rep.status, rep.witness, rep.backend) == (
@@ -1454,8 +1476,7 @@ def test_run_campaign_refuses_bounds_it_does_not_read(monkeypatch):
 
     with monkeypatch.context() as patch:
         for name, camp in CAMPAIGNS.items():
-            patch.setitem(CAMPAIGNS, name, camp._replace(
-                runner=unreached, residue_runner=unreached))
+            patch.setitem(CAMPAIGNS, name, _whole_runners(camp, unreached, unreached))
         for name, bounds, message in (
                 ("t5-valuation", {"N": 10}, "t5-valuation has no bound N; its bounds are n"),
                 ("t-regularity", {"n": 8, "width": 2}, "no bound width; its bounds are n, depth"),
@@ -1546,8 +1567,7 @@ def test_cli_verify_opens_out_before_any_work(monkeypatch, capsys, tmp_path):
         raise AssertionError(f"a runner ran on {bounds}")
 
     camp = CAMPAIGNS["t5-valuation"]
-    monkeypatch.setitem(CAMPAIGNS, "t5-valuation", camp._replace(
-        runner=unreached, residue_runner=unreached))
+    monkeypatch.setitem(CAMPAIGNS, "t5-valuation", _whole_runners(camp, unreached, unreached))
     out = str(tmp_path / "no-such-dir" / "x.jsonl")
     rc, stdout, err = run_cli(capsys, "verify", "t5-valuation", "--bound", "65536", "--out", out)
     assert rc == 2 and stdout == "" and "x.jsonl" in err

@@ -296,10 +296,11 @@ def test_a_planted_t2_array_value_is_caught(monkeypatch, index):
         return res, carry
 
     monkeypatch.setattr(fpow, "_blocks", planted)
-    cold, warm = _scope_and_session(campaigns._res_t2_symmetry, {"n": 4000})
+    camp = CAMPAIGNS["t2-symmetry"]
+    cold, warm = _scope_and_session(camp.residue_runner, {"n": 4000})
     assert cold == warm and cold[0] == COUNTEREXAMPLE and cold[1]["n"] <= index
     _plant(monkeypatch, {index: value})
-    assert campaigns._run_t2_symmetry({"n": 4000})[0] == COUNTEREXAMPLE
+    assert camp.runner({"n": 4000})[0] == COUNTEREXAMPLE
 
 
 @pytest.mark.parametrize("q", [1, 100, 500, 999])
