@@ -225,9 +225,11 @@ def maxmin_closed(m: int, k: int) -> Extrema:
         # 8 = 1 (mod 7), so 7 divides 2^(3j+1) + 5 and 2^(3j) - 1
         j = k // 2
         if k % 2 == 0:
-            mx, mn = 1 << (3 * j), -3 * ((1 << (3 * j + 1)) + 5) // 7
+            mx = 1 << (3 * j)
+            mn = -3 * ((1 << (3 * j + 1)) + 5) // 7
         else:
-            mx, mn = 15 * ((1 << (3 * j)) - 1) // 7 + (j == 0), -3 << (3 * j)
+            mx = 15 * ((1 << (3 * j)) - 1) // 7 + (1 if j == 0 else 0)
+            mn = -3 * (1 << (3 * j))
         sgn = 1 if k % 2 == 0 else -1
         amax = (1 << k) - (1 + sgn) // 2
         amin = (1 << k) - (1 - sgn) // 2
